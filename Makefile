@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet fmt race bench bench-solver bench-planner bench-cache bench-disk bench-stream bench-stream-quick bench-serve bench-serve-quick bench-extract bench-extract-quick bench-isa bench-isa-quick check
+.PHONY: build test vet fmt race bench-test bench bench-solver bench-planner bench-cache bench-disk bench-stream bench-stream-quick bench-serve bench-serve-quick bench-extract bench-extract-quick bench-isa bench-isa-quick check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ fmt:
 # per-package timeout, so give the suite explicit headroom.
 race:
 	$(GO) test -race -timeout 25m ./...
+
+# The end-to-end benchmark (bench/) is a nested module, so the root
+# `go test ./...` never builds it or checks its golden payload digests
+# (bench/testdata/golden.json); run its vet and tests from inside it.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test -run xxx -bench 'Parallel' -benchtime 3x ./internal/gadget/ ./internal/subsume/
@@ -93,5 +99,6 @@ bench-isa-quick:
 	$(GO) run ./cmd/experiments -run isabench -quick
 
 # CI gate: formatting, static checks, the full test suite under the race
-# detector, and the benchmarks' built-in determinism/identity cross-checks.
-check: fmt vet race bench-planner bench-cache bench-disk bench-stream-quick bench-serve-quick bench-extract-quick bench-isa-quick
+# detector, the end-to-end benchmark's tests, and the benchmarks' built-in
+# determinism/identity cross-checks.
+check: fmt vet race bench-test bench-planner bench-cache bench-disk bench-stream-quick bench-serve-quick bench-extract-quick bench-isa-quick

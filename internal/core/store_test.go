@@ -143,6 +143,55 @@ func TestStoreDiskMatrix(t *testing.T) {
 	}
 }
 
+// TestTimedOutPlanNotPersisted: a search cut short by its wall-clock
+// timeout depends on how fast the process ran, so its plan artifact must
+// stay out of the disk tier — a second process on the same cache directory
+// recomputes it — while a search that ran to its node budget persists.
+func TestTimedOutPlanNotPersisted(t *testing.T) {
+	p, _ := benchprog.ByName("crc")
+	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	planStats := func(opts planner.Options) (pipeline.StageStats, *Attack) {
+		t.Helper()
+		disk, err := pipeline.OpenDisk(dir, pipeline.DiskOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Parallelism: 1, Planner: opts, Store: pipeline.NewStore().WithDisk(disk)}
+		atk := Analyze(bin, cfg).FindPayloads(planner.ExecveGoal())
+		for _, st := range cfg.Store.Stats() {
+			if st.Stage == pipeline.StagePlan.String() {
+				return st, atk
+			}
+		}
+		t.Fatal("no plan stage counters")
+		return pipeline.StageStats{}, nil
+	}
+
+	timedOut := planner.Options{MaxPlans: 4, MaxNodes: 5000, Timeout: 1}
+	if st, atk := planStats(timedOut); !atk.Search.TimedOut || st.Misses != 1 {
+		t.Fatalf("first process: timedOut=%t plan misses=%d, want a computed timed-out search",
+			atk.Search.TimedOut, st.Misses)
+	}
+	if st, _ := planStats(timedOut); st.DiskHits != 0 || st.Misses != 1 {
+		t.Errorf("second process: plan disk hits=%d misses=%d, want the timed-out search recomputed",
+			st.DiskHits, st.Misses)
+	}
+
+	complete := planner.Options{MaxPlans: 4, MaxNodes: 5000, Timeout: time.Hour}
+	if st, atk := planStats(complete); atk.Search.TimedOut || st.Misses != 1 {
+		t.Fatalf("first process: timedOut=%t plan misses=%d, want a computed complete search",
+			atk.Search.TimedOut, st.Misses)
+	}
+	if st, _ := planStats(complete); st.DiskHits != 1 || st.Misses != 0 {
+		t.Errorf("second process: plan disk hits=%d misses=%d, want the complete search read from disk",
+			st.DiskHits, st.Misses)
+	}
+}
+
 // TestStoreWithGadgetFilter: a closure-valued filter cannot be
 // fingerprinted, so only extraction is cached — and results still match
 // the storeless filtered pipeline.

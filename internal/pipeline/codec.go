@@ -896,8 +896,11 @@ func readAttack(d *dec) *Attack {
 }
 
 // encodeArtifact serializes one stage artifact. The bool result is false
-// for values the codec does not cover (unknown stages or types), which the
-// disk tier treats as "do not persist".
+// for values the codec does not cover (unknown stages or types) and for
+// plan artifacts whose search stopped on its wall-clock timeout, which the
+// disk tier treats as "do not persist": a timed-out search is truncated by
+// how fast this process happened to run, and persisting it would fix that
+// short plan set under the key every later process looks up.
 func encodeArtifact(st Stage, v any) ([]byte, bool) {
 	e := &enc{}
 	switch st {
@@ -928,7 +931,7 @@ func encodeArtifact(st Stage, v any) ([]byte, bool) {
 		writeSubsumeStats(e, m.Stats)
 	case StagePlan:
 		a, ok := v.(*Attack)
-		if !ok || a == nil {
+		if !ok || a == nil || a.Search.TimedOut {
 			return nil, false
 		}
 		writeAttack(e, a)

@@ -215,24 +215,10 @@ type Plan struct {
 	// under the transitive closure of Order. Maintained incrementally by
 	// addOrder; rebuilt lazily for plans assembled by hand.
 	reach []uint64
-	// demandKeys dedups Demands; nil until the first addDemand after a
-	// Clone, so plans that never gain demands pay nothing for it.
+	// demandKeys dedups Demands once they outgrow a linear scan; nil until
+	// then, and dropped by copyFrom, so plans with few demands pay nothing
+	// for it.
 	demandKeys map[demandKey]struct{}
-}
-
-// Clone deep-copies the plan (slices are copied; steps and gadget pointers
-// are shared immutably).
-func (p *Plan) Clone() *Plan {
-	q := &Plan{
-		Steps:    append([]Step(nil), p.Steps...),
-		Order:    append([][2]int(nil), p.Order...),
-		Links:    append([]Link(nil), p.Links...),
-		Open:     append([]Requirement(nil), p.Open...),
-		Demands:  append([]SlotDemand(nil), p.Demands...),
-		goalStep: p.goalStep,
-		reach:    append([]uint64(nil), p.reach...),
-	}
-	return q
 }
 
 // RestorePlan reassembles a plan from its serialized parts — the inverse of
@@ -251,30 +237,21 @@ func RestorePlan(steps []Step, order [][2]int, links []Link, open []Requirement,
 	}
 }
 
-// cloneWithOpen is Clone with the Open list replaced by a copy of rest.
-// The expansion hot path always drops the requirement it is resolving, so
-// cloning the parent's Open only to overwrite it would waste an allocation
-// and a copy per successor. Each slice is given a little spare capacity for
-// the appends that immediately follow (a new step, its ordering edges, the
-// causal link, the producer's entry requirements), so extending the clone
-// does not re-allocate.
-func (p *Plan) cloneWithOpen(rest []Requirement) *Plan {
-	q := &Plan{goalStep: p.goalStep}
-	q.Steps = make([]Step, len(p.Steps), len(p.Steps)+1)
-	copy(q.Steps, p.Steps)
-	q.Order = make([][2]int, len(p.Order), len(p.Order)+4)
-	copy(q.Order, p.Order)
-	q.Links = make([]Link, len(p.Links), len(p.Links)+1)
-	copy(q.Links, p.Links)
-	q.Open = make([]Requirement, len(rest), len(rest)+4)
-	copy(q.Open, rest)
-	if len(p.Demands) > 0 {
-		q.Demands = make([]SlotDemand, len(p.Demands), len(p.Demands)+2)
-		copy(q.Demands, p.Demands)
-	}
-	q.reach = make([]uint64, len(p.reach), len(p.reach)+1)
-	copy(q.reach, p.reach)
-	return q
+// copyFrom overwrites q with p, Open replaced by open, reusing q's buffers
+// (steps and gadget pointers are shared immutably). The expansion hot path
+// builds every candidate successor in one scratch plan this way and copies
+// a successor out — into a fresh Plan, so at exact size — only once it is
+// known to be consistent.
+func (q *Plan) copyFrom(p *Plan, open []Requirement) {
+	p.ensureReach()
+	q.Steps = append(q.Steps[:0], p.Steps...)
+	q.Order = append(q.Order[:0], p.Order...)
+	q.Links = append(q.Links[:0], p.Links...)
+	q.Open = append(q.Open[:0], open...)
+	q.Demands = append(q.Demands[:0], p.Demands...)
+	q.goalStep = p.goalStep
+	q.reach = append(q.reach[:0], p.reach...)
+	q.demandKeys = nil
 }
 
 // specKey is a canonical map key for a ValueSpec, matching equalSpec: the
@@ -307,8 +284,8 @@ type demandKey struct {
 
 // demandScanCutoff is the Demands length above which addDemand switches
 // from a linear duplicate scan to the keyed map. Small sets — the common
-// case by far — are cheaper to scan than to re-hash after every clone
-// (clones drop the map); large sets get the map so repeated inserts stay
+// case by far — are cheaper to scan than to re-hash after every copy
+// (copies drop the map); large sets get the map so repeated inserts stay
 // O(1) instead of going quadratic. The cutoff depends only on the plan, so
 // dedup behavior is identical at any worker count and with the caches off.
 const demandScanCutoff = 16

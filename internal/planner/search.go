@@ -422,11 +422,19 @@ func seeds(sc *searchCtx, goal Goal, t *tally) ([]*Plan, int) {
 // expand generates successor plans for the first open requirement. It is
 // called from expansion workers: everything it touches is either owned by
 // the task (p, t, the successors it builds) or safe for concurrent reads
-// (the pool, the candidate slice, the provider cache).
+// (the pool, the candidate slice, the provider cache). Every candidate is
+// built in one scratch plan whose buffers the whole expansion reuses; only
+// those finishLink accepts are copied out.
 func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *tally) []*Plan {
 	req := p.Open[0]
 	rest := p.Open[1:]
 	var succs []*Plan
+	scratch := &Plan{}
+	keep := func() {
+		succ := &Plan{}
+		succ.copyFrom(scratch, scratch.Open)
+		succs = append(succs, succ)
+	}
 
 	// Candidate 1: reuse an existing step that already supplies this value.
 	for i := range p.Steps {
@@ -440,18 +448,19 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *ta
 		if p.orderedBefore(req.Step, s.ID) {
 			continue // cannot be ordered before the consumer
 		}
+		pr, ok := provideResult{}, true
 		if sp := linkedSpec(p, s.ID, req.Reg); sp != nil {
-			if !equalSpec(*sp, req.Spec) {
-				continue // the step is committed to a different value
-			}
-			succs = append(succs, applyProducer(p, rest, req, s.ID, provideResult{})...)
-			continue
+			ok = equalSpec(*sp, req.Spec) // else committed to a different value
+		} else {
+			pr, ok = sc.cache.providesFor(s.G, req.Reg, req.Spec, specID, t)
 		}
-		pr, ok := sc.cache.providesFor(s.G, req.Reg, req.Spec, specID, t)
 		if !ok {
 			continue
 		}
-		succs = append(succs, applyProducer(p, rest, req, s.ID, pr)...)
+		scratch.copyFrom(p, rest)
+		if finishLink(scratch, req, s.ID, pr) {
+			keep()
+		}
 	}
 
 	// Candidate 2: instantiate a new gadget step.
@@ -468,19 +477,19 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *ta
 		if !usable {
 			continue
 		}
-		succ := p.cloneWithOpen(rest)
-		id := len(succ.Steps)
-		succ.Steps = append(succ.Steps, Step{ID: id, G: g})
-		succ.addOrder(0, id)
+		scratch.copyFrom(p, rest)
+		id := len(scratch.Steps)
+		scratch.Steps = append(scratch.Steps, Step{ID: id, G: g})
+		scratch.addOrder(0, id)
 		// The syscall fires last; every other gadget precedes it.
-		if id != succ.goalStep {
-			succ.addOrder(id, succ.goalStep)
+		if id != scratch.goalStep {
+			scratch.addOrder(id, scratch.goalStep)
 		}
 		for _, rq := range selfReqs {
-			succ.Open = append(succ.Open, Requirement{Step: id, Reg: rq.reg, Spec: rq.spec})
+			scratch.Open = append(scratch.Open, Requirement{Step: id, Reg: rq.reg, Spec: rq.spec})
 		}
-		if more := finishLink(succ, req, id, pr); len(more) > 0 {
-			succs = append(succs, more...)
+		if finishLink(scratch, req, id, pr) {
+			keep()
 			taken++
 		}
 	}
@@ -497,16 +506,10 @@ func linkedSpec(p *Plan, step int, reg isa.Reg) *ValueSpec {
 	return nil
 }
 
-// applyProducer links an existing step as the producer for req.
-func applyProducer(p *Plan, rest []Requirement, req Requirement, producer int, pr provideResult) []*Plan {
-	return finishLink(p.cloneWithOpen(rest), req, producer, pr)
-}
-
 // finishLink installs the causal link and the producer's own new
-// requirements and demands, then resolves threats. Because each threat can
-// be resolved by demotion or promotion, the result is a (possibly empty)
-// set of consistent successor plans.
-func finishLink(succ *Plan, req Requirement, producer int, pr provideResult) []*Plan {
+// requirements and demands, then resolves threats, reporting whether succ
+// came out a consistent plan.
+func finishLink(succ *Plan, req Requirement, producer int, pr provideResult) bool {
 	for _, rq := range pr.entryReqs {
 		succ.Open = append(succ.Open, Requirement{Step: producer, Reg: rq.reg, Spec: rq.spec})
 	}
@@ -515,11 +518,11 @@ func finishLink(succ *Plan, req Requirement, producer int, pr provideResult) []*
 		succ.addDemand(d)
 	}
 	if !succ.addOrder(producer, req.Step) {
-		return nil
+		return false
 	}
 	link := Link{Producer: producer, Consumer: req.Step, Reg: req.Reg, Spec: req.Spec}
 	succ.Links = append(succ.Links, link)
-	return resolveThreats(succ, producer, len(succ.Links)-1, 2)
+	return resolveThreats(succ, producer, len(succ.Links)-1)
 }
 
 // firstUnresolvedThreat finds a step that clobbers some link's register and
@@ -563,27 +566,32 @@ func firstUnresolvedThreat(p *Plan, producer, newLink int) (threat int, link Lin
 	return 0, Link{}, false
 }
 
-// resolveThreats enumerates consistent orderings protecting every causal
-// link, branching on demotion (threat before producer) versus promotion
-// (threat after consumer), up to limit plans. producer and newLink scope
-// the threat scan to the pairs the enclosing finishLink could have
-// endangered (see firstUnresolvedThreat).
-func resolveThreats(p *Plan, producer, newLink, limit int) []*Plan {
+// resolveThreats protects every causal link by ordering each threatening
+// step before the link's producer (demotion) or after its consumer
+// (promotion), searching depth-first, demotion first, in place: a failed
+// branch is undone by truncating Order and restoring reach, so on false p's
+// ordering is exactly as it was on entry. producer and newLink scope the
+// threat scan to the pairs the enclosing finishLink could have endangered
+// (see firstUnresolvedThreat).
+//
+// Only the first consistent resolution is kept. Resolution adds nothing but
+// Order edges, and the search's dedup key covers only step shapes and open
+// requirements, so any further resolution would share the first one's key
+// and be dropped when the batch's successors are merged.
+func resolveThreats(p *Plan, producer, newLink int) bool {
 	t, l, found := firstUnresolvedThreat(p, producer, newLink)
 	if !found {
-		return []*Plan{p}
+		return true
 	}
-	var out []*Plan
-	if q := p.Clone(); q.addOrder(t, l.Producer) {
-		out = append(out, resolveThreats(q, producer, newLink, limit)...)
-	}
-	if len(out) < limit {
-		if q := p.Clone(); q.addOrder(l.Consumer, t) {
-			out = append(out, resolveThreats(q, producer, newLink, limit-len(out))...)
+	var reach [maxOrderSteps]uint64
+	copy(reach[:], p.reach)
+	n := len(p.Order)
+	for _, e := range [2][2]int{{t, l.Producer}, {l.Consumer, t}} {
+		if p.addOrder(e[0], e[1]) && resolveThreats(p, producer, newLink) {
+			return true
 		}
+		p.Order = p.Order[:n]
+		copy(p.reach, reach[:])
 	}
-	if len(out) > limit {
-		out = out[:limit]
-	}
-	return out
+	return false
 }
