@@ -4,18 +4,15 @@
 //
 //	experiments -run all [-quick]
 //	experiments -run fig1,table4,netperf
+//	experiments -run stream [-cells N] [-streamjsonl rows.jsonl]
 //
-// Experiments: fig1, table1, table4 (includes table5), fig5, table6,
-// table7, netperf, composition, ablation, pipeline (writes
-// BENCH_PIPELINE.json), solverbench (writes BENCH_SOLVER.json),
-// plannerbench (writes BENCH_PLANNER.json), cachebench (writes
-// BENCH_CACHE.json), diskbench (writes BENCH_DISK.json), servebench (the
-// analysis-service benchmark; writes BENCH_SERVE.json), extractbench (the
-// cold-extraction benchmark; writes BENCH_EXTRACT.json), isabench (the
-// multi-backend attack-surface benchmark; writes BENCH_ISA.json), stream (the
-// generated-corpus scale-out benchmark; writes BENCH_STREAM.json and a
-// per-cell BENCH_STREAM.jsonl; also reachable as the -stream shorthand,
-// with -cells sizing the corpus and -cachesize starving the eviction arm).
+// Experiments: fig1, table1, table4 (includes table5), composition, fig5,
+// table6, table7, netperf, ablation, isa (gadget counts and pools per
+// instruction-set backend), and stream (the generated-corpus streaming
+// runner's aggregate table; -cells sizes the corpus and -streamjsonl writes
+// its per-cell rows). -run all selects every experiment except stream, whose
+// corpus dwarfs the paper experiments'. An unknown name is an error. The
+// end-to-end benchmark lives in bench/ (bash bench/run.sh).
 //
 // All experiments of one invocation share a content-addressed artifact
 // store, so a build, gadget scan, extraction, or minimized pool computed by
@@ -27,11 +24,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,26 +46,177 @@ func main() {
 	}
 }
 
+// experiment is one -run name and the code that prints it.
+type experiment struct {
+	name string
+	run  func() error
+}
+
 func run() error {
 	which := flag.String("run", "all", "comma-separated experiments, or all")
 	quick := flag.Bool("quick", false, "trim the corpus for a fast pass")
 	seed := flag.Int64("seed", 42, "obfuscation seed")
-	benchJSON := flag.String("benchjson", "BENCH_PIPELINE.json", "output path for the pipeline benchmark")
-	solverJSON := flag.String("solverjson", "BENCH_SOLVER.json", "output path for the solver triage benchmark")
-	plannerJSON := flag.String("plannerjson", "BENCH_PLANNER.json", "output path for the planner benchmark")
-	cacheJSON := flag.String("cachejson", "BENCH_CACHE.json", "output path for the artifact-store benchmark")
-	diskJSON := flag.String("diskjson", "BENCH_DISK.json", "output path for the persistent-store benchmark")
-	serveJSON := flag.String("servejson", "BENCH_SERVE.json", "output path for the analysis-service benchmark")
 	sf := cliutil.RegisterStore(flag.CommandLine).WithParallel(flag.CommandLine)
-	stream := flag.Bool("stream", false, "shorthand for -run stream: the generated-corpus streaming benchmark")
 	cells := flag.Int("cells", 0, "stream: target cell count (0 = 216, or 24 with -quick)")
-	cacheSize := flag.Int64("cachesize", 0, "stream: eviction-arm disk budget in bytes (0 = 256 KiB)")
-	streamJSON := flag.String("streamjson", "BENCH_STREAM.json", "output path for the streaming corpus benchmark")
-	streamJSONL := flag.String("streamjsonl", "BENCH_STREAM.jsonl", "output path for the streaming per-cell rows")
-	extractJSON := flag.String("extractjson", "BENCH_EXTRACT.json", "output path for the cold-extraction benchmark")
-	isaJSON := flag.String("isajson", "BENCH_ISA.json", "output path for the multi-backend attack-surface benchmark")
+	streamJSONL := flag.String("streamjsonl", "", "stream: write the per-cell rows as JSON lines to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
 	flag.Parse()
+
+	store, err := sf.Open()
+	if err != nil {
+		return err
+	}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallelism: sf.Parallelism(), Store: store}
+	if *quick {
+		opts.Programs = benchprog.Benchmarks()[:3]
+		opts.Planner = planner.Options{MaxPlans: 12, MaxNodes: 6000, Timeout: 15 * time.Second}
+	}
+
+	exps := []experiment{
+		{"fig1", func() error {
+			rows, err := experiments.Fig1(opts)
+			if err != nil {
+				return err
+			}
+			section("Fig. 1 — gadget counts, original vs obfuscated")
+			fmt.Print(experiments.RenderFig1(rows))
+			return nil
+		}},
+		{"table1", func() error {
+			rows, err := experiments.Table1(opts)
+			if err != nil {
+				return err
+			}
+			section("Table I — gadget classes and increase rate")
+			fmt.Print(experiments.RenderTable1(rows))
+			return nil
+		}},
+		{"table4", func() error {
+			rows, gp, err := experiments.Table4(opts)
+			if err != nil {
+				return err
+			}
+			section("Table IV — tools x obfuscations payload matrix")
+			fmt.Print(experiments.RenderTable4(rows))
+			section("Table V — chain properties (Gadget-Planner)")
+			fmt.Print(experiments.RenderTable5(experiments.Table5(gp)))
+			return nil
+		}},
+		{"composition", func() error {
+			rows, err := experiments.PoolComposition(opts)
+			if err != nil {
+				return err
+			}
+			section("Pool composition — gadget classes available per build")
+			fmt.Print(experiments.RenderPoolComposition(rows))
+			return nil
+		}},
+		{"fig5", func() error {
+			rows, err := experiments.Fig5(opts)
+			if err != nil {
+				return err
+			}
+			section("Fig. 5 — per-obfuscation attack surface")
+			fmt.Print(experiments.RenderFig5(rows))
+			return nil
+		}},
+		{"table6", func() error {
+			rows, err := experiments.Table6(opts)
+			if err != nil {
+				return err
+			}
+			section("Table VI — SPEC-style programs")
+			fmt.Print(experiments.RenderTable6(rows))
+			return nil
+		}},
+		{"table7", func() error {
+			rows, err := experiments.Table7(opts)
+			if err != nil {
+				return err
+			}
+			section("Table VII — per-stage performance (obfuscated netperf)")
+			fmt.Print(experiments.RenderTable7(rows))
+			return nil
+		}},
+		{"netperf", func() error {
+			res, err := experiments.Netperf(opts)
+			if err != nil {
+				return err
+			}
+			section("Section VI-C — netperf case study")
+			fmt.Print(experiments.RenderNetperf(res))
+			fmt.Println()
+			return nil
+		}},
+		{"ablation", func() error {
+			sub, err := experiments.AblationSubsumption(opts)
+			if err != nil {
+				return err
+			}
+			section("Ablation — subsumption testing")
+			fmt.Print(experiments.RenderAblationSubsumption(sub))
+			cls, err := experiments.AblationGadgetClasses(opts)
+			if err != nil {
+				return err
+			}
+			section("Ablation — gadget classes")
+			fmt.Print(experiments.RenderAblationClasses(cls))
+			return nil
+		}},
+		{"isa", func() error {
+			rows, err := experiments.ISASurface(opts)
+			if err != nil {
+				return err
+			}
+			section("Attack surface per backend — aligned vs compressed RISC-V")
+			fmt.Print(experiments.RenderISASurface(rows))
+			return nil
+		}},
+		{"stream", func() error {
+			sopts := experiments.StreamOptions{
+				Cells:       *cells,
+				Seed:        *seed,
+				Parallelism: sf.Parallelism(),
+				Quick:       *quick,
+			}
+			var rows *os.File
+			if *streamJSONL != "" {
+				f, err := os.Create(*streamJSONL)
+				if err != nil {
+					return err
+				}
+				rows, sopts.Rows = f, f
+			}
+			res, err := experiments.RunStream(sopts)
+			if rows != nil {
+				if cerr := rows.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				return err
+			}
+			section(fmt.Sprintf("Stream — %d cells over %d generated programs", res.Cells, res.Programs))
+			fmt.Print(res.Table)
+			return nil
+		}},
+	}
+
+	// Check every name before running anything, so a typo fails fast
+	// instead of silently printing nothing.
+	selected := map[string]bool{}
+	for _, name := range strings.Split(*which, ",") {
+		selected[strings.TrimSpace(name)] = true
+	}
+	valid := []string{"all"}
+	for _, e := range exps {
+		valid = append(valid, e.name)
+	}
+	for name := range selected {
+		if !slices.Contains(valid, name) {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -82,273 +230,13 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	store, err := sf.Open()
-	if err != nil {
-		return err
-	}
-	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallelism: sf.Parallelism(), Store: store}
-	if *quick {
-		opts.Programs = benchprog.Benchmarks()[:3]
-		opts.Planner = planner.Options{MaxPlans: 12, MaxNodes: 6000, Timeout: 15 * time.Second}
-	}
-
-	runSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "run" {
-			runSet = true
+	for _, e := range exps {
+		// stream is opt-in: its corpus dwarfs the paper experiments'.
+		if selected[e.name] || selected["all"] && e.name != "stream" {
+			if err := e.run(); err != nil {
+				return err
+			}
 		}
-	})
-	selected := map[string]bool{}
-	for _, name := range strings.Split(*which, ",") {
-		selected[strings.TrimSpace(name)] = true
-	}
-	if *stream {
-		// Bare -stream runs only the stream benchmark; combined with an
-		// explicit -run it adds stream to that selection.
-		if !runSet {
-			selected = map[string]bool{}
-		}
-		selected["stream"] = true
-	}
-	// The stream benchmark is opt-in: it is not part of -run all (its
-	// corpus dwarfs the paper experiments').
-	want := func(name string) bool { return selected["all"] || selected[name] }
-
-	if want("fig1") {
-		rows, err := experiments.Fig1(opts)
-		if err != nil {
-			return err
-		}
-		section("Fig. 1 — gadget counts, original vs obfuscated")
-		fmt.Print(experiments.RenderFig1(rows))
-	}
-	if want("table1") {
-		rows, err := experiments.Table1(opts)
-		if err != nil {
-			return err
-		}
-		section("Table I — gadget classes and increase rate")
-		fmt.Print(experiments.RenderTable1(rows))
-	}
-	if want("table4") {
-		rows, gp, err := experiments.Table4(opts)
-		if err != nil {
-			return err
-		}
-		section("Table IV — tools x obfuscations payload matrix")
-		fmt.Print(experiments.RenderTable4(rows))
-		section("Table V — chain properties (Gadget-Planner)")
-		fmt.Print(experiments.RenderTable5(experiments.Table5(gp)))
-	}
-	if want("composition") {
-		rows, err := experiments.PoolComposition(opts)
-		if err != nil {
-			return err
-		}
-		section("Pool composition — gadget classes available per build")
-		fmt.Print(experiments.RenderPoolComposition(rows))
-	}
-	if want("fig5") {
-		rows, err := experiments.Fig5(opts)
-		if err != nil {
-			return err
-		}
-		section("Fig. 5 — per-obfuscation attack surface")
-		fmt.Print(experiments.RenderFig5(rows))
-	}
-	if want("table6") {
-		rows, err := experiments.Table6(opts)
-		if err != nil {
-			return err
-		}
-		section("Table VI — SPEC-style programs")
-		fmt.Print(experiments.RenderTable6(rows))
-	}
-	if want("table7") {
-		rows, err := experiments.Table7(opts)
-		if err != nil {
-			return err
-		}
-		section("Table VII — per-stage performance (obfuscated netperf)")
-		fmt.Print(experiments.RenderTable7(rows))
-	}
-	if want("netperf") {
-		res, err := experiments.Netperf(opts)
-		if err != nil {
-			return err
-		}
-		section("Section VI-C — netperf case study")
-		fmt.Print(experiments.RenderNetperf(res))
-		fmt.Println()
-	}
-	if want("pipeline") {
-		res, err := experiments.BenchPipeline(opts)
-		if err != nil {
-			return err
-		}
-		section("Pipeline benchmark — serial vs parallel analysis")
-		fmt.Print(experiments.RenderPipelineBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-	}
-	if want("solverbench") {
-		res, err := experiments.BenchSolver(opts)
-		if err != nil {
-			return err
-		}
-		section("Solver benchmark — verdict-query triage")
-		fmt.Print(experiments.RenderSolverBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*solverJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *solverJSON)
-	}
-	if want("plannerbench") {
-		res, err := experiments.BenchPlanner(opts)
-		if err != nil {
-			return err
-		}
-		section("Planner benchmark — multi-goal planning, serial vs parallel")
-		fmt.Print(experiments.RenderPlannerBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*plannerJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *plannerJSON)
-	}
-	if want("ablation") {
-		sub, err := experiments.AblationSubsumption(opts)
-		if err != nil {
-			return err
-		}
-		section("Ablation — subsumption testing")
-		fmt.Print(experiments.RenderAblationSubsumption(sub))
-		cls, err := experiments.AblationGadgetClasses(opts)
-		if err != nil {
-			return err
-		}
-		section("Ablation — gadget classes")
-		fmt.Print(experiments.RenderAblationClasses(cls))
-	}
-	if want("cachebench") {
-		res, err := experiments.BenchCache(opts)
-		if err != nil {
-			return err
-		}
-		section("Cache benchmark — artifact store, cold vs warm")
-		fmt.Print(experiments.RenderCacheBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*cacheJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *cacheJSON)
-	}
-	if want("diskbench") {
-		res, err := experiments.BenchDisk(opts)
-		if err != nil {
-			return err
-		}
-		section("Disk benchmark — persistent store, cold vs warm across processes")
-		fmt.Print(experiments.RenderDiskBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*diskJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *diskJSON)
-	}
-	if want("servebench") {
-		res, err := experiments.BenchServe(opts)
-		if err != nil {
-			return err
-		}
-		section("Serve benchmark — shared analysis service, cold vs warm, N clients")
-		fmt.Print(experiments.RenderServeBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*serveJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *serveJSON)
-	}
-	if want("extractbench") {
-		res, err := experiments.BenchExtract(opts)
-		if err != nil {
-			return err
-		}
-		section("Extraction benchmark — cold path, predecode table on vs off")
-		fmt.Print(experiments.RenderExtractBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*extractJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *extractJSON)
-	}
-	if want("isabench") {
-		res, err := experiments.BenchISA(opts)
-		if err != nil {
-			return err
-		}
-		section("ISA benchmark — attack surface per backend, aligned vs compressed")
-		fmt.Print(experiments.RenderISABench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*isaJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *isaJSON)
-	}
-	if selected["stream"] {
-		rowsFile, err := os.Create(*streamJSONL)
-		if err != nil {
-			return err
-		}
-		res, err := experiments.BenchStream(experiments.StreamOptions{
-			Cells:       *cells,
-			Seed:        *seed,
-			Parallelism: sf.Parallelism(),
-			Rows:        rowsFile,
-			Quick:       *quick,
-		}, *cacheSize)
-		rowsFile.Close()
-		if err != nil {
-			return err
-		}
-		section("Stream benchmark — generated corpus, bounded-memory runner")
-		fmt.Print(experiments.RenderStreamBench(res))
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*streamJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (per-cell rows in %s)\n", *streamJSON, *streamJSONL)
 	}
 	fmt.Printf("\n%s\n%s\n", store.StatsLine(), pipeline.WallLine())
 	return nil

@@ -43,8 +43,6 @@ func run() error {
 	dump := flag.Bool("dump", false, "dump payload bytes")
 	verbose := flag.Bool("v", false, "print chains")
 	timeout := flag.Duration("timeout", 30*time.Second, "planning timeout per goal")
-	noTriage := flag.Bool("notriage", false, "disable solver query triage (A/B benchmarking; results are identical)")
-	noPlanCache := flag.Bool("noplancache", false, "disable the planner's provider cache (A/B benchmarking; results are identical)")
 	isaFlag := cliutil.ISAFlag(flag.CommandLine)
 	server := cliutil.ServerFlag(flag.CommandLine)
 	sf := cliutil.RegisterStore(flag.CommandLine).WithParallel(flag.CommandLine)
@@ -64,9 +62,6 @@ func run() error {
 	}
 
 	if *server != "" {
-		if *noTriage || *noPlanCache {
-			return fmt.Errorf("-notriage/-noplancache are local A/B knobs; the server uses the canonical configuration")
-		}
 		if isaName != "" {
 			return fmt.Errorf("-isa is a local scan override; served binaries are analyzed under their own ISA tag")
 		}
@@ -82,11 +77,10 @@ func run() error {
 		return err
 	}
 	cfg := core.Config{
-		Planner:     planner.Options{MaxPlans: *maxPlans, Timeout: *timeout, DisableCache: *noPlanCache},
+		Planner:     planner.Options{MaxPlans: *maxPlans, Timeout: *timeout},
 		Parallelism: sf.Parallelism(),
 		Store:       store,
 	}
-	cfg.Subsume.DisableTriage = *noTriage
 	// -isa pins the scan backend; the default is the binary's own ISA tag.
 	// The interesting override is scanning an rv64 binary under rv64c —
 	// same bytes, compressed decoding on.

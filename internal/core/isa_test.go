@@ -63,23 +63,30 @@ func TestPipelineOnRV64Binary(t *testing.T) {
 // TestRV64CFindsMoreGadgets checks the paper's C-extension claim on the
 // decode side: scanning the same generated code at stride 2 with compressed
 // decoding enabled (rv64c) must surface strictly more raw gadget starts
-// than the aligned stride-4 rv64 scan.
+// than the aligned stride-4 rv64 scan, on original and obfuscated builds.
 func TestRV64CFindsMoreGadgets(t *testing.T) {
-	p, ok := benchprog.ByName("crc")
-	if !ok {
-		t.Fatal("crc benchmark missing")
-	}
-	pools := make(map[string]int)
-	for _, isaName := range []string{"rv64", "rv64c"} {
-		bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, isaName)
-		if err != nil {
-			t.Fatalf("%s: build: %v", isaName, err)
+	for _, name := range []string{"crc", "fibonacci"} {
+		p, ok := benchprog.ByName(name)
+		if !ok {
+			t.Fatalf("%s benchmark missing", name)
 		}
-		a := Analyze(bin, Config{SkipSubsume: true})
-		pools[isaName] = a.RawPool.Size()
-	}
-	if pools["rv64c"] <= pools["rv64"] {
-		t.Errorf("rv64c pool (%d) not larger than rv64 pool (%d)",
-			pools["rv64c"], pools["rv64"])
+		for _, obf := range []struct {
+			label  string
+			passes []obfuscate.Pass
+		}{{"original", nil}, {"llvm-obf", obfuscate.LLVMObf()}} {
+			pools := make(map[string]int)
+			for _, isaName := range []string{"rv64", "rv64c"} {
+				bin, err := benchprog.BuildISA(p, obf.passes, 42, isaName)
+				if err != nil {
+					t.Fatalf("%s %s %s: build: %v", name, obf.label, isaName, err)
+				}
+				a := Analyze(bin, Config{SkipSubsume: true})
+				pools[isaName] = a.RawPool.Size()
+			}
+			if pools["rv64c"] <= pools["rv64"] {
+				t.Errorf("%s %s: rv64c pool (%d) not larger than rv64 pool (%d)",
+					name, obf.label, pools["rv64c"], pools["rv64"])
+			}
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // wall-clock. Within each store-enabled run the experiments share builds,
 // scans, and pools, so any unsound sharing (a mutated artifact, an aliased
 // key, a parallelism-dependent result leaking into a cached cell) shows up
-// as a table diff.
+// as a table diff. Each store-enabled run is followed by a warm second pass
+// on the same store, which must render the same bytes from hits alone.
 func TestCacheMatrixTablesIdentical(t *testing.T) {
 	var ref string
 	for _, par := range []int{1, 2, 8} {
@@ -32,22 +33,40 @@ func TestCacheMatrixTablesIdentical(t *testing.T) {
 			}
 			if ref == "" {
 				ref = out
-				continue
-			}
-			if out != ref {
+			} else if out != ref {
 				t.Errorf("parallelism=%d caching=%v: tables differ from reference\n%s",
 					par, caching, diffHint(ref, out))
 			}
-			if caching {
-				// The suite must actually exercise the store, or this
-				// matrix proves nothing.
-				var hits int64
-				for _, st := range opts.Store.Stats() {
-					hits += st.Hits
+			if !caching {
+				continue
+			}
+			// The suite must actually exercise the store, or this
+			// matrix proves nothing.
+			cold := opts.Store.Stats()
+			var hits int64
+			for _, st := range cold {
+				hits += st.Hits
+			}
+			if hits == 0 {
+				t.Errorf("parallelism=%d: store-enabled suite saw no hits", par)
+			}
+			warm, err := CacheSuite(opts)
+			if err != nil {
+				t.Fatalf("parallelism=%d warm: %v", par, err)
+			}
+			if warm != ref {
+				t.Errorf("parallelism=%d warm: tables differ from reference\n%s",
+					par, diffHint(ref, warm))
+			}
+			var warmHits int64
+			for i, st := range opts.Store.Stats() {
+				warmHits += st.Hits - cold[i].Hits
+				if m := st.Misses - cold[i].Misses; m != 0 {
+					t.Errorf("parallelism=%d warm: %d %s misses, want only hits", par, m, st.Stage)
 				}
-				if hits == 0 {
-					t.Errorf("parallelism=%d: store-enabled suite saw no hits", par)
-				}
+			}
+			if warmHits == 0 {
+				t.Errorf("parallelism=%d warm: no hits", par)
 			}
 		}
 	}
@@ -77,59 +96,4 @@ func splitLines(s string) []string {
 		out = append(out, s[start:])
 	}
 	return out
-}
-
-// TestBenchCacheQuick runs the cold/warm cache benchmark on the trimmed
-// corpus and pins the BENCH_CACHE.json invariants the Makefile target
-// relies on: identical tables, and nonzero cross-experiment sharing.
-func TestBenchCacheQuick(t *testing.T) {
-	opts := quickOpts()
-	opts.Quick = true
-	res, err := BenchCache(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TablesIdentical {
-		t.Error("warm tables differ from cold tables")
-	}
-	if res.CrossExperimentHits == 0 {
-		t.Error("cold pass saw no cross-experiment hits")
-	}
-	if res.WarmHitRate == 0 {
-		t.Error("warm pass hit rate is zero")
-	}
-	if RenderCacheBench(res) == "" {
-		t.Error("empty render")
-	}
-}
-
-// TestBenchDiskQuick runs the persistent-store benchmark on the trimmed
-// corpus and pins the BENCH_DISK.json invariants the Makefile target relies
-// on: identical tables in every arm (including -nodisk), and a
-// warm-across-process pass genuinely served from disk.
-func TestBenchDiskQuick(t *testing.T) {
-	opts := quickOpts()
-	opts.Quick = true
-	res, err := BenchDisk(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TablesIdentical {
-		t.Error("warm tables differ from cold tables")
-	}
-	if !res.NoDiskIdentical {
-		t.Error("-nodisk arm tables differ")
-	}
-	if res.ExtractDiskHitRate == 0 {
-		t.Error("across-process pass had no extraction disk hits")
-	}
-	if res.Disk.BytesRead == 0 || res.Disk.SizeBytes == 0 {
-		t.Errorf("disk counters unmoved: %+v", res.Disk)
-	}
-	if res.Disk.Corrupt != 0 {
-		t.Errorf("%d artifacts read back corrupt", res.Disk.Corrupt)
-	}
-	if RenderDiskBench(res) == "" {
-		t.Error("empty render")
-	}
 }

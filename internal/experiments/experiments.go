@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -231,6 +232,42 @@ func origTextOf(o Options, p benchprog.Program) ([]byte, error) {
 		return nil, fmt.Errorf("experiments: %s has no text", p.Name)
 	}
 	return sec.Data, nil
+}
+
+// CacheSuite runs the deterministic table experiments — Fig. 1, Table I,
+// Table IV/V, and the pool-composition table — against opts.Store and
+// returns their concatenated renderings. These four share builds, gadget
+// scans, extractions, and minimized pools, so they exercise every cacheable
+// stage; the timing-sensitive experiments are excluded because their output
+// embeds wall-clock numbers that can never be byte-compared.
+func CacheSuite(opts Options) (string, error) {
+	var sb strings.Builder
+
+	fig1, err := Fig1(opts)
+	if err != nil {
+		return "", err
+	}
+	sb.WriteString(RenderFig1(fig1))
+
+	t1, err := Table1(opts)
+	if err != nil {
+		return "", err
+	}
+	sb.WriteString(RenderTable1(t1))
+
+	t4, gp, err := Table4(opts)
+	if err != nil {
+		return "", err
+	}
+	sb.WriteString(RenderTable4(t4))
+	sb.WriteString(RenderTable5(Table5(gp)))
+
+	comp, err := PoolComposition(opts)
+	if err != nil {
+		return "", err
+	}
+	sb.WriteString(RenderPoolComposition(comp))
+	return sb.String(), nil
 }
 
 // poolOf extracts the full gadget pool of a binary (test/diagnostic helper).

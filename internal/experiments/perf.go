@@ -212,137 +212,3 @@ func RenderAblationClasses(rows []AblationClassesRow) string {
 	}
 	return sb.String()
 }
-
-// PipelineBenchStage is one analysis stage's cost at one parallelism setting
-// (a BENCH_PIPELINE.json entry).
-type PipelineBenchStage struct {
-	Stage      string  `json:"stage"`
-	Seconds    float64 `json:"seconds"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-}
-
-// PipelineBench is the machine-readable parallel-pipeline benchmark: the
-// obfuscated netperf-sim analysis at Parallelism=1 versus Parallelism=N,
-// with per-stage wall time and allocation, speedups, and a determinism
-// cross-check of the two runs' pools.
-type PipelineBench struct {
-	Program        string               `json:"program"`
-	Parallelism    int                  `json:"parallelism"`
-	Serial         []PipelineBenchStage `json:"serial"`
-	Parallel       []PipelineBenchStage `json:"parallel"`
-	ExtractSpeedup float64              `json:"extract_speedup"`
-	SubsumeSpeedup float64              `json:"subsume_speedup"`
-	TotalSpeedup   float64              `json:"total_speedup"`
-	PoolsIdentical bool                 `json:"pools_identical"`
-	RawPoolSize    int                  `json:"raw_pool_size"`
-	PoolSize       int                  `json:"pool_size"`
-}
-
-// benchStages converts stage timings to JSON rows.
-func benchStages(timings []core.StageTiming) []PipelineBenchStage {
-	out := make([]PipelineBenchStage, 0, len(timings))
-	for _, t := range timings {
-		out = append(out, PipelineBenchStage{
-			Stage:      t.Name,
-			Seconds:    t.Duration.Seconds(),
-			AllocBytes: t.AllocBytes,
-		})
-	}
-	return out
-}
-
-func stageSeconds(stages []PipelineBenchStage, name string) float64 {
-	for _, s := range stages {
-		if s.Stage == name {
-			return s.Seconds
-		}
-	}
-	return 0
-}
-
-func speedup(serial, parallel float64) float64 {
-	if parallel <= 0 {
-		return 0
-	}
-	return serial / parallel
-}
-
-// PoolSignature renders a pool to a canonical string: every gadget's
-// location, shape, and rendered conditions, in pool order. Two pools with
-// equal signatures are byte-identical for all downstream consumers.
-func PoolSignature(p *gadget.Pool) string {
-	var sb strings.Builder
-	for _, g := range p.Gadgets {
-		fmt.Fprintf(&sb, "%#x/%d/%s/%d/%d/%d:", g.Location, g.Len, g.JmpType,
-			g.NumInsts(), g.Effect.StackDelta, g.Effect.End)
-		for _, c := range g.Effect.Conds {
-			sb.WriteString(c.String())
-			sb.WriteByte(';')
-		}
-		if g.Effect.NextRIP != nil {
-			sb.WriteString("->" + g.Effect.NextRIP.String())
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// BenchPipeline times the analysis pipeline (extraction + subsumption) on
-// obfuscated netperf-sim at Parallelism=1 and Parallelism=opts.Parallelism,
-// and cross-checks that both runs produce identical pools. cmd/experiments
-// writes the result as BENCH_PIPELINE.json. The netperf build goes through
-// the artifact store (shared with Table7), but the two analyses
-// deliberately bypass it — serving either arm from a cached pool would
-// reduce the A/B comparison to a pair of store lookups.
-func BenchPipeline(opts Options) (*PipelineBench, error) {
-	opts = opts.withDefaults()
-	prog := benchprog.Netperf()
-	bin, err := opts.build(prog, Configs()[1]) // LLVM-Obf
-	if err != nil {
-		return nil, err
-	}
-
-	serial := core.Analyze(bin, core.Config{Parallelism: 1})
-	parallel := core.Analyze(bin, core.Config{Parallelism: opts.Parallelism})
-
-	res := &PipelineBench{
-		Program:     prog.Name,
-		Parallelism: opts.Parallelism,
-		Serial:      benchStages(serial.Timings),
-		Parallel:    benchStages(parallel.Timings),
-		RawPoolSize: parallel.RawPool.Size(),
-		PoolSize:    parallel.Pool.Size(),
-	}
-	res.ExtractSpeedup = speedup(stageSeconds(res.Serial, "extraction"),
-		stageSeconds(res.Parallel, "extraction"))
-	res.SubsumeSpeedup = speedup(stageSeconds(res.Serial, "subsumption"),
-		stageSeconds(res.Parallel, "subsumption"))
-	var sTot, pTot float64
-	for _, s := range res.Serial {
-		sTot += s.Seconds
-	}
-	for _, s := range res.Parallel {
-		pTot += s.Seconds
-	}
-	res.TotalSpeedup = speedup(sTot, pTot)
-	res.PoolsIdentical = PoolSignature(serial.RawPool) == PoolSignature(parallel.RawPool) &&
-		PoolSignature(serial.Pool) == PoolSignature(parallel.Pool) &&
-		serial.SubsumeStats.After == parallel.SubsumeStats.After
-	return res, nil
-}
-
-// RenderPipelineBench prints the benchmark as a table.
-func RenderPipelineBench(b *PipelineBench) string {
-	defer pipeline.TrackWall("render")()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "pipeline bench: %s (parallelism %d, pools identical: %v)\n",
-		b.Program, b.Parallelism, b.PoolsIdentical)
-	fmt.Fprintf(&sb, "%-14s %12s %12s %9s\n", "Stage", "Serial(s)", "Parallel(s)", "Speedup")
-	for _, s := range b.Serial {
-		fmt.Fprintf(&sb, "%-14s %12.3f %12.3f %8.2fx\n",
-			s.Stage, s.Seconds, stageSeconds(b.Parallel, s.Stage),
-			speedup(s.Seconds, stageSeconds(b.Parallel, s.Stage)))
-	}
-	fmt.Fprintf(&sb, "%-14s %38.2fx\n", "total", b.TotalSpeedup)
-	return sb.String()
-}

@@ -27,10 +27,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -80,16 +78,16 @@ type StreamOptions struct {
 	// cheap (MaxPlans 2, MaxNodes 800).
 	Planner planner.Options
 	// Store is the artifact store cells run through; nil gets a private
-	// caching store bounded to MemBudget entries.
+	// caching store whose memory tier holds streamMemEntries artifacts.
 	Store *pipeline.Store
-	// MemBudget bounds the private store's memory tier when Store is nil
-	// (default 48 entries).
-	MemBudget int
 	// Rows receives one JSON line per cell, in cell order; nil discards.
 	Rows io.Writer
 	// Quick trims the default cell count for smoke runs.
 	Quick bool
 }
+
+// streamMemEntries bounds the default store's memory tier.
+const streamMemEntries = 48
 
 func (o StreamOptions) withDefaults() StreamOptions {
 	if o.Ctx == nil {
@@ -108,11 +106,8 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.MemBudget <= 0 {
-		o.MemBudget = 48
-	}
 	if o.Store == nil {
-		o.Store = pipeline.NewStore().LimitMemory(o.MemBudget)
+		o.Store = pipeline.NewStore().LimitMemory(streamMemEntries)
 	}
 	if o.Planner.MaxPlans == 0 {
 		o.Planner.MaxPlans = 2
@@ -170,24 +165,15 @@ type streamAgg struct {
 
 // StreamRun is one streamed pass's outcome.
 type StreamRun struct {
-	Cells    int     `json:"cells"`
-	Programs int     `json:"programs"`
-	Seconds  float64 `json:"seconds"`
-	// CellsPerSec is the pass's throughput — the corpus benchmark's
-	// headline number.
-	CellsPerSec float64 `json:"cells_per_sec"`
+	Cells    int
+	Programs int
 	// Table is the deterministic aggregate rendering (no timing fields);
 	// byte-identical across parallelism and store configurations.
-	Table string `json:"-"`
-	// PeakHeapBytes and QuarterPeakHeapBytes are sampled live-heap peaks
-	// over the whole pass and its first quarter; flat memory means the two
-	// stay close even though four times the cells flowed through.
-	PeakHeapBytes        uint64 `json:"peak_heap_bytes"`
-	QuarterPeakHeapBytes uint64 `json:"quarter_peak_heap_bytes"`
+	Table string
 	// OutputFailures counts scan cells whose obfuscated build did not
 	// reproduce the plain build's output (generator safety contract: 0).
-	OutputFailures int `json:"output_failures"`
-	RowsWritten    int `json:"rows_written"`
+	OutputFailures int
+	RowsWritten    int
 }
 
 // RunStream fans the generated-corpus matrix through the artifact store
@@ -198,8 +184,6 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 	perProg := cellsPerProgram()
 	nProgs := (opts.Cells + perProg - 1) / perProg
 	nCells := nProgs * perProg
-
-	start := time.Now()
 
 	// Generator: programs are materialized lazily, one at a time; the
 	// bounded channel is the generation↔analysis backpressure.
@@ -250,8 +234,8 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 	}()
 
 	// Collector: reorders to cell order (the buffer is bounded by the
-	// in-flight cell count), writes JSONL incrementally, folds rolling
-	// aggregates, and samples the live heap.
+	// in-flight cell count), writes JSONL incrementally, and folds rolling
+	// aggregates.
 	res := &StreamRun{Cells: nCells, Programs: nProgs}
 	aggs := map[string]*streamAgg{}
 	var aggOrder []string
@@ -262,19 +246,6 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 	}
 	pending := map[int]StreamRow{}
 	next := 0
-	var ms runtime.MemStats
-	sampleHeap := func(cell int) {
-		if cell%4 != 0 {
-			return
-		}
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > res.PeakHeapBytes {
-			res.PeakHeapBytes = ms.HeapAlloc
-		}
-		if cell <= nCells/4 && ms.HeapAlloc > res.QuarterPeakHeapBytes {
-			res.QuarterPeakHeapBytes = ms.HeapAlloc
-		}
-	}
 	collect := func(row StreamRow) {
 		if enc != nil {
 			stop := pipeline.TrackWall("jsonl")
@@ -305,7 +276,6 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 			agg.planPool += row.Pool
 			agg.payloads += row.Payloads
 		}
-		sampleHeap(row.Cell)
 	}
 	for r := range results {
 		errs[r.idx] = r.err
@@ -331,10 +301,6 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 		return nil, err
 	}
 
-	res.Seconds = time.Since(start).Seconds()
-	if res.Seconds > 0 {
-		res.CellsPerSec = float64(nCells) / res.Seconds
-	}
 	res.Table = renderStreamAggs(aggs, aggOrder)
 	return res, nil
 }
@@ -482,28 +448,4 @@ func distStats(vals []float64) (mean, median, ci95 float64) {
 		ci95 = 1.96 * sd / math.Sqrt(float64(n))
 	}
 	return mean, median, ci95
-}
-
-// readPeakRSS reports the process's peak resident set (VmHWM) in bytes, or
-// 0 where /proc is unavailable.
-func readPeakRSS() int64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb * 1024
-	}
-	return 0
 }

@@ -29,38 +29,76 @@ func streamTestOpts() StreamOptions {
 // TestStreamTablesIdentical pins the streaming runner's determinism
 // contract: the aggregate table renders byte-identically at parallelism
 // 1/2/8, with the artifact store on (memory tier bounded so the LRU
-// evictor cycles mid-run) and off.
+// evictor cycles mid-run) and off, and with a disk tier: cold, warm across
+// processes, and under a disk budget so small the disk evictor cycles.
 func TestStreamTablesIdentical(t *testing.T) {
+	// A memory budget far below the ~30 artifacts two programs produce, so
+	// determinism is checked under live eviction pressure.
+	memStore := func() *pipeline.Store { return pipeline.NewStore().LimitMemory(6) }
+	diskStore := func(dir string, maxBytes int64) func() *pipeline.Store {
+		return func() *pipeline.Store {
+			disk, err := pipeline.OpenDisk(dir, pipeline.DiskOptions{MaxBytes: maxBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return memStore().WithDisk(disk)
+		}
+	}
+	filled, starved := t.TempDir(), t.TempDir()
 	type arm struct {
-		name    string
-		par     int
-		caching bool
+		name  string
+		par   int
+		store func() *pipeline.Store
 	}
 	arms := []arm{
-		{"p1-store", 1, true},
-		{"p2-store", 2, true},
-		{"p8-store", 8, true},
-		{"p1-nostore", 1, false},
-		{"p8-nostore", 8, false},
+		{"p1-store", 1, memStore},
+		{"p2-store", 2, memStore},
+		{"p8-store", 8, memStore},
+		{"p1-nostore", 1, pipeline.NewDisabledStore},
+		{"p8-nostore", 8, pipeline.NewDisabledStore},
+		{"p2-disk-cold", 2, diskStore(filled, 0)},
+		// A fresh store over the filled directory: a second process's view.
+		{"p2-disk-warm", 2, diskStore(filled, 0)},
+		{"p2-disk-64k", 2, diskStore(starved, 64<<10)},
 	}
 	var ref string
 	var refEvictions int64
 	for i, a := range arms {
 		opts := streamTestOpts()
 		opts.Parallelism = a.par
-		if a.caching {
-			// A budget far below the ~30 artifacts two programs produce,
-			// so determinism is checked under live eviction pressure.
-			opts.Store = pipeline.NewStore().LimitMemory(6)
-		} else {
-			opts.Store = pipeline.NewDisabledStore()
-		}
+		opts.Store = a.store()
 		run, err := RunStream(opts)
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
 		if run.OutputFailures != 0 {
 			t.Errorf("%s: %d output-stability failures", a.name, run.OutputFailures)
+		}
+		if run.Cells != opts.Cells || run.Programs != 2 {
+			t.Errorf("%s: cells/programs = %d/%d, want %d/2", a.name, run.Cells, run.Programs, opts.Cells)
+		}
+		disk := opts.Store.DiskStats()
+		if disk.Corrupt != 0 {
+			t.Errorf("%s: %d artifacts read back corrupt", a.name, disk.Corrupt)
+		}
+		switch a.name {
+		case "p2-disk-warm":
+			stats := opts.Store.Stats()
+			var served, computed int64
+			for _, st := range stats {
+				served += st.Hits + st.DiskHits
+				computed += st.Misses
+			}
+			if stats[pipeline.StageExtract].DiskHits == 0 || disk.BytesRead == 0 {
+				t.Errorf("%s: extraction not served from disk: %+v", a.name, disk)
+			}
+			if served <= computed {
+				t.Errorf("%s: %d artifacts served, %d computed; want mostly served", a.name, served, computed)
+			}
+		case "p2-disk-64k":
+			if disk.Evictions == 0 {
+				t.Errorf("%s: 64 KiB disk budget produced no evictions", a.name)
+			}
 		}
 		if i == 0 {
 			ref = run.Table
@@ -163,45 +201,4 @@ type cancelAfterWriter struct{ cancel context.CancelFunc }
 func (w cancelAfterWriter) Write(p []byte) (int, error) {
 	w.cancel()
 	return len(p), nil
-}
-
-// TestBenchStreamQuick runs the full benchmark harness on a small corpus
-// and checks its structural invariants (not timing): per-arm table
-// identity, disk-evictor cycling in the starved arm, and a sane record.
-func TestBenchStreamQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness is slow; skipped in -short")
-	}
-	opts := streamTestOpts()
-	opts.Cells = 4 * cellsPerProgram() // eviction arm = 1 program
-	var rows bytes.Buffer
-	opts.Rows = &rows
-	b, err := BenchStream(opts, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.TablesIdentical {
-		t.Error("warm-arm tables differ from cold pass")
-	}
-	if !b.EvictTablesIdentical {
-		t.Error("starved-disk arm table differs from store-free reference")
-	}
-	if b.EvictEvictions == 0 {
-		t.Error("starved disk budget produced no evictions")
-	}
-	if b.OutputFailures != 0 {
-		t.Errorf("output-stability failures: %d", b.OutputFailures)
-	}
-	if b.Cells != opts.Cells || b.Programs != 4 {
-		t.Errorf("cells/programs = %d/%d, want %d/4", b.Cells, b.Programs, opts.Cells)
-	}
-	if rows.Len() == 0 {
-		t.Error("cold pass wrote no JSONL rows")
-	}
-	if b.WarmHitRate <= 0.5 {
-		t.Errorf("warm hit rate %.2f; expected mostly store-served", b.WarmHitRate)
-	}
-	if s := RenderStreamBench(b); s == "" {
-		t.Error("empty benchmark rendering")
-	}
 }

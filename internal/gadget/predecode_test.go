@@ -16,12 +16,14 @@ import (
 type equivBinary struct {
 	name string
 	bin  *sbf.Binary
+	isa  string // "" = x64
 }
 
 // equivBinaries builds the equivalence corpus: the netperf-sim benchmark
-// under the LLVM-style preset, and a generated MiniC program under the
+// under the LLVM-style preset, a generated MiniC program under the
 // Tigress-style preset (which includes virtualization, the arm with the
-// longest decode paths).
+// longest decode paths), and the LLVM-style crc benchmark on both RISC-V
+// backends.
 func equivBinaries(tb testing.TB) []equivBinary {
 	tb.Helper()
 	np, err := benchprog.Build(benchprog.Netperf(), obfuscate.LLVMObf(), 42)
@@ -36,10 +38,22 @@ func equivBinaries(tb testing.TB) []equivBinary {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return []equivBinary{
+	out := []equivBinary{
 		{name: "netperf-llvmobf", bin: np},
 		{name: "gen-small-tigress", bin: gen},
 	}
+	crc, ok := benchprog.ByName("crc")
+	if !ok {
+		tb.Fatal("crc benchmark missing")
+	}
+	for _, isaName := range []string{"rv64", "rv64c"} {
+		bin, err := benchprog.BuildISA(crc, obfuscate.LLVMObf(), 42, isaName)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, equivBinary{name: "crc-llvmobf-" + isaName, bin: bin, isa: isaName})
+	}
+	return out
 }
 
 // firstDiff locates the first byte where two canonical renderings diverge.
@@ -57,18 +71,23 @@ func firstDiff(a, b string) string {
 // TestPredecodeExtractionEquivalence pins the predecode-table walk
 // byte-identical to the retained reference walk (Options.NoPredecode, which
 // re-invokes isa.Decode at every path step) across the full determinism
-// matrix: both corpus programs, stride 1 and 2, and one, two, and eight
-// workers. Canon renders everything downstream consumers can observe, so
-// equal renderings mean the table is purely an optimization.
+// matrix: every corpus program, stride 1 and 2 on x64 and the backend's own
+// stride on RISC-V, and one, two, and eight workers. Canon renders
+// everything downstream consumers can observe, so equal renderings mean the
+// table is purely an optimization.
 func TestPredecodeExtractionEquivalence(t *testing.T) {
 	for _, eb := range equivBinaries(t) {
-		for _, stride := range []int{1, 2} {
+		strides := []int{1, 2}
+		if eb.isa != "" {
+			strides = []int{0}
+		}
+		for _, stride := range strides {
 			ref := gadget.Extract(eb.bin, gadget.Options{
-				Stride: stride, Parallelism: 1, NoPredecode: true,
+				ISA: eb.isa, Stride: stride, Parallelism: 1, NoPredecode: true,
 			}).Canon()
 			for _, par := range []int{1, 2, 8} {
 				got := gadget.Extract(eb.bin, gadget.Options{
-					Stride: stride, Parallelism: par,
+					ISA: eb.isa, Stride: stride, Parallelism: par,
 				}).Canon()
 				if got != ref {
 					t.Errorf("%s stride=%d parallelism=%d: predecode pool differs from reference walk at %s",
@@ -77,7 +96,7 @@ func TestPredecodeExtractionEquivalence(t *testing.T) {
 			}
 			// The reference arm must itself be parallel-stable.
 			if got := gadget.Extract(eb.bin, gadget.Options{
-				Stride: stride, Parallelism: 8, NoPredecode: true,
+				ISA: eb.isa, Stride: stride, Parallelism: 8, NoPredecode: true,
 			}).Canon(); got != ref {
 				t.Errorf("%s stride=%d: reference walk differs across parallelism at %s",
 					eb.name, stride, firstDiff(ref, got))
@@ -137,10 +156,13 @@ func refCount(bin *sbf.Binary, maxInsts int) map[gadget.JmpType]int {
 }
 
 // TestCountMatchesReference pins the table-folded Count against the seed's
-// decode-per-window loop on both corpus programs, at the default window and
-// a deeper one.
+// decode-per-window loop on the x64 corpus programs, at the default window
+// and a deeper one.
 func TestCountMatchesReference(t *testing.T) {
 	for _, eb := range equivBinaries(t) {
+		if eb.isa != "" {
+			continue // refCount decodes x64 only
+		}
 		for _, maxInsts := range []int{10, 25} {
 			want := refCount(eb.bin, maxInsts)
 			got := gadget.Count(eb.bin, maxInsts)

@@ -72,9 +72,6 @@ type Concretizer struct {
 	Base uint64
 	// MaxConflicts bounds each solver query.
 	MaxConflicts int64
-	// DisableTriage turns off the solver's concrete-refutation tiers for
-	// verdict queries (A/B benchmarking; results are identical).
-	DisableTriage bool
 
 	// sol is reused across Concretize calls so its verdict cache memoizes
 	// repeated universal-validity checks — e.g. opaque predicates, which
@@ -96,10 +93,7 @@ func NewConcretizer(pool *gadget.Pool, bin *sbf.Binary, base uint64) *Concretize
 // MaxConflicts override set after construction still takes effect).
 func (c *Concretizer) solver() *solver.Solver {
 	if c.sol == nil {
-		c.sol = solver.New(solver.Options{
-			MaxConflicts:  c.MaxConflicts,
-			DisableTriage: c.DisableTriage,
-		})
+		c.sol = solver.New(solver.Options{MaxConflicts: c.MaxConflicts})
 	}
 	return c.sol
 }

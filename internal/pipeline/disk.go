@@ -93,9 +93,8 @@ func OpenDisk(dir string, o DiskOptions) (*Disk, error) {
 // Dir returns the cache directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// DiskStats snapshots the disk tier's counters (the BENCH_DISK.json "disk"
-// block). Byte counts are whole artifact files, header and checksum
-// included.
+// DiskStats snapshots the disk tier's counters. Byte counts are whole
+// artifact files, header and checksum included.
 type DiskStats struct {
 	Dir          string `json:"dir,omitempty"`
 	MaxBytes     int64  `json:"max_bytes"`

@@ -49,7 +49,7 @@ var stageNames = [numStages]string{
 	"build", "encode", "count", "extract", "minimize", "plan",
 }
 
-// String names the stage as it appears in stats and BENCH_CACHE.json.
+// String names the stage as it appears in stats output.
 func (st Stage) String() string {
 	if int(st) < len(stageNames) {
 		return stageNames[st]
@@ -366,9 +366,9 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 	return e.val.(T), info, nil
 }
 
-// StageStats is one stage's store counters (a BENCH_CACHE.json /
-// BENCH_DISK.json row). DiskHits/DiskMisses count persistent-tier lookups
-// on in-memory misses; they stay zero without an attached Disk.
+// StageStats is one stage's store counters. DiskHits/DiskMisses count
+// persistent-tier lookups on in-memory misses; they stay zero without an
+// attached Disk.
 type StageStats struct {
 	Stage          string  `json:"stage"`
 	Hits           int64   `json:"hits"`
@@ -376,24 +376,6 @@ type StageStats struct {
 	DiskHits       int64   `json:"disk_hits,omitempty"`
 	DiskMisses     int64   `json:"disk_misses,omitempty"`
 	ComputeSeconds float64 `json:"compute_seconds"`
-}
-
-// DiskHitRate is the fraction of persistent-tier lookups that hit.
-func (s StageStats) DiskHitRate() float64 {
-	total := s.DiskHits + s.DiskMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.DiskHits) / float64(total)
-}
-
-// HitRate is the fraction of requests served from the store.
-func (s StageStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // Stats snapshots the per-stage counters in chain order. Nil-safe.

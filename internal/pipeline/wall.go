@@ -6,10 +6,10 @@ import "github.com/nofreelunch/gadget-planner/internal/wall"
 // cannot see. A fully warm run still spends seconds outside stage
 // computations — table rendering, payload verification inside the plan
 // stage's closure, emulator replay in the netperf case study, fingerprint
-// hashing — and BENCH_CACHE.json's "100% hits yet 5.1s" floor is exactly
-// that unaccounted remainder. Callers wrap those regions with TrackWall and
-// the CLIs print WallLine next to Store.StatsLine, turning the uncached
-// floor into named numbers.
+// hashing — and a warm suite's "100% hits yet seconds of wall" floor is
+// exactly that unaccounted remainder. Callers wrap those regions with
+// TrackWall and the CLIs print WallLine next to Store.StatsLine, turning the
+// uncached floor into named numbers.
 //
 // The registry itself lives in internal/wall (a leaf package) so stages
 // below pipeline in the import graph — gadget's predecode pass records the

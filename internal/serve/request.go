@@ -25,7 +25,8 @@
 // Results are byte-identical to local single-process runs: a request's
 // canonical rendering (Result.Canon) is a pure function of its fingerprint
 // key, pinned by the determinism suites underneath and verified end-to-end
-// by the BenchServe experiment and the serve tests.
+// by the serve tests and by bench/, which fails any served op whose result
+// digest differs from the local serve.Run golden.
 package serve
 
 import (

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
-	"github.com/nofreelunch/gadget-planner/internal/experiments"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
@@ -22,14 +21,14 @@ func TestTriageDeterminism(t *testing.T) {
 	pool := gadget.Extract(bin, gadget.Options{})
 
 	ref, refStats := subsume.Minimize(pool, subsume.Options{Parallelism: 1, DisableTriage: true})
-	refSig := experiments.PoolSignature(ref)
+	refSig := ref.Canon()
 	if refStats.EvalRefuted != 0 || refStats.WitnessRefuted != 0 {
 		t.Fatalf("triage-disabled run used triage tiers: %+v", refStats)
 	}
 
 	for _, par := range []int{1, 2, 8} {
 		min, stats := subsume.Minimize(pool, subsume.Options{Parallelism: par})
-		if got := experiments.PoolSignature(min); got != refSig {
+		if got := min.Canon(); got != refSig {
 			t.Errorf("parallelism=%d: triage-on pool differs from triage-off reference (%d vs %d gadgets)",
 				par, min.Size(), ref.Size())
 		}
