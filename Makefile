@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet fmt race bench-test bench check
+.PHONY: build test vet fmt race bench-test bench fuzz check
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,18 @@ bench-test:
 bench:
 	bash bench/run.sh
 
+# Every fuzz target for a fixed 5 s each. go test fuzzes one target per
+# run, so each gets its own invocation.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/minic
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRV64$$' -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRV64C$$' -fuzztime 5s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzPredecode$$' -fuzztime 5s ./internal/gadget
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArtifact$$' -fuzztime 5s ./internal/pipeline
+	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 5s ./internal/serve
+
 # CI gate: formatting, static checks, the full test suite under the race
-# detector, and the end-to-end benchmark's tests.
-check: fmt vet race bench-test
+# detector, the end-to-end benchmark's tests, and a short run of every fuzz
+# target.
+check: fmt vet race bench-test fuzz

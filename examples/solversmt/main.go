@@ -51,5 +51,5 @@ func main() {
 	}
 	fmt.Printf("slot value: %#x (check: %#x)\n", model["cell_16"], model["cell_16"]^0xFFFF)
 
-	fmt.Printf("\nsolver issued %d queries, %d conflicts\n", s.Queries, s.Conflicts)
+	fmt.Printf("\nsolver issued %d queries, %d conflicts\n", s.Queries.Load(), s.Conflicts.Load())
 }

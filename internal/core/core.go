@@ -147,8 +147,11 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	if cfg.Store != nil {
 		rawKey = pipeline.ExtractKey(cfg.Store.BinaryKey(bin), cfg.Extract)
 	}
-	raw, xinfo, _ := pipeline.Do(cfg.Store, pipeline.StageExtract, rawKey,
+	raw, xinfo, err := pipeline.Do(cfg.Store, pipeline.StageExtract, rawKey,
 		func() (*gadget.Pool, error) { return gadget.Extract(bin, cfg.Extract), nil })
+	if err != nil {
+		panic(err) // the stage cannot fail: err is a recovered panic
+	}
 	a.RawPool = raw
 	a.Timings = append(a.Timings, timingOf("extraction", xinfo))
 
@@ -195,11 +198,14 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	if poolKey != "" {
 		minKey = pipeline.MinimizeKey(poolKey, cfg.Subsume)
 	}
-	min, minfo, _ := pipeline.Do(cfg.Store, pipeline.StageMinimize, minKey,
+	min, minfo, err := pipeline.Do(cfg.Store, pipeline.StageMinimize, minKey,
 		func() (pipeline.Minimized, error) {
 			p, s := subsume.Minimize(pool, cfg.Subsume)
 			return pipeline.Minimized{Pool: p, Stats: s}, nil
 		})
+	if err != nil {
+		panic(err)
+	}
 	a.Pool, a.SubsumeStats = min.Pool, min.Stats
 	a.poolKey = minKey
 	a.Timings = append(a.Timings, timingOf("subsumption", minfo))
@@ -235,7 +241,7 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*Attack, StageTiming) {
 		key = pipeline.PlanKey(a.poolKey, goal.Name, cfg.Planner,
 			cfg.PayloadBase, cfg.VerifySteps, cfg.SkipVerify)
 	}
-	atk, info, _ := pipeline.Do(cfg.Store, pipeline.StagePlan, key,
+	atk, info, err := pipeline.Do(cfg.Store, pipeline.StagePlan, key,
 		func() (*Attack, error) {
 			atk := &Attack{Goal: goal}
 			pool := gadget.ClonePool(a.Pool)
@@ -266,6 +272,9 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*Attack, StageTiming) {
 			atk.Plans = res.Plans
 			return atk, nil
 		})
+	if err != nil {
+		panic(err)
+	}
 	return atk, timingOf("planning:"+goal.Name, info)
 }
 

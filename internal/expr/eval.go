@@ -108,47 +108,6 @@ func evalNode(n *Node, env Env, cache map[uint32]uint64) (uint64, error) {
 	return 0, fmt.Errorf("expr: cannot evaluate kind %d", n.Kind)
 }
 
-// Evaluator evaluates nodes with a memo table that is reused across calls
-// and shared between them until Reset. Sharing matters two ways: evaluating
-// several formulas of one query under one environment computes shared
-// subterms once, and the table's storage is recycled across environments, so
-// a battery of evaluations (the solver's concrete-screening tier) does not
-// allocate a fresh map per probe. The zero value is ready to use.
-//
-// The memo is keyed by node identity only, so it is sound exactly while the
-// environment is fixed: call Reset whenever the environment changes.
-type Evaluator struct {
-	cache map[uint32]uint64
-}
-
-// Reset forgets memoized values. Call it before evaluating under a new
-// environment.
-func (e *Evaluator) Reset() {
-	if e.cache == nil {
-		e.cache = make(map[uint32]uint64)
-	} else {
-		clear(e.cache)
-	}
-}
-
-// Eval computes the concrete value of n under env, memoizing subterm values
-// until the next Reset.
-func (e *Evaluator) Eval(n *Node, env Env) (uint64, error) {
-	if e.cache == nil {
-		e.cache = make(map[uint32]uint64)
-	}
-	return evalRec(n, env, e.cache)
-}
-
-// EvalBool evaluates a boolean node under env, memoizing like Eval.
-func (e *Evaluator) EvalBool(n *Node, env Env) (bool, error) {
-	if n.Width != BoolWidth {
-		return false, fmt.Errorf("expr: EvalBool on width-%d node", n.Width)
-	}
-	v, err := e.Eval(n, env)
-	return v == 1, err
-}
-
 // EvalBool evaluates a boolean node under env.
 func EvalBool(n *Node, env Env) (bool, error) {
 	if n.Width != BoolWidth {

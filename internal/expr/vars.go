@@ -4,8 +4,8 @@ import "sort"
 
 // Free-variable collection. Vars and VarNodes are the one-shot forms;
 // VarCollector amortizes the traversal state for callers that collect from
-// many DAGs in a row (the solver's triage tier collects the free variables
-// of every verdict query before evaluating its environment battery).
+// many DAGs in a row (symbolic execution collects the free variables of
+// every dereferenced address it checks).
 
 // Vars returns the sorted names of all variables appearing in the nodes.
 func Vars(nodes ...*Node) []string {

@@ -75,9 +75,8 @@ type Concretizer struct {
 
 	// sol is reused across Concretize calls so its verdict cache memoizes
 	// repeated universal-validity checks — e.g. opaque predicates, which
-	// hold for every value of the junk global they load — and its witness
-	// store carries counterexamples (e.g. refuted controllability checks)
-	// between plans.
+	// hold for every value of the junk global they load — between plans.
+	// The cache is unbounded and lives as long as the Concretizer.
 	sol *solver.Solver
 }
 

@@ -224,8 +224,11 @@ func Extract(s *Store, bin *sbf.Binary, o gadget.Options) *gadget.Pool {
 	if s != nil {
 		k = ExtractKey(s.BinaryKey(bin), o)
 	}
-	pool, _, _ := Do(s, StageExtract, k, func() (*gadget.Pool, error) {
+	pool, _, err := Do(s, StageExtract, k, func() (*gadget.Pool, error) {
 		return gadget.Extract(bin, o), nil
 	})
+	if err != nil {
+		panic(err) // the stage cannot fail: err is a recovered panic
+	}
 	return pool
 }

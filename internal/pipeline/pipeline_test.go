@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
@@ -124,6 +126,64 @@ func TestDoCachesErrors(t *testing.T) {
 	}
 }
 
+// TestDoPanicNotCached checks a panicking computation neither escapes Do
+// nor poisons its key: every concurrent requester receives an error that
+// carries the panic and its stack, and the next request for the key
+// recomputes, succeeds, and is cached as usual. The waiters are given time
+// to block on the winner; one that arrives late runs its own (identical,
+// panicking) computation, so the assertions hold either way.
+func TestDoPanicNotCached(t *testing.T) {
+	for _, limit := range []int{0, 4} {
+		s := NewStore().LimitMemory(limit)
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		var once sync.Once
+		panicky := func() (*int, error) {
+			once.Do(func() { close(entered) })
+			<-release
+			panic("stage exploded")
+		}
+
+		const requesters = 5
+		errs := make(chan error, requesters)
+		go func() {
+			_, _, err := Do(s, StageBuild, "k", panicky)
+			errs <- err
+		}()
+		<-entered
+		for i := 1; i < requesters; i++ {
+			go func() {
+				_, _, err := Do(s, StageBuild, "k", panicky)
+				errs <- err
+			}()
+		}
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+		for i := 0; i < requesters; i++ {
+			err := <-errs
+			if err == nil || !strings.Contains(err.Error(), "stage exploded") ||
+				!strings.Contains(err.Error(), "TestDoPanicNotCached") {
+				t.Fatalf("limit %d: requester got %v, want the panic with its stack", limit, err)
+			}
+		}
+
+		var calls atomic.Int64
+		ok := func() (*int, error) { calls.Add(1); v := 7; return &v, nil }
+		for i := 0; i < 2; i++ {
+			v, _, err := Do(s, StageBuild, "k", ok)
+			if err != nil || v == nil || *v != 7 {
+				t.Fatalf("limit %d: request %d after the panic: %v, %v", limit, i, v, err)
+			}
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("limit %d: recovered key computed %d times, want 1", limit, n)
+		}
+		if n := s.MemEntries(); n != 1 {
+			t.Fatalf("limit %d: %d memory entries, want 1", limit, n)
+		}
+	}
+}
+
 // TestOptionFingerprintsCanonicalize pins the property the whole keying
 // scheme rests on: zero-value options and explicitly-defaulted options
 // address the same artifact, and worker counts never change the key.
@@ -141,8 +201,8 @@ func TestOptionFingerprintsCanonicalize(t *testing.T) {
 	if (gadget.Options{MaxInsts: 10}).Fingerprint() == (gadget.Options{MaxInsts: 12}).Fingerprint() {
 		t.Error("gadget.Options: MaxInsts not keyed")
 	}
-	if (subsume.Options{}).Fingerprint() == (subsume.Options{DisableTriage: true}).Fingerprint() {
-		t.Error("subsume.Options: DisableTriage not keyed (Stats counters differ)")
+	if (subsume.Options{}).Fingerprint() == (subsume.Options{MaxConflicts: 100}).Fingerprint() {
+		t.Error("subsume.Options: MaxConflicts not keyed")
 	}
 	if (planner.Options{MaxPlans: 1}).Fingerprint() == (planner.Options{MaxPlans: 2}).Fingerprint() {
 		t.Error("planner.Options: MaxPlans not keyed")

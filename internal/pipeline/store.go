@@ -21,8 +21,10 @@ package pipeline
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,22 +244,46 @@ type Info struct {
 }
 
 // measured runs f under the same time/alloc accounting the pre-store
-// pipeline used per stage.
+// pipeline used per stage. A panic in f is recovered into a *panicError.
 func measured[T any](f func() (T, error)) (T, time.Duration, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	v, err := f()
+	v, err := recovered(f)
 	d := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return v, d, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// panicError is a stage computation's recovered panic. Unlike a returned
+// error it is never cached: the store drops the key, so the next request
+// recomputes instead of replaying one crash forever.
+type panicError struct {
+	value any    // the value passed to panic
+	stack []byte // the panicking goroutine's stack
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("pipeline: stage computation panicked: %v\n%s", e.value, e.stack)
+}
+
+func recovered[T any](f func() (T, error)) (v T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicError{value: r, stack: debug.Stack()}
+		}
+	}()
+	return f()
 }
 
 // Do returns the stage artifact for key, computing it at most once per
 // store. An empty key (or a nil store) bypasses memoization and computes
 // directly — callers use that for inputs that cannot be fingerprinted,
 // e.g. a closure-valued GadgetFilter. Errors are artifacts too: a failed
-// computation is cached and returned to every requester of the key.
+// computation is cached and returned to every requester of the key. A
+// panicking computation is the exception: its waiters receive an error
+// carrying the panic value and stack, and the key is dropped so the next
+// request recomputes.
 func Do[T any](s *Store, st Stage, key string, compute func() (T, error)) (T, Info, error) {
 	return DoCtx(context.Background(), s, st, key, compute)
 }
@@ -349,6 +375,18 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 	})
 	if !e.done.Load() {
 		e.done.Store(true)
+	}
+	var perr *panicError
+	if errors.As(e.err, &perr) {
+		s.mu.Lock()
+		if s.entries[key] == e {
+			delete(s.entries, key)
+			if e.elem != nil {
+				s.lru.Remove(e.elem)
+				e.elem = nil
+			}
+		}
+		s.mu.Unlock()
 	}
 	if s.maxEntries > 0 {
 		s.mu.Lock()

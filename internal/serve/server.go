@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,17 +183,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(stageLine{Event: "stage", StageEvent: ev})
 		flush()
 	}
-	res, err := Run(s.baseContext(), s.store, s.par, req, progress)
-
-	c.result, c.err = res, err
-	s.mu.Lock()
-	delete(s.calls, key)
-	s.mu.Unlock()
-	close(c.done)
-
+	res, err := s.runCall(key, c, req, progress)
 	enc.Encode(wallLine{Event: "wall", Buckets: pipeline.WallStats()})
 	s.writeFinal(enc, res, err)
 	flush()
+}
+
+// runCall executes the winner's request and then publishes the outcome to
+// the call's joiners and releases the call, on every exit path: a panic in
+// Run becomes the call's error, so joiners never wait on a call that cannot
+// finish and later identical requests start afresh.
+func (s *Server) runCall(key string, c *call, req Request, progress Progress) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("serve: request panicked: %v\n%s", p, debug.Stack())
+		}
+		c.result, c.err = res, err
+		s.mu.Lock()
+		delete(s.calls, key)
+		s.mu.Unlock()
+		close(c.done)
+	}()
+	return Run(s.baseContext(), s.store, s.par, req, progress)
 }
 
 func (s *Server) writeFinal(enc *json.Encoder, res *Result, err error) {

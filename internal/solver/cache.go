@@ -9,22 +9,23 @@ import (
 // The verdict cache memoizes Sat/Unsat/Unknown outcomes keyed by a canonical
 // serialization of the query DAG. Keys are structural, not pointer-based, so
 // logically identical queries hit the cache even when their nodes were built
-// in different (e.g. per-bucket scratch) builders. Unknown verdicts are safe
-// to cache because they are a deterministic function of the query and the
-// solver's MaxConflicts budget, which is fixed per Solver; Sat verdicts
-// recorded from witness replay are safe because a concrete satisfying
-// assignment certifies Sat regardless of provenance (see triage.go).
+// in different (e.g. per-bucket scratch) builders. A key also fixes the CNF
+// the blaster emits — lowering follows DAG structure only — so its verdict,
+// Unknown included, is a deterministic function of the key and the Solver's
+// fixed MaxConflicts budget, and caching it is sound.
 //
-// The cache is bounded by a two-generation scheme: entries are inserted into
-// the current generation, and when it fills, the current generation is
-// demoted to "previous" (dropping the old previous) rather than the whole
-// cache being cleared. Lookups consult both generations and promote
-// previous-generation hits, so a burst of queries that crosses the capacity
-// boundary retains its hot entries instead of restarting cold.
+// The cache is shared by every caller of a Solver and computes each key
+// once: the first querier blasts it, and concurrent queriers of the same key
+// wait for that result. Blasted therefore equals the number of distinct
+// non-constant verdict queries, and CacheHits the rest, however the callers
+// are scheduled. The cache is unbounded: a Solver lives for one
+// subsume.Minimize call or one payload.Concretizer, never longer.
 
-// maxCacheGeneration bounds each of the two generations, so the cache holds
-// at most 2*maxCacheGeneration verdicts.
-const maxCacheGeneration = 1 << 19
+// verdict is one cache entry. r is valid once done is closed.
+type verdict struct {
+	done chan struct{}
+	r    Result
+}
 
 // cacheKey canonically serializes the conjunction query. Nodes are numbered
 // in first-visit (post-order) order and each is encoded with its kind,
@@ -61,26 +62,32 @@ func cacheKey(formulas []*expr.Node) string {
 	return string(buf)
 }
 
-// cacheGet looks a verdict up in both generations. A hit in the previous
-// generation is promoted into the current one so it survives the next
-// rotation.
-func (s *Solver) cacheGet(key string) (Result, bool) {
-	if r, ok := s.cache[key]; ok {
-		return r, true
+// checkVerdict decides the conjunction like Check but without producing a
+// model: constant folding, then the shared verdict cache, then the
+// bit-blaster. Every call counts toward Queries, so the logical query count
+// is independent of cache state.
+func (s *Solver) checkVerdict(formulas ...*expr.Node) Result {
+	s.Queries.Add(1)
+	if r, ok := constVerdict(formulas); ok {
+		return r
 	}
-	if r, ok := s.prevCache[key]; ok {
-		s.cachePut(key, r)
-		return r, true
-	}
-	return Unknown, false
-}
 
-// cachePut records a verdict, rotating generations when the current one is
-// full.
-func (s *Solver) cachePut(key string, r Result) {
-	if len(s.cache) >= maxCacheGeneration {
-		s.prevCache = s.cache
-		s.cache = make(map[string]Result, len(s.prevCache)/2)
+	key := cacheKey(formulas)
+	s.mu.Lock()
+	v, hit := s.cache[key]
+	if !hit {
+		v = &verdict{done: make(chan struct{})}
+		s.cache[key] = v
 	}
-	s.cache[key] = r
+	s.mu.Unlock()
+	if hit {
+		s.CacheHits.Add(1)
+		<-v.done
+		return v.r
+	}
+	// Closing done on every exit keeps waiters from hanging should the
+	// blaster panic; they then read Unknown, the no-proof verdict.
+	defer close(v.done)
+	v.r, _ = s.solve(formulas)
+	return v.r
 }

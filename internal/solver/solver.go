@@ -1,6 +1,9 @@
 package solver
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 )
 
@@ -31,54 +34,31 @@ type Options struct {
 	// MaxConflicts bounds CDCL search effort per query; exceeded queries
 	// return Unknown. Zero selects a generous default.
 	MaxConflicts int64
-	// DisableTriage turns off the concrete-screening and witness-reuse
-	// tiers of verdict queries (T1/T2), forcing every non-cached verdict
-	// through the bit-blaster. Verdicts are identical either way (triage
-	// only short-circuits refutations the blaster would also find); the
-	// switch exists for A/B benchmarking and the determinism tests.
-	DisableTriage bool
 }
 
 // Solver answers satisfiability, implication, and equivalence queries over
 // expr formulas. Verdict-only queries (Sat, Valid, Implies, EquivalentBV,
-// EquivalentBool) escalate through a tiered triage pipeline — concrete
-// refutation, counterexample-witness reuse, a structural verdict cache —
-// before reaching the bit-blaster, so the overwhelmingly common
-// non-equivalent gadget pair is refuted for the cost of a few DAG
-// evaluations instead of a CNF solve (see triage.go). A Solver is safe to
-// reuse across queries; it is not safe for concurrent use (give each worker
-// its own Solver).
+// EquivalentBool) are answered by constant folding when simplification has
+// already decided them, else from a verdict cache that computes each
+// distinct query once (see cache.go), else by the bit-blaster. A Solver is
+// safe for concurrent use; subsume.Minimize gives all its workers one, so
+// each distinct query is blasted once whatever the schedule.
 type Solver struct {
 	opts Options
 
-	// Queries and Conflicts accumulate statistics across calls. Queries
-	// counts logical queries, including ones served by a triage tier.
-	Queries   int64
-	Conflicts int64
-	// CacheHits counts verdict queries answered from the verdict cache
-	// (triage tier T3).
-	CacheHits int64
-	// EvalRefuted counts verdict queries refuted by the deterministic
-	// concrete-evaluation battery (triage tier T1).
-	EvalRefuted int64
-	// WitnessRefuted counts verdict queries refuted by replaying a model
-	// retained from an earlier full solve (triage tier T2).
-	WitnessRefuted int64
-	// Blasted counts queries that reached the bit-blaster (triage tier T4,
-	// plus model-producing Check/Solve calls, which always blast).
-	Blasted int64
+	// Queries, Conflicts, CacheHits and Blasted accumulate statistics
+	// across calls. Queries counts logical queries, constant-folded ones
+	// included; CacheHits counts verdict queries answered from the verdict
+	// cache; Blasted counts queries that reached the bit-blaster (each
+	// distinct non-constant verdict query once, plus every model-producing
+	// Check/Solve call).
+	Queries   atomic.Int64
+	Conflicts atomic.Int64
+	CacheHits atomic.Int64
+	Blasted   atomic.Int64
 
-	// cache and prevCache are the two generations of the verdict cache
-	// (see cache.go). witnesses is the bounded store of Sat models kept
-	// for counterexample reuse (see witness.go).
-	cache     map[string]Result
-	prevCache map[string]Result
-	witnesses witnessStore
-
-	// Scratch state reused across triage probes (see triage.go).
-	varc     expr.VarCollector
-	eval     expr.Evaluator
-	probeEnv expr.Env
+	mu    sync.Mutex
+	cache map[string]*verdict
 }
 
 // New returns a solver with the given options.
@@ -86,7 +66,7 @@ func New(opts Options) *Solver {
 	if opts.MaxConflicts == 0 {
 		opts.MaxConflicts = 200_000
 	}
-	return &Solver{opts: opts, cache: make(map[string]Result)}
+	return &Solver{opts: opts, cache: make(map[string]*verdict)}
 }
 
 // Default returns a solver with default options.
@@ -95,30 +75,40 @@ func Default() *Solver { return New(Options{}) }
 // Check decides the conjunction of the given boolean formulas. On Sat it
 // returns a model assigning every variable occurring in the formulas.
 func (s *Solver) Check(formulas ...*expr.Node) (Result, expr.Env) {
-	s.Queries++
+	s.Queries.Add(1)
 	return s.solve(formulas)
 }
 
-// solve is Check without the query accounting: the constant fast path
-// followed by the full bit-blast + CDCL solve. Sat models are retained in
-// the witness store for counterexample reuse by later verdict queries.
-func (s *Solver) solve(formulas []*expr.Node) (Result, expr.Env) {
-	// Fast path: simplification may have already decided the conjunction.
+// constVerdict decides the conjunction when simplification has already
+// folded a conjunct to false or every conjunct to true.
+func constVerdict(formulas []*expr.Node) (Result, bool) {
 	allConst := true
 	for _, f := range formulas {
 		v, ok := f.IsBoolConst()
 		if ok && !v {
-			return Unsat, nil
+			return Unsat, true
 		}
 		if !ok {
 			allConst = false
 		}
 	}
 	if allConst {
-		return Sat, expr.Env{}
+		return Sat, true
+	}
+	return Unknown, false
+}
+
+// solve is Check without the query accounting: the constant fast path
+// followed by the full bit-blast + CDCL solve.
+func (s *Solver) solve(formulas []*expr.Node) (Result, expr.Env) {
+	if r, ok := constVerdict(formulas); ok {
+		if r == Sat {
+			return Sat, expr.Env{}
+		}
+		return Unsat, nil
 	}
 
-	s.Blasted++
+	s.Blasted.Add(1)
 	sat := newSAT()
 	bl := newBlaster(sat)
 	for _, f := range formulas {
@@ -132,12 +122,10 @@ func (s *Solver) solve(formulas []*expr.Node) (Result, expr.Env) {
 	}
 	before := sat.conflicts
 	res := sat.solve(nil, s.opts.MaxConflicts)
-	s.Conflicts += sat.conflicts - before
+	s.Conflicts.Add(sat.conflicts - before)
 	switch res {
 	case resSat:
-		env := bl.model(nil)
-		s.witnesses.add(env)
-		return Sat, env
+		return Sat, bl.model(nil)
 	case resUnsat:
 		return Unsat, nil
 	default:

@@ -381,7 +381,7 @@ func TestStatsAccumulate(t *testing.T) {
 	s := Default()
 	s.Check(b.Eq(x, b.Const(1, 8)))
 	s.Check(b.Eq(x, b.Const(2, 8)))
-	if s.Queries != 2 {
-		t.Errorf("queries = %d", s.Queries)
+	if s.Queries.Load() != 2 {
+		t.Errorf("queries = %d", s.Queries.Load())
 	}
 }

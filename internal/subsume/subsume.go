@@ -17,11 +17,12 @@
 // solver entirely.
 //
 // Buckets are independent, so they are dispatched to Options.Parallelism
-// workers, each with its own solver. Query formulas are built in a fresh
-// scratch builder per bucket (pool expressions are imported into it), which
-// keeps the pool's builder strictly read-only during minimization and makes
-// every bucket's verdicts independent of worker scheduling — the minimized
-// pool is byte-identical at any worker count.
+// workers sharing one solver, whose verdict cache computes each distinct
+// query once. Query formulas are built in a fresh scratch builder per bucket
+// (pool expressions are imported into it), which keeps the pool's builder
+// strictly read-only during minimization and makes every bucket's verdicts
+// independent of worker scheduling — the minimized pool and its Stats are
+// identical at any worker count.
 package subsume
 
 import (
@@ -49,22 +50,17 @@ type Options struct {
 	// 0 selects runtime.GOMAXPROCS(0); 1 runs single-threaded. The result
 	// is identical at every worker count.
 	Parallelism int
-	// DisableTriage turns off the solver's concrete-refutation tiers
-	// (solver.Options.DisableTriage), forcing every non-cached verdict
-	// query through the bit-blaster. The minimized pool is identical
-	// either way; the switch exists for A/B benchmarking.
-	DisableTriage bool
 }
 
 // Fingerprint renders the options' semantic fields canonically (defaults
 // applied) for content-addressed artifact keys. Parallelism is excluded —
-// minimized pools are identical at every worker count. DisableTriage is
-// included even though the pool is triage-invariant: the Stats counters
-// travel with the cached artifact and do differ between triage modes.
+// minimized pools are identical at every worker count. The trailing
+// "triage=true" is a constant kept from when the solver's screening tiers
+// were switchable: dropping it would re-address every persisted minimize
+// and plan artifact.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
-	return fmt.Sprintf("fp=%d,conf=%d,triage=%t",
-		o.Fingerprints, o.MaxConflicts, !o.DisableTriage)
+	return fmt.Sprintf("fp=%d,conf=%d,triage=true", o.Fingerprints, o.MaxConflicts)
 }
 
 func (o Options) withDefaults() Options {
@@ -80,27 +76,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats reports what minimization did.
+// Stats reports what minimization did. SolverQueries splits into
+// constant-folded queries, CacheHits and Blasted.
 type Stats struct {
-	Before         int
-	After          int
-	RemovedIdent   int   // removed via structural (pointer) identity
-	RemovedProved  int   // removed via solver-proved subsumption
-	SolverQueries  int64 // logical SAT queries issued (triage-served included)
-	CacheHits      int64 // queries answered by the solver verdict cache (T3)
-	EvalRefuted    int64 // queries refuted by concrete screening (T1)
-	WitnessRefuted int64 // queries refuted by witness replay (T2)
-	Blasted        int64 // queries that reached the bit-blaster (T4)
+	Before        int
+	After         int
+	RemovedIdent  int   // removed via structural (pointer) identity
+	RemovedProved int   // removed via solver-proved subsumption
+	SolverQueries int64 // logical SAT queries issued
+	CacheHits     int64 // queries answered by the solver verdict cache
+	// EvalRefuted and WitnessRefuted are always zero: the solver's
+	// concrete-screening and witness-replay tiers are gone. The fields stay
+	// because the String layout, the artifact codec and the benchmark's
+	// trace read them.
+	EvalRefuted    int64
+	WitnessRefuted int64
+	Blasted        int64 // distinct queries that reached the bit-blaster
 	Buckets        int   // fingerprint buckets examined
-}
-
-// TriageShare is the fraction of solver queries resolved without
-// bit-blasting (triage tiers T1–T3 plus constant folding).
-func (s Stats) TriageShare() float64 {
-	if s.SolverQueries == 0 {
-		return 0
-	}
-	return 1 - float64(s.Blasted)/float64(s.SolverQueries)
 }
 
 // ReductionFactor returns Before/After (the paper reports an average 2.97x).
@@ -157,11 +149,8 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 	if workers > len(buckets) {
 		workers = len(buckets)
 	}
-	solverOpts := solver.Options{MaxConflicts: opts.MaxConflicts, DisableTriage: opts.DisableTriage}
-	solvers := make([]*solver.Solver, 0, workers)
+	s := solver.New(solver.Options{MaxConflicts: opts.MaxConflicts})
 	if workers <= 1 {
-		s := solver.New(solverOpts)
-		solvers = append(solvers, s)
 		for i, bucket := range buckets {
 			kept[i] = minimizeBucket(s, bucket, &bstats[i])
 		}
@@ -169,8 +158,6 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 		next := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			s := solver.New(solverOpts)
-			solvers = append(solvers, s)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -190,13 +177,9 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 		stats.RemovedIdent += bs.removedIdent
 		stats.RemovedProved += bs.removedProved
 	}
-	for _, s := range solvers {
-		stats.SolverQueries += s.Queries
-		stats.CacheHits += s.CacheHits
-		stats.EvalRefuted += s.EvalRefuted
-		stats.WitnessRefuted += s.WitnessRefuted
-		stats.Blasted += s.Blasted
-	}
+	stats.SolverQueries = s.Queries.Load()
+	stats.CacheHits = s.CacheHits.Load()
+	stats.Blasted = s.Blasted.Load()
 
 	out := &gadget.Pool{
 		Builder: pool.Builder,
