@@ -19,8 +19,8 @@
 // one experiment is reused by every later one; -nocache disables the store
 // for A/B comparison (results are identical). With -cachedir (or
 // GP_CACHE_DIR) the store is additionally backed by a persistent disk tier,
-// so artifacts survive across invocations; -nodisk disables just the disk
-// tier for A/B comparison (results are identical).
+// so artifacts survive across invocations; -cachedir "" turns the disk tier
+// off even with GP_CACHE_DIR set (results are identical).
 package main
 
 import (
@@ -35,8 +35,8 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
 	"github.com/nofreelunch/gadget-planner/internal/experiments"
-	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 func main() {
@@ -238,7 +238,7 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("\n%s\n%s\n", store.StatsLine(), pipeline.WallLine())
+	fmt.Printf("\n%s\n%s\n", store.StatsLine(), wall.Line())
 	return nil
 }
 

@@ -83,6 +83,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		if _, err := cliutil.ResolveISA(bin.ISA); err != nil {
+			return fmt.Errorf("%s: %w", *binPath, err)
+		}
 		report(store, *binPath, bin, isaName)
 		return nil
 	}

@@ -23,10 +23,10 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
 	"github.com/nofreelunch/gadget-planner/internal/core"
-	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/serve"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 func main() {
@@ -71,6 +71,9 @@ func run() error {
 	bin, err := sbf.Unmarshal(data)
 	if err != nil {
 		return err
+	}
+	if _, err := cliutil.ResolveISA(bin.ISA); err != nil {
+		return fmt.Errorf("%s: %w", *binPath, err)
 	}
 	store, err := sf.Open()
 	if err != nil {
@@ -131,7 +134,7 @@ func run() error {
 			t.Name, t.Duration.Round(time.Millisecond), float64(t.AllocBytes)/(1<<20), mark)
 	}
 	fmt.Println(store.StatsLine())
-	fmt.Println(pipeline.WallLine())
+	fmt.Println(wall.Line())
 	return nil
 }
 

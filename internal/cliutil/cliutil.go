@@ -1,7 +1,7 @@
 // Package cliutil is the shared command-line wiring for the cmd/* mains:
 // every CLI opens the artifact store the same way (-nocache for the A/B
-// arm, -cachedir/$GP_CACHE_DIR for the persistent tier, -nodisk to disable
-// just that tier) and addresses the analysis service the same way
+// arm, -cachedir/$GP_CACHE_DIR for the persistent tier, which -cachedir ""
+// turns off) and addresses the analysis service the same way
 // (-server/$GPD_ADDR). Factoring it here keeps the four binaries from
 // drifting — the flag set had already diverged once before this package
 // existed.
@@ -21,20 +21,17 @@ import (
 type StoreFlags struct {
 	NoCache  *bool
 	CacheDir *string
-	NoDisk   *bool
 	Parallel *int
 }
 
-// RegisterStore registers -nocache, -cachedir (defaulting to
-// $GP_CACHE_DIR), and -nodisk on fs.
+// RegisterStore registers -nocache and -cachedir (defaulting to
+// $GP_CACHE_DIR) on fs.
 func RegisterStore(fs *flag.FlagSet) *StoreFlags {
 	f := &StoreFlags{}
 	f.NoCache = fs.Bool("nocache", false,
 		"disable the artifact store (A/B benchmarking; results are identical)")
 	f.CacheDir = fs.String("cachedir", os.Getenv("GP_CACHE_DIR"),
 		"persistent artifact cache directory (default $GP_CACHE_DIR; empty disables the disk tier)")
-	f.NoDisk = fs.Bool("nodisk", false,
-		"disable the persistent cache tier even with -cachedir set (A/B benchmarking; results are identical)")
 	return f
 }
 
@@ -54,7 +51,7 @@ func (f *StoreFlags) Open() (*pipeline.Store, error) {
 		return pipeline.NewDisabledStore(), nil
 	}
 	store := pipeline.NewStore()
-	if *f.CacheDir != "" && !*f.NoDisk {
+	if *f.CacheDir != "" {
 		disk, err := pipeline.OpenDisk(*f.CacheDir, pipeline.DiskOptions{})
 		if err != nil {
 			return nil, err

@@ -9,17 +9,18 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Config tunes the pipeline.
@@ -40,9 +41,6 @@ type Config struct {
 	// GadgetFilter, if set, restricts the pool to gadgets it accepts
 	// (ablation: gadget-class studies).
 	GadgetFilter func(*gadget.Gadget) bool
-	// SkipVerify accepts solver-concretized payloads without emulating
-	// them (used only by performance benchmarks).
-	SkipVerify bool
 	// Parallelism is how many workers extraction, subsumption, and
 	// planning may use (0 = runtime.GOMAXPROCS(0), 1 = single-threaded).
 	// Stage-level settings in Extract/Subsume/Planner, when non-zero,
@@ -212,15 +210,10 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	return a
 }
 
-// Attack is the outcome of stages 3–4 for one goal. The type lives in
-// internal/pipeline — it is the plan stage's store artifact, which the
-// persistent tier serializes — and core re-exports it unchanged.
-type Attack = pipeline.Attack
-
-// FindPayloads runs planning and payload construction toward one goal.
-// Every returned payload has been validated end-to-end in the emulator
-// against the analyzed binary (unless SkipVerify).
-func (a *Analysis) FindPayloads(goal planner.Goal) *Attack {
+// FindPayloads runs planning and payload construction toward one goal
+// (stages 3–4). Every returned payload has been validated end-to-end in
+// the emulator against the analyzed binary.
+func (a *Analysis) FindPayloads(goal planner.Goal) *pipeline.Attack {
 	atk, timing := a.findPayloads(goal)
 	a.Timings = append(a.Timings, timing)
 	return atk
@@ -234,34 +227,30 @@ func (a *Analysis) FindPayloads(goal planner.Goal) *Attack {
 // are a function of the pool alone, identical however many goals run
 // concurrently. That same cloning is what makes the plan artifact safely
 // shareable: the store's pool artifact is never mutated.
-func (a *Analysis) findPayloads(goal planner.Goal) (*Attack, StageTiming) {
+func (a *Analysis) findPayloads(goal planner.Goal) (*pipeline.Attack, StageTiming) {
 	cfg := a.cfg
 	var key string
 	if a.poolKey != "" {
 		key = pipeline.PlanKey(a.poolKey, goal.Name, cfg.Planner,
-			cfg.PayloadBase, cfg.VerifySteps, cfg.SkipVerify)
+			cfg.PayloadBase, cfg.VerifySteps)
 	}
 	atk, info, err := pipeline.Do(cfg.Store, pipeline.StagePlan, key,
-		func() (*Attack, error) {
-			atk := &Attack{Goal: goal}
+		func() (*pipeline.Attack, error) {
+			atk := &pipeline.Attack{Goal: goal}
 			pool := gadget.ClonePool(a.Pool)
 			conc := payload.NewConcretizer(pool, a.Binary, cfg.PayloadBase)
 
 			opts := cfg.Planner
 			opts.Validate = func(p *planner.Plan) bool {
 				pl, err := conc.Concretize(p, goal)
+				if err == nil {
+					stop := wall.Track("verify")
+					err = payload.Verify(a.Binary, pl, cfg.VerifySteps)
+					stop()
+				}
 				if err != nil {
 					atk.ConcretizeFailures++
 					return false
-				}
-				if !cfg.SkipVerify {
-					stop := pipeline.TrackWall("verify")
-					err := payload.Verify(a.Binary, pl, cfg.VerifySteps)
-					stop()
-					if err != nil {
-						atk.ConcretizeFailures++
-						return false
-					}
 				}
 				atk.Payloads = append(atk.Payloads, pl)
 				return true
@@ -282,39 +271,16 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*Attack, StageTiming) {
 // goals are fanned out on Config.Parallelism workers; results and timing
 // rows are collected in the canonical goal order, so output is identical
 // to the serial path.
-func (a *Analysis) FindAll() map[string]*Attack {
+func (a *Analysis) FindAll() map[string]*pipeline.Attack {
 	// Goals are expressed in the pool's backend syscall ABI; for x64 pools
 	// this is exactly planner.Goals().
 	goals := planner.GoalsForISA(a.Pool.ISA)
-	attacks := make([]*Attack, len(goals))
+	attacks := make([]*pipeline.Attack, len(goals))
 	timings := make([]StageTiming, len(goals))
-	workers := a.cfg.Parallelism
-	if workers > len(goals) {
-		workers = len(goals)
-	}
-	if workers <= 1 {
-		for i, goal := range goals {
-			attacks[i], timings[i] = a.findPayloads(goal)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					attacks[i], timings[i] = a.findPayloads(goals[i])
-				}
-			}()
-		}
-		for i := range goals {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	out := make(map[string]*Attack, len(goals))
+	par.For(a.cfg.Parallelism, len(goals), func(i int) {
+		attacks[i], timings[i] = a.findPayloads(goals[i])
+	})
+	out := make(map[string]*pipeline.Attack, len(goals))
 	for i, goal := range goals {
 		a.Timings = append(a.Timings, timings[i])
 		out[goal.Name] = attacks[i]
@@ -323,7 +289,7 @@ func (a *Analysis) FindAll() map[string]*Attack {
 }
 
 // TotalPayloads sums payload counts across goals.
-func TotalPayloads(attacks map[string]*Attack) int {
+func TotalPayloads(attacks map[string]*pipeline.Attack) int {
 	n := 0
 	for _, atk := range attacks {
 		n += len(atk.Payloads)

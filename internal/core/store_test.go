@@ -12,7 +12,7 @@ import (
 )
 
 // attackSig renders a FindAll result for byte-comparison.
-func attackSig(attacks map[string]*Attack) string {
+func attackSig(attacks map[string]*pipeline.Attack) string {
 	out := ""
 	for _, goal := range planner.Goals() {
 		atk := attacks[goal.Name]
@@ -135,10 +135,10 @@ func TestStoreDiskMatrix(t *testing.T) {
 			t.Errorf("P=%d across-process run had no extraction disk hits", par)
 		}
 
-		// The -nodisk arm: memory-only store, same bytes.
+		// A memory-only store, same bytes.
 		cfg.Store = pipeline.NewStore()
 		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
-			t.Errorf("P=%d nodisk run differs from storeless run", par)
+			t.Errorf("P=%d memory-only run differs from storeless run", par)
 		}
 	}
 }
@@ -154,7 +154,7 @@ func TestTimedOutPlanNotPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	planStats := func(opts planner.Options) (pipeline.StageStats, *Attack) {
+	planStats := func(opts planner.Options) (pipeline.StageStats, *pipeline.Attack) {
 		t.Helper()
 		disk, err := pipeline.OpenDisk(dir, pipeline.DiskOptions{})
 		if err != nil {

@@ -16,13 +16,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
-	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
@@ -111,31 +110,7 @@ func (o Options) pipelineParallelism(cells int) int {
 // write results into index-addressed slots, never append to shared state.
 func runCells(workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(workers, n, func(i int) { errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -206,7 +181,7 @@ func IsNewGadget(src *sbf.Binary, g *gadget.Gadget, origText []byte) bool {
 
 // NewPayloads counts attack payloads whose chain relies on at least one
 // obfuscation-introduced gadget.
-func NewPayloads(src *sbf.Binary, attacks map[string]*core.Attack, origText []byte) int {
+func NewPayloads(src *sbf.Binary, attacks map[string]*pipeline.Attack, origText []byte) int {
 	n := 0
 	for _, atk := range attacks {
 		for _, pl := range atk.Payloads {

@@ -16,6 +16,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // ISARow is one (program, obfuscation, backend) cell.
@@ -79,7 +80,7 @@ func ISASurface(opts Options) ([]ISARow, error) {
 // RenderISASurface prints the table; each rv64c row carries its pool's ratio
 // to the matching aligned rv64 row.
 func RenderISASurface(rows []ISARow) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %-10s %-6s %10s %8s %8s %6s\n",
 		"Program", "Passes", "ISA", "Code(B)", "Gadgets", "Pool", "")

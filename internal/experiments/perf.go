@@ -10,8 +10,8 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
-	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Table7Row is one (tool, stage) performance entry (paper Table VII: the
@@ -74,7 +74,7 @@ func plannerExecve() planner.Goal { return planner.ExecveGoal() }
 
 // RenderTable7 prints Table VII.
 func RenderTable7(rows []Table7Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-15s %-20s %10s %10s\n", "Tool", "Stage", "Time(s)", "Alloc(MB)")
 	for _, r := range rows {
@@ -147,7 +147,7 @@ func planTime(timings []core.StageTiming) time.Duration {
 
 // RenderAblationSubsumption prints the ablation.
 func RenderAblationSubsumption(rows []AblationSubsumptionRow) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %8s %8s %8s %12s %12s\n",
 		"Program", "Before", "After", "Factor", "Plan(with)", "Plan(w/o)")
@@ -204,7 +204,7 @@ func AblationGadgetClasses(opts Options) ([]AblationClassesRow, error) {
 
 // RenderAblationClasses prints the class ablation.
 func RenderAblationClasses(rows []AblationClassesRow) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-16s %10s\n", "Pool", "Payloads")
 	for _, r := range rows {

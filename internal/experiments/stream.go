@@ -39,6 +39,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Stream arms: every (program, configuration) pair is analyzed under two
@@ -194,7 +195,7 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 		defer close(specs)
 		idx := 0
 		for pi := 0; pi < nProgs; pi++ {
-			stop := pipeline.TrackWall("generate")
+			stop := wall.Track("generate")
 			class := classes[mix[pi%len(mix)]]
 			p := benchprog.Generate(opts.Seed+int64(pi), class)
 			stop()
@@ -248,7 +249,7 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 	next := 0
 	collect := func(row StreamRow) {
 		if enc != nil {
-			stop := pipeline.TrackWall("jsonl")
+			stop := wall.Track("jsonl")
 			enc.Encode(row)
 			stop()
 			res.RowsWritten++
@@ -358,7 +359,7 @@ const streamMaxSteps = 80_000_000
 // plain build comes from the store (shared with the cell's five sibling
 // cells); the two emulator replays are the per-cell ground-truth check.
 func streamOutputStable(opts StreamOptions, p benchprog.Program, bin *sbf.Binary) (bool, error) {
-	defer pipeline.TrackWall("emu-replay")()
+	defer wall.Track("emu-replay")()
 	plain, _, err := pipeline.BuildCtx(opts.Ctx, opts.Store, p, nil, opts.Seed)
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream plain build %s: %w", p.Name, err)
@@ -380,7 +381,7 @@ func streamOutputStable(opts StreamOptions, p benchprog.Program, bin *sbf.Binary
 // timing fields so the rendering is byte-identical at any parallelism and
 // store configuration.
 func renderStreamAggs(aggs map[string]*streamAgg, order []string) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	// Group by class in generator mix order, then configuration order.
 	sort.SliceStable(order, func(i, j int) bool {
 		a, b := aggs[order[i]], aggs[order[j]]

@@ -15,6 +15,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Fig1Row is one program's gadget counts across build configurations
@@ -60,7 +61,7 @@ func Fig1(opts Options) ([]Fig1Row, error) {
 
 // RenderFig1 prints the figure as a table.
 func RenderFig1(rows []Fig1Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %10s %10s %10s %8s %8s\n",
 		"Program", "Original", "LLVM-Obf", "Tigress", "LLVM-x", "Tig-x")
@@ -142,7 +143,7 @@ func Table1(opts Options) ([]Table1Row, error) {
 
 // RenderTable1 prints Table I.
 func RenderTable1(rows []Table1Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %12s %12s %8s\n", "Type", "Original", "Obfuscated", "IR")
 	for _, r := range rows {
@@ -170,14 +171,14 @@ type Table4Row struct {
 // deltas for every tool plus the Gadget-Planner attacks.
 type t4Cell struct {
 	deltas  []Table4Row // one per tool, Obf/Tool set, counters are deltas
-	attacks map[string]*core.Attack
+	attacks map[string]*pipeline.Attack
 }
 
 // Table4 runs all four tools over the corpus per configuration. The
 // (program, configuration) cells are independent, so they run on
 // opts.Parallelism workers; cell results are reduced in program-major order,
 // which reproduces the sequential aggregation exactly.
-func Table4(opts Options) ([]Table4Row, map[string][]*core.Attack, error) {
+func Table4(opts Options) ([]Table4Row, map[string][]*pipeline.Attack, error) {
 	opts = opts.withDefaults()
 
 	configs := Configs()
@@ -261,7 +262,7 @@ func Table4(opts Options) ([]Table4Row, map[string][]*core.Attack, error) {
 
 	rowIdx := map[string]*Table4Row{}
 	var order []string
-	gpPlans := map[string][]*core.Attack{}
+	gpPlans := map[string][]*pipeline.Attack{}
 	for _, cell := range cells {
 		for _, d := range cell.deltas {
 			k := d.Obf + "|" + d.Tool
@@ -325,7 +326,7 @@ func toolOrder(name string) int {
 
 // RenderTable4 prints Table IV.
 func RenderTable4(rows []Table4Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %-15s %10s %6s %8s %9s %6s %8s\n",
 		"Obf", "Tool", "Pool", "Used", "execve", "mprotect", "mmap", "Total")
@@ -350,7 +351,7 @@ type Table5Row struct {
 // Table4 found. The baseline rows follow from their constructions: ROPGadget
 // and Angrop build 100%-return chains of 2-instruction gadgets; SGC adds
 // indirect jumps but never conditional or merged direct-jump gadgets.
-func Table5(gpAttacks map[string][]*core.Attack) []Table5Row {
+func Table5(gpAttacks map[string][]*pipeline.Attack) []Table5Row {
 	var plans []*planner.Plan
 	for _, list := range gpAttacks {
 		for _, atk := range list {
@@ -362,7 +363,7 @@ func Table5(gpAttacks map[string][]*core.Attack) []Table5Row {
 
 // RenderTable5 prints Table V.
 func RenderTable5(rows []Table5Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-15s %10s %10s %6s %6s %6s %6s\n",
 		"Tool", "GadgetLen", "ChainLen", "Ret", "IJ", "DJ", "CJ")
@@ -466,7 +467,7 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 
 // RenderFig5 prints the figure as a table.
 func RenderFig5(rows []Fig5Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s %10s %10s %12s\n", "Pass", "Gadgets", "Payloads", "NewPayloads")
 	for _, r := range rows {
@@ -521,7 +522,7 @@ func Table6(opts Options) ([]Table6Row, error) {
 
 // RenderTable6 prints Table VI.
 func RenderTable6(rows []Table6Row) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %-10s %9s %4s %7s %4s %4s\n",
 		"Benchmark", "Obf", "Gadgets", "RG", "Angrop", "SGC", "GP")
@@ -608,7 +609,7 @@ func PoolComposition(opts Options) ([]PoolCompositionRow, error) {
 
 // RenderPoolComposition prints the class table.
 func RenderPoolComposition(rows []PoolCompositionRow) string {
-	defer pipeline.TrackWall("render")()
+	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %8s %8s %8s %8s %8s\n",
 		"Obf", "Pool", "CondJ", "MergedDJ", "Indirect", "Deref")

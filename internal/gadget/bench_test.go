@@ -62,26 +62,17 @@ func BenchmarkExtractParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkExtractPredecode is the table A/B arm: the same single-worker
-// extraction with the shared predecode table on (the default) and off (the
-// seed's decode-per-step walk). Allocation counts make the walker's
+// BenchmarkExtractPredecode measures single-worker extraction through the
+// shared predecode table. Allocation counts make the walker's
 // buffer-freelist and hashed-dedup savings visible alongside the time.
 func BenchmarkExtractPredecode(b *testing.B) {
 	bin := benchBinary(b)
-	for _, noTable := range []bool{false, true} {
-		name := "table=on"
-		if noTable {
-			name = "table=off"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pool := gadget.Extract(bin, gadget.Options{Parallelism: 1})
+		if pool.Size() == 0 {
+			b.Fatal("empty pool")
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pool := gadget.Extract(bin, gadget.Options{Parallelism: 1, NoPredecode: noTable})
-				if pool.Size() == 0 {
-					b.Fatal("empty pool")
-				}
-			}
-		})
 	}
 }
 

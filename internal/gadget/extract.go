@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
@@ -36,20 +36,12 @@ type Options struct {
 	// is identical at every worker count: shard boundaries and the merge
 	// order depend only on the binary and Stride, never on scheduling.
 	Parallelism int
-	// NoPredecode disables the shared per-section predecode table and walks
-	// paths by re-invoking isa.Decode at every step (the seed behavior).
-	// The pool is byte-identical either way — the table is a pure decode
-	// cache — so the flag exists only as the A/B arm of the extraction
-	// benchmark and the reference side of the equivalence tests, and is
-	// excluded from Fingerprint like Parallelism.
-	NoPredecode bool
 }
 
 // Fingerprint renders the options' semantic fields canonically (defaults
 // applied) for content-addressed artifact keys: two Options values with the
-// same fingerprint produce byte-identical pools. Parallelism and
-// NoPredecode are excluded — extraction results are identical at every
-// worker count and with the predecode table on or off.
+// same fingerprint produce byte-identical pools. Parallelism is excluded —
+// extraction results are identical at every worker count.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	fp := fmt.Sprintf("insts=%d,forks=%d,merges=%d,stride=%d",
@@ -92,28 +84,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// fetcher resolves code bytes at virtual addresses and decodes them with its
-// backend. It is read-only after construction and safe for concurrent use by
-// scan workers.
-type fetcher struct {
-	secs []*sbf.Section
-	be   isa.Backend
-}
-
-func newFetcher(bin *sbf.Binary, be isa.Backend) *fetcher {
-	return &fetcher{secs: bin.ExecSections(), be: be}
-}
-
-// at returns the code slice starting at addr, or nil.
-func (f *fetcher) at(addr uint64) []byte {
-	for _, s := range f.secs {
-		if s.Contains(addr) {
-			return s.Data[addr-s.Addr:]
-		}
-	}
-	return nil
-}
-
 // chunkStrides is how many scan offsets one extraction shard covers. The
 // chunk size is fixed (not derived from the worker count) so the shard
 // partition — and with it the merge order and every interned node identity —
@@ -141,10 +111,9 @@ type shard struct {
 // (forking at conditional jumps, merging across direct jumps), runs symbolic
 // execution on each, and returns the pool of usable gadgets.
 //
-// Unless Options.NoPredecode is set, every section is first decoded once
-// into a shared read-only predecode Table and all path walks chain through
-// it, so each code byte is decoded exactly once no matter how many paths
-// cross it.
+// Every section is first decoded once into a shared read-only predecode
+// Table and all path walks chain through it, so each code byte is decoded
+// exactly once no matter how many paths cross it.
 //
 // The scan is sharded across Options.Parallelism workers. Each worker
 // symbolically executes its shard into a private expr.Builder; shards are
@@ -154,52 +123,20 @@ type shard struct {
 func Extract(bin *sbf.Binary, opts Options) *Pool {
 	opts = opts.withDefaults()
 	be := opts.backend()
-	var src instSource
-	if opts.NoPredecode {
-		src = newFetcher(bin, be)
-	} else {
-		src = PredecodeISA(bin, opts.Parallelism, be)
-	}
+	tab := PredecodeISA(bin, opts.Parallelism, be)
 
 	var jobs []shardJob
 	chunkBytes := opts.Stride * chunkStrides
 	for _, sec := range bin.ExecSections() {
 		for lo := 0; lo < len(sec.Data); lo += chunkBytes {
-			hi := lo + chunkBytes
-			if hi > len(sec.Data) {
-				hi = len(sec.Data)
-			}
-			jobs = append(jobs, shardJob{sec: sec, lo: lo, hi: hi})
+			jobs = append(jobs, shardJob{sec: sec, lo: lo, hi: min(lo+chunkBytes, len(sec.Data))})
 		}
 	}
 
 	shards := make([]*shard, len(jobs))
-	workers := opts.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, job := range jobs {
-			shards[i] = scanShard(src, job, opts)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					shards[i] = scanShard(src, jobs[i], opts)
-				}
-			}()
-		}
-		for i := range jobs {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(opts.Parallelism, len(jobs), func(i int) {
+		shards[i] = scanShard(tab, jobs[i], opts)
+	})
 
 	// Merge in shard order: statistics sum, and each shard's effect DAGs are
 	// re-interned into the pool builder. Both the shard sequence and the
@@ -237,7 +174,7 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 }
 
 // scanShard scans one job's offsets into a fresh shard.
-func scanShard(src instSource, job shardJob, opts Options) *shard {
+func scanShard(tab *Table, job shardJob, opts Options) *shard {
 	sh := &shard{
 		b:     expr.NewBuilder(),
 		stats: Stats{ByType: make(map[JmpType]int)},
@@ -247,7 +184,7 @@ func scanShard(src instSource, job shardJob, opts Options) *shard {
 		seen: make(map[uint64]struct{}),
 	}
 	sh.ex = symex.NewExecutorISA(sh.b, opts.backend())
-	w := &walker{src: src, opts: opts, sh: sh}
+	w := &walker{tab: tab, opts: opts, sh: sh}
 	root := w.getBuf()
 	for off := job.lo; off < job.hi; off += opts.Stride {
 		sh.stats.ScannedOffsets++
@@ -328,15 +265,11 @@ func (ei *effectImporter) effect(e *symex.Effect) *symex.Effect {
 // buffers recycle freely. One walker serves one shard — it is not safe for
 // concurrent use.
 type walker struct {
-	src   instSource
+	tab   *Table
 	opts  Options
 	sh    *shard
 	start uint64
 	free  [][]symex.Step
-	// scratch is the decode slot handed to instSource: the fetcher decodes
-	// into it, the table ignores it. Recursive walk calls reuse it, so any
-	// instruction needed after a recursion must be copied out first.
-	scratch isa.Inst
 }
 
 // getBuf returns an empty step buffer with capacity MaxInsts+1.
@@ -363,9 +296,8 @@ func (w *walker) found(steps []symex.Step, end symex.EndKind) {
 }
 
 // walk follows one gadget path from addr, invoking found for every complete
-// (branch-terminated) path. Instructions come from w.src — the shared
-// predecode table, or decode-per-step when Options.NoPredecode retains the
-// seed behavior.
+// (branch-terminated) path. Instructions come from the shared predecode
+// table.
 //
 // The fork/merge budget is recounted from the steps prefix on entry, not
 // threaded through the recursion, reproducing the seed walk exactly: in
@@ -385,7 +317,7 @@ func (w *walker) walk(addr uint64, steps []symex.Step) {
 	}
 
 	for len(steps) < w.opts.MaxInsts {
-		inst, ok := w.src.inst(addr, &w.scratch)
+		inst, ok := w.tab.inst(addr)
 		if !ok {
 			return
 		}
@@ -438,17 +370,14 @@ func (w *walker) walk(addr uint64, steps []symex.Step) {
 			}
 			// Fork: the taken path continues at the target (Fig. 4c), the
 			// not-taken path falls through (Fig. 4b). The taken copy lives
-			// in a freelist buffer for the duration of its subtree. The jcc
-			// itself is copied out of the scratch slot, which the recursion
-			// below reuses.
-			jcc := *inst
+			// in a freelist buffer for the duration of its subtree.
 			taken := w.getBuf()
 			taken = append(taken, steps...)
-			taken = append(taken, symex.Step{Inst: jcc, Taken: true})
-			w.walk(uint64(jcc.A.Imm), taken)
+			taken = append(taken, symex.Step{Inst: *inst, Taken: true})
+			w.walk(uint64(inst.A.Imm), taken)
 			w.putBuf(taken)
-			steps = append(steps, symex.Step{Inst: jcc, Taken: false})
-			addr = jcc.End()
+			steps = append(steps, symex.Step{Inst: *inst, Taken: false})
+			addr = inst.End()
 			forks++
 		case inst.Op == isa.OpHlt || inst.Op == isa.OpInt3:
 			return // traps end the path unusably
@@ -465,8 +394,8 @@ func (w *walker) walk(addr uint64, steps []symex.Step) {
 // splitmix-style mixer instead. The hash is a pure function of the path, so
 // shard contents stay identical at every worker count; at well under a
 // million paths per shard-local set, a 64-bit avalanche hash makes a
-// colliding pair vanishingly unlikely (and the equivalence tests pin pool
-// identity against the reference walk regardless).
+// colliding pair vanishingly unlikely (and golden pool hashes pin pool
+// identity regardless).
 func pathHash(start uint64, steps []symex.Step) uint64 {
 	h := mix64(0x9E3779B97F4A7C15, start)
 	for i := range steps {

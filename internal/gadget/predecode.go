@@ -1,28 +1,11 @@
 package gadget
 
 import (
-	"sync"
-
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
-
-// instSource resolves the instruction decoded at a virtual address, or
-// reports that no executable section covers it / the bytes there do not
-// decode. It is the walker's only view of the binary: the predecode Table
-// serves lookups from a shared read-only array, while the legacy fetcher
-// (Options.NoPredecode, the benchmark A/B arm and the equivalence tests'
-// reference) re-invokes isa.Decode on every call.
-//
-// The pointer return avoids copying the ~88-byte Inst per lookup (the walk
-// touches one per step per path, and duffcopy dominated the profile). The
-// table returns a pointer into its shared array; the fetcher decodes into
-// *scratch and returns scratch. Either way the pointee must be treated as
-// read-only and is only valid until the next call with the same scratch.
-type instSource interface {
-	inst(addr uint64, scratch *isa.Inst) (*isa.Inst, bool)
-}
 
 // Table is the per-section predecode table: one isa.Inst per byte offset of
 // every executable section, decoded in a single O(n) pass and shared
@@ -58,18 +41,13 @@ type Table struct {
 // only requirement is a chunk big enough to amortize dispatch.
 const predecodeChunk = 64 << 10
 
-// Predecode decodes every byte offset of bin's executable sections into a
-// Table using the default x64 backend, fanning the (embarrassingly parallel)
-// decode work across at most parallelism workers (<=1 means serial). The
-// build is accounted to the "decode" wall bucket.
-func Predecode(bin *sbf.Binary, parallelism int) *Table {
-	return PredecodeISA(bin, parallelism, isa.X64)
-}
-
-// PredecodeISA is Predecode against a specific backend. Offsets the backend
-// refuses to decode — including misaligned ones on fixed-stride ISAs — keep
-// Len == 0 entries, so walks chained through the table stop exactly where a
-// direct decode would.
+// PredecodeISA decodes every byte offset of bin's executable sections with
+// backend be into a Table, fanning the (embarrassingly parallel) decode
+// work across at most parallelism workers (<=1 means serial). Offsets the
+// backend refuses to decode — including misaligned ones on fixed-stride
+// ISAs — keep Len == 0 entries, so walks chained through the table stop
+// exactly where a direct decode would. The build is accounted to the
+// "decode" wall bucket.
 func PredecodeISA(bin *sbf.Binary, parallelism int, be isa.Backend) *Table {
 	defer wall.Track("decode")()
 	t := &Table{secs: bin.ExecSections()}
@@ -88,7 +66,8 @@ func PredecodeISA(bin *sbf.Binary, parallelism int, be isa.Backend) *Table {
 		}
 	}
 
-	decodeRange := func(j job) {
+	par.For(parallelism, len(jobs), func(i int) {
+		j := jobs[i]
 		sec, insts := t.secs[j.si], t.insts[j.si]
 		for off := j.lo; off < j.hi; off++ {
 			in, err := be.Decode(sec.Data[off:], sec.Addr+uint64(off))
@@ -96,33 +75,7 @@ func PredecodeISA(bin *sbf.Binary, parallelism int, be isa.Backend) *Table {
 				insts[off] = in
 			}
 		}
-	}
-
-	if parallelism > len(jobs) {
-		parallelism = len(jobs)
-	}
-	if parallelism <= 1 {
-		for _, j := range jobs {
-			decodeRange(j)
-		}
-		return t.finish()
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				decodeRange(jobs[i])
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	})
 	return t.finish()
 }
 
@@ -137,8 +90,10 @@ func (t *Table) finish() *Table {
 
 // inst returns the predecoded instruction at addr. Addresses outside every
 // executable section, and offsets whose bytes do not decode, report false —
-// exactly the cases where the legacy fetch-and-decode walk would stop.
-func (t *Table) inst(addr uint64, _ *isa.Inst) (*isa.Inst, bool) {
+// exactly the cases where a direct isa.Decode would fail. The pointer (not
+// a copy of the ~88-byte Inst: the walk looks one up per step per path)
+// points into the shared array and must be treated as read-only.
+func (t *Table) inst(addr uint64) (*isa.Inst, bool) {
 	if t.solo != nil {
 		if addr < t.soloAddr || addr >= t.soloEnd {
 			return nil, false
@@ -152,7 +107,7 @@ func (t *Table) inst(addr uint64, _ *isa.Inst) (*isa.Inst, bool) {
 	// Sections are sorted by address: binary-search (hand-rolled — a
 	// sort.Search closure costs more than the search on a hot path this
 	// tight) for the first section ending past addr, then confirm it covers
-	// addr. This replaces the fetcher's per-instruction linear scan.
+	// addr.
 	lo, hi := 0, len(t.secs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -175,26 +130,9 @@ func (t *Table) inst(addr uint64, _ *isa.Inst) (*isa.Inst, bool) {
 // InstAt exposes table lookups for tests and the fuzz target pinning table
 // entries against direct isa.Decode calls.
 func (t *Table) InstAt(addr uint64) (isa.Inst, bool) {
-	in, ok := t.inst(addr, nil)
+	in, ok := t.inst(addr)
 	if !ok {
 		return isa.Inst{}, false
 	}
 	return *in, true
-}
-
-// inst implements instSource on the legacy fetcher: resolve the section
-// slice, then decode into the caller's scratch slot. This is the reference
-// path the predecode table is pinned byte-identical against, and the
-// NoPredecode benchmark arm.
-func (f *fetcher) inst(addr uint64, scratch *isa.Inst) (*isa.Inst, bool) {
-	code := f.at(addr)
-	if code == nil {
-		return nil, false
-	}
-	in, err := f.be.Decode(code, addr)
-	if err != nil {
-		return nil, false
-	}
-	*scratch = in
-	return scratch, true
 }

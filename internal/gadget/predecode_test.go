@@ -1,6 +1,8 @@
 package gadget_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -68,13 +70,27 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))
 }
 
-// TestPredecodeExtractionEquivalence pins the predecode-table walk
-// byte-identical to the retained reference walk (Options.NoPredecode, which
-// re-invokes isa.Decode at every path step) across the full determinism
-// matrix: every corpus program, stride 1 and 2 on x64 and the backend's own
-// stride on RISC-V, and one, two, and eight workers. Canon renders
-// everything downstream consumers can observe, so equal renderings mean the
-// table is purely an optimization.
+// equivGolden pins the pool of every equivalence cell: the first 8 bytes
+// of sha256(Pool.Canon()) and the pool size. The hashes were recorded when
+// the decode-per-step reference walk still existed, after checking that it
+// produced the same hash for every cell, so they stand in for that walk.
+var equivGolden = map[string]struct {
+	sum  string
+	size int
+}{
+	"netperf-llvmobf/stride=1":   {"3445fdbfc7a053d5", 692},
+	"netperf-llvmobf/stride=2":   {"d24d0a86949638ba", 335},
+	"gen-small-tigress/stride=1": {"2f3b29a0d57b4f5c", 1127},
+	"gen-small-tigress/stride=2": {"ab2fab11281a0508", 538},
+	"crc-llvmobf-rv64/stride=0":  {"c0b09b5441a5de2d", 239},
+	"crc-llvmobf-rv64c/stride=0": {"10be526bab42d94a", 553},
+}
+
+// TestPredecodeExtractionEquivalence pins the predecode-table walk to the
+// golden pool hashes across the full determinism matrix: every corpus
+// program, stride 1 and 2 on x64 and the backend's own stride on RISC-V,
+// and one, two, and eight workers. Canon renders everything downstream
+// consumers can observe, so the workers must agree byte for byte.
 func TestPredecodeExtractionEquivalence(t *testing.T) {
 	for _, eb := range equivBinaries(t) {
 		strides := []int{1, 2}
@@ -82,25 +98,60 @@ func TestPredecodeExtractionEquivalence(t *testing.T) {
 			strides = []int{0}
 		}
 		for _, stride := range strides {
-			ref := gadget.Extract(eb.bin, gadget.Options{
-				ISA: eb.isa, Stride: stride, Parallelism: 1, NoPredecode: true,
-			}).Canon()
+			cell := fmt.Sprintf("%s/stride=%d", eb.name, stride)
+			var ref string
 			for _, par := range []int{1, 2, 8} {
-				got := gadget.Extract(eb.bin, gadget.Options{
+				pool := gadget.Extract(eb.bin, gadget.Options{
 					ISA: eb.isa, Stride: stride, Parallelism: par,
-				}).Canon()
-				if got != ref {
-					t.Errorf("%s stride=%d parallelism=%d: predecode pool differs from reference walk at %s",
-						eb.name, stride, par, firstDiff(ref, got))
+				})
+				got := pool.Canon()
+				if par == 1 {
+					ref = got
+					sum := sha256.Sum256([]byte(got))
+					want := equivGolden[cell]
+					if h := hex.EncodeToString(sum[:8]); h != want.sum || pool.Size() != want.size {
+						t.Errorf("%s: pool hash %s size %d, want %s size %d",
+							cell, h, pool.Size(), want.sum, want.size)
+					}
+				} else if got != ref {
+					t.Errorf("%s parallelism=%d: pool differs from parallelism=1 at %s",
+						cell, par, firstDiff(ref, got))
 				}
 			}
-			// The reference arm must itself be parallel-stable.
-			if got := gadget.Extract(eb.bin, gadget.Options{
-				ISA: eb.isa, Stride: stride, Parallelism: 8, NoPredecode: true,
-			}).Canon(); got != ref {
-				t.Errorf("%s stride=%d: reference walk differs across parallelism at %s",
-					eb.name, stride, firstDiff(ref, got))
+		}
+	}
+}
+
+// TestPredecodeTableMatchesDecode checks every executable byte offset of
+// the equivalence corpus: the table entry must be exactly what the
+// backend's own Decode returns there, and undecodable offsets must be
+// absent. It covers x64, rv64 and rv64c; FuzzPredecode explores x64 bytes.
+func TestPredecodeTableMatchesDecode(t *testing.T) {
+	for _, eb := range equivBinaries(t) {
+		be, ok := isa.ByName(eb.isa)
+		if !ok {
+			t.Fatalf("%s: unknown isa %q", eb.name, eb.isa)
+		}
+		tab := gadget.PredecodeISA(eb.bin, 2, be)
+		checked := 0
+		for _, sec := range eb.bin.ExecSections() {
+			for off := range sec.Data {
+				addr := sec.Addr + uint64(off)
+				got, ok := tab.InstAt(addr)
+				want, err := be.Decode(sec.Data[off:], addr)
+				switch {
+				case err != nil && ok:
+					t.Fatalf("%s %#x: table has %v, decode errors: %v", eb.name, addr, got, err)
+				case err == nil && !ok:
+					t.Fatalf("%s %#x: table invalid, decode gives %v", eb.name, addr, want)
+				case err == nil && got != want:
+					t.Fatalf("%s %#x: table %+v != decode %+v", eb.name, addr, got, want)
+				}
+				checked++
 			}
+		}
+		if checked == 0 {
+			t.Fatalf("%s: no executable bytes", eb.name)
 		}
 	}
 }
@@ -194,7 +245,7 @@ func FuzzPredecode(f *testing.F) {
 		bin.AddSection(sbf.Section{
 			Name: ".text", Addr: base, Flags: sbf.FlagRead | sbf.FlagExec, Data: data,
 		})
-		tab := gadget.Predecode(bin, 2)
+		tab := gadget.PredecodeISA(bin, 2, isa.X64)
 		for off := range data {
 			addr := base + uint64(off)
 			got, ok := tab.InstAt(addr)

@@ -24,8 +24,8 @@ type Minimized struct {
 // one goal (core stages 3–4), and the plan stage's store artifact.
 type Attack struct {
 	Goal planner.Goal
-	// Payloads are emulator-verified (or, with SkipVerify, solver-accepted)
-	// attack payloads, one per distinct plan.
+	// Payloads are emulator-verified attack payloads, one per distinct
+	// plan.
 	Payloads []*payload.Payload
 	// Plans are the corresponding abstract plans.
 	Plans []*planner.Plan

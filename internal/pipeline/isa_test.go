@@ -56,7 +56,7 @@ func TestX64KeysUnchanged(t *testing.T) {
 		t.Errorf("SkipSubsumeKey = %q", k)
 	}
 	const goldenPlan = "pool|p:execve|plans=8,nodes=30000,steps=10,cands=8,timeout=30s,batch=16,cache=true|base=0x7fff8000,steps=100000,verify=true"
-	if k := PlanKey("pool", "execve", planner.Options{}, 0x7fff8000, 100000, false); k != goldenPlan {
+	if k := PlanKey("pool", "execve", planner.Options{}, 0x7fff8000, 100000); k != goldenPlan {
 		t.Errorf("PlanKey = %q, want %q", k, goldenPlan)
 	}
 }

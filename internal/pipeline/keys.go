@@ -14,6 +14,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Artifact keys are canonical fingerprints of everything that determines a
@@ -62,7 +63,7 @@ func (s *Store) BinaryKey(bin *sbf.Binary) string {
 	if k, ok := s.binKeys.Load(bin); ok {
 		return k.(string)
 	}
-	defer TrackWall("keyhash")()
+	defer wall.Track("keyhash")()
 	sum := sha256.Sum256(bin.Marshal())
 	k := "bin:" + hex.EncodeToString(sum[:16])
 	s.binKeys.Store(bin, k)
@@ -113,9 +114,11 @@ func SkipSubsumeKey(extractKey string) string {
 // goal: the pool artifact it searches, the goal (by canonical name — core's
 // goals come from planner.Goals()), the search options, and the payload
 // parameters the validator closure is built from.
-func PlanKey(poolKey, goalName string, o planner.Options, payloadBase, verifySteps uint64, skipVerify bool) string {
-	return fmt.Sprintf("%s|p:%s|%s|base=%#x,steps=%d,verify=%t",
-		poolKey, goalName, o.Fingerprint(), payloadBase, verifySteps, !skipVerify)
+func PlanKey(poolKey, goalName string, o planner.Options, payloadBase, verifySteps uint64) string {
+	// verify=true is a constant: every payload is emulator-verified, and
+	// the literal keeps every stored plan key valid.
+	return fmt.Sprintf("%s|p:%s|%s|base=%#x,steps=%d,verify=true",
+		poolKey, goalName, o.Fingerprint(), payloadBase, verifySteps)
 }
 
 // Build compiles (source, passes, seed) through the store.

@@ -11,6 +11,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
 )
@@ -181,6 +182,35 @@ func TestDoPanicNotCached(t *testing.T) {
 		if n := s.MemEntries(); n != 1 {
 			t.Fatalf("limit %d: %d memory entries, want 1", limit, n)
 		}
+	}
+}
+
+// TestDoWorkerPanicNotCached: a compute that fans out with par.For, where
+// one item panics on a worker goroutine, fails its Do with the panic
+// instead of killing the process, and the next Do on the key recomputes.
+func TestDoWorkerPanicNotCached(t *testing.T) {
+	s := NewStore()
+	fanOut := func(bad int) func() (*int, error) {
+		return func() (*int, error) {
+			sum := make([]int, 64)
+			par.For(8, len(sum), func(i int) {
+				if i == bad {
+					panic("worker exploded")
+				}
+				sum[i] = i
+			})
+			v := len(sum)
+			return &v, nil
+		}
+	}
+	_, _, err := Do(s, StageExtract, "k", fanOut(41))
+	var perr *panicError
+	if !errors.As(err, &perr) || !strings.Contains(err.Error(), "worker exploded") {
+		t.Fatalf("Do returned %v, want the worker's panic", err)
+	}
+	v, info, err := Do(s, StageExtract, "k", fanOut(-1))
+	if err != nil || v == nil || *v != 64 || info.Hit {
+		t.Fatalf("Do after the panic: %v, %+v, %v; want a fresh computation", v, info, err)
 	}
 }
 

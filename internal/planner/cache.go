@@ -29,11 +29,10 @@ import (
 // number of distinct keys ever looked up, and hits = lookups − misses,
 // however racing workers interleave.
 type providerCache struct {
-	b        *expr.Builder
-	disabled bool
-	prov     []atomic.Pointer[provMap]
-	steps    []atomic.Pointer[stepReqEntry]
-	misses   atomic.Int64
+	b      *expr.Builder
+	prov   []atomic.Pointer[provMap]
+	steps  []atomic.Pointer[stepReqEntry]
+	misses atomic.Int64
 }
 
 // provMap holds one gadget's provides() results, keyed by
@@ -56,7 +55,7 @@ type tally struct {
 	lookups int64
 }
 
-func newProviderCache(pool *gadget.Pool, disabled bool) *providerCache {
+func newProviderCache(pool *gadget.Pool) *providerCache {
 	b := pool.Builder
 	// Pre-intern every register variable so provides() never mutates the
 	// builder from an expansion worker, whatever the pool contains.
@@ -64,18 +63,17 @@ func newProviderCache(pool *gadget.Pool, disabled bool) *providerCache {
 	for r := 0; r < be.NumRegs(); r++ {
 		b.Var(symex.RegVarNameOn(be, isa.Reg(r)), 64)
 	}
-	c := &providerCache{b: b, disabled: disabled}
-	if !disabled {
-		maxID := 0
-		for _, g := range pool.Gadgets {
-			if g.ID > maxID {
-				maxID = g.ID
-			}
+	maxID := 0
+	for _, g := range pool.Gadgets {
+		if g.ID > maxID {
+			maxID = g.ID
 		}
-		c.prov = make([]atomic.Pointer[provMap], maxID+1)
-		c.steps = make([]atomic.Pointer[stepReqEntry], maxID+1)
 	}
-	return c
+	return &providerCache{
+		b:     b,
+		prov:  make([]atomic.Pointer[provMap], maxID+1),
+		steps: make([]atomic.Pointer[stepReqEntry], maxID+1),
+	}
 }
 
 // providesFor is the memoized provides(). specID must be the interned form
@@ -83,9 +81,6 @@ func newProviderCache(pool *gadget.Pool, disabled bool) *providerCache {
 // are shared read-only: callers copy entryReqs/demands values before
 // mutating them.
 func (c *providerCache) providesFor(g *gadget.Gadget, reg isa.Reg, spec ValueSpec, specID uint32, t *tally) (provideResult, bool) {
-	if c.disabled {
-		return provides(c.b, g, reg, spec)
-	}
 	t.lookups++
 	k := uint64(reg)<<32 | uint64(specID)
 	slot := &c.prov[g.ID]
@@ -119,9 +114,6 @@ func (c *providerCache) providesFor(g *gadget.Gadget, reg isa.Reg, spec ValueSpe
 
 // stepReqsFor is the memoized stepEntryReqs().
 func (c *providerCache) stepReqsFor(g *gadget.Gadget, t *tally) ([]regReq, bool) {
-	if c.disabled {
-		return stepEntryReqs(c.b, g)
-	}
 	t.lookups++
 	slot := &c.steps[g.ID]
 	if e := slot.Load(); e != nil {

@@ -3,9 +3,16 @@ package planner
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
+	"github.com/nofreelunch/gadget-planner/internal/subsume"
+	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
 
 // diversePool assembles a pool with several producer shapes per register so
@@ -31,7 +38,7 @@ const diverseGadgets = classicGadgets + `
 // same result structure, same verdict.
 func TestProvidesCacheAgreement(t *testing.T) {
 	pool := poolFrom(t, diverseGadgets)
-	cache := newProviderCache(pool, false)
+	cache := newProviderCache(pool)
 	keys := newKeyInterner(pool)
 	rng := rand.New(rand.NewSource(7))
 
@@ -74,22 +81,70 @@ func TestProvidesCacheAgreement(t *testing.T) {
 	}
 }
 
-// TestDisabledCacheAgreement pins the A/B contract of Options.DisableCache:
-// the disabled cache routes straight to the underlying derivations.
-func TestDisabledCacheAgreement(t *testing.T) {
-	pool := poolFrom(t, diverseGadgets)
-	cache := newProviderCache(pool, true)
-	var tl tally
-	for _, g := range pool.Gadgets {
-		spec := ConstSpec(59)
-		wantPR, wantOK := provides(pool.Builder, g, isa.RAX, spec)
-		gotPR, gotOK := cache.providesFor(g, isa.RAX, spec, 0, &tl)
-		if wantOK != gotOK || !reflect.DeepEqual(wantPR, gotPR) {
-			t.Fatalf("gadget %v: disabled cache diverged", g)
+// TestCandidateIndexProperty is the property check behind the candidate
+// index: for random diversity counts, candidatesFor must return exactly a
+// stable full sort of the register's chain-continuing producers (pool
+// order) by (uses, planning cost), recomputed from scratch here. The
+// comparator is the full sort the index's cached re-rank replaced, kept
+// as the test's oracle.
+func TestCandidateIndexProperty(t *testing.T) {
+	bin, err := benchprog.Build(benchprog.Netperf(), obfuscate.LLVMObf(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, _ := subsume.Minimize(gadget.Extract(bin, gadget.Options{Parallelism: 1}), subsume.Options{Parallelism: 1})
+	less := func(a, b *gadget.Gadget, uses map[int]int) bool {
+		if uses[a.ID] != uses[b.ID] {
+			return uses[a.ID] < uses[b.ID]
+		}
+		if len(a.Effect.Conds) != len(b.Effect.Conds) {
+			return len(a.Effect.Conds) < len(b.Effect.Conds)
+		}
+		if len(a.ClobRegs) != len(b.ClobRegs) {
+			return len(a.ClobRegs) < len(b.ClobRegs)
+		}
+		if a.NumInsts() != b.NumInsts() {
+			return a.NumInsts() < b.NumInsts()
+		}
+		return a.Location < b.Location
+	}
+	want := func(reg isa.Reg, uses map[int]int) []*gadget.Gadget {
+		var c []*gadget.Gadget
+		for _, g := range pool.ByReg[reg] {
+			if g.Effect.End != symex.EndSyscall && g.Effect.StackDelta >= 0 {
+				c = append(c, g)
+			}
+		}
+		sort.SliceStable(c, func(i, j int) bool { return less(c[i], c[j], uses) })
+		return c
+	}
+	check := func(trial int, idx *candidateIndex, uses map[int]int) {
+		for reg := range pool.ByReg {
+			w := want(reg, uses)
+			// The second call is served from the per-register re-rank cache.
+			for call := 0; call < 2; call++ {
+				if got := idx.candidatesFor(reg, uses); !slices.Equal(got, w) {
+					t.Fatalf("trial %d reg %s call %d: candidatesFor differs from the full sort", trial, reg, call)
+				}
+			}
 		}
 	}
-	if tl.lookups != 0 || cache.misses.Load() != 0 {
-		t.Errorf("disabled cache counted traffic: lookups=%d misses=%d", tl.lookups, cache.misses.Load())
+
+	idx := newCandidateIndex(pool)
+	uses := map[int]int{}
+	check(-1, idx, uses) // before any plan is accepted: the static order
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		// Grow the counts the way accepted plans do, with an occasional
+		// fresh map so rarely and heavily used gadgets both appear.
+		if rng.Intn(5) == 0 {
+			uses = map[int]int{}
+		}
+		for n := rng.Intn(20); n >= 0; n-- {
+			uses[pool.Gadgets[rng.Intn(len(pool.Gadgets))].ID] += 1 + rng.Intn(3)
+		}
+		idx.bumpUses()
+		check(trial, idx, uses)
 	}
 }
 
@@ -101,15 +156,8 @@ func BenchmarkSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"cached", false}, {"seedpath", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := Options{MaxPlans: 1 << 20, Candidates: 32, Parallelism: 1, DisableCache: cfg.disable}
-				Search(r, ExecveGoal(), opts)
-			}
-		})
+	opts := Options{MaxPlans: 1 << 20, Candidates: 32, Parallelism: 1}
+	for i := 0; i < b.N; i++ {
+		Search(r, ExecveGoal(), opts)
 	}
 }

@@ -22,17 +22,12 @@ type candidateIndex struct {
 	// anyUses stays false until the first plan is accepted; until then the
 	// static order IS the diversity order and no re-rank is done at all.
 	anyUses bool
-	// disabled (Options.DisableCache) re-ranks from scratch on every call,
-	// reproducing the seed's per-expansion sorting cost for A/B benchmarks.
-	// The resulting order — and hence the search — is identical either way.
-	disabled bool
 }
 
-func newCandidateIndex(pool *gadget.Pool, disabled bool) *candidateIndex {
+func newCandidateIndex(pool *gadget.Pool) *candidateIndex {
 	idx := &candidateIndex{
 		base:     make(map[isa.Reg][]*gadget.Gadget, len(pool.ByReg)),
 		reranked: make(map[isa.Reg][]*gadget.Gadget),
-		disabled: disabled,
 	}
 	for r, gs := range pool.ByReg {
 		cands := make([]*gadget.Gadget, 0, len(gs))
@@ -75,22 +70,10 @@ func (idx *candidateIndex) bumpUses() {
 
 // candidatesFor returns the ranked producer candidates for reg under the
 // current uses counts: least-used first (diversity pressure), static
-// planning-cost order within each usage class.
+// planning-cost order within each usage class: the order a stable full
+// sort by (uses, staticCandLess) would give, because the base is already
+// in static order and the re-rank is stable.
 func (idx *candidateIndex) candidatesFor(reg isa.Reg, uses map[int]int) []*gadget.Gadget {
-	if idx.disabled {
-		// Seed cost model: a full sort per call. Stable-sorting the
-		// statically-ordered base with the full comparator yields exactly
-		// the order the cached path produces.
-		base := idx.base[reg]
-		c := append(make([]*gadget.Gadget, 0, len(base)), base...)
-		sort.SliceStable(c, func(i, j int) bool {
-			if uses[c[i].ID] != uses[c[j].ID] {
-				return uses[c[i].ID] < uses[c[j].ID] // diversity first
-			}
-			return staticCandLess(c[i], c[j])
-		})
-		return c
-	}
 	if !idx.anyUses {
 		return idx.base[reg]
 	}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
 
@@ -48,11 +48,6 @@ type Options struct {
 	// (default defaultBatchSize). Changing it changes the search order;
 	// changing Parallelism never does.
 	BatchSize int
-	// DisableCache turns off the per-search memoization layers — the
-	// provider cache and the candidate-ranking cache — restoring the
-	// seed's per-expansion derivation costs (A/B benchmarking). Plans are
-	// identical either way; only the speed differs.
-	DisableCache bool
 }
 
 // Fingerprint renders the options' semantic fields canonically (defaults
@@ -61,12 +56,13 @@ type Options struct {
 // Trace closures: callers caching search results must key whatever state
 // those closures observe themselves (core's plan stage keys the payload
 // parameters its validator is built from). BatchSize shapes the search
-// order and DisableCache changes the reported counters, so both are
-// included.
+// order, so it is included.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
-	return fmt.Sprintf("plans=%d,nodes=%d,steps=%d,cands=%d,timeout=%s,batch=%d,cache=%t",
-		o.MaxPlans, o.MaxNodes, o.MaxSteps, o.Candidates, o.Timeout, o.BatchSize, !o.DisableCache)
+	// cache=true is a literal: the memoization layers are always on, and
+	// the literal keeps every stored plan key valid.
+	return fmt.Sprintf("plans=%d,nodes=%d,steps=%d,cands=%d,timeout=%s,batch=%d,cache=true",
+		o.MaxPlans, o.MaxNodes, o.MaxSteps, o.Candidates, o.Timeout, o.BatchSize)
 }
 
 func (o Options) withDefaults() Options {
@@ -109,8 +105,7 @@ type Result struct {
 	TruncatedSeeds int
 	// Batches counts deterministic frontier batches processed.
 	Batches int
-	// CacheHits/CacheMisses report provider-cache effectiveness (both zero
-	// when DisableCache is set).
+	// CacheHits/CacheMisses report provider-cache effectiveness.
 	CacheHits, CacheMisses int64
 }
 
@@ -180,8 +175,8 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	sc := &searchCtx{
 		pool:  pool,
 		opts:  opts,
-		cache: newProviderCache(pool, opts.DisableCache),
-		idx:   newCandidateIndex(pool, opts.DisableCache),
+		cache: newProviderCache(pool),
+		idx:   newCandidateIndex(pool),
 		keys:  newKeyInterner(pool),
 	}
 
@@ -283,7 +278,7 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		// Phase 2 (parallel): expand into index-addressed slots.
 		succs = append(succs[:0], make([][]*Plan, len(jobs))...)
 		tallies = append(tallies[:0], make([]tally, len(jobs))...)
-		runJobs(opts.Parallelism, len(jobs), func(i int) {
+		par.For(opts.Parallelism, len(jobs), func(i int) {
 			succs[i] = expand(sc, jobs[i].p, jobs[i].cands, jobs[i].specID, &tallies[i])
 		})
 
@@ -301,41 +296,9 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 			}
 		}
 	}
-	if !opts.DisableCache {
-		res.CacheMisses = sc.cache.misses.Load()
-		res.CacheHits = total.lookups - res.CacheMisses
-	}
+	res.CacheMisses = sc.cache.misses.Load()
+	res.CacheHits = total.lookups - res.CacheMisses
 	return res
-}
-
-// runJobs executes fn(0..n-1) on up to `workers` goroutines. With one
-// worker (or one job) it degenerates to a plain loop.
-func runJobs(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // seeds builds one initial plan per usable syscall gadget (the backward

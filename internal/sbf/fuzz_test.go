@@ -1,0 +1,47 @@
+package sbf_test
+
+import (
+	"strings"
+	"testing"
+
+	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
+)
+
+// FuzzUnmarshalSBF feeds untrusted image bytes (what a gpd client or a -bin
+// file supplies) to Unmarshal: it must never panic, and any image it
+// accepts must re-marshal to bytes it accepts again with the same entry
+// point, ISA tag, code size and section count.
+func FuzzUnmarshalSBF(f *testing.F) {
+	crc, ok := benchprog.ByName("crc")
+	if !ok {
+		f.Fatal("crc benchmark missing")
+	}
+	for _, isaName := range []string{"x64", "rv64c"} {
+		bin, err := benchprog.BuildISA(crc, nil, 42, isaName)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bin.Marshal())
+	}
+	f.Add([]byte("SBF2\x05\x00\x00")) // header truncated inside the ISA tag
+	// An explicit x64 tag, which Marshal never writes (x64 images are
+	// version 1): it must read back as the untagged default.
+	f.Add([]byte("SBF2\x03\x00\x00\x00x64" + strings.Repeat("\x00", 16)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bin, err := sbf.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		again, err := sbf.Unmarshal(bin.Marshal())
+		if err != nil {
+			t.Fatalf("re-marshaled image rejected: %v", err)
+		}
+		if again.Entry != bin.Entry || again.ISA != bin.ISA ||
+			again.CodeSize() != bin.CodeSize() || len(again.Sections) != len(bin.Sections) {
+			t.Fatalf("round trip changed the image: entry %#x->%#x isa %q->%q code %d->%d sections %d->%d",
+				bin.Entry, again.Entry, bin.ISA, again.ISA, bin.CodeSize(), again.CodeSize(),
+				len(bin.Sections), len(again.Sections))
+		}
+	})
+}

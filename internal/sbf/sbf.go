@@ -177,6 +177,11 @@ func Unmarshal(data []byte) (*Binary, error) {
 		if b.ISA, err = r.str(); err != nil {
 			return nil, err
 		}
+		// Marshal writes x64 images untagged (version 1), so an explicit
+		// x64 tag reads back as the untagged default and round-trips.
+		if b.ISA == "x64" {
+			b.ISA = ""
+		}
 	}
 	if b.Entry, err = r.u64(); err != nil {
 		return nil, err

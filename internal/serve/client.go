@@ -12,7 +12,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/nofreelunch/gadget-planner/internal/pipeline"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Client is the thin client side of the analysis service: it submits
@@ -85,7 +85,7 @@ func (c *Client) Run(ctx context.Context, req Request, progress Progress) (*Resu
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	var wall []pipeline.WallBucketStat
+	var buckets []wall.BucketStat
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -111,7 +111,7 @@ func (c *Client) Run(ctx context.Context, req Request, progress Progress) (*Resu
 			if err := json.Unmarshal(line, &wl); err != nil {
 				return nil, err
 			}
-			wall = wl.Buckets
+			buckets = wl.Buckets
 		case "result", "error":
 			var fin finalLine
 			if err := json.Unmarshal(line, &fin); err != nil {
@@ -121,7 +121,7 @@ func (c *Client) Run(ctx context.Context, req Request, progress Progress) (*Resu
 				return nil, fmt.Errorf("serve: server error: %s", fin.Error)
 			}
 			if fin.Result != nil {
-				fin.Result.Wall = wall
+				fin.Result.Wall = buckets
 			}
 			return fin.Result, nil
 		default:

@@ -45,6 +45,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Request is one unit of service work: a source (MiniC program or prebuilt
@@ -86,9 +87,6 @@ type Request struct {
 	MaxPlans  int   `json:"max_plans,omitempty"`
 	MaxNodes  int   `json:"max_nodes,omitempty"`
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// SkipVerify accepts solver-concretized payloads without emulation
-	// (benchmark arms only).
-	SkipVerify bool `json:"skip_verify,omitempty"`
 }
 
 // The request operations.
@@ -161,6 +159,11 @@ func (r Request) resolve() (*resolved, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: bad binary: %w", err)
 		}
+		// An unknown tag would silently fall back to x64 under a key that
+		// names the tag.
+		if _, ok := isa.ByName(peek.ISA); !ok {
+			return nil, fmt.Errorf("serve: binary has unknown isa tag %q", peek.ISA)
+		}
 		rr.isa = isa.CanonicalISA(peek.ISA)
 		sum := sha256.Sum256(r.Binary)
 		rr.binary = r.Binary
@@ -217,9 +220,11 @@ func (r Request) resolve() (*resolved, error) {
 			for i, g := range goals {
 				names[i] = g.Name
 			}
-			rr.key = fmt.Sprintf("%s|goals:%s|p:%s|base=%#x,steps=%d,verify=%t",
+			// verify=true is a constant: every payload is emulator-verified,
+			// and the literal keeps every stored request key valid.
+			rr.key = fmt.Sprintf("%s|goals:%s|p:%s|base=%#x,steps=%d,verify=true",
 				poolKey, strings.Join(names, ","), rr.popts.Fingerprint(),
-				uint64(payloadBase), verifySteps, !r.SkipVerify)
+				uint64(payloadBase), verifySteps)
 		}
 	}
 	return rr, nil
@@ -309,7 +314,7 @@ type Result struct {
 	// Wall is the serving process's wall-bucket snapshot at response time
 	// (telemetry; excluded from Canon). The server streams it as its own
 	// JSONL event and the client attaches it here; local Run leaves it nil.
-	Wall []pipeline.WallBucketStat `json:"wall,omitempty"`
+	Wall []wall.BucketStat `json:"wall,omitempty"`
 }
 
 // Canon renders the result's deterministic content: the canonical bytes a

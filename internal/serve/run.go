@@ -96,7 +96,6 @@ func Run(ctx context.Context, store *pipeline.Store, parallelism int, req Reques
 			Planner:     rr.popts,
 			Parallelism: parallelism,
 			Store:       store,
-			SkipVerify:  rr.req.SkipVerify,
 		})
 		for _, t := range a.Timings {
 			emit(timingEvent(t))

@@ -58,7 +58,6 @@ func TestRequestKeyCanonical(t *testing.T) {
 		{Program: "crc", Goal: "mprotect"},
 		{Program: "crc", SelfMod: 3},
 		{Program: "crc", MaxNodes: 123},
-		{Program: "crc", SkipVerify: true},
 	} {
 		k, err := r.Key()
 		if err != nil {
@@ -69,6 +68,14 @@ func TestRequestKeyCanonical(t *testing.T) {
 		}
 	}
 
+	// A binary tagged with an ISA no backend implements must not be
+	// analyzed as x64 under a key naming the tag.
+	crc, err := benchprog.Build(p, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc.ISA = "mips"
+
 	// Malformed requests are rejected at keying time.
 	for _, r := range []Request{
 		{},
@@ -77,6 +84,7 @@ func TestRequestKeyCanonical(t *testing.T) {
 		{Program: "crc", Op: "frobnicate"},
 		{Program: "crc", Goal: "no-such-goal"},
 		{Binary: []byte{1, 2, 3}, Obf: "llvm"},
+		{Binary: crc.Marshal()},
 	} {
 		if _, err := r.Key(); err == nil {
 			t.Errorf("bad request %+v keyed without error", r)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
+	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // maxRequestBody bounds a /run request body (inline sources are small;
@@ -110,8 +111,8 @@ type finalLine struct {
 // once per response just before the final line (timing telemetry — never
 // part of the canonical result).
 type wallLine struct {
-	Event   string                    `json:"event"`
-	Buckets []pipeline.WallBucketStat `json:"buckets"`
+	Event   string            `json:"event"`
+	Buckets []wall.BucketStat `json:"buckets"`
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -168,7 +169,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		for _, ev := range c.events {
 			enc.Encode(stageLine{Event: "stage", StageEvent: ev})
 		}
-		enc.Encode(wallLine{Event: "wall", Buckets: pipeline.WallStats()})
+		enc.Encode(wallLine{Event: "wall", Buckets: wall.Stats()})
 		s.writeFinal(enc, c.result, c.err)
 		flush()
 		return
@@ -184,7 +185,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		flush()
 	}
 	res, err := s.runCall(key, c, req, progress)
-	enc.Encode(wallLine{Event: "wall", Buckets: pipeline.WallStats()})
+	enc.Encode(wallLine{Event: "wall", Buckets: wall.Stats()})
 	s.writeFinal(enc, res, err)
 	flush()
 }
@@ -245,8 +246,8 @@ type Stats struct {
 	MemEvictions     int64               `json:"mem_evictions"`
 	Disk             *pipeline.DiskStats `json:"disk,omitempty"`
 	// Wall is where the process's non-stage wall time went.
-	Wall      []pipeline.WallBucketStat `json:"wall,omitempty"`
-	StoreLine string                    `json:"store_line"`
+	Wall      []wall.BucketStat `json:"wall,omitempty"`
+	StoreLine string            `json:"store_line"`
 }
 
 // Snapshot collects the current Stats.
@@ -280,7 +281,7 @@ func (s *Server) Snapshot() Stats {
 		ds := s.store.DiskStats()
 		st.Disk = &ds
 	}
-	st.Wall = pipeline.WallStats()
+	st.Wall = wall.Stats()
 	return st
 }
 

@@ -30,11 +30,11 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/solver"
 )
 
@@ -145,33 +145,10 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 
 	kept := make([][]*gadget.Gadget, len(buckets))
 	bstats := make([]bucketStats, len(buckets))
-	workers := opts.Parallelism
-	if workers > len(buckets) {
-		workers = len(buckets)
-	}
 	s := solver.New(solver.Options{MaxConflicts: opts.MaxConflicts})
-	if workers <= 1 {
-		for i, bucket := range buckets {
-			kept[i] = minimizeBucket(s, bucket, &bstats[i])
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					kept[i] = minimizeBucket(s, buckets[i], &bstats[i])
-				}
-			}()
-		}
-		for i := range buckets {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	par.For(opts.Parallelism, len(buckets), func(i int) {
+		kept[i] = minimizeBucket(s, buckets[i], &bstats[i])
+	})
 
 	for _, bs := range bstats {
 		stats.RemovedIdent += bs.removedIdent

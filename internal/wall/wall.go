@@ -6,9 +6,9 @@
 // one stats line next to the store counters.
 //
 // The registry lives in its own leaf package because both sides of the
-// pipeline depend on it: internal/pipeline (which re-exports the API for
-// its callers) records key hashing, while internal/gadget — which pipeline
-// itself imports — records predecode time. A process-global singleton keeps
+// pipeline record into it: internal/pipeline records key hashing, while
+// internal/gadget — which pipeline itself imports — records predecode
+// time. A process-global singleton keeps
 // the consumer a single per-process stats line, exactly like the stage
 // counters a Store accumulates per run.
 package wall

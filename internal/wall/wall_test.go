@@ -1,4 +1,4 @@
-package pipeline
+package wall
 
 import (
 	"strings"
@@ -9,17 +9,17 @@ import (
 // TestWallBuckets pins the uncached-time accounting: stops accumulate into
 // named buckets, stats render sorted by time, and Reset clears them.
 func TestWallBuckets(t *testing.T) {
-	ResetWall()
-	defer ResetWall()
+	Reset()
+	defer Reset()
 
-	stop := TrackWall("alpha")
+	stop := Track("alpha")
 	time.Sleep(2 * time.Millisecond)
 	stop()
 	for i := 0; i < 3; i++ {
-		TrackWall("beta")()
+		Track("beta")()
 	}
 
-	stats := WallStats()
+	stats := Stats()
 	if len(stats) != 2 {
 		t.Fatalf("buckets = %d, want 2", len(stats))
 	}
@@ -30,19 +30,19 @@ func TestWallBuckets(t *testing.T) {
 		t.Errorf("beta bucket = %+v", stats[1])
 	}
 
-	line := WallLine()
+	line := Line()
 	if !strings.Contains(line, "alpha=") || !strings.Contains(line, "beta=") {
-		t.Errorf("WallLine missing buckets: %q", line)
+		t.Errorf("Line missing buckets: %q", line)
 	}
 	if ai, bi := strings.Index(line, "alpha="), strings.Index(line, "beta="); ai > bi {
 		t.Errorf("buckets not sorted by time: %q", line)
 	}
 
-	ResetWall()
-	if got := WallStats(); len(got) != 0 {
+	Reset()
+	if got := Stats(); len(got) != 0 {
 		t.Errorf("buckets after reset = %d, want 0", len(got))
 	}
-	if line := WallLine(); !strings.Contains(line, "no tracked regions") {
-		t.Errorf("empty WallLine = %q", line)
+	if line := Line(); !strings.Contains(line, "no tracked regions") {
+		t.Errorf("empty Line = %q", line)
 	}
 }
