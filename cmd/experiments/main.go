@@ -16,8 +16,7 @@
 //
 // All experiments of one invocation share a content-addressed artifact
 // store, so a build, gadget scan, extraction, or minimized pool computed by
-// one experiment is reused by every later one; -nocache disables the store
-// for A/B comparison (results are identical). With -cachedir (or
+// one experiment is reused by every later one. With -cachedir (or
 // GP_CACHE_DIR) the store is additionally backed by a persistent disk tier,
 // so artifacts survive across invocations; -cachedir "" turns the disk tier
 // off even with GP_CACHE_DIR set (results are identical).

@@ -7,49 +7,49 @@
 //	gp -bin prog.sbf [-goal execve|mprotect|mmap|all] [-max 8] [-dump] [-v]
 //	gp -server unix:/tmp/gpd.sock -bin prog.sbf   # served by a shared gpd
 //
-// With -server (or GPD_ADDR) the binary is submitted to a running gpd
-// analysis service instead of being analyzed in-process: stage progress
-// streams back as it happens, and the result is byte-identical to the
-// local run — the daemon just keeps the artifact store warm across
-// clients.
+// The binary is analyzed under its own ISA tag as one plan request
+// (serve.Request). Locally the request runs with serve.Run on a private
+// store; with -server (or GPD_ADDR) it is submitted to a running gpd,
+// which keeps the artifact store warm across clients. Either way gp prints
+// the result's canonical rendering (serve.Result.Canon), which is
+// byte-identical across the two modes, then the stage timings; a local
+// run adds the store and wall-time stats. -v streams each stage to stderr
+// as it finishes; -dump prints every payload's bytes.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
-	"github.com/nofreelunch/gadget-planner/internal/core"
-	"github.com/nofreelunch/gadget-planner/internal/planner"
-	"github.com/nofreelunch/gadget-planner/internal/sbf"
+	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/serve"
 	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "gp:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	binPath := flag.String("bin", "", "SBF binary to analyze")
-	goalName := flag.String("goal", "all", "attack goal: execve, mprotect, mmap, or all")
-	maxPlans := flag.Int("max", 8, "maximum payloads per goal")
-	dump := flag.Bool("dump", false, "dump payload bytes")
-	verbose := flag.Bool("v", false, "print chains")
-	timeout := flag.Duration("timeout", 30*time.Second, "planning timeout per goal")
-	isaFlag := cliutil.ISAFlag(flag.CommandLine)
-	server := cliutil.ServerFlag(flag.CommandLine)
-	sf := cliutil.RegisterStore(flag.CommandLine).WithParallel(flag.CommandLine)
-	flag.Parse()
-
-	isaName, err := cliutil.ResolveISA(*isaFlag)
-	if err != nil {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gp", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	binPath := fs.String("bin", "", "SBF binary to analyze")
+	goalName := fs.String("goal", "all", "attack goal: execve, mprotect, mmap, or all")
+	maxPlans := fs.Int("max", 8, "maximum payloads per goal")
+	dump := fs.Bool("dump", false, "dump payload bytes")
+	verbose := fs.Bool("v", false, "stream stage progress to stderr")
+	timeout := fs.Duration("timeout", 30*time.Second, "planning timeout per goal")
+	server := cliutil.ServerFlag(fs)
+	sf := cliutil.RegisterStore(fs).WithParallel(fs)
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
@@ -60,135 +60,51 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	if *server != "" {
-		if isaName != "" {
-			return fmt.Errorf("-isa is a local scan override; served binaries are analyzed under their own ISA tag")
-		}
-		return runServed(*server, data, *binPath, *goalName, *maxPlans, *timeout, *dump, *verbose)
-	}
-
-	bin, err := sbf.Unmarshal(data)
+	exec, store, err := sf.Runner(*server)
 	if err != nil {
 		return err
 	}
-	if _, err := cliutil.ResolveISA(bin.ISA); err != nil {
-		return fmt.Errorf("%s: %w", *binPath, err)
+	var progress serve.Progress
+	if *verbose {
+		progress = func(ev serve.StageEvent) { fmt.Fprintln(stderr, stageLine(ev)) }
 	}
-	store, err := sf.Open()
-	if err != nil {
-		return err
-	}
-	cfg := core.Config{
-		Planner:     planner.Options{MaxPlans: *maxPlans, Timeout: *timeout},
-		Parallelism: sf.Parallelism(),
-		Store:       store,
-	}
-	// -isa pins the scan backend; the default is the binary's own ISA tag.
-	// The interesting override is scanning an rv64 binary under rv64c —
-	// same bytes, compressed decoding on.
-	cfg.Extract.ISA = isaName
-	analysis := core.Analyze(bin, cfg)
-	fmt.Printf("extraction: %d raw candidates, %d supported\n",
-		analysis.RawPool.Stats.RawCandidates, analysis.RawPool.Size())
-	fmt.Printf("subsumption: %s\n", analysis.SubsumeStats)
-
-	allGoals := planner.GoalsForISA(analysis.Pool.ISA)
-	goals := allGoals
-	if *goalName != "all" {
-		goals = nil
-		for _, g := range allGoals {
-			if g.Name == *goalName {
-				goals = []planner.Goal{g}
-			}
-		}
-		if goals == nil {
-			return fmt.Errorf("unknown goal %q", *goalName)
-		}
-	}
-
-	for _, goal := range goals {
-		atk := analysis.FindPayloads(goal)
-		fmt.Printf("\n== %s: %d verified payloads ==\n", goal.Name, len(atk.Payloads))
-		fmt.Printf("search: %s\n", atk.Search.StatsLine())
-		for i, pl := range atk.Payloads {
-			fmt.Printf("payload %d: %d bytes, %d gadgets\n", i+1, len(pl.Bytes), len(pl.Chain))
-			if *verbose {
-				for _, g := range pl.Chain {
-					fmt.Printf("    %s\n", g.StringOn(analysis.Pool.Backend()))
-				}
-			}
-			if *dump {
-				fmt.Print(pl.Dump())
-			}
-		}
-	}
-
-	fmt.Println("\nstage timings:")
-	for _, t := range analysis.Timings {
-		mark := ""
-		if t.Cached {
-			mark = "  (cached)"
-		}
-		fmt.Printf("  %-20s %10s %8.1f MB allocated%s\n",
-			t.Name, t.Duration.Round(time.Millisecond), float64(t.AllocBytes)/(1<<20), mark)
-	}
-	fmt.Println(store.StatsLine())
-	fmt.Println(wall.Line())
-	return nil
-}
-
-// runServed submits the binary to a gpd instance and renders the streamed
-// response. The body it prints is the result's canonical rendering — the
-// same bytes a local run of this request produces.
-func runServed(addr string, data []byte, name, goal string, maxPlans int, timeout time.Duration, dump, verbose bool) error {
-	client, err := serve.Dial(addr)
-	if err != nil {
-		return err
-	}
-	req := serve.Request{
+	res, err := exec(context.Background(), serve.Request{
 		Op:        serve.OpPlan,
 		Binary:    data,
-		Name:      name,
-		Goal:      goal,
-		MaxPlans:  maxPlans,
+		Goal:      *goalName,
+		MaxPlans:  *maxPlans,
 		TimeoutMS: timeout.Milliseconds(),
-	}
-	progress := func(ev serve.StageEvent) {
-		if !verbose {
-			return
-		}
-		mark := ""
-		if ev.Cached {
-			mark = "  (cached)"
-		}
-		fmt.Fprintf(os.Stderr, "  %-20s %8.1f ms%s\n", ev.Stage, ev.Millis, mark)
-	}
-	res, err := client.Run(context.Background(), req, progress)
+	}, progress)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("server %s\n", addr)
-	fmt.Print(res.Canon())
-	if dump {
+
+	fmt.Fprint(stdout, res.Canon())
+	if *dump {
 		for _, g := range res.Goals {
 			for _, p := range g.Payloads {
-				fmt.Print(dumpPayload(g.Goal, p))
+				fmt.Fprint(stdout, payload.DumpBytes(p.Base, g.Goal, p.Data))
 			}
 		}
+	}
+	fmt.Fprintln(stdout, "\nstage timings:")
+	for _, ev := range res.Stages {
+		fmt.Fprintln(stdout, stageLine(ev))
+	}
+	if store != nil {
+		fmt.Fprintln(stdout, store.StatsLine())
+		fmt.Fprintln(stdout, wall.Line())
 	}
 	return nil
 }
 
-// dumpPayload renders a served payload in payload.Dump's format.
-func dumpPayload(goal string, p serve.PayloadResult) string {
-	out := fmt.Sprintf("payload @ %#x, %d bytes, goal %s\n", p.Base, len(p.Data), goal)
-	for off := 0; off+8 <= len(p.Data); off += 8 {
-		var v uint64
-		for i := 7; i >= 0; i-- {
-			v = v<<8 | uint64(p.Data[off+i])
-		}
-		out += fmt.Sprintf("  +%04x: %016x\n", off, v)
+// stageLine renders one stage's cost. A cached stage reports the cost of
+// its original computation.
+func stageLine(ev serve.StageEvent) string {
+	mark := ""
+	if ev.Cached {
+		mark = "  (cached)"
 	}
-	return out
+	return fmt.Sprintf("  %-20s %10.1f ms %8.1f MB allocated%s",
+		ev.Stage, ev.Millis, float64(ev.AllocBytes)/(1<<20), mark)
 }

@@ -59,11 +59,6 @@ func (p *RVProg) La(rd isa.Reg, label string) {
 	p.items = append(p.items, rvItem{la: true, laReg: rd, refA: label})
 }
 
-// Quad appends an 8-byte little-endian literal.
-func (p *RVProg) Quad(v int64) {
-	p.items = append(p.items, rvItem{quads: []quadRef{{value: v}}})
-}
-
 // QuadLabel appends an 8-byte slot holding a label's address (jump tables).
 func (p *RVProg) QuadLabel(label string) {
 	p.items = append(p.items, rvItem{quads: []quadRef{{labelRef: label}}})
@@ -166,17 +161,14 @@ func (p *RVProg) Assemble(base uint64, extern map[string]uint64) (*Result, error
 			}
 			code = append(code, enc...)
 		case it.quads != nil:
+			// RV programs only emit label slots (QuadLabel).
 			for _, q := range it.quads {
-				v := q.value
-				if q.labelRef != "" {
-					lv, ok := labels[q.labelRef]
-					if !ok {
-						return nil, fmt.Errorf("asm: undefined label %q", q.labelRef)
-					}
-					v = int64(lv)
+				v, ok := labels[q.labelRef]
+				if !ok {
+					return nil, fmt.Errorf("asm: undefined label %q", q.labelRef)
 				}
 				for b := 0; b < 8; b++ {
-					code = append(code, byte(uint64(v)>>(8*b)))
+					code = append(code, byte(v>>(8*b)))
 				}
 			}
 		default:

@@ -1,35 +1,33 @@
 // Package cliutil is the shared command-line wiring for the cmd/* mains:
-// every CLI opens the artifact store the same way (-nocache for the A/B
-// arm, -cachedir/$GP_CACHE_DIR for the persistent tier, which -cachedir ""
-// turns off) and addresses the analysis service the same way
-// (-server/$GPD_ADDR). Factoring it here keeps the four binaries from
-// drifting — the flag set had already diverged once before this package
-// existed.
+// every CLI opens the artifact store the same way (-cachedir/$GP_CACHE_DIR
+// for the persistent tier, which -cachedir "" turns off), names a build
+// backend the same way (-isa/$GP_ISA) and addresses the analysis service
+// the same way (-server/$GPD_ADDR). Factoring it here keeps the binaries
+// from drifting — the flag set had already diverged once before this
+// package existed.
 package cliutil
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
+	"github.com/nofreelunch/gadget-planner/internal/serve"
 )
 
 // StoreFlags is the store-configuration flag group. Register it with
 // RegisterStore, then Open the store after flag.Parse.
 type StoreFlags struct {
-	NoCache  *bool
 	CacheDir *string
 	Parallel *int
 }
 
-// RegisterStore registers -nocache and -cachedir (defaulting to
-// $GP_CACHE_DIR) on fs.
+// RegisterStore registers -cachedir (defaulting to $GP_CACHE_DIR) on fs.
 func RegisterStore(fs *flag.FlagSet) *StoreFlags {
 	f := &StoreFlags{}
-	f.NoCache = fs.Bool("nocache", false,
-		"disable the artifact store (A/B benchmarking; results are identical)")
 	f.CacheDir = fs.String("cachedir", os.Getenv("GP_CACHE_DIR"),
 		"persistent artifact cache directory (default $GP_CACHE_DIR; empty disables the disk tier)")
 	return f
@@ -43,13 +41,9 @@ func (f *StoreFlags) WithParallel(fs *flag.FlagSet) *StoreFlags {
 	return f
 }
 
-// Open builds the store the flags describe: a caching store, optionally
-// disk-backed, or the disabled -nocache arm (which never touches disk —
-// no reuse means no reuse).
+// Open builds the store the flags describe: a memory store, disk-backed
+// when -cachedir names a directory.
 func (f *StoreFlags) Open() (*pipeline.Store, error) {
-	if f.NoCache != nil && *f.NoCache {
-		return pipeline.NewDisabledStore(), nil
-	}
 	store := pipeline.NewStore()
 	if *f.CacheDir != "" {
 		disk, err := pipeline.OpenDisk(*f.CacheDir, pipeline.DiskOptions{})
@@ -68,6 +62,31 @@ func (f *StoreFlags) Parallelism() int {
 		return 0
 	}
 	return *f.Parallel
+}
+
+// RunFunc executes one service request, streaming stage progress to the
+// (optional) callback.
+type RunFunc func(ctx context.Context, req serve.Request, progress serve.Progress) (*serve.Result, error)
+
+// Runner returns the executor every client CLI submits its requests to:
+// the gpd at server when it is non-empty, otherwise serve.Run on the
+// private store the flags open, which it also returns (nil when served).
+// Either way a request's Result.Canon is the same bytes.
+func (f *StoreFlags) Runner(server string) (RunFunc, *pipeline.Store, error) {
+	if server != "" {
+		client, err := serve.Dial(server)
+		if err != nil {
+			return nil, nil, err
+		}
+		return client.Run, nil, nil
+	}
+	store, err := f.Open()
+	if err != nil {
+		return nil, nil, err
+	}
+	return func(ctx context.Context, req serve.Request, progress serve.Progress) (*serve.Result, error) {
+		return serve.Run(ctx, store, f.Parallelism(), req, progress)
+	}, store, nil
 }
 
 // ISAFlag registers the -isa backend flag, defaulting to $GP_ISA: the

@@ -23,28 +23,33 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
-// Config tunes the pipeline.
+// The payload-stage parameters. Both feed the plan-stage key, so every
+// caller that keys plan artifacts (core, serve) uses these constants.
+const (
+	// DefaultPayloadBase is the stack address payloads are concretized for
+	// unless Config.PayloadBase names another; the threat model assumes it
+	// is known.
+	DefaultPayloadBase uint64 = 0x7FFF_8000
+	// VerifySteps bounds emulated payload verification.
+	VerifySteps uint64 = 100_000
+)
+
+// Config tunes the pipeline. Extraction runs under the binary's own ISA
+// tag and subsumption with default options.
 type Config struct {
-	// Extract configures stage 1.
-	Extract gadget.Options
-	// Subsume configures stage 2.
-	Subsume subsume.Options
 	// Planner configures stage 3.
 	Planner planner.Options
 	// PayloadBase is the stack address payloads are concretized for
-	// (default 0x7FFF8000; the threat model assumes it is known).
+	// (default DefaultPayloadBase).
 	PayloadBase uint64
-	// VerifySteps bounds emulated payload verification (default 100k).
-	VerifySteps uint64
 	// SkipSubsume disables stage 2 (ablation).
 	SkipSubsume bool
 	// GadgetFilter, if set, restricts the pool to gadgets it accepts
 	// (ablation: gadget-class studies).
 	GadgetFilter func(*gadget.Gadget) bool
 	// Parallelism is how many workers extraction, subsumption, and
-	// planning may use (0 = runtime.GOMAXPROCS(0), 1 = single-threaded).
-	// Stage-level settings in Extract/Subsume/Planner, when non-zero,
-	// take precedence. Results are identical at every worker count.
+	// planning use (0 = runtime.GOMAXPROCS(0), 1 = single-threaded).
+	// Results are identical at every worker count.
 	Parallelism int
 	// Store, if set, is the content-addressed artifact store the pipeline
 	// stages consult (pipeline.NewStore()): stages whose fingerprinted
@@ -62,23 +67,12 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.PayloadBase == 0 {
-		c.PayloadBase = 0x7FFF_8000
-	}
-	if c.VerifySteps == 0 {
-		c.VerifySteps = 100_000
+		c.PayloadBase = DefaultPayloadBase
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if c.Extract.Parallelism == 0 {
-		c.Extract.Parallelism = c.Parallelism
-	}
-	if c.Subsume.Parallelism == 0 {
-		c.Subsume.Parallelism = c.Parallelism
-	}
-	if c.Planner.Parallelism == 0 {
-		c.Planner.Parallelism = c.Parallelism
-	}
+	c.Planner.Parallelism = c.Parallelism
 	return c
 }
 
@@ -133,20 +127,18 @@ type Analysis struct {
 // already computed; results are byte-identical either way.
 func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	cfg = cfg.withDefaults()
-	// Adopt the binary's backend unless the caller pinned one explicitly.
+	a := &Analysis{Binary: bin, cfg: cfg}
 	// Pre-multi-ISA binaries carry an empty ISA tag (x64), which keeps the
 	// extraction fingerprint — and every warm cache key — unchanged.
-	if cfg.Extract.ISA == "" {
-		cfg.Extract.ISA = bin.ISA
-	}
-	a := &Analysis{Binary: bin, cfg: cfg}
+	xopts := gadget.Options{ISA: bin.ISA, Parallelism: cfg.Parallelism}
+	sopts := subsume.Options{Parallelism: cfg.Parallelism}
 
 	var rawKey string
 	if cfg.Store != nil {
-		rawKey = pipeline.ExtractKey(cfg.Store.BinaryKey(bin), cfg.Extract)
+		rawKey = pipeline.ExtractKey(cfg.Store.BinaryKey(bin), xopts)
 	}
 	raw, xinfo, err := pipeline.Do(cfg.Store, pipeline.StageExtract, rawKey,
-		func() (*gadget.Pool, error) { return gadget.Extract(bin, cfg.Extract), nil })
+		func() (*gadget.Pool, error) { return gadget.Extract(bin, xopts), nil })
 	if err != nil {
 		panic(err) // the stage cannot fail: err is a recovered panic
 	}
@@ -194,11 +186,11 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	}
 	var minKey string
 	if poolKey != "" {
-		minKey = pipeline.MinimizeKey(poolKey, cfg.Subsume)
+		minKey = pipeline.MinimizeKey(poolKey, sopts)
 	}
 	min, minfo, err := pipeline.Do(cfg.Store, pipeline.StageMinimize, minKey,
 		func() (pipeline.Minimized, error) {
-			p, s := subsume.Minimize(pool, cfg.Subsume)
+			p, s := subsume.Minimize(pool, sopts)
 			return pipeline.Minimized{Pool: p, Stats: s}, nil
 		})
 	if err != nil {
@@ -232,7 +224,7 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*pipeline.Attack, StageTimin
 	var key string
 	if a.poolKey != "" {
 		key = pipeline.PlanKey(a.poolKey, goal.Name, cfg.Planner,
-			cfg.PayloadBase, cfg.VerifySteps)
+			cfg.PayloadBase, VerifySteps)
 	}
 	atk, info, err := pipeline.Do(cfg.Store, pipeline.StagePlan, key,
 		func() (*pipeline.Attack, error) {
@@ -245,7 +237,7 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*pipeline.Attack, StageTimin
 				pl, err := conc.Concretize(p, goal)
 				if err == nil {
 					stop := wall.Track("verify")
-					err = payload.Verify(a.Binary, pl, cfg.VerifySteps)
+					err = payload.Verify(a.Binary, pl, VerifySteps)
 					stop()
 				}
 				if err != nil {

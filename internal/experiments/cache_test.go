@@ -9,9 +9,10 @@ import (
 
 // TestCacheMatrixTablesIdentical is the store's soundness matrix: the full
 // deterministic suite (Fig. 1, Table I, Table IV/V, pool composition) must
-// render byte-identically with the artifact store enabled and disabled, at
-// every parallelism setting — i.e. caching is invisible everywhere except
-// wall-clock. Within each store-enabled run the experiments share builds,
+// render byte-identically with one store shared by every experiment and
+// with none (each experiment then gets a private store), at every
+// parallelism setting — i.e. sharing is invisible everywhere except
+// wall-clock. Within each shared-store run the experiments share builds,
 // scans, and pools, so any unsound sharing (a mutated artifact, an aliased
 // key, a parallelism-dependent result leaking into a cached cell) shows up
 // as a table diff. Each store-enabled run is followed by a warm second pass
@@ -24,8 +25,6 @@ func TestCacheMatrixTablesIdentical(t *testing.T) {
 			opts.Parallelism = par
 			if caching {
 				opts.Store = pipeline.NewStore()
-			} else {
-				opts.Store = pipeline.NewDisabledStore()
 			}
 			out, err := CacheSuite(opts)
 			if err != nil {

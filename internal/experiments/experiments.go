@@ -61,8 +61,8 @@ type Options struct {
 	// analysis stage runs through. Nil gets a fresh private store, so each
 	// experiment still dedups its own cells; callers running several
 	// experiments (cmd/experiments) pass one store to share builds and
-	// pools across them. pipeline.NewDisabledStore() gives the -nocache
-	// A/B arm. Table results are byte-identical whichever store is used.
+	// pools across them. Table results are byte-identical whichever store
+	// is used.
 	Store *pipeline.Store
 }
 

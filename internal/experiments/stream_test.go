@@ -28,8 +28,8 @@ func streamTestOpts() StreamOptions {
 
 // TestStreamTablesIdentical pins the streaming runner's determinism
 // contract: the aggregate table renders byte-identically at parallelism
-// 1/2/8, with the artifact store on (memory tier bounded so the LRU
-// evictor cycles mid-run) and off, and with a disk tier: cold, warm across
+// 1/2/8, with the memory tier bounded so the LRU evictor cycles mid-run
+// (down to one resident artifact), and with a disk tier: cold, warm across
 // processes, and under a disk budget so small the disk evictor cycles.
 func TestStreamTablesIdentical(t *testing.T) {
 	// A memory budget far below the ~30 artifacts two programs produce, so
@@ -54,8 +54,9 @@ func TestStreamTablesIdentical(t *testing.T) {
 		{"p1-store", 1, memStore},
 		{"p2-store", 2, memStore},
 		{"p8-store", 8, memStore},
-		{"p1-nostore", 1, pipeline.NewDisabledStore},
-		{"p8-nostore", 8, pipeline.NewDisabledStore},
+		// One resident artifact: almost every stage recomputes.
+		{"p1-mem1", 1, func() *pipeline.Store { return pipeline.NewStore().LimitMemory(1) }},
+		{"p8-mem1", 8, func() *pipeline.Store { return pipeline.NewStore().LimitMemory(1) }},
 		{"p2-disk-cold", 2, diskStore(filled, 0)},
 		// A fresh store over the filled directory: a second process's view.
 		{"p2-disk-warm", 2, diskStore(filled, 0)},

@@ -118,9 +118,6 @@ func NewBuilder() *Builder {
 	}
 }
 
-// NumNodes returns how many distinct nodes have been interned.
-func (b *Builder) NumNodes() int { return len(b.table) }
-
 func (b *Builder) intern(kind Kind, width uint8, val uint64, name string, args ...*Node) *Node {
 	key := nodeKey{kind: kind, width: width, val: val, name: name}
 	switch len(args) {

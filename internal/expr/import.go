@@ -29,9 +29,6 @@ func NewImporter(dst *Builder) *Importer {
 	return &Importer{dst: dst, memo: make(map[*Node]*Node)}
 }
 
-// Dst returns the destination builder.
-func (im *Importer) Dst() *Builder { return im.dst }
-
 // Import re-interns n — a node from any builder — into the destination
 // builder and returns the equivalent destination node. Importing nil
 // returns nil.

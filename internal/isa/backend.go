@@ -104,9 +104,6 @@ type Backend interface {
 // pre-multi-ISA artifacts stay valid.
 const DefaultISA = "x64"
 
-// Backends lists the registered backends in canonical order.
-func Backends() []Backend { return []Backend{X64, RV64, RV64C} }
-
 // ByName resolves a backend identifier. The empty string means the default
 // x64 backend.
 func ByName(name string) (Backend, bool) {
@@ -119,16 +116,6 @@ func ByName(name string) (Backend, bool) {
 		return RV64C, true
 	}
 	return nil, false
-}
-
-// MustByName resolves a backend identifier or panics; for internal callers
-// operating on an already-validated name.
-func MustByName(name string) Backend {
-	be, ok := ByName(name)
-	if !ok {
-		panic(fmt.Sprintf("isa: unknown backend %q", name))
-	}
-	return be
 }
 
 // CanonicalISA normalizes a backend identifier: "" becomes DefaultISA.

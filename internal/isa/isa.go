@@ -350,12 +350,6 @@ func (i Inst) IsBranch() bool {
 	}
 }
 
-// IsIndirectBranch reports whether the instruction is an indirect jump or
-// call (target taken from a register or memory).
-func (i Inst) IsIndirectBranch() bool {
-	return (i.Op == OpJmp || i.Op == OpCall || i.Op == OpJalr) && i.A.Kind != KindImm
-}
-
 // IsDirectBranch reports whether the instruction is a direct jump, call or
 // conditional jump with an immediate target.
 func (i Inst) IsDirectBranch() bool {

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/nofreelunch/gadget-planner/internal/emu"
 	"github.com/nofreelunch/gadget-planner/internal/expr"
@@ -577,11 +578,15 @@ func Verify(bin *sbf.Binary, p *Payload, maxSteps uint64) error {
 }
 
 // Dump renders the payload layout for reports: one line per 8-byte slot.
-func (p *Payload) Dump() string {
-	out := fmt.Sprintf("payload @ %#x, %d bytes, goal %s\n", p.Base, len(p.Bytes), p.Goal.Name)
-	for off := 0; off+8 <= len(p.Bytes); off += 8 {
-		v := binary.LittleEndian.Uint64(p.Bytes[off:])
-		out += fmt.Sprintf("  +%04x: %016x\n", off, v)
+func (p *Payload) Dump() string { return DumpBytes(p.Base, p.Goal.Name, p.Bytes) }
+
+// DumpBytes is Dump's format for payload bytes built for stack address
+// base toward the named goal (e.g. a served result's payload).
+func DumpBytes(base uint64, goal string, data []byte) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "payload @ %#x, %d bytes, goal %s\n", base, len(data), goal)
+	for off := 0; off+8 <= len(data); off += 8 {
+		fmt.Fprintf(&sb, "  +%04x: %016x\n", off, binary.LittleEndian.Uint64(data[off:]))
 	}
-	return out
+	return sb.String()
 }

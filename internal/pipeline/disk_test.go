@@ -337,32 +337,3 @@ func TestDiskClaim(t *testing.T) {
 		t.Errorf("stale claim not broken: %v", err)
 	}
 }
-
-// TestDisabledStoreIgnoresDisk: -nocache means no caching at all — WithDisk
-// on a disabled store is a no-op and the directory stays empty.
-func TestDisabledStoreIgnoresDisk(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewDisabledStore().WithDisk(d)
-	if s.Disk() != nil {
-		t.Error("disabled store kept a disk tier")
-	}
-	n := 0
-	for i := 0; i < 2; i++ {
-		if _, _, err := Do(s, StageCount, "count:k", func() (map[gadget.JmpType]int, error) {
-			n++
-			return testCounts(), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n != 2 {
-		t.Errorf("disabled store computed %d times, want 2", n)
-	}
-	if arts := listArtifacts(t, dir); len(arts) != 0 {
-		t.Errorf("disabled store wrote %d artifacts", len(arts))
-	}
-}

@@ -122,17 +122,18 @@ func TestDoCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestGateDisabledStore: the gate also bounds the -nocache arm (a server
-// may serve with caching off for A/B runs; its pools must still hold).
-func TestGateDisabledStore(t *testing.T) {
-	s := NewDisabledStore().WithGate(NewGate(2, nil))
+// TestGateUnkeyedRequests: the gate also bounds requests that bypass
+// memoization (an empty key, as for an unfingerprintable GadgetFilter), so
+// a server's stage pools hold for them too.
+func TestGateUnkeyedRequests(t *testing.T) {
+	s := NewStore().WithGate(NewGate(2, nil))
 	var cur, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			Do(s, StageBuild, fmt.Sprintf("k%d", i), func() (int, error) {
+			Do(s, StageBuild, "", func() (int, error) {
 				n := cur.Add(1)
 				for {
 					p := peak.Load()
@@ -143,10 +144,10 @@ func TestGateDisabledStore(t *testing.T) {
 				defer cur.Add(-1)
 				return 0, nil
 			})
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if p := peak.Load(); p > 2 {
-		t.Fatalf("peak %d exceeds limit 2 on disabled store", p)
+		t.Fatalf("peak %d exceeds limit 2 on unkeyed requests", p)
 	}
 }

@@ -121,8 +121,8 @@ func TestX64PoolCanonGolden(t *testing.T) {
 
 // TestCrossISADeterminism is the per-backend determinism matrix: for every
 // backend, extraction renders byte-identically across parallelism 1/2/8 and
-// with the artifact store on or off (a fresh caching store, the disabled
-// store, and no store at all all agree).
+// with the artifact store on or off (a fresh store and no store at all
+// agree).
 func TestCrossISADeterminism(t *testing.T) {
 	p, ok := benchprog.ByName("crc")
 	if !ok {
@@ -137,9 +137,8 @@ func TestCrossISADeterminism(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			opts := gadget.Options{ISA: isaName, Parallelism: par}
 			stores := map[string]*Store{
-				"nostore":  nil,
-				"store":    NewStore(),
-				"disabled": NewDisabledStore(),
+				"nostore": nil,
+				"store":   NewStore(),
 			}
 			for label, s := range stores {
 				got := Extract(s, cloneForStore(s, bin), opts).Canon()

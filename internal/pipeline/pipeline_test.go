@@ -70,32 +70,11 @@ func TestDoHitReportsOriginalComputeCost(t *testing.T) {
 	}
 }
 
-func TestDisabledStoreRecomputes(t *testing.T) {
-	s := NewDisabledStore()
-	var calls atomic.Int64
-	compute := func() (int, error) { calls.Add(1); return 1, nil }
-	Do(s, StageBuild, "k", compute)
-	Do(s, StageBuild, "k", compute)
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("computed %d times, want 2 (disabled store)", n)
-	}
-	stats := s.Stats()[StageBuild]
-	if stats.Hits != 0 || stats.Misses != 2 {
-		t.Fatalf("hits/misses = %d/%d, want 0/2", stats.Hits, stats.Misses)
-	}
-	if s.Caching() {
-		t.Fatal("disabled store reports caching")
-	}
-}
-
 func TestNilStoreAndEmptyKey(t *testing.T) {
 	var calls atomic.Int64
 	compute := func() (int, error) { calls.Add(1); return 1, nil }
 	var nilStore *Store
 	Do(nilStore, StageExtract, "k", compute)
-	if nilStore.Caching() {
-		t.Fatal("nil store reports caching")
-	}
 	if nilStore.Stats() != nil {
 		t.Fatal("nil store stats non-nil")
 	}

@@ -71,7 +71,6 @@ func (st Stage) String() string {
 // one (see codec.go) — and purely best-effort: any disk failure degrades to
 // a recompute.
 type Store struct {
-	caching  bool
 	disk     *Disk
 	gate     *Gate
 	mu       sync.Mutex
@@ -114,29 +113,17 @@ type entry struct {
 
 // NewStore returns an empty caching store.
 func NewStore() *Store {
-	return &Store{caching: true, entries: make(map[string]*entry)}
+	return &Store{entries: make(map[string]*entry)}
 }
-
-// NewDisabledStore returns a store that never reuses artifacts (the
-// -nocache A/B configuration). Every request recomputes, but per-stage miss
-// and compute-time counters still accumulate, so cold-path stats stay
-// comparable with the caching store's.
-func NewDisabledStore() *Store {
-	return &Store{}
-}
-
-// Caching reports whether the store reuses artifacts (false for nil and
-// disabled stores).
-func (s *Store) Caching() bool { return s != nil && s.caching }
 
 // LimitMemory bounds the memory tier to maxEntries completed artifacts,
 // evicting least-recently-used ones beyond the budget, and returns s for
 // chaining. It is how streaming workloads keep peak memory flat in cell
 // count: each cell's artifacts age out once its neighbors stop sharing
 // them, and the disk tier (if attached) keeps serving evicted keys.
-// A no-op on nil/disabled stores and for maxEntries <= 0.
+// A no-op on nil stores and for maxEntries <= 0.
 func (s *Store) LimitMemory(maxEntries int) *Store {
-	if s != nil && s.caching && maxEntries > 0 {
+	if s != nil && maxEntries > 0 {
 		s.mu.Lock()
 		s.maxEntries = maxEntries
 		if s.lru == nil {
@@ -190,20 +177,16 @@ func (s *Store) evictMem() {
 	}
 }
 
-// WithDisk attaches a persistent tier and returns s for chaining. It is a
-// no-op on nil and disabled stores: -nocache means no reuse at all, so the
-// disabled A/B arm never reads or writes the disk.
+// WithDisk attaches a persistent tier and returns s for chaining. Nil-safe.
 func (s *Store) WithDisk(d *Disk) *Store {
-	if s != nil && s.caching {
+	if s != nil {
 		s.disk = d
 	}
 	return s
 }
 
 // WithGate attaches a per-stage compute gate (see Gate) and returns s for
-// chaining. Unlike WithDisk it applies to disabled stores too: the -nocache
-// A/B arm recomputes everything, but a server still needs its stage pools
-// bounded. Nil-safe.
+// chaining. Nil-safe.
 func (s *Store) WithGate(g *Gate) *Store {
 	if s != nil {
 		s.gate = g
@@ -302,7 +285,7 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 		var zero T
 		return zero, Info{}, err
 	}
-	if s == nil || !s.caching || key == "" {
+	if s == nil || key == "" {
 		var gate *Gate
 		if s != nil {
 			gate = s.gate
@@ -310,11 +293,6 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 		gate.enter(st)
 		v, d, alloc, err := measured(compute)
 		gate.exit(st)
-		if s != nil && key != "" {
-			c := &s.counters[st]
-			c.misses.Add(1)
-			c.computeNs.Add(int64(d))
-		}
 		return v, Info{Compute: d, AllocBytes: alloc}, err
 	}
 
@@ -444,9 +422,6 @@ func (s *Store) StatsLine() string {
 	}
 	var sb strings.Builder
 	sb.WriteString("store:")
-	if !s.caching {
-		sb.WriteString(" (nocache)")
-	}
 	traffic := false
 	var diskHits, diskMisses int64
 	for _, st := range s.Stats() {

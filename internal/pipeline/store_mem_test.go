@@ -90,19 +90,12 @@ func TestLimitMemoryPinsInFlight(t *testing.T) {
 	}
 }
 
-// TestLimitMemoryNoops pins the no-op cases: nil, disabled, and unbounded
-// stores take the LimitMemory call without growing state or evicting.
+// TestLimitMemoryNoops pins the no-op cases: nil and unbounded stores take
+// the LimitMemory call without growing state or evicting.
 func TestLimitMemoryNoops(t *testing.T) {
 	var nilStore *Store
 	if s := nilStore.LimitMemory(4); s != nil {
 		t.Error("nil store LimitMemory returned non-nil")
-	}
-	d := NewDisabledStore().LimitMemory(4)
-	for i := 0; i < 8; i++ {
-		Do(d, StageBuild, "k", func() (int, error) { return i, nil })
-	}
-	if got := d.MemEvictions(); got != 0 {
-		t.Errorf("disabled store evicted %d", got)
 	}
 	u := NewStore().LimitMemory(0) // <= 0: unbounded
 	for i := 0; i < 8; i++ {

@@ -245,15 +245,3 @@ func clobbers(g *gadget.Gadget, reg isa.Reg) bool {
 	}
 	return false
 }
-
-// DebugProvides exposes provides for diagnostics and tests.
-func DebugProvides(b *expr.Builder, g *gadget.Gadget, r isa.Reg, spec ValueSpec) (int, bool) {
-	pr, ok := provides(b, g, r, spec)
-	return len(pr.entryReqs) + len(pr.demands), ok
-}
-
-// DebugStepReqs exposes stepEntryReqs for diagnostics and tests.
-func DebugStepReqs(b *expr.Builder, g *gadget.Gadget) (int, bool) {
-	reqs, ok := stepEntryReqs(b, g)
-	return len(reqs), ok
-}

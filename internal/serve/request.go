@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
@@ -108,13 +109,6 @@ type resolved struct {
 	popts  planner.Options
 	key    string
 }
-
-// payload concretization parameters — the service always uses the core
-// defaults (they are part of the plan-stage fingerprint).
-const (
-	payloadBase = 0x7FFF_8000
-	verifySteps = 100_000
-)
 
 // resolve canonicalizes the request and derives its key. The key chains
 // exactly like the store's stage keys: build fingerprint (source, ordered
@@ -224,7 +218,7 @@ func (r Request) resolve() (*resolved, error) {
 			// and the literal keeps every stored request key valid.
 			rr.key = fmt.Sprintf("%s|goals:%s|p:%s|base=%#x,steps=%d,verify=true",
 				poolKey, strings.Join(names, ","), rr.popts.Fingerprint(),
-				uint64(payloadBase), verifySteps)
+				core.DefaultPayloadBase, core.VerifySteps)
 		}
 	}
 	return rr, nil
@@ -342,8 +336,7 @@ func (r *Result) Canon() string {
 	return sb.String()
 }
 
-// countClasses is the canonical gadget-class order for count rows (the
-// same order cmd/gadgetcount reports).
+// countClasses is the canonical gadget-class order for count rows.
 var countClasses = []gadget.JmpType{
 	gadget.TypeReturn, gadget.TypeUDJ, gadget.TypeUIJ,
 	gadget.TypeCDJ, gadget.TypeCIJ, gadget.TypeSyscall,

@@ -73,9 +73,6 @@ func NewServer(store *pipeline.Store, parallelism int) *Server {
 // the wait). Load balancers see the flip on /healthz.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// Draining reports drain mode.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the service's HTTP handler: POST /run (JSONL stream),
 // GET /stats, GET /healthz.
 func (s *Server) Handler() http.Handler {

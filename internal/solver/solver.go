@@ -170,13 +170,3 @@ func (s *Solver) EquivalentBool(b *expr.Builder, p, q *expr.Node) bool {
 	return s.checkVerdict(b.BNot(b.Eq(b.Ite(p, b.Const(1, 8), b.Const(0, 8)),
 		b.Ite(q, b.Const(1, 8), b.Const(0, 8))))) == Unsat
 }
-
-// Solve finds a model of the conjunction restricted to the named variables,
-// or nil if Unsat/Unknown.
-func (s *Solver) Solve(formulas ...*expr.Node) expr.Env {
-	r, env := s.Check(formulas...)
-	if r != Sat {
-		return nil
-	}
-	return env
-}
