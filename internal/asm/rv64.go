@@ -1,188 +1,197 @@
 // RV64 program assembly. Unlike the textual x86-64 assembler, the RV64
 // path is programmatic: the code generator appends isa.Inst values and
-// label references to an RVProg, and Assemble lays them out and encodes
-// them through the rv64 backend. Every emitted instruction is a fixed four
-// bytes (no compressed forms), so layout is a single pass: addresses are
-// assigned first, label references are patched into absolute-immediate
-// operands, and the backend encoder turns each patched instruction into
-// bytes — rejecting out-of-range branches rather than relaxing them (the
+// label references to an RVProg, which encodes each one through the rv64
+// encoder as it arrives. Every emitted instruction is a fixed four bytes
+// (no compressed forms), so every address is known at append time and
+// assembly is a single pass: label references reserve their bytes and
+// record a fixup, and Assemble patches the fixups once every label is
+// defined — rejecting out-of-range branches rather than relaxing them (the
 // code generator emits branches in a range-safe form).
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
 
-// rvItem is one RV64 program element: an instruction, a label definition,
-// literal data, or an alignment request.
-type rvItem struct {
-	inst    isa.Inst
-	hasInst bool
-	// refA names a label whose absolute address replaces the immediate of
-	// operand A (branch/jump targets).
-	refA string
+// rvFixKind says what a fixup patches.
+type rvFixKind uint8
 
-	// la is a load-address macro: materialize refA's address into laReg as
-	// a fixed lui+addi pair (8 bytes). Addresses must fit in signed 32 bits,
-	// which all SBF layouts do.
-	la    bool
-	laReg isa.Reg
+const (
+	fixInst rvFixKind = iota // an instruction whose operand A is a label
+	fixLa                    // a lui+addi load-address pair
+	fixQuad                  // an 8-byte label slot
+)
 
+// rvFixup is a label reference whose bytes are reserved in the code and
+// patched by Assemble.
+type rvFixup struct {
+	off   int // byte offset of the reserved bytes in the code
+	kind  rvFixKind
+	reg   isa.Reg  // fixLa: the destination register
+	inst  isa.Inst // fixInst: the instruction, operand A to be patched
 	label string
-	quads []quadRef
-	data  []byte
-	align int
 }
 
-// RVProg accumulates an RV64 program for single-pass assembly.
+// RVProg assembles an RV64 program in one pass, starting at a base address
+// fixed at construction.
 type RVProg struct {
-	items []rvItem
+	base   uint64
+	code   []byte
+	labels map[string]uint64
+	fixups []rvFixup
+
+	// err is the first error met while appending; errFix is how many
+	// fixups precede it, so Assemble reports errors in program order.
+	err    error
+	errFix int
+}
+
+// NewRVProg returns an empty program placed at base.
+func NewRVProg(base uint64) *RVProg {
+	return &RVProg{base: base, labels: make(map[string]uint64, 16)}
+}
+
+// pc is the address of the next appended byte.
+func (p *RVProg) pc() uint64 { return p.base + uint64(len(p.code)) }
+
+// fail records err unless an earlier error is already recorded.
+func (p *RVProg) fail(err error) {
+	if p.err == nil {
+		p.err, p.errFix = err, len(p.fixups)
+	}
 }
 
 // Label defines a label at the current position.
-func (p *RVProg) Label(name string) { p.items = append(p.items, rvItem{label: name}) }
+func (p *RVProg) Label(name string) {
+	if _, dup := p.labels[name]; dup {
+		p.fail(fmt.Errorf("asm: duplicate label %q", name))
+		return
+	}
+	p.labels[name] = p.pc()
+}
 
 // Inst appends a fully-resolved instruction.
-func (p *RVProg) Inst(inst isa.Inst) { p.items = append(p.items, rvItem{inst: inst, hasInst: true}) }
+func (p *RVProg) Inst(inst isa.Inst) {
+	w, err := isa.EncodeRV64(inst, p.pc())
+	if err != nil {
+		p.fail(fmt.Errorf("asm: rv64 at %#x: %w", p.pc(), err))
+	}
+	p.code = binary.LittleEndian.AppendUint32(p.code, w)
+}
+
+// reserve records a fixup at the current position and appends n
+// placeholder bytes for it.
+func (p *RVProg) reserve(n int, f rvFixup) {
+	f.off = len(p.code)
+	p.fixups = append(p.fixups, f)
+	p.code = append(p.code, make([]byte, n)...)
+}
 
 // InstRef appends an instruction whose operand A immediate is the address
 // of a label, resolved at assembly time (branch and jump targets).
 func (p *RVProg) InstRef(inst isa.Inst, label string) {
-	p.items = append(p.items, rvItem{inst: inst, hasInst: true, refA: label})
+	p.reserve(4, rvFixup{kind: fixInst, inst: inst, label: label})
 }
 
 // La appends a load-address macro: lui+addi materializing the label's
-// absolute address into rd.
+// absolute address into rd. Addresses must fit in signed 32 bits, which all
+// SBF layouts do.
 func (p *RVProg) La(rd isa.Reg, label string) {
-	p.items = append(p.items, rvItem{la: true, laReg: rd, refA: label})
+	p.reserve(8, rvFixup{kind: fixLa, reg: rd, label: label})
 }
 
 // QuadLabel appends an 8-byte slot holding a label's address (jump tables).
 func (p *RVProg) QuadLabel(label string) {
-	p.items = append(p.items, rvItem{quads: []quadRef{{labelRef: label}}})
+	p.reserve(8, rvFixup{kind: fixQuad, label: label})
 }
 
 // Bytes appends literal data bytes.
-func (p *RVProg) Bytes(b []byte) { p.items = append(p.items, rvItem{data: b}) }
+func (p *RVProg) Bytes(b []byte) { p.code = append(p.code, b...) }
 
 // Align pads with canonical nops (addi x0,x0,0) to a power-of-two boundary.
-func (p *RVProg) Align(n int) { p.items = append(p.items, rvItem{align: n}) }
-
-// Assemble lays the program out at base and encodes it. extern supplies
-// pre-defined symbols (data-section globals) usable as labels.
-func (p *RVProg) Assemble(base uint64, extern map[string]uint64) (*Result, error) {
-	labels := make(map[string]uint64, len(extern)+16)
-	for name, addr := range extern {
-		labels[name] = addr
+func (p *RVProg) Align(n int) {
+	pad := int((uint64(n) - p.pc()%uint64(n)) % uint64(n))
+	if pad%4 != 0 {
+		p.fail(fmt.Errorf("asm: rv64 .align %d not a multiple of 4 at %#x", n, p.pc()))
+		return
 	}
-
-	// Pass 1: assign addresses. Instruction size is a fixed 4 bytes.
-	sizes := make([]int, len(p.items))
-	defined := make(map[string]bool, 16)
-	addr := base
-	for i := range p.items {
-		it := &p.items[i]
-		switch {
-		case it.align > 0:
-			pad := int((uint64(it.align) - addr%uint64(it.align)) % uint64(it.align))
-			if pad%4 != 0 {
-				return nil, fmt.Errorf("asm: rv64 .align %d not a multiple of 4 at %#x", it.align, addr)
-			}
-			sizes[i] = pad
-		case it.label != "":
-			if defined[it.label] {
-				return nil, fmt.Errorf("asm: duplicate label %q", it.label)
-			}
-			defined[it.label] = true
-			labels[it.label] = addr
-		case it.la:
-			sizes[i] = 8
-		case it.hasInst:
-			sizes[i] = 4
-		case it.quads != nil:
-			sizes[i] = 8 * len(it.quads)
-		default:
-			sizes[i] = len(it.data)
-		}
-		addr += uint64(sizes[i])
-	}
-
-	// Pass 2: patch label references and encode.
-	var code []byte
-	addr = base
-	nop := mustEncodeNop()
-	for i := range p.items {
-		it := &p.items[i]
-		switch {
-		case it.align > 0:
-			for j := 0; j < sizes[i]; j += 4 {
-				code = append(code, nop...)
-			}
-		case it.la:
-			target, ok := labels[it.refA]
-			if !ok {
-				return nil, fmt.Errorf("asm: undefined label %q", it.refA)
-			}
-			v := int64(target)
-			if v != int64(int32(v)) {
-				return nil, fmt.Errorf("asm: la %q: address %#x exceeds 32 bits", it.refA, target)
-			}
-			lo := int64(int32(uint32(v)&0xFFF) << 20 >> 20)
-			hi := v - lo
-			if hi != int64(int32(hi)) {
-				return nil, fmt.Errorf("asm: la %q: address %#x exceeds the lui range", it.refA, target)
-			}
-			lui, err := isa.RV64.Encode(isa.Inst{Op: isa.OpMov, Size: 8,
-				A: isa.RegOp(it.laReg), B: isa.ImmOp(hi)}, addr)
-			if err != nil {
-				return nil, fmt.Errorf("asm: rv64 la at %#x: %w", addr, err)
-			}
-			code = append(code, lui...)
-			addi, err := isa.RV64.Encode(isa.Inst{Op: isa.OpAdd, Size: 8,
-				A: isa.RegOp(it.laReg), B: isa.RegOp(it.laReg), C: isa.ImmOp(lo)}, addr+4)
-			if err != nil {
-				return nil, fmt.Errorf("asm: rv64 la at %#x: %w", addr, err)
-			}
-			code = append(code, addi...)
-		case it.hasInst:
-			inst := it.inst
-			if it.refA != "" {
-				target, ok := labels[it.refA]
-				if !ok {
-					return nil, fmt.Errorf("asm: undefined label %q", it.refA)
-				}
-				inst.A.Imm = int64(target)
-			}
-			enc, err := isa.RV64.Encode(inst, addr)
-			if err != nil {
-				return nil, fmt.Errorf("asm: rv64 at %#x: %w", addr, err)
-			}
-			code = append(code, enc...)
-		case it.quads != nil:
-			// RV programs only emit label slots (QuadLabel).
-			for _, q := range it.quads {
-				v, ok := labels[q.labelRef]
-				if !ok {
-					return nil, fmt.Errorf("asm: undefined label %q", q.labelRef)
-				}
-				for b := 0; b < 8; b++ {
-					code = append(code, byte(v>>(8*b)))
-				}
-			}
-		default:
-			code = append(code, it.data...)
-		}
-		addr += uint64(sizes[i])
-	}
-	return &Result{Code: code, Labels: labels}, nil
-}
-
-func mustEncodeNop() []byte {
-	enc, err := isa.RV64.Encode(isa.Inst{Op: isa.OpNop}, 0)
+	nop, err := isa.EncodeRV64(isa.Inst{Op: isa.OpNop}, 0)
 	if err != nil {
 		panic(err)
 	}
-	return enc
+	for j := 0; j < pad; j += 4 {
+		p.code = binary.LittleEndian.AppendUint32(p.code, nop)
+	}
+}
+
+// Assemble patches every label reference and returns the code. extern
+// supplies pre-defined symbols (data-section globals) usable as labels;
+// program labels shadow them. The first error in program order is
+// reported.
+func (p *RVProg) Assemble(extern map[string]uint64) (*Result, error) {
+	for name, addr := range extern {
+		if _, ok := p.labels[name]; !ok {
+			p.labels[name] = addr
+		}
+	}
+	for i := range p.fixups {
+		if p.err != nil && i == p.errFix {
+			return nil, p.err
+		}
+		if err := p.patch(&p.fixups[i]); err != nil {
+			return nil, err
+		}
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return &Result{Code: p.code, Labels: p.labels}, nil
+}
+
+// patch resolves one fixup's label and writes its bytes.
+func (p *RVProg) patch(f *rvFixup) error {
+	target, ok := p.labels[f.label]
+	if !ok {
+		return fmt.Errorf("asm: undefined label %q", f.label)
+	}
+	addr := p.base + uint64(f.off)
+	dst := p.code[f.off:]
+	switch f.kind {
+	case fixQuad:
+		binary.LittleEndian.PutUint64(dst, target)
+	case fixInst:
+		inst := f.inst
+		inst.A.Imm = int64(target)
+		w, err := isa.EncodeRV64(inst, addr)
+		if err != nil {
+			return fmt.Errorf("asm: rv64 at %#x: %w", addr, err)
+		}
+		binary.LittleEndian.PutUint32(dst, w)
+	case fixLa:
+		v := int64(target)
+		if v != int64(int32(v)) {
+			return fmt.Errorf("asm: la %q: address %#x exceeds 32 bits", f.label, target)
+		}
+		lo := int64(int32(uint32(v)&0xFFF) << 20 >> 20)
+		hi := v - lo
+		if hi != int64(int32(hi)) {
+			return fmt.Errorf("asm: la %q: address %#x exceeds the lui range", f.label, target)
+		}
+		lui, err := isa.EncodeRV64(isa.Inst{Op: isa.OpMov, Size: 8,
+			A: isa.RegOp(f.reg), B: isa.ImmOp(hi)}, addr)
+		if err != nil {
+			return fmt.Errorf("asm: rv64 la at %#x: %w", addr, err)
+		}
+		addi, err := isa.EncodeRV64(isa.Inst{Op: isa.OpAdd, Size: 8,
+			A: isa.RegOp(f.reg), B: isa.RegOp(f.reg), C: isa.ImmOp(lo)}, addr+4)
+		if err != nil {
+			return fmt.Errorf("asm: rv64 la at %#x: %w", addr, err)
+		}
+		binary.LittleEndian.PutUint32(dst, lui)
+		binary.LittleEndian.PutUint32(dst[4:], addi)
+	}
+	return nil
 }

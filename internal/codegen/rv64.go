@@ -46,7 +46,7 @@ func compileRV64(m *mir.Module, opts Options, isaName string) (*sbf.Binary, erro
 		data = make([]byte, 8)
 	}
 
-	p := &asm.RVProg{}
+	p := asm.NewRVProg(opts.TextBase)
 	rvEmitStart(p)
 	rvEmitBuiltins(p)
 	cg := &rvFuncGen{p: p}
@@ -56,7 +56,7 @@ func compileRV64(m *mir.Module, opts Options, isaName string) (*sbf.Binary, erro
 		}
 	}
 
-	res, err := p.Assemble(opts.TextBase, extern)
+	res, err := p.Assemble(extern)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,5 +180,49 @@ func TestFetchWindowAtPageEdge(t *testing.T) {
 	inst, err := isa.Decode(win, 0)
 	if err != nil || inst.Op != isa.OpPop {
 		t.Errorf("decode at edge: %v %v", inst, err)
+	}
+}
+
+// TestVerifySizedRunAllocs pins what a payload-verification-sized run
+// costs: a fresh machine, one code page, a 64 KiB stack and a few hundred
+// steps allocate under 128 KiB in total. The decode cache starts small and
+// grows with use, so a short run never pays for the table a long program
+// run needs.
+func TestVerifySizedRunAllocs(t *testing.T) {
+	r, err := asm.Assemble(`
+    mov rcx, 100
+loop:
+    add rax, rcx
+    dec rcx
+    jnz loop
+    mov rax, 60
+    syscall
+`, 0x1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		m := NewMachineISA(isa.X64)
+		m.OS = NewOS()
+		m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
+		m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
+		m.SetupStack(0x7FFF_0000, 0x10000)
+		m.RIP = 0x1000
+		if err := m.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		if m.Steps < 300 {
+			t.Fatalf("ran %d steps, want a few hundred", m.Steps)
+		}
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 128<<10 {
+		t.Errorf("verify-sized run allocates %d KiB, want under 128 KiB", per>>10)
 	}
 }

@@ -48,9 +48,14 @@ type Machine struct {
 	hasLink bool
 
 	// icache is a direct-mapped decoded-instruction cache, invalidated
-	// when executable memory is written (self-modifying code).
+	// when executable memory is written (self-modifying code). It is sized
+	// by use: it starts at icacheMin entries and doubles, up to icacheMax,
+	// whenever the fills since the last resize exceed its size, so a
+	// payload verification of a few hundred steps never pays for the table
+	// a long program run needs. Results never depend on the cache.
 	icache    []icEntry
 	icacheGen uint64
+	icFills   int
 }
 
 type icEntry struct {
@@ -59,7 +64,10 @@ type icEntry struct {
 	valid bool
 }
 
-const icacheSize = 1 << 14
+const (
+	icacheMin = 1 << 8
+	icacheMax = 1 << 14
+)
 
 // NewMachine returns an x86-64 machine with an empty address space.
 func NewMachine() *Machine {
@@ -68,7 +76,7 @@ func NewMachine() *Machine {
 
 // NewMachineISA returns a machine executing the given backend's ISA.
 func NewMachineISA(be isa.Backend) *Machine {
-	m := &Machine{Mem: NewMemory(), icache: make([]icEntry, icacheSize), be: be}
+	m := &Machine{Mem: NewMemory(), icache: make([]icEntry, icacheMin), be: be}
 	m.sp = be.SP()
 	m.abi = be.Syscall()
 	m.zero, m.hasZero = be.ZeroReg()
@@ -231,7 +239,7 @@ func (m *Machine) fetch() (isa.Inst, error) {
 			m.icache[i].valid = false
 		}
 	}
-	slot := &m.icache[(m.RIP^m.RIP>>7)&(icacheSize-1)]
+	slot := &m.icache[(m.RIP^m.RIP>>7)&uint64(len(m.icache)-1)]
 	if slot.valid && slot.addr == m.RIP {
 		// Permission may have changed (mprotect); re-check executability.
 		if m.Mem.PermAt(m.RIP)&PermExec == 0 {
@@ -246,6 +254,12 @@ func (m *Machine) fetch() (isa.Inst, error) {
 	inst, err := m.be.Decode(window, m.RIP)
 	if err != nil {
 		return isa.Inst{}, fmt.Errorf("emu: decode at %#x: %w", m.RIP, err)
+	}
+	if m.icFills++; m.icFills > len(m.icache) && len(m.icache) < icacheMax {
+		// Grow rather than thrash; the new table starts empty.
+		m.icache = make([]icEntry, 2*len(m.icache))
+		m.icFills = 0
+		slot = &m.icache[(m.RIP^m.RIP>>7)&uint64(len(m.icache)-1)]
 	}
 	*slot = icEntry{addr: m.RIP, inst: inst, valid: true}
 	return inst, nil

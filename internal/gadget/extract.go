@@ -184,7 +184,7 @@ func scanShard(tab *Table, job shardJob, opts Options) *shard {
 		seen: make(map[uint64]struct{}),
 	}
 	sh.ex = symex.NewExecutorISA(sh.b, opts.backend())
-	w := &walker{tab: tab, opts: opts, sh: sh}
+	w := &walker{tab: tab, opts: opts, sh: sh, steps: make([]symex.Step, 0, opts.MaxInsts+1)}
 	root := w.getBuf()
 	for off := job.lo; off < job.hi; off += opts.Stride {
 		sh.stats.ScannedOffsets++
@@ -258,38 +258,54 @@ func (ei *effectImporter) effect(e *symex.Effect) *symex.Effect {
 	return out
 }
 
+// stepRef is one walked path step: a pointer to the instruction's
+// predecode-table entry plus the branch direction taken there. Walks copy
+// 16-byte refs where symex.Step would copy a whole 88-byte Inst; found
+// materializes Steps only for the paths that terminate.
+type stepRef struct {
+	in    *isa.Inst
+	taken bool
+}
+
 // walker enumerates gadget paths from one shard's start offsets. It owns a
-// freelist of step buffers (capacity MaxInsts+1, so in-walk appends never
+// freelist of path buffers (capacity MaxInsts+1, so in-walk appends never
 // reallocate) that back both the main path and the copies forked at
-// conditional jumps; emit copies a completed path into its gadget, so the
-// buffers recycle freely. One walker serves one shard — it is not safe for
-// concurrent use.
+// conditional jumps, plus the Step scratch found fills; emit copies a
+// completed path into its gadget, so the buffers recycle freely. One walker
+// serves one shard — it is not safe for concurrent use.
 type walker struct {
 	tab   *Table
 	opts  Options
 	sh    *shard
 	start uint64
-	free  [][]symex.Step
+	free  [][]stepRef
+	steps []symex.Step
 }
 
-// getBuf returns an empty step buffer with capacity MaxInsts+1.
-func (w *walker) getBuf() []symex.Step {
+// getBuf returns an empty path buffer with capacity MaxInsts+1.
+func (w *walker) getBuf() []stepRef {
 	if n := len(w.free) - 1; n >= 0 {
 		b := w.free[n]
 		w.free = w.free[:n]
 		return b[:0]
 	}
-	return make([]symex.Step, 0, w.opts.MaxInsts+1)
+	return make([]stepRef, 0, w.opts.MaxInsts+1)
 }
 
 // putBuf returns a buffer to the freelist once the fork that borrowed it
 // has been fully explored.
-func (w *walker) putBuf(b []symex.Step) { w.free = append(w.free, b) }
+func (w *walker) putBuf(b []stepRef) { w.free = append(w.free, b) }
 
-// found records one complete (branch-terminated) path: raw-candidate
-// statistics, then shard emission. steps is walker-owned scratch; emit
-// copies what it keeps.
-func (w *walker) found(steps []symex.Step, end symex.EndKind) {
+// found records one complete (branch-terminated) path: the path followed by
+// its terminator last, then raw-candidate statistics and shard emission.
+// The Steps live in walker scratch; emit copies what it keeps.
+func (w *walker) found(path []stepRef, last *isa.Inst, taken bool, end symex.EndKind) {
+	steps := w.steps[:0]
+	for _, r := range path {
+		steps = append(steps, symex.Step{Inst: *r.in, Taken: r.taken})
+	}
+	steps = append(steps, symex.Step{Inst: *last, Taken: taken})
+	w.steps = steps
 	w.sh.stats.RawCandidates++
 	w.sh.stats.ByType[Classify(steps, end)]++
 	w.sh.emit(w.start, steps)
@@ -299,16 +315,16 @@ func (w *walker) found(steps []symex.Step, end symex.EndKind) {
 // (branch-terminated) path. Instructions come from the shared predecode
 // table.
 //
-// The fork/merge budget is recounted from the steps prefix on entry, not
+// The fork/merge budget is recounted from the path prefix on entry, not
 // threaded through the recursion, reproducing the seed walk exactly: in
 // particular a merged direct call consumes in-loop merge budget but is not
 // recounted when a later fork recurses, so the taken branch regains that
 // budget just as it always did. Byte-identity with the seed pool depends on
 // this quirk staying put.
-func (w *walker) walk(addr uint64, steps []symex.Step) {
+func (w *walker) walk(addr uint64, path []stepRef) {
 	forks, merges := 0, 0
-	for i := range steps {
-		switch in := &steps[i].Inst; {
+	for _, r := range path {
+		switch in := r.in; {
 		case in.Op == isa.OpJcc || in.Op == isa.OpBcc:
 			forks++
 		case in.Op == isa.OpJmp && in.A.Kind == isa.KindImm:
@@ -316,7 +332,7 @@ func (w *walker) walk(addr uint64, steps []symex.Step) {
 		}
 	}
 
-	for len(steps) < w.opts.MaxInsts {
+	for len(path) < w.opts.MaxInsts {
 		inst, ok := w.tab.inst(addr)
 		if !ok {
 			return
@@ -324,65 +340,65 @@ func (w *walker) walk(addr uint64, steps []symex.Step) {
 
 		switch {
 		case inst.Op == isa.OpRet:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndRet)
+			w.found(path, inst, false, symex.EndRet)
 			return
 		case inst.Op == isa.OpSyscall:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndSyscall)
+			w.found(path, inst, false, symex.EndSyscall)
 			return
 		case inst.Op == isa.OpJmp && inst.A.Kind != isa.KindImm:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndJmpInd)
+			w.found(path, inst, false, symex.EndJmpInd)
 			return
 		case inst.Op == isa.OpCall && inst.A.Kind != isa.KindImm:
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndCallInd)
+			w.found(path, inst, false, symex.EndCallInd)
 			return
 		case inst.Op == isa.OpJalr:
 			// RISC-V jalr with a non-{x0,ra} link register: indirect jump
 			// that also deposits a return address.
-			w.found(append(steps, symex.Step{Inst: *inst}), symex.EndJmpInd)
+			w.found(path, inst, false, symex.EndJmpInd)
 			return
 		case inst.Op == isa.OpJmp: // direct: merge with the target gadget
 			if merges >= w.opts.MaxMerges {
-				w.found(append(steps, symex.Step{Inst: *inst}), symex.EndJmpDir)
+				w.found(path, inst, false, symex.EndJmpDir)
 				return
 			}
 			merges++
-			steps = append(steps, symex.Step{Inst: *inst})
+			path = append(path, stepRef{in: inst})
 			addr = uint64(inst.A.Imm)
 		case inst.Op == isa.OpCall: // direct call: follow into the callee
 			if merges >= w.opts.MaxMerges {
 				return
 			}
 			merges++
-			steps = append(steps, symex.Step{Inst: *inst})
+			path = append(path, stepRef{in: inst})
 			addr = uint64(inst.A.Imm)
 		case inst.Op == isa.OpJal: // RISC-V direct jump-and-link: follow it
 			if merges >= w.opts.MaxMerges {
 				return
 			}
 			merges++
-			steps = append(steps, symex.Step{Inst: *inst})
+			path = append(path, stepRef{in: inst})
 			addr = uint64(inst.A.Imm)
 		case inst.Op == isa.OpJcc || inst.Op == isa.OpBcc:
 			if forks >= w.opts.MaxForks {
 				// Report the taken-terminal variant for counting, then stop.
-				w.found(append(steps, symex.Step{Inst: *inst, Taken: true}), symex.EndJmpDir)
+				w.found(path, inst, true, symex.EndJmpDir)
 				return
 			}
 			// Fork: the taken path continues at the target (Fig. 4c), the
 			// not-taken path falls through (Fig. 4b). The taken copy lives
 			// in a freelist buffer for the duration of its subtree.
 			taken := w.getBuf()
-			taken = append(taken, steps...)
-			taken = append(taken, symex.Step{Inst: *inst, Taken: true})
+			taken = append(taken, path...)
+			taken = append(taken, stepRef{in: inst, taken: true})
 			w.walk(uint64(inst.A.Imm), taken)
 			w.putBuf(taken)
-			steps = append(steps, symex.Step{Inst: *inst, Taken: false})
+			path = append(path, stepRef{in: inst})
 			addr = inst.End()
 			forks++
 		case inst.Op == isa.OpHlt || inst.Op == isa.OpInt3:
 			return // traps end the path unusably
 		default:
-			steps = append(steps, symex.Step{Inst: *inst})
+			path = append(path, stepRef{in: inst})
 			addr = inst.End()
 		}
 	}
@@ -474,84 +490,6 @@ func pathLen(steps []symex.Step) int {
 	n := 0
 	for i := range steps {
 		n += int(steps[i].Inst.Len)
-	}
-	return n
-}
-
-// Count performs the cheap classic scan used for Fig. 1 / Table I numbers:
-// decode from every byte offset until the first branch instruction and
-// classify it. No symbolic execution, no merging, no forking — this mirrors
-// what syntactic tools such as ROPGadget count. The scan chains through a
-// predecode table, so each code byte is decoded once instead of once per
-// covering window.
-func Count(bin *sbf.Binary, maxInsts int) map[JmpType]int {
-	return CountISA(bin, maxInsts, isa.X64)
-}
-
-// CountISA is Count against a specific backend. The scan still tries every
-// byte offset; on fixed-stride backends the predecode table leaves
-// misaligned offsets undecodable, so only stride-aligned chains count —
-// exactly the aligned-decode property that shrinks the RISC-V surface.
-func CountISA(bin *sbf.Binary, maxInsts int, be isa.Backend) map[JmpType]int {
-	if maxInsts == 0 {
-		maxInsts = 10
-	}
-	t := PredecodeISA(bin, runtime.GOMAXPROCS(0), be)
-	counts := make(map[JmpType]int)
-	for si, sec := range t.secs {
-		insts := t.insts[si]
-		for off := 0; off < len(sec.Data); off++ {
-			pos := off
-			hasCond := false
-			for n := 0; n < maxInsts; n++ {
-				if pos >= len(insts) {
-					break
-				}
-				inst := insts[pos]
-				if inst.Len == 0 {
-					break
-				}
-				pos += int(inst.Len)
-				var jt JmpType
-				switch be.Classify(&inst) {
-				case isa.ClassRet:
-					jt = TypeReturn
-				case isa.ClassSyscall:
-					jt = TypeSyscall
-				case isa.ClassJmpDir:
-					jt = TypeUDJ
-					if hasCond {
-						jt = TypeCDJ
-					}
-				case isa.ClassJmpInd, isa.ClassCallInd:
-					jt = TypeUIJ
-					if hasCond {
-						jt = TypeCIJ
-					}
-				case isa.ClassCallDir:
-					// Direct call: classic scanners stop without counting.
-					jt = TypeInvalid
-				case isa.ClassCondBr:
-					hasCond = true
-					continue
-				default:
-					continue
-				}
-				if jt != TypeInvalid {
-					counts[jt]++
-				}
-				break
-			}
-		}
-	}
-	return counts
-}
-
-// TotalCount sums a Count result.
-func TotalCount(counts map[JmpType]int) int {
-	n := 0
-	for _, c := range counts {
-		n += c
 	}
 	return n
 }

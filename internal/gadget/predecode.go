@@ -9,8 +9,8 @@ import (
 
 // Table is the per-section predecode table: one isa.Inst per byte offset of
 // every executable section, decoded in a single O(n) pass and shared
-// read-only by all scan workers. The walk, the fork/merge path enumeration,
-// and Count then chain through the table by addr + inst.Len instead of
+// read-only by all scan workers. The walk and the fork/merge path
+// enumeration then chain through the table by addr + inst.Len instead of
 // re-invoking isa.Decode at every path step from every start offset — the
 // extraction decode cost drops from O(n · pathLen) to O(n), and instruction
 // suffixes shared between overlapping start offsets are decoded exactly
@@ -22,9 +22,12 @@ import (
 // pure function of the section bytes, so the table — and everything walked
 // through it — is deterministic regardless of how many workers built it.
 //
-// Memory: one Inst (~88 bytes) per code byte. The corpus binaries measure
-// their code in tens to hundreds of KiB, so a table is a few MiB at most
-// and lives only for the duration of one extraction or count.
+// Memory: one 88-byte Inst per code byte (only stride-aligned offsets are
+// decoded, but every byte keeps a slot so lookups index by address). The
+// corpus binaries measure their code in tens to hundreds of KiB, so a table
+// is a few MiB at most and lives only for the duration of one extraction.
+// The classic count does not need decoded operands and scans a 2-byte
+// countTable instead (count.go).
 type Table struct {
 	secs  []*sbf.Section // ascending by Addr (sbf keeps sections sorted)
 	insts [][]isa.Inst   // insts[i][off] decodes secs[i].Data[off:]; Len==0 invalid
@@ -35,46 +38,66 @@ type Table struct {
 	solo              []isa.Inst // nil when the binary has several sections
 }
 
-// predecodeChunk is how many byte offsets one predecode job covers. Like
+// predecodeChunk is how many byte offsets one decode job covers. Like
 // chunkStrides, it is fixed so the work partition never depends on the
 // worker count; unlike the scan shards, entries are independent, so the
 // only requirement is a chunk big enough to amortize dispatch.
 const predecodeChunk = 64 << 10
 
-// PredecodeISA decodes every byte offset of bin's executable sections with
-// backend be into a Table, fanning the (embarrassingly parallel) decode
-// work across at most parallelism workers (<=1 means serial). Offsets the
-// backend refuses to decode — including misaligned ones on fixed-stride
-// ISAs — keep Len == 0 entries, so walks chained through the table stop
-// exactly where a direct decode would. The build is accounted to the
-// "decode" wall bucket.
-func PredecodeISA(bin *sbf.Binary, parallelism int, be isa.Backend) *Table {
-	defer wall.Track("decode")()
-	t := &Table{secs: bin.ExecSections()}
-	t.insts = make([][]isa.Inst, len(t.secs))
-
+// decodeSections decodes every stride-aligned offset of secs with backend
+// be, fanning fixed-size chunks across at most parallelism workers (<=1
+// means serial), and hands each successful decode to put with its section
+// index and byte offset. Offsets whose address is not a multiple of the
+// backend's stride are never decoded: the backend refuses them anyway
+// (RISC-V's instruction-alignment fault), and skipping them spares a
+// DecodeError allocation per misaligned offset. in points at per-chunk
+// scratch, valid only for the duration of the call; put must be safe for
+// concurrent calls on distinct offsets.
+func decodeSections(secs []*sbf.Section, parallelism int, be isa.Backend, put func(si, off int, in *isa.Inst)) {
 	type job struct {
 		si     int
 		lo, hi int
 	}
 	var jobs []job
-	for i, sec := range t.secs {
-		t.insts[i] = make([]isa.Inst, len(sec.Data))
+	for i, sec := range secs {
 		for lo := 0; lo < len(sec.Data); lo += predecodeChunk {
 			hi := min(lo+predecodeChunk, len(sec.Data))
 			jobs = append(jobs, job{si: i, lo: lo, hi: hi})
 		}
 	}
 
+	stride := uint64(be.Stride())
 	par.For(parallelism, len(jobs), func(i int) {
 		j := jobs[i]
-		sec, insts := t.secs[j.si], t.insts[j.si]
-		for off := j.lo; off < j.hi; off++ {
-			in, err := be.Decode(sec.Data[off:], sec.Addr+uint64(off))
+		sec := secs[j.si]
+		in := new(isa.Inst)
+		first := j.lo + int((stride-(sec.Addr+uint64(j.lo))%stride)%stride)
+		for off := first; off < j.hi; off += int(stride) {
+			var err error
+			*in, err = be.Decode(sec.Data[off:], sec.Addr+uint64(off))
 			if err == nil {
-				insts[off] = in
+				put(j.si, off, in)
 			}
 		}
+	})
+}
+
+// PredecodeISA decodes every stride-aligned byte offset of bin's executable
+// sections with backend be into a Table, fanning the (embarrassingly
+// parallel) decode work across at most parallelism workers (<=1 means
+// serial). Offsets the backend refuses to decode, and misaligned ones on
+// fixed-stride ISAs, keep Len == 0 entries, so walks chained through the
+// table stop exactly where a direct decode would. The build is accounted
+// to the "decode" wall bucket.
+func PredecodeISA(bin *sbf.Binary, parallelism int, be isa.Backend) *Table {
+	defer wall.Track("decode")()
+	t := &Table{secs: bin.ExecSections()}
+	t.insts = make([][]isa.Inst, len(t.secs))
+	for i, sec := range t.secs {
+		t.insts[i] = make([]isa.Inst, len(sec.Data))
+	}
+	decodeSections(t.secs, parallelism, be, func(si, off int, in *isa.Inst) {
+		t.insts[si][off] = *in
 	})
 	return t.finish()
 }
@@ -91,7 +114,7 @@ func (t *Table) finish() *Table {
 // inst returns the predecoded instruction at addr. Addresses outside every
 // executable section, and offsets whose bytes do not decode, report false —
 // exactly the cases where a direct isa.Decode would fail. The pointer (not
-// a copy of the ~88-byte Inst: the walk looks one up per step per path)
+// a copy of the 88-byte Inst: the walk looks one up per step per path)
 // points into the shared array and must be treated as read-only.
 func (t *Table) inst(addr uint64) (*isa.Inst, bool) {
 	if t.solo != nil {

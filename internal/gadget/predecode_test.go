@@ -1,6 +1,7 @@
 package gadget_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -156,10 +157,11 @@ func TestPredecodeTableMatchesDecode(t *testing.T) {
 	}
 }
 
-// refCount is the seed's Count loop: decode afresh from every byte offset
-// until the first branch and classify it. Count now chains through the
-// predecode table; this reference pins the fold.
-func refCount(bin *sbf.Binary, maxInsts int) map[gadget.JmpType]int {
+// refCount is the seed's Count loop, made backend-generic: decode afresh
+// from every byte offset with the backend's own Decode until the first
+// branch, and classify it with the backend's own Classify. Count now chains
+// through a count table; this reference pins the fold.
+func refCount(bin *sbf.Binary, maxInsts int, be isa.Backend) map[gadget.JmpType]int {
 	counts := make(map[gadget.JmpType]int)
 	for _, sec := range bin.ExecSections() {
 		for off := 0; off < len(sec.Data); off++ {
@@ -167,30 +169,30 @@ func refCount(bin *sbf.Binary, maxInsts int) map[gadget.JmpType]int {
 			pos := 0
 			hasCond := false
 			for n := 0; n < maxInsts; n++ {
-				inst, err := isa.Decode(code[pos:], sec.Addr+uint64(off+pos))
+				inst, err := be.Decode(code[pos:], sec.Addr+uint64(off+pos))
 				if err != nil {
 					break
 				}
 				pos += int(inst.Len)
 				var t gadget.JmpType
-				switch {
-				case inst.Op == isa.OpRet:
+				switch be.Classify(&inst) {
+				case isa.ClassRet:
 					t = gadget.TypeReturn
-				case inst.Op == isa.OpSyscall:
+				case isa.ClassSyscall:
 					t = gadget.TypeSyscall
-				case inst.Op == isa.OpJmp && inst.A.Kind == isa.KindImm:
+				case isa.ClassJmpDir:
 					t = gadget.TypeUDJ
 					if hasCond {
 						t = gadget.TypeCDJ
 					}
-				case (inst.Op == isa.OpJmp || inst.Op == isa.OpCall) && inst.A.Kind != isa.KindImm:
+				case isa.ClassJmpInd, isa.ClassCallInd:
 					t = gadget.TypeUIJ
 					if hasCond {
 						t = gadget.TypeCIJ
 					}
-				case inst.Op == isa.OpCall:
+				case isa.ClassCallDir:
 					t = gadget.TypeInvalid
-				case inst.Op == isa.OpJcc:
+				case isa.ClassCondBr:
 					hasCond = true
 					continue
 				default:
@@ -206,20 +208,91 @@ func refCount(bin *sbf.Binary, maxInsts int) map[gadget.JmpType]int {
 	return counts
 }
 
-// TestCountMatchesReference pins the table-folded Count against the seed's
-// decode-per-window loop on the x64 corpus programs, at the default window
-// and a deeper one.
+// TestCountMatchesReference pins the table-folded count against the seed's
+// decode-per-window loop on every corpus program under every backend (the
+// program's own and the other two: a foreign backend sees mostly
+// undecodable bytes, which exercises the chain breaks), at the default
+// window and a deeper one, at one and two workers.
 func TestCountMatchesReference(t *testing.T) {
 	for _, eb := range equivBinaries(t) {
-		if eb.isa != "" {
-			continue // refCount decodes x64 only
-		}
-		for _, maxInsts := range []int{10, 25} {
-			want := refCount(eb.bin, maxInsts)
-			got := gadget.Count(eb.bin, maxInsts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s maxInsts=%d: Count = %v, want %v", eb.name, maxInsts, got, want)
+		for _, name := range []string{"x64", "rv64", "rv64c"} {
+			be, _ := isa.ByName(name)
+			for _, maxInsts := range []int{10, 25} {
+				want := refCount(eb.bin, maxInsts, be)
+				for _, par := range []int{1, 2} {
+					got := gadget.CountParallel(eb.bin, maxInsts, be, par)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s under %s maxInsts=%d parallelism=%d: count = %v, want %v",
+							eb.name, name, maxInsts, par, got, want)
+					}
+				}
 			}
+		}
+	}
+}
+
+// FuzzCount checks CountISA against refCount on arbitrary bytes under all
+// three backends, with the section placed at an aligned and at a
+// misaligned base (odd bases shift which offsets the RISC-V backends may
+// decode).
+func FuzzCount(f *testing.F) {
+	f.Add([]byte{0x5f, 0xc3}, false)                                                   // pop rdi; ret
+	f.Add([]byte{0x74, 0x02, 0x90, 0x90, 0xff, 0xe0, 0x0f, 0x05}, true)                // jz; nops; jmp rax; syscall
+	f.Add([]byte{0x13, 0x05, 0x15, 0x00, 0x67, 0x80, 0x00, 0x00}, false)               // addi a0,a0,1; ret
+	f.Add([]byte{0x05, 0x05, 0x82, 0x80, 0x63, 0x04, 0xb5, 0x00, 0x73, 0, 0, 0}, true) // c.addi; c.jr ra; beq; ecall
+	f.Fuzz(func(t *testing.T, data []byte, misaligned bool) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		base := uint64(0x401000)
+		if misaligned {
+			base++
+		}
+		bin := sbf.New()
+		bin.AddSection(sbf.Section{
+			Name: ".text", Addr: base, Flags: sbf.FlagRead | sbf.FlagExec, Data: data,
+		})
+		for _, name := range []string{"x64", "rv64", "rv64c"} {
+			be, _ := isa.ByName(name)
+			want := refCount(bin, 10, be)
+			if got := gadget.CountISA(bin, 10, be); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s base %#x: count = %v, want %v", name, base, got, want)
+			}
+		}
+	})
+}
+
+// TestCountAllocsFlat pins the count scan's allocations to the section
+// count, not its size: a 64 KiB section must allocate no more objects than
+// a 4 KiB one. A per-instruction escape (say, an Inst copied and handed by
+// pointer through the Backend interface) scales with the scan and fails
+// this. The code is valid at every stride-aligned offset, so decode
+// failures (which allocate their error) do not blur the pin.
+func TestCountAllocsFlat(t *testing.T) {
+	cases := []struct {
+		isa  string
+		unit []byte
+	}{
+		{"x64", []byte{0x5f, 0x90, 0x58, 0xc3}},                          // pop rdi; nop; pop rax; ret
+		{"rv64", []byte{0x13, 0x05, 0x15, 0x00, 0x67, 0x80, 0x00, 0x00}}, // addi a0,a0,1; ret
+		{"rv64c", []byte{0x05, 0x05, 0x82, 0x80}},                        // c.addi a0,1; c.jr ra
+	}
+	for _, c := range cases {
+		be, _ := isa.ByName(c.isa)
+		allocs := func(size int) float64 {
+			bin := sbf.New()
+			bin.AddSection(sbf.Section{
+				Name: ".text", Addr: 0x401000, Flags: sbf.FlagRead | sbf.FlagExec,
+				Data: bytes.Repeat(c.unit, size/len(c.unit)),
+			})
+			if gadget.TotalCount(gadget.CountParallel(bin, 10, be, 1)) == 0 {
+				t.Fatalf("%s: no gadgets counted", c.isa)
+			}
+			return testing.AllocsPerRun(5, func() { gadget.CountParallel(bin, 10, be, 1) })
+		}
+		small, large := allocs(4<<10), allocs(64<<10)
+		if large > small {
+			t.Errorf("%s: count allocates %.0f objects on 64 KiB, %.0f on 4 KiB", c.isa, large, small)
 		}
 	}
 }

@@ -284,12 +284,13 @@ type Mem struct {
 	RIPRel   bool // [rip + disp]; Base/Index unused
 }
 
-// Operand is a single instruction operand.
+// Operand is a single instruction operand. Fields are ordered by alignment
+// so the struct packs into 24 bytes.
 type Operand struct {
-	Kind OperandKind
-	Reg  Reg
 	Imm  int64
 	Mem  Mem
+	Kind OperandKind
+	Reg  Reg
 }
 
 // RegOp returns a register operand.
@@ -324,10 +325,11 @@ func RIPOp(disp int32) Operand {
 //   - Direct jmp/call/jcc: A is KindImm holding the *absolute* target
 //     address (the decoder resolves rel8/rel32 displacements; the encoder
 //     converts back to a displacement using the instruction address).
+//
+// Fields are ordered by alignment so an Inst packs into 88 bytes: the
+// predecode table, the emulator's decode cache and every gadget's Steps
+// hold Insts by value, so padding would be paid once per code byte.
 type Inst struct {
-	Op   Op
-	Cond Cond  // condition for OpJcc, OpSetcc and OpBcc
-	Size uint8 // operand size in bytes: 1, 2, 4 or 8
 	A, B Operand
 	// C is the third operand of RISC-V three-operand forms (add rd, rs1,
 	// rs2/imm). KindNone for every x86-64 instruction.
@@ -336,6 +338,10 @@ type Inst struct {
 	// Addr and Len are decode metadata: the virtual address the instruction
 	// was decoded at and its encoded length in bytes.
 	Addr uint64
+
+	Op   Op
+	Cond Cond  // condition for OpJcc, OpSetcc and OpBcc
+	Size uint8 // operand size in bytes: 1, 2, 4 or 8
 	Len  uint8
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // golden encodings checked against the Intel SDM / a reference assembler.
@@ -507,5 +508,13 @@ func TestDisasmText(t *testing.T) {
 	want := "0x00000000: pop rdi\n0x00000001: ret\n"
 	if text != want {
 		t.Errorf("DisasmText = %q, want %q", text, want)
+	}
+}
+
+// TestInstSize pins the packed Inst layout: the predecode table, the
+// emulator's decode cache and gadget Steps all hold Insts by value.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n > 88 {
+		t.Errorf("isa.Inst is %d bytes, want at most 88", n)
 	}
 }

@@ -616,7 +616,7 @@ func fitsImm12(v int64) bool { return v >= -2048 && v < 2048 }
 // pc. Compressed decodes re-encode as their base expansions; the fuzz
 // contract is encode-fixpoint stability, not byte preservation.
 func (b rv64Backend) Encode(inst Inst, pc uint64) ([]byte, error) {
-	w, err := rvEncode32(inst, pc)
+	w, err := EncodeRV64(inst, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -688,7 +688,10 @@ func rvALUFunct(op Op) (funct3, funct7 uint32, hasImm bool, ok bool) {
 	return 0, 0, false, false
 }
 
-func rvEncode32(inst Inst, pc uint64) (uint32, error) {
+// EncodeRV64 is the RV64 encoder returning the instruction word itself, for
+// callers that place words into a buffer they own (the RV64 assembler) and
+// would otherwise pay a slice allocation per instruction.
+func EncodeRV64(inst Inst, pc uint64) (uint32, error) {
 	reg := func(o Operand) uint32 { return uint32(o.Reg) }
 	branchRel := func(target int64) (int64, error) {
 		rel := target - int64(pc)

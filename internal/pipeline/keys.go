@@ -183,29 +183,32 @@ func SelfModifyCtx(ctx context.Context, s *Store, bin *sbf.Binary, key byte) (*s
 	})
 }
 
-// Count runs the classic gadget scan through the store. The returned map is
-// a shared artifact: read-only by contract.
+// Count runs the classic gadget scan through the store, decoding on
+// runtime.GOMAXPROCS(0) workers. The returned map is a shared artifact:
+// read-only by contract.
 func Count(s *Store, bin *sbf.Binary, maxInsts int) map[gadget.JmpType]int {
-	m, _, _ := CountCtx(context.Background(), s, bin, maxInsts)
+	m, _, _ := CountCtx(context.Background(), s, bin, maxInsts, 0)
 	return m
 }
 
-// CountCtx is Count with a cancellation boundary and the store's request
-// outcome. The scan runs under the binary's own backend (pre-multi-ISA
-// binaries carry an empty tag, read as x64).
-func CountCtx(ctx context.Context, s *Store, bin *sbf.Binary, maxInsts int) (map[gadget.JmpType]int, Info, error) {
-	return CountISACtx(ctx, s, bin, maxInsts, bin.ISA)
+// CountCtx is Count with a cancellation boundary, the scan's worker count
+// (<=0 means runtime.GOMAXPROCS(0)) and the store's request outcome. The
+// scan runs under the binary's own backend (pre-multi-ISA binaries carry an
+// empty tag, read as x64).
+func CountCtx(ctx context.Context, s *Store, bin *sbf.Binary, maxInsts, parallelism int) (map[gadget.JmpType]int, Info, error) {
+	return CountISACtx(ctx, s, bin, maxInsts, bin.ISA, parallelism)
 }
 
 // CountISA runs the classic scan under a specific backend through the store.
 func CountISA(s *Store, bin *sbf.Binary, maxInsts int, isaName string) map[gadget.JmpType]int {
-	m, _, _ := CountISACtx(context.Background(), s, bin, maxInsts, isaName)
+	m, _, _ := CountISACtx(context.Background(), s, bin, maxInsts, isaName, 0)
 	return m
 }
 
-// CountISACtx is CountISA with a cancellation boundary and the store's
-// request outcome.
-func CountISACtx(ctx context.Context, s *Store, bin *sbf.Binary, maxInsts int, isaName string) (map[gadget.JmpType]int, Info, error) {
+// CountISACtx is CountISA with a cancellation boundary, the scan's worker
+// count and the store's request outcome. The count key leaves parallelism
+// out: the counts are identical at every worker count.
+func CountISACtx(ctx context.Context, s *Store, bin *sbf.Binary, maxInsts int, isaName string, parallelism int) (map[gadget.JmpType]int, Info, error) {
 	k := ""
 	if s != nil {
 		k = CountKeyISA(s.BinaryKey(bin), maxInsts, isaName)
@@ -215,7 +218,7 @@ func CountISACtx(ctx context.Context, s *Store, bin *sbf.Binary, maxInsts int, i
 		be = isa.X64
 	}
 	return DoCtx(ctx, s, StageCount, k, func() (map[gadget.JmpType]int, error) {
-		return gadget.CountISA(bin, maxInsts, be), nil
+		return gadget.CountParallel(bin, maxInsts, be, parallelism), nil
 	})
 }
 
