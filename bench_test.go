@@ -189,7 +189,7 @@ func BenchmarkAblationGadgetClasses(b *testing.B) {
 func obfuscatedCRC(b *testing.B) *gadget.Pool {
 	b.Helper()
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func obfuscatedCRC(b *testing.B) *gadget.Pool {
 // BenchmarkStageExtraction measures stage 1 on obfuscated crc.
 func BenchmarkStageExtraction(b *testing.B) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func BenchmarkStageSubsumption(b *testing.B) {
 // BenchmarkStagePlanning measures stages 3–4 end to end.
 func BenchmarkStagePlanning(b *testing.B) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func BenchmarkStagePlanning(b *testing.B) {
 func BenchmarkCompileObfuscate(b *testing.B) {
 	p, _ := benchprog.ByName("crc")
 	for i := 0; i < b.N; i++ {
-		if _, err := benchprog.Build(p, obfuscate.Tigress(), 42); err != nil {
+		if _, err := benchprog.BuildISA(p, obfuscate.Tigress(), 42, ""); err != nil {
 			b.Fatal(err)
 		}
 	}

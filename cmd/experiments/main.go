@@ -35,7 +35,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
 	"github.com/nofreelunch/gadget-planner/internal/experiments"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 func main() {
@@ -237,7 +236,7 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("\n%s\n%s\n", store.StatsLine(), wall.Line())
+	fmt.Printf("\n%s\n", store.StatsLine())
 	return nil
 }
 

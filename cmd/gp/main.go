@@ -13,7 +13,7 @@
 // which keeps the artifact store warm across clients. Either way gp prints
 // the result's canonical rendering (serve.Result.Canon), which is
 // byte-identical across the two modes, then the stage timings; a local
-// run adds the store and wall-time stats. -v streams each stage to stderr
+// run adds the store's stage counters. -v streams each stage to stderr
 // as it finishes; -dump prints every payload's bytes.
 package main
 
@@ -28,7 +28,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/serve"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 func main() {
@@ -93,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if store != nil {
 		fmt.Fprintln(stdout, store.StatsLine())
-		fmt.Fprintln(stdout, wall.Line())
 	}
 	return nil
 }

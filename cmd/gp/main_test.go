@@ -23,7 +23,7 @@ func TestLocalMatchesServed(t *testing.T) {
 	if !ok {
 		t.Fatal("crc benchmark missing")
 	}
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func run() error {
 		return err
 	}
 	if *selfmod != 0 {
-		bin, err = pipeline.SelfModify(store, bin, byte(*selfmod))
+		bin, _, err = pipeline.SelfModifyCtx(context.Background(), store, bin, byte(*selfmod))
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/experiments"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
+	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 )
@@ -38,22 +39,22 @@ func main() {
 
 	fmt.Println("\n== per-pass gadget counts (Fig. 5 axis) ==")
 	p := benchprog.Benchmarks()[0]
-	plain, err := benchprog.Build(p, nil, 42)
+	plain, err := benchprog.BuildISA(p, nil, 42, "")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-6s %8d gadgets (%6d bytes)\n", "none",
-		gadget.TotalCount(gadget.Count(plain, 10)), plain.CodeSize())
+		gadget.TotalCount(gadget.CountISA(plain, 10, isa.X64)), plain.CodeSize())
 	for _, name := range obfuscate.AllPassNames() {
 		pass, err := obfuscate.ByName(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bin, err := benchprog.Build(p, []obfuscate.Pass{pass}, 42)
+		bin, err := benchprog.BuildISA(p, []obfuscate.Pass{pass}, 42, "")
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-6s %8d gadgets (%6d bytes)\n", name,
-			gadget.TotalCount(gadget.Count(bin, 10)), bin.CodeSize())
+			gadget.TotalCount(gadget.CountISA(bin, 10, isa.X64)), bin.CodeSize())
 	}
 }

@@ -97,7 +97,7 @@ func TestSGCOnIdealBinary(t *testing.T) {
 // Angrop <= SGC <= Gadget-Planner on a real compiled, obfuscated program.
 func TestToolOrderingOnCompiledBinary(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func le8(s string) uint64 {
 
 // verifyExecve runs the payload and checks execve("/bin/sh") fires.
 func verifyExecve(bin *sbf.Binary, payload []byte) bool {
-	m := emu.NewMachine()
+	m := emu.NewMachineISA(isa.X64)
 	os := emu.NewOS()
 	m.OS = os
 	m.Mem.LoadBinary(bin)

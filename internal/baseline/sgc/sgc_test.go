@@ -58,7 +58,7 @@ func TestOrderingAgainstGadgetPlannerPool(t *testing.T) {
 	// SGC's pool restriction makes it strictly weaker than the full pool
 	// would allow on an obfuscated binary rich in conditional paths.
 	p, _ := benchprog.ByName("fibonacci")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

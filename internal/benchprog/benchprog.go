@@ -23,12 +23,6 @@ type Program struct {
 	Stdin       []byte
 }
 
-// Build compiles the program for x86-64, optionally applying obfuscation
-// passes.
-func Build(p Program, passes []obfuscate.Pass, seed int64) (*sbf.Binary, error) {
-	return BuildISA(p, passes, seed, "")
-}
-
 // BuildISA compiles the program for the named instruction set ("", "x64",
 // "rv64", "rv64c"), optionally applying obfuscation passes. Obfuscation runs
 // on the ISA-independent MIR, so every backend sees the same transformed
@@ -45,11 +39,6 @@ func BuildISA(p Program, passes []obfuscate.Pass, seed int64, isaName string) (*
 		return nil, fmt.Errorf("benchprog: %s: %w", p.Name, err)
 	}
 	return bin, nil
-}
-
-// Run executes a built benchmark in the emulator.
-func Run(bin *sbf.Binary, p Program) (*codegen.RunResult, error) {
-	return codegen.Run(bin, p.Stdin, 0)
 }
 
 // Benchmarks returns the Banescu-style corpus (Fig. 1 / Table I / Table IV).

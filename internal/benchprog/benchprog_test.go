@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 )
 
@@ -13,14 +14,14 @@ func TestAllProgramsRunPlain(t *testing.T) {
 	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			bin, err := Build(p, nil, 0)
+			bin, err := BuildISA(p, nil, 0, "")
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
 			if p.Name == "netperf" {
 				p.Stdin = NetperfRequest([]byte("host,port"))
 			}
-			res, err := Run(bin, p)
+			res, err := codegen.Run(bin, p.Stdin, 0)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -54,11 +55,11 @@ func TestKnownOutputs(t *testing.T) {
 		if !ok {
 			t.Fatalf("program %s missing", name)
 		}
-		bin, err := Build(p, nil, 0)
+		bin, err := BuildISA(p, nil, 0, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(bin, p)
+		res, err := codegen.Run(bin, p.Stdin, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +69,11 @@ func TestKnownOutputs(t *testing.T) {
 	}
 	// fibonacci: fib(40) iterative = 102334155, fib_rec(17) = 1597.
 	p, _ := ByName("fibonacci")
-	bin, err := Build(p, nil, 0)
+	bin, err := BuildISA(p, nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(bin, p)
+	res, err := codegen.Run(bin, p.Stdin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,21 +97,21 @@ func TestObfuscatedMatchPlain(t *testing.T) {
 		if p.Name == "netperf" {
 			p.Stdin = NetperfRequest([]byte("host,port"))
 		}
-		plainBin, err := Build(p, nil, 0)
+		plainBin, err := BuildISA(p, nil, 0, "")
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		plain, err := Run(plainBin, p)
+		plain, err := codegen.Run(plainBin, p.Stdin, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for preset, passes := range presets {
 			t.Run(p.Name+"/"+preset, func(t *testing.T) {
-				bin, err := Build(p, passes, 42)
+				bin, err := BuildISA(p, passes, 42, "")
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				res, err := Run(bin, p)
+				res, err := codegen.Run(bin, p.Stdin, 0)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -132,13 +133,13 @@ func TestObfuscatedMatchPlain(t *testing.T) {
 // address), proving the write primitive the exploit uses.
 func TestNetperfOverflowSmashesStack(t *testing.T) {
 	p := Netperf()
-	bin, err := Build(p, nil, 0)
+	bin, err := BuildISA(p, nil, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Benign input works.
 	p.Stdin = NetperfRequest([]byte("localhost,9000"))
-	res, err := Run(bin, p)
+	res, err := codegen.Run(bin, p.Stdin, 0)
 	if err != nil || !strings.Contains(res.Stdout, "option handled") {
 		t.Fatalf("benign run failed: %v %q", err, res)
 	}
@@ -149,7 +150,7 @@ func TestNetperfOverflowSmashesStack(t *testing.T) {
 		payload[i] = 0x42
 	}
 	p.Stdin = NetperfRequest(payload)
-	_, err = Run(bin, p)
+	_, err = codegen.Run(bin, p.Stdin, 0)
 	if err == nil {
 		t.Fatal("overflow did not crash")
 	}

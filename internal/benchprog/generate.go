@@ -322,7 +322,7 @@ func GeneratedCorpus(baseSeed int64, n int) []Program {
 // under all passes) is enforced in tests and spot-checked by callers.
 func ValidateGenerated(p Program, obfSeed int64) error {
 	const maxSteps = 80_000_000
-	plain, err := Build(p, nil, obfSeed)
+	plain, err := BuildISA(p, nil, obfSeed, "")
 	if err != nil {
 		return fmt.Errorf("benchprog: %s: plain build: %w", p.Name, err)
 	}
@@ -349,7 +349,7 @@ func ValidateGenerated(p Program, obfSeed int64) error {
 	order = append(order, "llvm-obf", "tigress")
 
 	for _, name := range order {
-		bin, err := Build(p, arms[name], obfSeed)
+		bin, err := BuildISA(p, arms[name], obfSeed, "")
 		if err != nil {
 			return fmt.Errorf("benchprog: %s: %s build: %w", p.Name, name, err)
 		}

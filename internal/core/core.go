@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -20,7 +21,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // The payload-stage parameters. Both feed the plan-stage key, so every
@@ -137,7 +137,7 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	if cfg.Store != nil {
 		rawKey = pipeline.ExtractKey(cfg.Store.BinaryKey(bin), xopts)
 	}
-	raw, xinfo, err := pipeline.Do(cfg.Store, pipeline.StageExtract, rawKey,
+	raw, xinfo, err := pipeline.DoCtx(context.TODO(), cfg.Store, pipeline.StageExtract, rawKey,
 		func() (*gadget.Pool, error) { return gadget.Extract(bin, xopts), nil })
 	if err != nil {
 		panic(err) // the stage cannot fail: err is a recovered panic
@@ -188,7 +188,7 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	if poolKey != "" {
 		minKey = pipeline.MinimizeKey(poolKey, sopts)
 	}
-	min, minfo, err := pipeline.Do(cfg.Store, pipeline.StageMinimize, minKey,
+	min, minfo, err := pipeline.DoCtx(context.TODO(), cfg.Store, pipeline.StageMinimize, minKey,
 		func() (pipeline.Minimized, error) {
 			p, s := subsume.Minimize(pool, sopts)
 			return pipeline.Minimized{Pool: p, Stats: s}, nil
@@ -226,7 +226,7 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*pipeline.Attack, StageTimin
 		key = pipeline.PlanKey(a.poolKey, goal.Name, cfg.Planner,
 			cfg.PayloadBase, VerifySteps)
 	}
-	atk, info, err := pipeline.Do(cfg.Store, pipeline.StagePlan, key,
+	atk, info, err := pipeline.DoCtx(context.TODO(), cfg.Store, pipeline.StagePlan, key,
 		func() (*pipeline.Attack, error) {
 			atk := &pipeline.Attack{Goal: goal}
 			pool := gadget.ClonePool(a.Pool)
@@ -236,9 +236,7 @@ func (a *Analysis) findPayloads(goal planner.Goal) (*pipeline.Attack, StageTimin
 			opts.Validate = func(p *planner.Plan) bool {
 				pl, err := conc.Concretize(p, goal)
 				if err == nil {
-					stop := wall.Track("verify")
 					err = payload.Verify(a.Binary, pl, VerifySteps)
-					stop()
 				}
 				if err != nil {
 					atk.ConcretizeFailures++

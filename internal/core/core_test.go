@@ -17,7 +17,7 @@ func analyzeCRC(t *testing.T, passes []obfuscate.Pass) *Analysis {
 	if !ok {
 		t.Fatal("crc benchmark missing")
 	}
-	bin, err := benchprog.Build(p, passes, 42)
+	bin, err := benchprog.BuildISA(p, passes, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPipelineOnObfuscatedBinary(t *testing.T) {
 
 func TestSkipSubsumeAblation(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, nil, 42)
+	bin, err := benchprog.BuildISA(p, nil, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSkipSubsumeAblation(t *testing.T) {
 
 func TestGadgetFilter(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, nil, 42)
+	bin, err := benchprog.BuildISA(p, nil, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestGadgetFilter(t *testing.T) {
 // verbatim).
 func TestGadgetFilterStats(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

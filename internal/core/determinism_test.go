@@ -35,7 +35,7 @@ func renderPool(p *gadget.Pool) string {
 // and 8.
 func TestAnalysisDeterministicAcrossParallelism(t *testing.T) {
 	p := benchprog.Benchmarks()[0]
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

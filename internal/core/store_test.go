@@ -38,7 +38,7 @@ func TestStoreTransparent(t *testing.T) {
 	if !ok {
 		t.Fatal("crc benchmark missing")
 	}
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStoreDiskMatrix(t *testing.T) {
 	if !ok {
 		t.Fatal("crc benchmark missing")
 	}
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestStoreDiskMatrix(t *testing.T) {
 // recomputes it — while a search that ran to its node budget persists.
 func TestTimedOutPlanNotPersisted(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestTimedOutPlanNotPersisted(t *testing.T) {
 // the storeless filtered pipeline.
 func TestStoreWithGadgetFilter(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
-	bin, err := benchprog.Build(p, obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ target:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	os := NewOS()
 	m.OS = os
 	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermWrite|PermExec)
@@ -104,7 +104,7 @@ func TestReadSyscall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	os := NewOS()
 	os.Stdin.Reset([]byte("hello"))
 	m.OS = os
@@ -147,7 +147,7 @@ func TestLoadBinaryPermissions(t *testing.T) {
 	bin := sbf.New()
 	bin.AddSection(sbf.Section{Name: ".text", Addr: 0x1000, Flags: sbf.FlagRead | sbf.FlagExec, Data: []byte{0xC3}})
 	bin.AddSection(sbf.Section{Name: ".data", Addr: 0x2000, Flags: sbf.FlagRead | sbf.FlagWrite, Data: []byte{1}})
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	m.Mem.LoadBinary(bin)
 	if m.Mem.PermAt(0x1000)&PermExec == 0 {
 		t.Error("text not executable")

@@ -17,7 +17,7 @@ func runAsm(t *testing.T, src string, base uint64) (*Machine, *OS) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	os := NewOS()
 	m.OS = os
 	m.Mem.Map(base, uint64(len(r.Code)), PermRead|PermExec)
@@ -142,7 +142,7 @@ msg: .asciz "hello"
 }
 
 func TestMemoryFaults(t *testing.T) {
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	m.OS = NewOS()
 	// Execute unmapped memory.
 	m.RIP = 0xdead000
@@ -186,7 +186,7 @@ func TestMprotectEnablesExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	os := NewOS()
 	m.OS = os
 	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermExec)
@@ -234,7 +234,7 @@ g_syscall:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	os := NewOS()
 	m.OS = os
 	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermExec)
@@ -283,7 +283,7 @@ g_syscall:
 // Property test: add/sub flag semantics agree with a direct model.
 func TestQuickAddSubFlags(t *testing.T) {
 	run := func(op isa.Op, a, b uint64) *Machine {
-		m := NewMachine()
+		m := NewMachineISA(isa.X64)
 		m.Mem.Map(0x1000, PageSize, PermRead|PermExec)
 		inst := isa.Inst{Op: op, Size: 8, A: isa.RegOp(isa.RAX), B: isa.RegOp(isa.RBX)}
 		code, err := isa.Encode(inst, 0x1000)
@@ -335,7 +335,7 @@ func TestQuickCompareConditions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := NewMachine()
+		m := NewMachineISA(isa.X64)
 		m.Mem.Map(0x1000, PageSize, PermRead|PermExec)
 		m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
 		m.SetupStack(0x7FFF0000, 0x1000)
@@ -377,7 +377,7 @@ func TestStepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	m.OS = NewOS()
 	m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
 	m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
@@ -403,7 +403,7 @@ func asmRunErr(t *testing.T, src string) (*Machine, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachine()
+	m := NewMachineISA(isa.X64)
 	m.OS = NewOS()
 	m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
 	m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)

@@ -69,11 +69,6 @@ const (
 	icacheMax = 1 << 14
 )
 
-// NewMachine returns an x86-64 machine with an empty address space.
-func NewMachine() *Machine {
-	return NewMachineISA(isa.X64)
-}
-
 // NewMachineISA returns a machine executing the given backend's ISA.
 func NewMachineISA(be isa.Backend) *Machine {
 	m := &Machine{Mem: NewMemory(), icache: make([]icEntry, icacheMin), be: be}

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -124,11 +125,22 @@ func runCells(workers, n int, fn func(i int) error) error {
 // cells — and sibling experiments sharing the store — compile each
 // configuration exactly once.
 func (o Options) build(p benchprog.Program, cfg ObfConfig) (*sbf.Binary, error) {
-	bin, err := pipeline.Build(o.Store, p, cfg.Passes(), o.Seed)
+	bin, _, err := pipeline.BuildISACtx(context.TODO(), o.Store, p, cfg.Passes(), o.Seed, "")
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build %s|%s: %w", p.Name, cfg.Name, err)
 	}
 	return bin, nil
+}
+
+// countOf runs the classic gadget scan of bin through store. A failed scan
+// is reported with the program and configuration it belongs to, never
+// counted as zero gadgets.
+func countOf(ctx context.Context, store *pipeline.Store, bin *sbf.Binary, prog, cfg string) (map[gadget.JmpType]int, error) {
+	counts, _, err := pipeline.CountCtx(ctx, store, bin, 0)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: count %s|%s: %w", prog, cfg, err)
+	}
+	return counts, nil
 }
 
 // gadgetChunks slices the gadget's contiguous instruction-run bytes out of

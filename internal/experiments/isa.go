@@ -13,10 +13,10 @@ import (
 	"strings"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // ISARow is one (program, obfuscation, backend) cell.
@@ -59,7 +59,11 @@ func ISASurface(opts Options) ([]ISARow, error) {
 		for _, oa := range obfArms {
 			for _, isaName := range isaBackends {
 				bin, _, err := pipeline.BuildISACtx(
-					context.Background(), opts.Store, p, oa.passes, opts.Seed, isaName)
+					context.TODO(), opts.Store, p, oa.passes, opts.Seed, isaName)
+				if err != nil {
+					return nil, err
+				}
+				counts, err := countOf(context.TODO(), opts.Store, bin, name, oa.label+"@"+isaName)
 				if err != nil {
 					return nil, err
 				}
@@ -68,8 +72,8 @@ func ISASurface(opts Options) ([]ISARow, error) {
 					Passes:    oa.label,
 					ISA:       isaName,
 					CodeBytes: bin.CodeSize(),
-					Gadgets:   gadget.TotalCount(pipeline.CountISA(opts.Store, bin, 0, isaName)),
-					Pool:      pipeline.Extract(opts.Store, bin, gadget.Options{ISA: isaName}).Size(),
+					Gadgets:   gadget.TotalCount(counts),
+					Pool:      core.Analyze(bin, core.Config{SkipSubsume: true, Store: opts.Store}).RawPool.Size(),
 				})
 			}
 		}
@@ -80,7 +84,6 @@ func ISASurface(opts Options) ([]ISARow, error) {
 // RenderISASurface prints the table; each rv64c row carries its pool's ratio
 // to the matching aligned rv64 row.
 func RenderISASurface(rows []ISARow) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %-10s %-6s %10s %8s %8s %6s\n",
 		"Program", "Passes", "ISA", "Code(B)", "Gadgets", "Pool", "")

@@ -12,7 +12,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // NetperfResult is the Section VI-C case study outcome.
@@ -179,7 +178,6 @@ const (
 // crashProbe runs the victim on the cyclic pattern (with repairs applied)
 // and classifies the crash.
 func crashProbe(bin *sbf.Binary, repairs map[int]uint64) (crashKind, int, uint64, uint64) {
-	defer wall.Track("emu-replay")()
 	pattern := cyclicPattern()
 	for off, v := range repairs {
 		binary.LittleEndian.PutUint64(pattern[off:], v)
@@ -220,7 +218,6 @@ func crashProbe(bin *sbf.Binary, repairs map[int]uint64) (crashKind, int, uint64
 // exploitFires runs the victim with the crafted stdin and reports whether
 // execve("/bin/sh") happened.
 func exploitFires(bin *sbf.Binary, stdin []byte) bool {
-	defer wall.Track("emu-replay")()
 	be, ok := isa.ByName(bin.ISA)
 	if !ok {
 		return false

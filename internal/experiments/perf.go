@@ -11,7 +11,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Table7Row is one (tool, stage) performance entry (paper Table VII: the
@@ -69,12 +68,8 @@ func Table7(opts Options) ([]Table7Row, error) {
 	return rows, nil
 }
 
-// plannerExecve returns the execve goal (helper keeping import usage tidy).
-func plannerExecve() planner.Goal { return planner.ExecveGoal() }
-
 // RenderTable7 prints Table VII.
 func RenderTable7(rows []Table7Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-15s %-20s %10s %10s\n", "Tool", "Stage", "Time(s)", "Alloc(MB)")
 	for _, r := range rows {
@@ -115,11 +110,11 @@ func AblationSubsumption(opts Options) ([]AblationSubsumptionRow, error) {
 		cfgWithout := core.Config{Planner: opts.Planner, SkipSubsume: true, Store: opts.Store}
 
 		aWith := core.Analyze(bin, cfgWith)
-		aWith.FindPayloads(plannerExecve())
+		aWith.FindPayloads(planner.ExecveGoal())
 		with := planTime(aWith.Timings)
 
 		aWithout := core.Analyze(bin, cfgWithout)
-		aWithout.FindPayloads(plannerExecve())
+		aWithout.FindPayloads(planner.ExecveGoal())
 		without := planTime(aWithout.Timings)
 
 		rows = append(rows, AblationSubsumptionRow{
@@ -147,7 +142,6 @@ func planTime(timings []core.StageTiming) time.Duration {
 
 // RenderAblationSubsumption prints the ablation.
 func RenderAblationSubsumption(rows []AblationSubsumptionRow) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %8s %8s %8s %12s %12s\n",
 		"Program", "Before", "After", "Factor", "Plan(with)", "Plan(w/o)")
@@ -204,7 +198,6 @@ func AblationGadgetClasses(opts Options) ([]AblationClassesRow, error) {
 
 // RenderAblationClasses prints the class ablation.
 func RenderAblationClasses(rows []AblationClassesRow) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-16s %10s\n", "Pool", "Payloads")
 	for _, r := range rows {

@@ -39,7 +39,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Stream arms: every (program, configuration) pair is analyzed under two
@@ -195,10 +194,8 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 		defer close(specs)
 		idx := 0
 		for pi := 0; pi < nProgs; pi++ {
-			stop := wall.Track("generate")
 			class := classes[mix[pi%len(mix)]]
 			p := benchprog.Generate(opts.Seed+int64(pi), class)
-			stop()
 			for cfg := range Configs() {
 				for _, arm := range streamArms {
 					select {
@@ -249,9 +246,7 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 	next := 0
 	collect := func(row StreamRow) {
 		if enc != nil {
-			stop := wall.Track("jsonl")
 			enc.Encode(row)
-			stop()
 			res.RowsWritten++
 		}
 		key := row.Class + "|" + row.Obf
@@ -323,7 +318,7 @@ func runStreamCell(opts StreamOptions, spec cellSpec) (StreamRow, error) {
 		Obf:     cfg.Name,
 		Arm:     spec.arm,
 	}
-	bin, _, err := pipeline.BuildCtx(opts.Ctx, opts.Store, spec.prog, cfg.Passes(), opts.Seed)
+	bin, _, err := pipeline.BuildISACtx(opts.Ctx, opts.Store, spec.prog, cfg.Passes(), opts.Seed, "")
 	if err != nil {
 		return row, fmt.Errorf("experiments: stream build %s|%s: %w", spec.prog.Name, cfg.Name, err)
 	}
@@ -331,7 +326,11 @@ func runStreamCell(opts StreamOptions, spec cellSpec) (StreamRow, error) {
 
 	switch spec.arm {
 	case armScan:
-		row.Gadgets = gadget.TotalCount(pipeline.Count(opts.Store, bin, 10))
+		counts, err := countOf(opts.Ctx, opts.Store, bin, spec.prog.Name, cfg.Name)
+		if err != nil {
+			return row, err
+		}
+		row.Gadgets = gadget.TotalCount(counts)
 		a := core.Analyze(bin, core.Config{Parallelism: 1, Store: opts.Store})
 		row.RawPool, row.Pool = a.RawPool.Size(), a.Pool.Size()
 		ok, err := streamOutputStable(opts, spec.prog, bin)
@@ -359,8 +358,7 @@ const streamMaxSteps = 80_000_000
 // plain build comes from the store (shared with the cell's five sibling
 // cells); the two emulator replays are the per-cell ground-truth check.
 func streamOutputStable(opts StreamOptions, p benchprog.Program, bin *sbf.Binary) (bool, error) {
-	defer wall.Track("emu-replay")()
-	plain, _, err := pipeline.BuildCtx(opts.Ctx, opts.Store, p, nil, opts.Seed)
+	plain, _, err := pipeline.BuildISACtx(opts.Ctx, opts.Store, p, nil, opts.Seed, "")
 	if err != nil {
 		return false, fmt.Errorf("experiments: stream plain build %s: %w", p.Name, err)
 	}
@@ -381,7 +379,6 @@ func streamOutputStable(opts StreamOptions, p benchprog.Program, bin *sbf.Binary
 // timing fields so the rendering is byte-identical at any parallelism and
 // store configuration.
 func renderStreamAggs(aggs map[string]*streamAgg, order []string) string {
-	defer wall.Track("render")()
 	// Group by class in generator mix order, then configuration order.
 	sort.SliceStable(order, func(i, j int) bool {
 		a, b := aggs[order[i]], aggs[order[j]]

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Fig1Row is one program's gadget counts across build configurations
@@ -40,7 +40,11 @@ func Fig1(opts Options) ([]Fig1Row, error) {
 			if err != nil {
 				return err
 			}
-			n := gadget.TotalCount(pipeline.Count(opts.Store, bin, 10))
+			counts, err := countOf(context.TODO(), opts.Store, bin, p.Name, cfg.Name)
+			if err != nil {
+				return err
+			}
+			n := gadget.TotalCount(counts)
 			switch cfg.Name {
 			case "Original":
 				row.Original = n
@@ -61,7 +65,6 @@ func Fig1(opts Options) ([]Fig1Row, error) {
 
 // RenderFig1 prints the figure as a table.
 func RenderFig1(rows []Fig1Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-14s %10s %10s %10s %8s %8s\n",
 		"Program", "Original", "LLVM-Obf", "Tigress", "LLVM-x", "Tig-x")
@@ -97,11 +100,16 @@ func Table1(opts Options) ([]Table1Row, error) {
 	err := runCells(opts.Parallelism, len(opts.Programs), func(i int) error {
 		part := map[gadget.JmpType][3]float64{}
 		for ci, cfg := range Configs() {
-			bin, err := opts.build(opts.Programs[i], cfg)
+			p := opts.Programs[i]
+			bin, err := opts.build(p, cfg)
 			if err != nil {
 				return err
 			}
-			for t, n := range pipeline.Count(opts.Store, bin, 10) {
+			counts, err := countOf(context.TODO(), opts.Store, bin, p.Name, cfg.Name)
+			if err != nil {
+				return err
+			}
+			for t, n := range counts {
 				s := part[t]
 				s[ci] += float64(n)
 				part[t] = s
@@ -143,7 +151,6 @@ func Table1(opts Options) ([]Table1Row, error) {
 
 // RenderTable1 prints Table I.
 func RenderTable1(rows []Table1Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %12s %12s %8s\n", "Type", "Original", "Obfuscated", "IR")
 	for _, r := range rows {
@@ -326,7 +333,6 @@ func toolOrder(name string) int {
 
 // RenderTable4 prints Table IV.
 func RenderTable4(rows []Table4Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %-15s %10s %6s %8s %9s %6s %8s\n",
 		"Obf", "Tool", "Pool", "Used", "execve", "mprotect", "mmap", "Total")
@@ -363,7 +369,6 @@ func Table5(gpAttacks map[string][]*pipeline.Attack) []Table5Row {
 
 // RenderTable5 prints Table V.
 func RenderTable5(rows []Table5Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-15s %10s %10s %6s %6s %6s %6s\n",
 		"Tool", "GadgetLen", "ChainLen", "Ret", "IJ", "DJ", "CJ")
@@ -412,12 +417,15 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 			if err != nil {
 				return err
 			}
-			sm, err := pipeline.SelfModify(opts.Store, plain, byte(opts.Seed)|1)
+			sm, _, err := pipeline.SelfModifyCtx(context.TODO(), opts.Store, plain, byte(opts.Seed)|1)
 			if err != nil {
 				return err
 			}
-			part := Fig5Row{Pass: "selfmod"}
-			part.Gadgets = gadget.TotalCount(pipeline.Count(opts.Store, sm, 10))
+			counts, err := countOf(context.TODO(), opts.Store, sm, p.Name, "selfmod")
+			if err != nil {
+				return err
+			}
+			part := Fig5Row{Pass: "selfmod", Gadgets: gadget.TotalCount(counts)}
 			a := core.Analyze(sm, core.Config{Planner: opts.Planner, Parallelism: pipePar, Store: opts.Store})
 			part.Payloads = core.TotalPayloads(a.FindAll())
 			parts[i] = part
@@ -439,8 +447,11 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 		if err != nil {
 			return err
 		}
-		part := Fig5Row{Pass: passName}
-		part.Gadgets = gadget.TotalCount(pipeline.Count(opts.Store, bin, 10))
+		counts, err := countOf(context.TODO(), opts.Store, bin, p.Name, passName)
+		if err != nil {
+			return err
+		}
+		part := Fig5Row{Pass: passName, Gadgets: gadget.TotalCount(counts)}
 		a := core.Analyze(bin, core.Config{Planner: opts.Planner, Parallelism: pipePar, Store: opts.Store})
 		attacks := a.FindAll()
 		part.Payloads = core.TotalPayloads(attacks)
@@ -467,7 +478,6 @@ func Fig5(opts Options) ([]Fig5Row, error) {
 
 // RenderFig5 prints the figure as a table.
 func RenderFig5(rows []Fig5Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s %10s %10s %12s\n", "Pass", "Gadgets", "Payloads", "NewPayloads")
 	for _, r := range rows {
@@ -504,8 +514,11 @@ func Table6(opts Options) ([]Table6Row, error) {
 		if err != nil {
 			return err
 		}
-		row := Table6Row{Benchmark: p.Name, Obf: cfg.Name}
-		row.Gadgets = gadget.TotalCount(pipeline.Count(opts.Store, bin, 10))
+		counts, err := countOf(context.TODO(), opts.Store, bin, p.Name, cfg.Name)
+		if err != nil {
+			return err
+		}
+		row := Table6Row{Benchmark: p.Name, Obf: cfg.Name, Gadgets: gadget.TotalCount(counts)}
 		row.RG = (&ropgadget.Tool{}).Run(bin).TotalPayloads()
 		row.Angrop = (&angrop.Tool{}).Run(bin).TotalPayloads()
 		row.SGC = (&sgc.Tool{}).Run(bin).TotalPayloads()
@@ -522,7 +535,6 @@ func Table6(opts Options) ([]Table6Row, error) {
 
 // RenderTable6 prints Table VI.
 func RenderTable6(rows []Table6Row) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %-10s %9s %4s %7s %4s %4s\n",
 		"Benchmark", "Obf", "Gadgets", "RG", "Angrop", "SGC", "GP")
@@ -609,7 +621,6 @@ func PoolComposition(opts Options) ([]PoolCompositionRow, error) {
 
 // RenderPoolComposition prints the class table.
 func RenderPoolComposition(rows []PoolCompositionRow) string {
-	defer wall.Track("render")()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-10s %8s %8s %8s %8s %8s\n",
 		"Obf", "Pool", "CondJ", "MergedDJ", "Indirect", "Deref")

@@ -8,6 +8,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
+	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
@@ -15,7 +16,7 @@ import (
 
 func benchBinary(b *testing.B) *sbf.Binary {
 	b.Helper()
-	bin, err := benchprog.Build(benchprog.Netperf(), obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func BenchmarkSymexPaths(b *testing.B) {
 	})
 	b.Run("executor", func(b *testing.B) {
 		b.ReportAllocs()
-		ex := symex.NewExecutor(expr.NewBuilder())
+		ex := symex.NewExecutorISA(expr.NewBuilder(), isa.X64)
 		for i := 0; i < b.N; i++ {
 			for _, steps := range paths {
 				if _, err := ex.Exec(steps); err != nil {

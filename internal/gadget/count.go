@@ -5,7 +5,6 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // countEntry is one offset of a countTable: the decoded length (0 when the
@@ -22,10 +21,8 @@ type countEntry struct {
 type countTable [][]countEntry
 
 // predecodeCount classifies every stride-aligned offset of secs once,
-// through the same chunked decode as PredecodeISA. The build is accounted
-// to the "decode" wall bucket.
+// through the same chunked decode as PredecodeISA.
 func predecodeCount(secs []*sbf.Section, parallelism int, be isa.Backend) countTable {
-	defer wall.Track("decode")()
 	t := make(countTable, len(secs))
 	for i, sec := range secs {
 		t[i] = make([]countEntry, len(sec.Data))
@@ -36,18 +33,13 @@ func predecodeCount(secs []*sbf.Section, parallelism int, be isa.Backend) countT
 	return t
 }
 
-// Count performs the cheap classic scan used for Fig. 1 / Table I numbers:
+// CountISA performs the cheap classic scan used for Fig. 1 / Table I
+// numbers against backend be, decoding on runtime.GOMAXPROCS(0) workers:
 // decode from every byte offset until the first branch instruction and
 // classify it. No symbolic execution, no merging, no forking — this mirrors
 // what syntactic tools such as ROPGadget count. The scan chains through a
 // count table, so each code byte is decoded and classified once instead of
 // once per covering window.
-func Count(bin *sbf.Binary, maxInsts int) map[JmpType]int {
-	return CountISA(bin, maxInsts, isa.X64)
-}
-
-// CountISA is Count against a specific backend, decoding on
-// runtime.GOMAXPROCS(0) workers.
 func CountISA(bin *sbf.Binary, maxInsts int, be isa.Backend) map[JmpType]int {
 	return CountParallel(bin, maxInsts, be, 0)
 }
@@ -116,7 +108,7 @@ func CountParallel(bin *sbf.Binary, maxInsts int, be isa.Backend, parallelism in
 	return counts
 }
 
-// TotalCount sums a Count result.
+// TotalCount sums a CountISA result.
 func TotalCount(counts map[JmpType]int) int {
 	n := 0
 	for _, c := range counts {

@@ -228,7 +228,7 @@ func TestCount(t *testing.T) {
     jmp rcx
 `
 	bin := binFrom(t, src, 0x1000)
-	counts := Count(bin, 10)
+	counts := CountISA(bin, 10, isa.X64)
 	if counts[TypeReturn] == 0 {
 		t.Error("no return gadgets counted")
 	}

@@ -4,7 +4,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Table is the per-section predecode table: one isa.Inst per byte offset of
@@ -87,10 +86,8 @@ func decodeSections(secs []*sbf.Section, parallelism int, be isa.Backend, put fu
 // parallel) decode work across at most parallelism workers (<=1 means
 // serial). Offsets the backend refuses to decode, and misaligned ones on
 // fixed-stride ISAs, keep Len == 0 entries, so walks chained through the
-// table stop exactly where a direct decode would. The build is accounted
-// to the "decode" wall bucket.
+// table stop exactly where a direct decode would.
 func PredecodeISA(bin *sbf.Binary, parallelism int, be isa.Backend) *Table {
-	defer wall.Track("decode")()
 	t := &Table{secs: bin.ExecSections()}
 	t.insts = make([][]isa.Inst, len(t.secs))
 	for i, sec := range t.secs {

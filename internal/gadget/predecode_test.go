@@ -29,7 +29,7 @@ type equivBinary struct {
 // backends.
 func equivBinaries(tb testing.TB) []equivBinary {
 	tb.Helper()
-	np, err := benchprog.Build(benchprog.Netperf(), obfuscate.LLVMObf(), 42)
+	np, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func equivBinaries(tb testing.TB) []equivBinary {
 	if !ok {
 		tb.Fatal("size class small missing")
 	}
-	gen, err := benchprog.Build(benchprog.Generate(7, cls), obfuscate.Tigress(), 7)
+	gen, err := benchprog.BuildISA(benchprog.Generate(7, cls), obfuscate.Tigress(), 7, "")
 	if err != nil {
 		tb.Fatal(err)
 	}

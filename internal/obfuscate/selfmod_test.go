@@ -5,6 +5,7 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
+	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/mir"
 )
 
@@ -52,8 +53,8 @@ func TestSelfModifyDefeatsStaticScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := gadget.TotalCount(gadget.Count(plain, 10))
-	encodedScan := gadget.TotalCount(gadget.Count(sm, 10))
+	before := gadget.TotalCount(gadget.CountISA(plain, 10, isa.X64))
+	encodedScan := gadget.TotalCount(gadget.CountISA(sm, 10, isa.X64))
 	if encodedScan >= before {
 		t.Errorf("static scan of encoded image not reduced: %d vs %d", encodedScan, before)
 	}
@@ -62,7 +63,7 @@ func TestSelfModifyDefeatsStaticScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := gadget.TotalCount(gadget.Count(decoded, 10))
+	after := gadget.TotalCount(gadget.CountISA(decoded, 10, isa.X64))
 	// The decoded image contains at least the original gadgets (plus the
 	// stub's).
 	if after < before {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
@@ -15,11 +16,11 @@ import (
 func testPool(t *testing.T) *gadget.Pool {
 	t.Helper()
 	s := NewStore()
-	bin, err := Build(s, benchprog.Benchmarks()[0], obfuscate.LLVMObf(), 42)
+	bin, _, err := BuildISACtx(context.Background(), s, benchprog.Benchmarks()[0], obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Extract(s, bin, gadget.Options{})
+	return gadget.Extract(bin, gadget.Options{})
 }
 
 // TestPoolCodecRoundTrip pins the codec's two load-bearing properties on a
@@ -129,7 +130,7 @@ func TestMinimizedCodecRoundTrip(t *testing.T) {
 
 func TestBinaryAndCountCodecRoundTrip(t *testing.T) {
 	s := NewStore()
-	bin, err := Build(s, benchprog.Benchmarks()[0], nil, 42)
+	bin, _, err := BuildISACtx(context.Background(), s, benchprog.Benchmarks()[0], nil, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,10 @@ func TestBinaryAndCountCodecRoundTrip(t *testing.T) {
 		t.Fatal("decoded binary differs")
 	}
 
-	counts := Count(s, bin, 10)
+	counts, _, err := CountCtx(context.Background(), s, bin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cenc, ok := encodeArtifact(StageCount, counts)
 	if !ok {
 		t.Fatal("count map did not encode")

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,7 +49,7 @@ func TestDiskCrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1 := NewStore().WithDisk(d1)
-	_, info1, err := Do(s1, StageCount, key, func() (map[gadget.JmpType]int, error) {
+	_, info1, err := DoCtx(context.Background(), s1, StageCount, key, func() (map[gadget.JmpType]int, error) {
 		return testCounts(), nil
 	})
 	if err != nil {
@@ -67,7 +68,7 @@ func TestDiskCrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := NewStore().WithDisk(d2)
-	got, info2, err := Do(s2, StageCount, key, func() (map[gadget.JmpType]int, error) {
+	got, info2, err := DoCtx(context.Background(), s2, StageCount, key, func() (map[gadget.JmpType]int, error) {
 		t.Error("compute ran despite persisted artifact")
 		return nil, nil
 	})
@@ -100,7 +101,7 @@ func TestDiskCrossProcess(t *testing.T) {
 	// Third request on the same store is a pure memory hit: the disk tier is
 	// consulted only on in-memory misses.
 	before := d2.Stats().BytesRead
-	if _, info3, _ := Do(s2, StageCount, key, func() (map[gadget.JmpType]int, error) {
+	if _, info3, _ := DoCtx(context.Background(), s2, StageCount, key, func() (map[gadget.JmpType]int, error) {
 		t.Error("compute ran on warm store")
 		return nil, nil
 	}); !info3.Hit {
@@ -187,7 +188,7 @@ func TestDiskCorruptRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			s1 := NewStore().WithDisk(d1)
-			if _, _, err := Do(s1, StageCount, key, func() (map[gadget.JmpType]int, error) {
+			if _, _, err := DoCtx(context.Background(), s1, StageCount, key, func() (map[gadget.JmpType]int, error) {
 				return testCounts(), nil
 			}); err != nil {
 				t.Fatal(err)
@@ -208,7 +209,7 @@ func TestDiskCorruptRecovery(t *testing.T) {
 			}
 			s2 := NewStore().WithDisk(d2)
 			computed := false
-			got, info, err := Do(s2, StageCount, key, func() (map[gadget.JmpType]int, error) {
+			got, info, err := DoCtx(context.Background(), s2, StageCount, key, func() (map[gadget.JmpType]int, error) {
 				computed = true
 				return testCounts(), nil
 			})
@@ -261,7 +262,7 @@ func TestDiskConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = Do(stores[i%2], StageCount, key,
+			results[i], _, errs[i] = DoCtx(context.Background(), stores[i%2], StageCount, key,
 				func() (map[gadget.JmpType]int, error) { return testCounts(), nil })
 		}(i)
 	}

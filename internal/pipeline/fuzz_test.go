@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
@@ -21,15 +22,19 @@ func artifactSeeds(tb testing.TB) [numStages][]byte {
 		tb.Fatal("benchmark program primes missing")
 	}
 	s := NewStore()
-	bin, err := Build(s, prog, nil, 42)
+	bin, _, err := BuildISACtx(context.Background(), s, prog, nil, 42, "")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	smc, err := SelfModify(s, bin, 0x5A)
+	smc, _, err := SelfModifyCtx(context.Background(), s, bin, 0x5A)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	raw := Extract(s, bin, gadget.Options{})
+	counts, _, err := CountCtx(context.Background(), s, bin, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw := gadget.Extract(bin, gadget.Options{})
 	min, stats := subsume.Minimize(raw, subsume.Options{})
 
 	pool := gadget.ClonePool(min)
@@ -56,7 +61,7 @@ func artifactSeeds(tb testing.TB) [numStages][]byte {
 	artifacts := [numStages]any{
 		StageBuild:    bin,
 		StageEncode:   smc,
-		StageCount:    Count(s, bin, 0),
+		StageCount:    counts,
 		StageExtract:  raw,
 		StageMinimize: Minimized{Pool: min, Stats: stats},
 		StagePlan:     atk,

@@ -21,7 +21,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := Do(s, StageExtract, fmt.Sprintf("gate-test-%d", i), func() (int, error) {
+			_, _, err := DoCtx(context.Background(), s, StageExtract, fmt.Sprintf("gate-test-%d", i), func() (int, error) {
 				n := cur.Add(1)
 				for {
 					p := peak.Load()
@@ -70,7 +70,7 @@ func TestGateSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := Do(s, StagePlan, "shared-key", func() (int, error) {
+			v, _, err := DoCtx(context.Background(), s, StagePlan, "shared-key", func() (int, error) {
 				computes.Add(1)
 				return 7, nil
 			})
@@ -133,7 +133,7 @@ func TestGateUnkeyedRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Do(s, StageBuild, "", func() (int, error) {
+			DoCtx(context.Background(), s, StageBuild, "", func() (int, error) {
 				n := cur.Add(1)
 				for {
 					p := peak.Load()

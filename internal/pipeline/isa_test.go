@@ -14,32 +14,27 @@ import (
 )
 
 // TestX64KeysUnchanged pins the default backend's key strings to their
-// pre-multi-ISA golden values. These strings address artifacts in every
-// warm cache written before the backend refactor; if one of them drifts,
-// those caches silently go cold — so this test fails on any change, even a
-// "harmless" renaming.
+// pre-multi-ISA golden values, and the rv64/rv64c build and count keys to
+// theirs. These strings address artifacts in every warm cache already
+// written; if one of them drifts, those caches silently go cold — so this
+// test fails on any change, even a "harmless" renaming.
 func TestX64KeysUnchanged(t *testing.T) {
 	source := "int main() { return 42; }"
 	passes := []string{"flatten", "opaque"}
 	const goldenBuild = "build:4abb9cbfed829004398bd8aba47bd8ce"
-	if k := BuildKey(source, passes, 7); k != goldenBuild {
-		t.Errorf("BuildKey = %q, want %q", k, goldenBuild)
-	}
-	// The ISA-aware forms must collapse to the exact same string for the
-	// default backend, spelled either way.
-	for _, name := range []string{"", "x64"} {
-		if k := BuildKeyISA(source, passes, 7, name); k != goldenBuild {
-			t.Errorf("BuildKeyISA(%q) = %q, want %q", name, k, goldenBuild)
-		}
-	}
-
 	bk := "bin:0123"
-	if k := CountKey(bk, 0); k != "bin:0123|count:10" {
-		t.Errorf("CountKey = %q", k)
-	}
-	for _, name := range []string{"", "x64"} {
-		if k := CountKeyISA(bk, 0, name); k != "bin:0123|count:10" {
-			t.Errorf("CountKeyISA(%q) = %q", name, k)
+	for _, c := range []struct{ isa, build, count string }{
+		// The default backend, spelled either way, adds nothing to a key.
+		{"", goldenBuild, "bin:0123|count:10"},
+		{"x64", goldenBuild, "bin:0123|count:10"},
+		{"rv64", goldenBuild + "|isa=rv64", "bin:0123|count:10,isa=rv64"},
+		{"rv64c", goldenBuild + "|isa=rv64c", "bin:0123|count:10,isa=rv64c"},
+	} {
+		if k := BuildKey(source, passes, 7, c.isa); k != c.build {
+			t.Errorf("BuildKey(%q) = %q, want %q", c.isa, k, c.build)
+		}
+		if k := CountKey(bk, c.isa); k != c.count {
+			t.Errorf("CountKey(%q) = %q, want %q", c.isa, k, c.count)
 		}
 	}
 	const goldenExtract = "bin:0123|x:insts=40,forks=2,merges=3,stride=1"
@@ -68,14 +63,14 @@ func TestBackendKeysDistinct(t *testing.T) {
 	source := "int main() { return 0; }"
 	seen := map[string]string{}
 	for _, name := range []string{"x64", "rv64", "rv64c"} {
-		k := BuildKeyISA(source, nil, 1, name)
+		k := BuildKey(source, nil, 1, name)
 		if prev, dup := seen[k]; dup {
-			t.Errorf("BuildKeyISA: %s and %s share key %q", prev, name, k)
+			t.Errorf("BuildKey: %s and %s share key %q", prev, name, k)
 		}
 		seen[k] = name
 	}
-	if CountKeyISA("bin:0", 0, "rv64") == CountKeyISA("bin:0", 0, "rv64c") {
-		t.Error("CountKeyISA: rv64 and rv64c share a key")
+	if CountKey("bin:0", "rv64") == CountKey("bin:0", "rv64c") {
+		t.Error("CountKey: rv64 and rv64c share a key")
 	}
 	if ExtractKey("bin:0", gadget.Options{ISA: "rv64"}) == ExtractKey("bin:0", gadget.Options{}) {
 		t.Error("ExtractKey: rv64 aliases the default backend")
@@ -104,7 +99,7 @@ func TestX64PoolCanonGolden(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s benchmark missing", g.prog)
 		}
-		bin, err := benchprog.Build(p, g.obf, 7)
+		bin, err := benchprog.BuildISA(p, g.obf, 7, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +136,7 @@ func TestCrossISADeterminism(t *testing.T) {
 				"store":   NewStore(),
 			}
 			for label, s := range stores {
-				got := Extract(s, cloneForStore(s, bin), opts).Canon()
+				got := extract(t, s, cloneForStore(s, bin), opts).Canon()
 				if got != ref {
 					t.Errorf("%s: pool differs at parallelism=%d store=%s", isaName, par, label)
 				}

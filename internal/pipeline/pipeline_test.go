@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
 )
 
@@ -31,7 +33,7 @@ func TestDoComputesOncePerKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := Do(s, StageExtract, "k", compute)
+			v, _, err := DoCtx(context.Background(), s, StageExtract, "k", compute)
 			if err != nil {
 				t.Error(err)
 			}
@@ -57,8 +59,8 @@ func TestDoComputesOncePerKey(t *testing.T) {
 func TestDoHitReportsOriginalComputeCost(t *testing.T) {
 	s := NewStore()
 	one := func() (int, error) { return 1, nil }
-	_, cold, _ := Do(s, StagePlan, "k", one)
-	v, warm, _ := Do(s, StagePlan, "k", one)
+	_, cold, _ := DoCtx(context.Background(), s, StagePlan, "k", one)
+	v, warm, _ := DoCtx(context.Background(), s, StagePlan, "k", one)
 	if v != 1 {
 		t.Fatalf("v = %d", v)
 	}
@@ -74,14 +76,14 @@ func TestNilStoreAndEmptyKey(t *testing.T) {
 	var calls atomic.Int64
 	compute := func() (int, error) { calls.Add(1); return 1, nil }
 	var nilStore *Store
-	Do(nilStore, StageExtract, "k", compute)
+	DoCtx(context.Background(), nilStore, StageExtract, "k", compute)
 	if nilStore.Stats() != nil {
 		t.Fatal("nil store stats non-nil")
 	}
 
 	s := NewStore()
-	Do(s, StageExtract, "", compute) // unfingerprintable: bypasses the store
-	Do(s, StageExtract, "", compute)
+	DoCtx(context.Background(), s, StageExtract, "", compute) // unfingerprintable: bypasses the store
+	DoCtx(context.Background(), s, StageExtract, "", compute)
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("computed %d times, want 3", n)
 	}
@@ -96,8 +98,8 @@ func TestDoCachesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	compute := func() (int, error) { calls.Add(1); return 0, boom }
-	_, _, err1 := Do(s, StageBuild, "k", compute)
-	_, _, err2 := Do(s, StageBuild, "k", compute)
+	_, _, err1 := DoCtx(context.Background(), s, StageBuild, "k", compute)
+	_, _, err2 := DoCtx(context.Background(), s, StageBuild, "k", compute)
 	if !errors.Is(err1, boom) || !errors.Is(err2, boom) {
 		t.Fatalf("errors: %v, %v", err1, err2)
 	}
@@ -127,13 +129,13 @@ func TestDoPanicNotCached(t *testing.T) {
 		const requesters = 5
 		errs := make(chan error, requesters)
 		go func() {
-			_, _, err := Do(s, StageBuild, "k", panicky)
+			_, _, err := DoCtx(context.Background(), s, StageBuild, "k", panicky)
 			errs <- err
 		}()
 		<-entered
 		for i := 1; i < requesters; i++ {
 			go func() {
-				_, _, err := Do(s, StageBuild, "k", panicky)
+				_, _, err := DoCtx(context.Background(), s, StageBuild, "k", panicky)
 				errs <- err
 			}()
 		}
@@ -150,7 +152,7 @@ func TestDoPanicNotCached(t *testing.T) {
 		var calls atomic.Int64
 		ok := func() (*int, error) { calls.Add(1); v := 7; return &v, nil }
 		for i := 0; i < 2; i++ {
-			v, _, err := Do(s, StageBuild, "k", ok)
+			v, _, err := DoCtx(context.Background(), s, StageBuild, "k", ok)
 			if err != nil || v == nil || *v != 7 {
 				t.Fatalf("limit %d: request %d after the panic: %v, %v", limit, i, v, err)
 			}
@@ -182,12 +184,12 @@ func TestDoWorkerPanicNotCached(t *testing.T) {
 			return &v, nil
 		}
 	}
-	_, _, err := Do(s, StageExtract, "k", fanOut(41))
+	_, _, err := DoCtx(context.Background(), s, StageExtract, "k", fanOut(41))
 	var perr *panicError
 	if !errors.As(err, &perr) || !strings.Contains(err.Error(), "worker exploded") {
 		t.Fatalf("Do returned %v, want the worker's panic", err)
 	}
-	v, info, err := Do(s, StageExtract, "k", fanOut(-1))
+	v, info, err := DoCtx(context.Background(), s, StageExtract, "k", fanOut(-1))
 	if err != nil || v == nil || *v != 64 || info.Hit {
 		t.Fatalf("Do after the panic: %v, %+v, %v; want a fresh computation", v, info, err)
 	}
@@ -219,20 +221,20 @@ func TestOptionFingerprintsCanonicalize(t *testing.T) {
 }
 
 func TestBuildKeyIgnoresProgramName(t *testing.T) {
-	if BuildKey("src", []string{"sub"}, 1) != BuildKey("src", []string{"sub"}, 1) {
+	if BuildKey("src", []string{"sub"}, 1, "") != BuildKey("src", []string{"sub"}, 1, "") {
 		t.Fatal("BuildKey not deterministic")
 	}
-	if BuildKey("src", []string{"sub"}, 1) == BuildKey("src", []string{"sub"}, 2) {
+	if BuildKey("src", []string{"sub"}, 1, "") == BuildKey("src", []string{"sub"}, 2, "") {
 		t.Fatal("seed not keyed")
 	}
-	if BuildKey("src", []string{"sub", "bcf"}, 1) == BuildKey("src", []string{"bcf", "sub"}, 1) {
+	if BuildKey("src", []string{"sub", "bcf"}, 1, "") == BuildKey("src", []string{"bcf", "sub"}, 1, "") {
 		t.Fatal("pass order not keyed")
 	}
 }
 
 func TestBinaryKeyMemoized(t *testing.T) {
 	s := NewStore()
-	bin, err := Build(s, benchprog.Benchmarks()[0], nil, 42)
+	bin, _, err := BuildISACtx(context.Background(), s, benchprog.Benchmarks()[0], nil, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +249,23 @@ func TestBinaryKeyMemoized(t *testing.T) {
 	}
 }
 
+// extract runs the extraction stage through s, keyed as core.Analyze keys
+// it.
+func extract(t testing.TB, s *Store, bin *sbf.Binary, o gadget.Options) *gadget.Pool {
+	t.Helper()
+	k := ""
+	if s != nil {
+		k = ExtractKey(s.BinaryKey(bin), o)
+	}
+	pool, _, err := DoCtx(context.Background(), s, StageExtract, k, func() (*gadget.Pool, error) {
+		return gadget.Extract(bin, o), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
 // TestBuildSharedAcrossStages exercises the chained helpers end to end:
 // one build, shared; scan, extraction, and self-modification all served
 // from the same store on repeat.
@@ -255,11 +274,11 @@ func TestBuildSharedAcrossStages(t *testing.T) {
 	p := benchprog.Benchmarks()[0]
 	passes := obfuscate.LLVMObf()
 
-	b1, err := Build(s, p, passes, 42)
+	b1, _, err := BuildISACtx(context.Background(), s, p, passes, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := Build(s, p, passes, 42)
+	b2, _, err := BuildISACtx(context.Background(), s, p, passes, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,23 +286,29 @@ func TestBuildSharedAcrossStages(t *testing.T) {
 		t.Fatal("repeat build not served from store")
 	}
 
-	c1 := Count(s, b1, 10)
-	c2 := Count(s, b1, 10)
-	if &c1 == nil || gadget.TotalCount(c1) != gadget.TotalCount(c2) {
+	c1, _, err := CountCtx(context.Background(), s, b1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, _, err := CountCtx(context.Background(), s, b1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gadget.TotalCount(c1) != gadget.TotalCount(c2) {
 		t.Fatal("count artifacts disagree")
 	}
 
-	p1 := Extract(s, b1, gadget.Options{})
-	p2 := Extract(s, b1, gadget.Options{MaxInsts: 40})
+	p1 := extract(t, s, b1, gadget.Options{})
+	p2 := extract(t, s, b1, gadget.Options{MaxInsts: 40})
 	if p1 != p2 {
 		t.Fatal("defaulted extract options did not share the artifact")
 	}
 
-	sm1, err := SelfModify(s, b1, 0x5A)
+	sm1, _, err := SelfModifyCtx(context.Background(), s, b1, 0x5A)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm2, err := SelfModify(s, b1, 0x5A)
+	sm2, _, err := SelfModifyCtx(context.Background(), s, b1, 0x5A)
 	if err != nil {
 		t.Fatal(err)
 	}

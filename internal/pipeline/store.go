@@ -259,7 +259,7 @@ func recovered[T any](f func() (T, error)) (v T, err error) {
 	return f()
 }
 
-// Do returns the stage artifact for key, computing it at most once per
+// DoCtx returns the stage artifact for key, computing it at most once per
 // store. An empty key (or a nil store) bypasses memoization and computes
 // directly — callers use that for inputs that cannot be fingerprinted,
 // e.g. a closure-valued GadgetFilter. Errors are artifacts too: a failed
@@ -267,11 +267,8 @@ func recovered[T any](f func() (T, error)) (v T, err error) {
 // panicking computation is the exception: its waiters receive an error
 // carrying the panic value and stack, and the key is dropped so the next
 // request recomputes.
-func Do[T any](s *Store, st Stage, key string, compute func() (T, error)) (T, Info, error) {
-	return DoCtx(context.Background(), s, st, key, compute)
-}
-
-// DoCtx is Do with a cancellation boundary: a context canceled before the
+//
+// ctx is a cancellation boundary: a context canceled before the
 // stage is entered returns ctx.Err() without computing or caching
 // anything, so a dropped client or a shutting-down server skips every
 // stage it has not yet started. Cancellation is deliberately

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -17,12 +18,12 @@ func TestLimitMemoryEvictsLRU(t *testing.T) {
 	var calls atomic.Int64
 	do := func(key string) {
 		t.Helper()
-		v, _, err := Do(s, StageBuild, key, func() (string, error) {
+		v, _, err := DoCtx(context.Background(), s, StageBuild, key, func() (string, error) {
 			calls.Add(1)
 			return "v-" + key, nil
 		})
 		if err != nil || v != "v-"+key {
-			t.Fatalf("Do(%s) = %q, %v", key, v, err)
+			t.Fatalf("DoCtx(%s) = %q, %v", key, v, err)
 		}
 	}
 	do("a")
@@ -65,7 +66,7 @@ func TestLimitMemoryPinsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, _, err := Do(s, StageBuild, "slow", func() (int, error) {
+			v, _, err := DoCtx(context.Background(), s, StageBuild, "slow", func() (int, error) {
 				slowCalls.Add(1)
 				close(started)
 				<-release
@@ -81,7 +82,7 @@ func TestLimitMemoryPinsInFlight(t *testing.T) {
 	// must skip it.
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("churn-%d", i)
-		Do(s, StageBuild, key, func() (int, error) { return i, nil })
+		DoCtx(context.Background(), s, StageBuild, key, func() (int, error) { return i, nil })
 	}
 	close(release)
 	wg.Wait()
@@ -100,7 +101,7 @@ func TestLimitMemoryNoops(t *testing.T) {
 	u := NewStore().LimitMemory(0) // <= 0: unbounded
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("k%d", i)
-		Do(u, StageBuild, key, func() (int, error) { return i, nil })
+		DoCtx(context.Background(), u, StageBuild, key, func() (int, error) { return i, nil })
 	}
 	if got, want := u.MemEntries(), 8; got != want {
 		t.Errorf("unbounded entries = %d, want %d", got, want)

@@ -88,7 +88,7 @@ func TestProvidesCacheAgreement(t *testing.T) {
 // comparator is the full sort the index's cached re-rank replaced, kept
 // as the test's oracle.
 func TestCandidateIndexProperty(t *testing.T) {
-	bin, err := benchprog.Build(benchprog.Netperf(), obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}

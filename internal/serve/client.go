@@ -11,8 +11,6 @@ import (
 	"net/http"
 	"strings"
 	"time"
-
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Client is the thin client side of the analysis service: it submits
@@ -85,47 +83,26 @@ func (c *Client) Run(ctx context.Context, req Request, progress Progress) (*Resu
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	var buckets []wall.BucketStat
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Event string `json:"event"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		var msg jsonLine
+		if err := json.Unmarshal(line, &msg); err != nil {
 			return nil, fmt.Errorf("serve: bad response line: %w", err)
 		}
-		switch probe.Event {
+		switch msg.Event {
 		case "stage":
-			if progress != nil {
-				var ev stageLine
-				if err := json.Unmarshal(line, &ev); err != nil {
-					return nil, err
-				}
-				progress(ev.StageEvent)
+			if progress != nil && msg.StageEvent != nil {
+				progress(*msg.StageEvent)
 			}
-		case "wall":
-			var wl wallLine
-			if err := json.Unmarshal(line, &wl); err != nil {
-				return nil, err
-			}
-			buckets = wl.Buckets
-		case "result", "error":
-			var fin finalLine
-			if err := json.Unmarshal(line, &fin); err != nil {
-				return nil, err
-			}
-			if fin.Event == "error" {
-				return nil, fmt.Errorf("serve: server error: %s", fin.Error)
-			}
-			if fin.Result != nil {
-				fin.Result.Wall = buckets
-			}
-			return fin.Result, nil
+		case "result":
+			return msg.Result, nil
+		case "error":
+			return nil, fmt.Errorf("serve: server error: %s", msg.Error)
 		default:
-			return nil, fmt.Errorf("serve: unknown event %q", probe.Event)
+			return nil, fmt.Errorf("serve: unknown event %q", msg.Event)
 		}
 	}
 	if err := sc.Err(); err != nil {

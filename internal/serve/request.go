@@ -46,7 +46,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // Request is one unit of service work: a source (MiniC program or prebuilt
@@ -183,7 +182,7 @@ func (r Request) resolve() (*resolved, error) {
 		for i, p := range passes {
 			names[i] = p.Name()
 		}
-		base = pipeline.BuildKeyISA(rr.prog.Source, names, r.Seed, rr.isa)
+		base = pipeline.BuildKey(rr.prog.Source, names, r.Seed, rr.isa)
 	}
 	if r.SelfMod != 0 {
 		if rr.isa != isa.DefaultISA {
@@ -194,7 +193,7 @@ func (r Request) resolve() (*resolved, error) {
 
 	switch rr.req.Op {
 	case OpCount:
-		rr.key = pipeline.CountKeyISA(base, 0, rr.isa)
+		rr.key = pipeline.CountKey(base, rr.isa)
 	case OpAnalyze, OpPlan:
 		poolKey := pipeline.MinimizeKey(
 			pipeline.ExtractKey(base, gadget.Options{ISA: rr.isa}), subsume.Options{})
@@ -305,10 +304,6 @@ type Result struct {
 
 	// Stages is the progress trail (timing; excluded from Canon).
 	Stages []StageEvent `json:"stages,omitempty"`
-	// Wall is the serving process's wall-bucket snapshot at response time
-	// (telemetry; excluded from Canon). The server streams it as its own
-	// JSONL event and the client attaches it here; local Run leaves it nil.
-	Wall []wall.BucketStat `json:"wall,omitempty"`
 }
 
 // Canon renders the result's deterministic content: the canonical bytes a

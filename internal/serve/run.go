@@ -79,7 +79,7 @@ func Run(ctx context.Context, store *pipeline.Store, parallelism int, req Reques
 
 	switch rr.req.Op {
 	case OpCount:
-		counts, info, err := pipeline.CountCtx(ctx, store, bin, 0, parallelism)
+		counts, info, err := pipeline.CountCtx(ctx, store, bin, parallelism)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
-	"github.com/nofreelunch/gadget-planner/internal/wall"
 )
 
 // maxRequestBody bounds a /run request body (inline sources are small;
@@ -90,26 +89,15 @@ func (s *Server) baseContext() context.Context {
 	return context.Background()
 }
 
-// jsonl line shapes: {"event":"stage",...} per finished stage, then
-// exactly one of {"event":"result","result":{...}} or
-// {"event":"error","error":"..."}.
-type stageLine struct {
+// jsonLine is one line of a /run response: {"event":"stage",...} per
+// finished stage, then exactly one of {"event":"result","result":{...}} or
+// {"event":"error","error":"..."}. The stage fields are embedded through a
+// pointer, so a final line carries none of them.
+type jsonLine struct {
 	Event string `json:"event"`
-	StageEvent
-}
-
-type finalLine struct {
-	Event  string  `json:"event"`
+	*StageEvent
 	Result *Result `json:"result,omitempty"`
 	Error  string  `json:"error,omitempty"`
-}
-
-// wallLine carries the serving process's wall-bucket snapshot, streamed
-// once per response just before the final line (timing telemetry — never
-// part of the canonical result).
-type wallLine struct {
-	Event   string            `json:"event"`
-	Buckets []wall.BucketStat `json:"buckets"`
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -164,9 +152,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return // client gone; the winner keeps computing
 		}
 		for _, ev := range c.events {
-			enc.Encode(stageLine{Event: "stage", StageEvent: ev})
+			enc.Encode(jsonLine{Event: "stage", StageEvent: &ev})
 		}
-		enc.Encode(wallLine{Event: "wall", Buckets: wall.Stats()})
 		s.writeFinal(enc, c.result, c.err)
 		flush()
 		return
@@ -178,11 +165,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		c.events = append(c.events, ev)
 		c.mu.Unlock()
-		enc.Encode(stageLine{Event: "stage", StageEvent: ev})
+		enc.Encode(jsonLine{Event: "stage", StageEvent: &ev})
 		flush()
 	}
 	res, err := s.runCall(key, c, req, progress)
-	enc.Encode(wallLine{Event: "wall", Buckets: wall.Stats()})
 	s.writeFinal(enc, res, err)
 	flush()
 }
@@ -208,11 +194,11 @@ func (s *Server) runCall(key string, c *call, req Request, progress Progress) (r
 func (s *Server) writeFinal(enc *json.Encoder, res *Result, err error) {
 	if err != nil {
 		s.errored.Add(1)
-		enc.Encode(finalLine{Event: "error", Error: err.Error()})
+		enc.Encode(jsonLine{Event: "error", Error: err.Error()})
 		return
 	}
 	s.completed.Add(1)
-	enc.Encode(finalLine{Event: "result", Result: res})
+	enc.Encode(jsonLine{Event: "result", Result: res})
 }
 
 // StageStat merges one stage's store counters with its gate-pool state —
@@ -242,9 +228,7 @@ type Stats struct {
 	MemEntries       int                 `json:"mem_entries"`
 	MemEvictions     int64               `json:"mem_evictions"`
 	Disk             *pipeline.DiskStats `json:"disk,omitempty"`
-	// Wall is where the process's non-stage wall time went.
-	Wall      []wall.BucketStat `json:"wall,omitempty"`
-	StoreLine string            `json:"store_line"`
+	StoreLine        string              `json:"store_line"`
 }
 
 // Snapshot collects the current Stats.
@@ -278,7 +262,6 @@ func (s *Server) Snapshot() Stats {
 		ds := s.store.DiskStats()
 		st.Disk = &ds
 	}
-	st.Wall = wall.Stats()
 	return st
 }
 

@@ -15,7 +15,7 @@ import (
 // obfuscated netperf-sim pool at several worker counts, reporting speedup
 // versus the single-worker baseline (~1.0 on one core).
 func BenchmarkSubsumeParallel(b *testing.B) {
-	bin, err := benchprog.Build(benchprog.Netperf(), obfuscate.LLVMObf(), 42)
+	bin, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		b.Fatal(err)
 	}

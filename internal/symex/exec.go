@@ -50,7 +50,7 @@ func (e *Effect) HasDerefs() bool {
 // paths against one builder should use an Executor, which reuses the
 // per-path scratch state this one-shot form allocates fresh.
 func Exec(b *expr.Builder, steps []Step) (*Effect, error) {
-	return run(NewState(b), steps)
+	return run(NewStateISA(b, isa.X64), steps)
 }
 
 // run executes the steps against a prepared entry state and summarizes the

@@ -29,9 +29,6 @@ type Executor struct {
 	entryZF, entrySF, entryOF, entryCF, entryPF *expr.Node
 }
 
-// NewExecutor returns an executor bound to b, targeting x86-64.
-func NewExecutor(b *expr.Builder) *Executor { return NewExecutorISA(b, isa.X64) }
-
 // NewExecutorISA returns an executor bound to b for a backend.
 func NewExecutorISA(b *expr.Builder, be isa.Backend) *Executor {
 	ex := &Executor{}

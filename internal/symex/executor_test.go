@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/expr"
+	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
 
 // TestExecutorMatchesExec pins the reusable Executor against the one-shot
@@ -25,7 +26,7 @@ func TestExecutorMatchesExec(t *testing.T) {
 		"pop rax; syscall",
 	}
 	b := expr.NewBuilder()
-	ex := NewExecutor(b)
+	ex := NewExecutorISA(b, isa.X64)
 	// Two rounds: round two proves a used executor resets cleanly.
 	for round := 0; round < 2; round++ {
 		for _, src := range srcs {
@@ -50,7 +51,7 @@ func TestExecutorMatchesExec(t *testing.T) {
 // earlier run's result.
 func TestExecutorEffectsAreIndependent(t *testing.T) {
 	b := expr.NewBuilder()
-	ex := NewExecutor(b)
+	ex := NewExecutorISA(b, isa.X64)
 	steps := decodeSteps(t, "cmp rdx, rbx; jne 0x1010; pop rbx; pop rdi; ret")
 	first, err := ex.Exec(steps)
 	if err != nil {

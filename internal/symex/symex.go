@@ -234,9 +234,6 @@ var _endKindNames = map[EndKind]string{
 // String names the termination kind.
 func (k EndKind) String() string { return _endKindNames[k] }
 
-// NewState returns the fully symbolic x86-64 entry state.
-func NewState(b *expr.Builder) *State { return NewStateISA(b, isa.X64) }
-
 // NewStateISA returns the fully symbolic entry state for a backend. A
 // hardwired zero register enters as the constant 0 rather than a variable.
 func NewStateISA(b *expr.Builder, be isa.Backend) *State {

@@ -287,7 +287,7 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 		_ = hasJcc
 
 		// Concrete machine setup.
-		m := emu.NewMachine()
+		m := emu.NewMachineISA(isa.X64)
 		m.Mem.Map(base, uint64(len(code)+16), emu.PermRead|emu.PermExec)
 		m.Mem.WriteBytesForce(base, code, emu.PermRead|emu.PermExec)
 		const stackBase = uint64(0x7FF0_0000)
