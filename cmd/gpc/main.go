@@ -75,6 +75,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if *selfmod < 0 || *selfmod > 255 {
+		return fmt.Errorf("-selfmod key %d is outside 1..255", *selfmod)
+	}
 	if *selfmod != 0 && isaName != "" && isaName != "x64" {
 		return fmt.Errorf("-selfmod is an x64-only transform (isa %q)", isaName)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/baseline"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
-	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
@@ -59,18 +58,7 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 
 	// SGC's gadget selection: return and indirect-jump gadgets only; no
 	// conditional paths, no merged direct jumps.
-	filtered := &gadget.Pool{
-		Builder: raw.Builder,
-		ISA:     raw.ISA,
-		ByReg:   make(map[isa.Reg][]*gadget.Gadget),
-		Stats:   raw.Stats,
-	}
-	for _, g := range raw.Gadgets {
-		if g.HasCond || g.Merged {
-			continue
-		}
-		addTo(filtered, g)
-	}
+	filtered := raw.Filter(func(g *gadget.Gadget) bool { return !g.HasCond && !g.Merged })
 	pool, _ := subsume.Minimize(filtered, subsume.Options{})
 
 	for _, goal := range planner.GoalsForISA(pool.ISA) {
@@ -99,14 +87,4 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 	}
 	res.FillUsed()
 	return res
-}
-
-func addTo(p *gadget.Pool, g *gadget.Gadget) {
-	p.Gadgets = append(p.Gadgets, g)
-	if g.JmpType == gadget.TypeSyscall {
-		p.Syscalls = append(p.Syscalls, g)
-	}
-	for _, r := range g.ClobRegs {
-		p.ByReg[r] = append(p.ByReg[r], g)
-	}
 }

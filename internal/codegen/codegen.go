@@ -19,26 +19,20 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
-// Options configure layout.
+// The fixed section layout of every binary.
+const (
+	// textBase is the executable section's base address.
+	textBase uint64 = 0x401000
+	// dataBase is the writable data section's base address.
+	dataBase uint64 = 0x601000
+)
+
+// Options configure code generation.
 type Options struct {
-	// TextBase is the executable section's base address. Default 0x401000.
-	TextBase uint64
-	// DataBase is the writable data section's base address. Default 0x601000.
-	DataBase uint64
 	// ISA selects the target instruction set: "x64" (default) or "rv64".
 	// ("rv64c" builds the same uncompressed code as "rv64"; the C extension
 	// matters on the decode side, where it halves the legal gadget stride.)
 	ISA string
-}
-
-func (o Options) withDefaults() Options {
-	if o.TextBase == 0 {
-		o.TextBase = 0x401000
-	}
-	if o.DataBase == 0 {
-		o.DataBase = 0x601000
-	}
-	return o
 }
 
 // RuntimePrelude is MiniC source prepended to every program: the I/O and
@@ -88,11 +82,10 @@ void exit(int code) {
 
 // Compile lowers a MIR module to an SBF binary.
 func Compile(m *mir.Module, opts Options) (*sbf.Binary, error) {
-	opts = opts.withDefaults()
 	switch isa.CanonicalISA(opts.ISA) {
 	case isa.DefaultISA:
 	case "rv64", "rv64c":
-		return compileRV64(m, opts, isa.CanonicalISA(opts.ISA))
+		return compileRV64(m, isa.CanonicalISA(opts.ISA))
 	default:
 		return nil, fmt.Errorf("codegen: unknown ISA %q", opts.ISA)
 	}
@@ -101,7 +94,7 @@ func Compile(m *mir.Module, opts Options) (*sbf.Binary, error) {
 	extern := make(map[string]uint64, len(m.Globals))
 	var data []byte
 	for _, g := range m.Globals {
-		addr := opts.DataBase + uint64(len(data))
+		addr := dataBase + uint64(len(data))
 		extern[g.Name] = addr
 		buf := make([]byte, (g.Size+7)&^7)
 		copy(buf, g.Init)
@@ -122,7 +115,7 @@ func Compile(m *mir.Module, opts Options) (*sbf.Binary, error) {
 		}
 	}
 
-	res, err := asm.AssembleWithSymbols(sb.String(), opts.TextBase, extern)
+	res, err := asm.AssembleWithSymbols(sb.String(), textBase, extern)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
@@ -134,11 +127,11 @@ func Compile(m *mir.Module, opts Options) (*sbf.Binary, error) {
 	bin := sbf.New()
 	bin.Entry = entry
 	bin.AddSection(sbf.Section{
-		Name: ".text", Addr: opts.TextBase,
+		Name: ".text", Addr: textBase,
 		Flags: sbf.FlagRead | sbf.FlagExec, Data: res.Code,
 	})
 	bin.AddSection(sbf.Section{
-		Name: ".data", Addr: opts.DataBase,
+		Name: ".data", Addr: dataBase,
 		Flags: sbf.FlagRead | sbf.FlagWrite, Data: data,
 	})
 	for name, addr := range res.Labels {

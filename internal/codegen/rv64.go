@@ -32,11 +32,11 @@ func rvMem(base isa.Reg, disp int32) isa.Operand {
 }
 
 // compileRV64 lowers a MIR module onto RV64.
-func compileRV64(m *mir.Module, opts Options, isaName string) (*sbf.Binary, error) {
+func compileRV64(m *mir.Module, isaName string) (*sbf.Binary, error) {
 	extern := make(map[string]uint64, len(m.Globals))
 	var data []byte
 	for _, g := range m.Globals {
-		addr := opts.DataBase + uint64(len(data))
+		addr := dataBase + uint64(len(data))
 		extern[g.Name] = addr
 		buf := make([]byte, (g.Size+7)&^7)
 		copy(buf, g.Init)
@@ -46,7 +46,7 @@ func compileRV64(m *mir.Module, opts Options, isaName string) (*sbf.Binary, erro
 		data = make([]byte, 8)
 	}
 
-	p := asm.NewRVProg(opts.TextBase)
+	p := asm.NewRVProg(textBase)
 	rvEmitStart(p)
 	rvEmitBuiltins(p)
 	cg := &rvFuncGen{p: p}
@@ -69,11 +69,11 @@ func compileRV64(m *mir.Module, opts Options, isaName string) (*sbf.Binary, erro
 	bin.Entry = entry
 	bin.ISA = isaName
 	bin.AddSection(sbf.Section{
-		Name: ".text", Addr: opts.TextBase,
+		Name: ".text", Addr: textBase,
 		Flags: sbf.FlagRead | sbf.FlagExec, Data: res.Code,
 	})
 	bin.AddSection(sbf.Section{
-		Name: ".data", Addr: opts.DataBase,
+		Name: ".data", Addr: dataBase,
 		Flags: sbf.FlagRead | sbf.FlagWrite, Data: data,
 	})
 	for name, addr := range res.Labels {

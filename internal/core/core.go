@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
-	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
@@ -149,31 +148,7 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	poolKey := rawKey
 	if cfg.GadgetFilter != nil {
 		poolKey = "" // closures have no canonical fingerprint
-		filtered := &gadget.Pool{
-			Builder: pool.Builder,
-			ISA:     pool.ISA,
-			ByReg:   make(map[isa.Reg][]*gadget.Gadget),
-			Stats:   pool.Stats,
-		}
-		for _, g := range pool.Gadgets {
-			if cfg.GadgetFilter(g) {
-				addGadget(filtered, g)
-			}
-		}
-		// The copied stats describe the unfiltered pool; recompute the
-		// pool-content counters so they reflect what the filter kept.
-		// Scan-level counters (offsets, raw candidates, unsupported) are
-		// properties of the binary, not the filter, and stay as-is.
-		filtered.Stats.Supported = len(filtered.Gadgets)
-		filtered.Stats.MergedGadgets = 0
-		filtered.Stats.ByType = make(map[gadget.JmpType]int)
-		for _, g := range filtered.Gadgets {
-			if g.Merged {
-				filtered.Stats.MergedGadgets++
-			}
-			filtered.Stats.ByType[g.JmpType]++
-		}
-		pool = filtered
+		pool = pool.Filter(cfg.GadgetFilter)
 	}
 
 	if cfg.SkipSubsume {
@@ -340,15 +315,4 @@ func Summarize(plans []*planner.Plan) ChainStats {
 func (s ChainStats) String() string {
 	return fmt.Sprintf("chains=%d gadgetLen=%.1f chainLen=%.1f ret=%.0f%% ij=%.0f%% dj=%.0f%% cj=%.0f%%",
 		s.Chains, s.AvgGadgetLen, s.AvgChainLen, s.PctRet, s.PctIndirect, s.PctDirect, s.PctCond)
-}
-
-// addGadget mirrors the pool insertion logic for filtered pools.
-func addGadget(p *gadget.Pool, g *gadget.Gadget) {
-	p.Gadgets = append(p.Gadgets, g)
-	if g.JmpType == gadget.TypeSyscall {
-		p.Syscalls = append(p.Syscalls, g)
-	}
-	for _, r := range g.ClobRegs {
-		p.ByReg[r] = append(p.ByReg[r], g)
-	}
 }

@@ -5,17 +5,14 @@ package experiments
 // obfuscation × planner-config) cells. Three properties distinguish it from
 // the table experiments in tables.go:
 //
-//   - Bounded memory. Cells flow generator → bounded spec channel → worker
-//     pool → in-order collector; results are emitted incrementally as JSONL
-//     rows plus rolling aggregate tables, and the artifact store's memory
-//     tier is LRU-bounded (pipeline.Store.LimitMemory), so a cell's
-//     artifacts are released once its neighbors stop sharing them and peak
-//     memory is flat in cell count. Nothing ever materializes the full
-//     matrix.
-//   - Backpressure. The generator produces programs lazily and blocks when
-//     the analysis pool falls behind; workers block when the collector
-//     does. The reorder buffer in the collector is bounded by the number of
-//     in-flight cells.
+//   - Bounded memory. Programs are generated lazily, one window of
+//     Parallelism programs at a time; a window's cells run through par.For
+//     into index slots and are then collected in cell order. Results are
+//     emitted incrementally as JSONL rows plus rolling aggregate tables,
+//     and the artifact store's memory tier is LRU-bounded
+//     (pipeline.Store.LimitMemory), so a cell's artifacts are released once
+//     its neighbors stop sharing them and peak memory is flat in cell
+//     count. Nothing ever materializes the full matrix.
 //   - Distributional output. Per-(class, configuration) aggregates report
 //     mean/median/CI95 gadget counts over the whole corpus — the
 //     statistical form of the paper's Table VI/VII claims — and are
@@ -30,7 +27,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
@@ -58,7 +54,7 @@ func cellsPerProgram() int { return len(Configs()) * len(streamArms) }
 
 // StreamOptions scope one streaming corpus run.
 type StreamOptions struct {
-	// Ctx cancels the run: the generator stops producing, workers stop
+	// Ctx cancels the run: no further window is generated, workers stop
 	// picking up cells, and RunStream returns the context's error. A cell
 	// already inside a pipeline stage runs that stage to completion
 	// (artifacts are shared and never cached half-finished; see
@@ -71,8 +67,9 @@ type StreamOptions struct {
 	// Seed is the corpus base seed (program i is generated from Seed+i)
 	// and the obfuscation seed.
 	Seed int64
-	// Parallelism sizes the analysis worker pool (0 = all cores).
-	// Aggregate tables are byte-identical at every setting.
+	// Parallelism is how many programs one window generates and how many
+	// workers run its cells (0 = all cores). Aggregate tables are
+	// byte-identical at every setting.
 	Parallelism int
 	// Planner is the planning arm's search budget; defaults keep cells
 	// cheap (MaxPlans 2, MaxNodes 800).
@@ -176,74 +173,23 @@ type StreamRun struct {
 	RowsWritten    int
 }
 
-// RunStream fans the generated-corpus matrix through the artifact store
-// with a bounded worker pool and streaming collection. See the package
+// RunStream fans the generated-corpus matrix through the artifact store a
+// window of programs at a time and collects the cells in order. See the
 // comment at the top of this file for the architecture.
 func RunStream(opts StreamOptions) (*StreamRun, error) {
 	opts = opts.withDefaults()
 	perProg := cellsPerProgram()
 	nProgs := (opts.Cells + perProg - 1) / perProg
-	nCells := nProgs * perProg
+	res := &StreamRun{Cells: nProgs * perProg, Programs: nProgs}
 
-	// Generator: programs are materialized lazily, one at a time; the
-	// bounded channel is the generation↔analysis backpressure.
-	specs := make(chan cellSpec, opts.Parallelism)
-	classes := benchprog.SizeClasses()
-	mix := []int{0, 0, 0, 1, 1, 2}
-	go func() {
-		defer close(specs)
-		idx := 0
-		for pi := 0; pi < nProgs; pi++ {
-			class := classes[mix[pi%len(mix)]]
-			p := benchprog.Generate(opts.Seed+int64(pi), class)
-			for cfg := range Configs() {
-				for _, arm := range streamArms {
-					select {
-					case specs <- cellSpec{idx: idx, prog: p, class: class.Name, cfg: cfg, arm: arm}:
-					case <-opts.Ctx.Done():
-						return
-					}
-					idx++
-				}
-			}
-		}
-	}()
-
-	// Workers: bounded analysis pool.
-	results := make(chan streamResult, opts.Parallelism)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for spec := range specs {
-				if err := opts.Ctx.Err(); err != nil {
-					results <- streamResult{idx: spec.idx, err: err}
-					continue
-				}
-				row, err := runStreamCell(opts, spec)
-				results <- streamResult{idx: spec.idx, row: row, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Collector: reorders to cell order (the buffer is bounded by the
-	// in-flight cell count), writes JSONL incrementally, and folds rolling
-	// aggregates.
-	res := &StreamRun{Cells: nCells, Programs: nProgs}
+	// collect writes one row as JSONL and folds it into the rolling
+	// aggregates; rows arrive in cell order.
 	aggs := map[string]*streamAgg{}
 	var aggOrder []string
-	errs := make([]error, nCells)
 	var enc *json.Encoder
 	if opts.Rows != nil {
 		enc = json.NewEncoder(opts.Rows)
 	}
-	pending := map[int]StreamRow{}
-	next := 0
 	collect := func(row StreamRow) {
 		if enc != nil {
 			enc.Encode(row)
@@ -273,22 +219,37 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 			agg.payloads += row.Payloads
 		}
 	}
-	for r := range results {
-		errs[r.idx] = r.err
-		pending[r.idx] = r.row
-		for {
-			row, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			collect(row)
-			next++
+
+	classes := benchprog.SizeClasses()
+	mix := []int{0, 0, 0, 1, 1, 2}
+	for lo := 0; lo < nProgs; lo += opts.Parallelism {
+		if err := opts.Ctx.Err(); err != nil {
+			return nil, err
 		}
-	}
-	for _, err := range errs {
+		var specs []cellSpec
+		for pi := lo; pi < min(lo+opts.Parallelism, nProgs); pi++ {
+			class := classes[mix[pi%len(mix)]]
+			p := benchprog.Generate(opts.Seed+int64(pi), class)
+			for cfg := range Configs() {
+				for _, arm := range streamArms {
+					specs = append(specs, cellSpec{idx: lo*perProg + len(specs), prog: p, class: class.Name, cfg: cfg, arm: arm})
+				}
+			}
+		}
+		rows := make([]StreamRow, len(specs))
+		err := runCells(opts.Parallelism, len(specs), func(i int) error {
+			if err := opts.Ctx.Err(); err != nil {
+				return err
+			}
+			var err error
+			rows[i], err = runStreamCell(opts, specs[i])
+			return err
+		})
 		if err != nil {
 			return nil, err
+		}
+		for _, row := range rows {
+			collect(row)
 		}
 	}
 	// A canceled run that raced to completion anyway still reports the
@@ -299,12 +260,6 @@ func RunStream(opts StreamOptions) (*StreamRun, error) {
 
 	res.Table = renderStreamAggs(aggs, aggOrder)
 	return res, nil
-}
-
-type streamResult struct {
-	idx int
-	row StreamRow
-	err error
 }
 
 // runStreamCell executes one matrix cell through the store.

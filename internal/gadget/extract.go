@@ -2,6 +2,7 @@ package gadget
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 
@@ -27,25 +28,23 @@ type Options struct {
 	MaxForks int
 	// MaxMerges caps how many direct jumps a path may follow. Default 3.
 	MaxMerges int
-	// Stride scans every Stride-th byte offset as a potential gadget start.
-	// Default is the backend's decode stride: 1 on x64 (every offset,
-	// finding unaligned gadgets), 4 on rv64, 2 on rv64c.
-	Stride int
 	// Parallelism is how many workers scan section shards concurrently.
 	// 0 selects runtime.GOMAXPROCS(0); 1 scans single-threaded. The result
 	// is identical at every worker count: shard boundaries and the merge
-	// order depend only on the binary and Stride, never on scheduling.
+	// order depend only on the binary and the backend, never on scheduling.
 	Parallelism int
 }
 
 // Fingerprint renders the options' semantic fields canonically (defaults
 // applied) for content-addressed artifact keys: two Options values with the
 // same fingerprint produce byte-identical pools. Parallelism is excluded —
-// extraction results are identical at every worker count.
+// extraction results are identical at every worker count. The stride is
+// the backend's decode stride, a function of the ISA, kept in the string
+// so every stored key stays valid.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	fp := fmt.Sprintf("insts=%d,forks=%d,merges=%d,stride=%d",
-		o.MaxInsts, o.MaxForks, o.MaxMerges, o.Stride)
+		o.MaxInsts, o.MaxForks, o.MaxMerges, o.backend().Stride())
 	// The backend joins the fingerprint only when it is not the default, so
 	// every pre-multi-ISA x64 key string — and the warm caches addressed by
 	// them — stays valid byte-for-byte.
@@ -74,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxMerges == 0 {
 		o.MaxMerges = 3
-	}
-	if o.Stride == 0 {
-		o.Stride = o.backend().Stride()
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -125,8 +121,11 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 	be := opts.backend()
 	tab := PredecodeISA(bin, opts.Parallelism, be)
 
+	// Every backend-stride-th byte offset is a potential gadget start: 1 on
+	// x64 (every offset, finding unaligned gadgets), 4 on rv64, 2 on rv64c.
+	stride := be.Stride()
 	var jobs []shardJob
-	chunkBytes := opts.Stride * chunkStrides
+	chunkBytes := stride * chunkStrides
 	for _, sec := range bin.ExecSections() {
 		for lo := 0; lo < len(sec.Data); lo += chunkBytes {
 			jobs = append(jobs, shardJob{sec: sec, lo: lo, hi: min(lo+chunkBytes, len(sec.Data))})
@@ -135,7 +134,7 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 
 	shards := make([]*shard, len(jobs))
 	par.For(opts.Parallelism, len(jobs), func(i int) {
-		shards[i] = scanShard(tab, jobs[i], opts)
+		shards[i] = scanShard(tab, jobs[i], opts, stride)
 	})
 
 	// Merge in shard order: statistics sum, and each shard's effect DAGs are
@@ -143,16 +142,11 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 	// field order inside effectImporter are fixed, so node identities in the
 	// merged builder are deterministic.
 	b := expr.NewBuilder()
-	pool := &Pool{
-		Builder: b,
-		ISA:     be.Name(),
-		ByReg:   make(map[isa.Reg][]*Gadget),
-		Stats:   Stats{ByType: make(map[JmpType]int)},
-	}
+	stats := Stats{ByType: make(map[JmpType]int)}
 	imp := newEffectImporter(b)
 	var all []*Gadget
 	for _, sh := range shards {
-		pool.Stats.merge(sh.stats)
+		stats.merge(sh.stats)
 		for _, g := range sh.gadgets {
 			g.Effect = imp.effect(g.Effect)
 		}
@@ -168,13 +162,12 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 	})
 	for _, g := range all {
 		fillRecord(b, g, be)
-		pool.add(g)
 	}
-	return pool
+	return NewPool(b, be.Name(), all, stats)
 }
 
 // scanShard scans one job's offsets into a fresh shard.
-func scanShard(tab *Table, job shardJob, opts Options) *shard {
+func scanShard(tab *Table, job shardJob, opts Options, stride int) *shard {
 	sh := &shard{
 		b:     expr.NewBuilder(),
 		stats: Stats{ByType: make(map[JmpType]int)},
@@ -186,7 +179,7 @@ func scanShard(tab *Table, job shardJob, opts Options) *shard {
 	sh.ex = symex.NewExecutorISA(sh.b, opts.backend())
 	w := &walker{tab: tab, opts: opts, sh: sh, steps: make([]symex.Step, 0, opts.MaxInsts+1)}
 	root := w.getBuf()
-	for off := job.lo; off < job.hi; off += opts.Stride {
+	for off := job.lo; off < job.hi; off += stride {
 		sh.stats.ScannedOffsets++
 		w.start = job.sec.Addr + uint64(off)
 		w.walk(w.start, root[:0])
@@ -495,10 +488,10 @@ func pathLen(steps []symex.Step) int {
 }
 
 // ClonePool deep-copies a pool into a fresh expression builder: every
-// gadget record is copied (IDs and immutable slices included) and its
-// effect DAG re-interned via expr.Import, walking the gadgets in pool
-// order. Index membership (ByReg, Syscalls) is carried over by identity,
-// so the clone is indistinguishable from the original to the planner.
+// gadget record is copied (immutable slices shared) and its effect DAG
+// re-interned via expr.Import, walking the gadgets in pool order. NewPool
+// rebuilds the indexes in that same order, so the clone is
+// indistinguishable from the original to the planner.
 //
 // Consumers that mutate builder state — payload concretization interns
 // fresh nodes for cells, scratch memory, and substitutions — clone per
@@ -508,34 +501,14 @@ func pathLen(steps []symex.Step) int {
 // function of the source pool alone, not of who else used it.
 func ClonePool(p *Pool) *Pool {
 	b := expr.NewBuilder()
-	out := &Pool{
-		Builder: b,
-		ISA:     p.ISA,
-		ByReg:   make(map[isa.Reg][]*Gadget, len(p.ByReg)),
-		Stats:   p.Stats,
-	}
-	out.Stats.ByType = make(map[JmpType]int, len(p.Stats.ByType))
-	for t, n := range p.Stats.ByType {
-		out.Stats.ByType[t] = n
-	}
+	stats := p.Stats
+	stats.ByType = maps.Clone(p.Stats.ByType)
 	imp := newEffectImporter(b)
-	clones := make(map[*Gadget]*Gadget, len(p.Gadgets))
-	out.Gadgets = make([]*Gadget, len(p.Gadgets))
+	gadgets := make([]*Gadget, len(p.Gadgets))
 	for i, g := range p.Gadgets {
 		cg := *g // Steps/ClobRegs/CtrlRegs are shared immutably
 		cg.Effect = imp.effect(g.Effect)
-		out.Gadgets[i] = &cg
-		clones[g] = &cg
+		gadgets[i] = &cg
 	}
-	for _, g := range p.Syscalls {
-		out.Syscalls = append(out.Syscalls, clones[g])
-	}
-	for r, gs := range p.ByReg {
-		idx := make([]*Gadget, len(gs))
-		for i, g := range gs {
-			idx[i] = clones[g]
-		}
-		out.ByReg[r] = idx
-	}
-	return out
+	return NewPool(b, p.ISA, gadgets, stats)
 }

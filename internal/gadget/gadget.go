@@ -45,7 +45,8 @@ func (t JmpType) String() string {
 
 // Gadget is one usable gadget with its Table II record.
 type Gadget struct {
-	// ID is the gadget's index in its pool.
+	// ID is the gadget's position in its pool's Gadgets. NewPool assigns
+	// it, so a gadget belongs to exactly one pool.
 	ID int
 	// Location is the address of the first instruction (Table II).
 	Location uint64
@@ -125,7 +126,7 @@ type Pool struct {
 	// ("x64", "rv64", "rv64c"). Empty is read as the default x64, so pools
 	// decoded from pre-multi-ISA artifacts stay valid.
 	ISA string
-	// Gadgets lists all usable gadgets, ID-indexed.
+	// Gadgets lists all usable gadgets; Gadgets[i].ID == i.
 	Gadgets []*Gadget
 	// ByReg indexes gadgets by the registers their effect writes.
 	ByReg map[isa.Reg][]*Gadget
@@ -149,8 +150,8 @@ type Stats struct {
 	// MergedGadgets counts pool gadgets built across direct jumps.
 	MergedGadgets int
 	// ByType counts raw candidates per Table I class. (For a pool narrowed
-	// by core.Config.GadgetFilter it instead counts the pooled gadgets per
-	// class, so the stats describe what the filter kept.)
+	// by Pool.Filter it instead counts the pooled gadgets per class, so the
+	// stats describe what the filter kept.)
 	ByType map[JmpType]int
 }
 
@@ -166,16 +167,47 @@ func (s *Stats) merge(o Stats) {
 	}
 }
 
-// add inserts a gadget into the pool and its indexes.
-func (p *Pool) add(g *Gadget) {
-	g.ID = len(p.Gadgets)
-	p.Gadgets = append(p.Gadgets, g)
-	if g.JmpType == TypeSyscall {
-		p.Syscalls = append(p.Syscalls, g)
+// NewPool builds a pool over gadgets and takes ownership of them: each
+// gadget's ID becomes its position, and the Syscalls and ByReg indexes
+// follow pool order. Every pool is built here, so ID == position holds for
+// every pool; callers pass gadgets no other pool holds.
+func NewPool(b *expr.Builder, isaName string, gadgets []*Gadget, stats Stats) *Pool {
+	p := &Pool{Builder: b, ISA: isaName, Gadgets: gadgets, ByReg: make(map[isa.Reg][]*Gadget), Stats: stats}
+	for i, g := range gadgets {
+		g.ID = i
+		if g.JmpType == TypeSyscall {
+			p.Syscalls = append(p.Syscalls, g)
+		}
+		for _, r := range g.ClobRegs {
+			p.ByReg[r] = append(p.ByReg[r], g)
+		}
 	}
-	for _, r := range g.ClobRegs {
-		p.ByReg[r] = append(p.ByReg[r], g)
+	return p
+}
+
+// Filter returns a pool of copies of the gadgets keep accepts, in pool
+// order, sharing p's builder. The pool-content counters (Supported,
+// MergedGadgets, ByType) count the kept gadgets; the scan-level counters
+// (offsets, raw candidates, unsupported) are properties of the binary and
+// stay as they are.
+func (p *Pool) Filter(keep func(*Gadget) bool) *Pool {
+	stats := p.Stats
+	stats.Supported, stats.MergedGadgets = 0, 0
+	stats.ByType = make(map[JmpType]int)
+	var kept []*Gadget
+	for _, g := range p.Gadgets {
+		if !keep(g) {
+			continue
+		}
+		cg := *g
+		kept = append(kept, &cg)
+		stats.Supported++
+		if g.Merged {
+			stats.MergedGadgets++
+		}
+		stats.ByType[g.JmpType]++
 	}
+	return NewPool(p.Builder, p.ISA, kept, stats)
 }
 
 // Size returns the number of usable gadgets.

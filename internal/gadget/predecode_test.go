@@ -79,45 +79,34 @@ var equivGolden = map[string]struct {
 	sum  string
 	size int
 }{
-	"netperf-llvmobf/stride=1":   {"3445fdbfc7a053d5", 692},
-	"netperf-llvmobf/stride=2":   {"d24d0a86949638ba", 335},
-	"gen-small-tigress/stride=1": {"2f3b29a0d57b4f5c", 1127},
-	"gen-small-tigress/stride=2": {"ab2fab11281a0508", 538},
-	"crc-llvmobf-rv64/stride=0":  {"c0b09b5441a5de2d", 239},
-	"crc-llvmobf-rv64c/stride=0": {"10be526bab42d94a", 553},
+	"netperf-llvmobf":   {"3445fdbfc7a053d5", 692},
+	"gen-small-tigress": {"2f3b29a0d57b4f5c", 1127},
+	"crc-llvmobf-rv64":  {"c0b09b5441a5de2d", 239},
+	"crc-llvmobf-rv64c": {"10be526bab42d94a", 553},
 }
 
 // TestPredecodeExtractionEquivalence pins the predecode-table walk to the
 // golden pool hashes across the full determinism matrix: every corpus
-// program, stride 1 and 2 on x64 and the backend's own stride on RISC-V,
-// and one, two, and eight workers. Canon renders everything downstream
-// consumers can observe, so the workers must agree byte for byte.
+// program at its backend's stride, and one, two, and eight workers. Canon
+// renders everything downstream consumers can observe, so the workers must
+// agree byte for byte.
 func TestPredecodeExtractionEquivalence(t *testing.T) {
 	for _, eb := range equivBinaries(t) {
-		strides := []int{1, 2}
-		if eb.isa != "" {
-			strides = []int{0}
-		}
-		for _, stride := range strides {
-			cell := fmt.Sprintf("%s/stride=%d", eb.name, stride)
-			var ref string
-			for _, par := range []int{1, 2, 8} {
-				pool := gadget.Extract(eb.bin, gadget.Options{
-					ISA: eb.isa, Stride: stride, Parallelism: par,
-				})
-				got := pool.Canon()
-				if par == 1 {
-					ref = got
-					sum := sha256.Sum256([]byte(got))
-					want := equivGolden[cell]
-					if h := hex.EncodeToString(sum[:8]); h != want.sum || pool.Size() != want.size {
-						t.Errorf("%s: pool hash %s size %d, want %s size %d",
-							cell, h, pool.Size(), want.sum, want.size)
-					}
-				} else if got != ref {
-					t.Errorf("%s parallelism=%d: pool differs from parallelism=1 at %s",
-						cell, par, firstDiff(ref, got))
+		var ref string
+		for _, par := range []int{1, 2, 8} {
+			pool := gadget.Extract(eb.bin, gadget.Options{ISA: eb.isa, Parallelism: par})
+			got := pool.Canon()
+			if par == 1 {
+				ref = got
+				sum := sha256.Sum256([]byte(got))
+				want := equivGolden[eb.name]
+				if h := hex.EncodeToString(sum[:8]); h != want.sum || pool.Size() != want.size {
+					t.Errorf("%s: pool hash %s size %d, want %s size %d",
+						eb.name, h, pool.Size(), want.sum, want.size)
 				}
+			} else if got != ref {
+				t.Errorf("%s parallelism=%d: pool differs from parallelism=1 at %s",
+					eb.name, par, firstDiff(ref, got))
 			}
 		}
 	}

@@ -71,8 +71,6 @@ type Concretizer struct {
 	// (the overwritten return-address slot). The threat model assumes the
 	// attacker knows it (ASLR disabled or leaked, Section III-A).
 	Base uint64
-	// MaxConflicts bounds each solver query.
-	MaxConflicts int64
 
 	// sol is reused across Concretize calls so its verdict cache memoizes
 	// repeated universal-validity checks — e.g. opaque predicates, which
@@ -81,21 +79,16 @@ type Concretizer struct {
 	sol *solver.Solver
 }
 
+// maxConflicts bounds each of the concretizer's solver queries.
+const maxConflicts = 100_000
+
 // NewConcretizer returns a concretizer for the pool's expression builder.
 // bin may be nil when static-data resolution is not wanted.
 func NewConcretizer(pool *gadget.Pool, bin *sbf.Binary, base uint64) *Concretizer {
 	return &Concretizer{
-		pool: pool, bin: bin, Base: base, MaxConflicts: 100_000,
+		pool: pool, bin: bin, Base: base,
+		sol: solver.New(solver.Options{MaxConflicts: maxConflicts}),
 	}
-}
-
-// solver returns the concretizer's solver, created on first use (so a
-// MaxConflicts override set after construction still takes effect).
-func (c *Concretizer) solver() *solver.Solver {
-	if c.sol == nil {
-		c.sol = solver.New(solver.Options{MaxConflicts: c.MaxConflicts})
-	}
-	return c.sol
 }
 
 // staticRead resolves a constant-address load against the binary's
@@ -377,7 +370,7 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 	// Constraints over ambient values are acceptable only when universally
 	// valid (they then hold regardless of the uncontrolled state) — this is
 	// how opaque-predicate pre-conditions are discharged.
-	s := c.solver()
+	s := c.sol
 	kept := constraints[:0]
 	for _, con := range constraints {
 		controlled := true

@@ -555,30 +555,25 @@ func writePool(e *enc, p *gadget.Pool) {
 	writePoolStats(e, p.Stats)
 }
 
-// readPool rebuilds the pool around a fresh builder, re-inserting each
-// decoded gadget into the ByReg/Syscalls indexes exactly as extraction's
-// pool insertion does.
+// readPool rebuilds the pool around a fresh builder through
+// gadget.NewPool, which rebuilds the ByReg/Syscalls indexes. Pools are
+// written in ID order, so a gadget whose ID is not its position is corrupt.
 func readPool(d *dec) *gadget.Pool {
 	isaName := d.str()
 	b := expr.NewBuilder()
 	t := readExprTab(d, b)
 	n := d.count()
-	p := &gadget.Pool{Builder: b, ISA: isaName, ByReg: make(map[isa.Reg][]*gadget.Gadget)}
-	for i := 0; i < n; i++ {
+	gadgets := make([]*gadget.Gadget, n)
+	for i := range gadgets {
 		if d.bad {
 			return nil
 		}
-		g := readGadget(d, t)
-		p.Gadgets = append(p.Gadgets, g)
-		if g.JmpType == gadget.TypeSyscall {
-			p.Syscalls = append(p.Syscalls, g)
-		}
-		for _, reg := range g.ClobRegs {
-			p.ByReg[reg] = append(p.ByReg[reg], g)
+		if gadgets[i] = readGadget(d, t); gadgets[i].ID != i {
+			d.fail()
+			return nil
 		}
 	}
-	p.Stats = readPoolStats(d)
-	return p
+	return gadget.NewPool(b, isaName, gadgets, readPoolStats(d))
 }
 
 func writeSubsumeStats(e *enc, s subsume.Stats) {

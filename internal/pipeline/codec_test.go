@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
@@ -166,6 +167,36 @@ func TestBinaryAndCountCodecRoundTrip(t *testing.T) {
 		if gotCounts[k] != n {
 			t.Errorf("count[%v] = %d, want %d", k, gotCounts[k], n)
 		}
+	}
+}
+
+// misplacedIDArtifact re-encodes a pool artifact with its first two
+// gadgets swapped, so each gadget's ID names the other's position.
+func misplacedIDArtifact(tb testing.TB, data []byte) []byte {
+	tb.Helper()
+	v, err := decodeArtifact(StageExtract, data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := v.(*gadget.Pool)
+	if pool.Size() < 2 {
+		tb.Fatal("pool too small to misplace a gadget")
+	}
+	pool.Gadgets[0], pool.Gadgets[1] = pool.Gadgets[1], pool.Gadgets[0]
+	out, ok := encodeArtifact(StageExtract, pool)
+	if !ok {
+		tb.Fatal("pool did not encode")
+	}
+	return out
+}
+
+// TestDecodeArtifactRejectsMisplacedID pins that every decoded pool keeps
+// ID == position, which the planner's ID-indexed caches rely on: a pool
+// artifact whose gadget IDs are out of place is corrupt.
+func TestDecodeArtifactRejectsMisplacedID(t *testing.T) {
+	enc, _ := encodeArtifact(StageExtract, testPool(t))
+	if _, err := decodeArtifact(StageExtract, misplacedIDArtifact(t, enc)); !errors.Is(err, errCorrupt) {
+		t.Errorf("pool with misplaced gadget IDs decoded with error %v, want errCorrupt", err)
 	}
 }
 

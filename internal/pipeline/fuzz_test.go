@@ -82,9 +82,11 @@ func artifactSeeds(tb testing.TB) [numStages][]byte {
 // never panic, and every input it accepts must round-trip: encoding the
 // decoded artifact, decoding that and encoding again yields the same bytes.
 func FuzzDecodeArtifact(f *testing.F) {
-	for st, data := range artifactSeeds(f) {
+	seeds := artifactSeeds(f)
+	for st, data := range seeds {
 		f.Add(uint8(st), data)
 	}
+	f.Add(uint8(StageExtract), misplacedIDArtifact(f, seeds[StageExtract]))
 	f.Fuzz(func(t *testing.T, stage uint8, data []byte) {
 		st := Stage(stage % uint8(numStages))
 		v, err := decodeArtifact(st, data)

@@ -212,9 +212,6 @@ func TestOptionFingerprintsCanonicalize(t *testing.T) {
 	if (gadget.Options{MaxInsts: 10}).Fingerprint() == (gadget.Options{MaxInsts: 12}).Fingerprint() {
 		t.Error("gadget.Options: MaxInsts not keyed")
 	}
-	if (subsume.Options{}).Fingerprint() == (subsume.Options{MaxConflicts: 100}).Fingerprint() {
-		t.Error("subsume.Options: MaxConflicts not keyed")
-	}
 	if (planner.Options{MaxPlans: 1}).Fingerprint() == (planner.Options{MaxPlans: 2}).Fingerprint() {
 		t.Error("planner.Options: MaxPlans not keyed")
 	}

@@ -63,16 +63,11 @@ func newProviderCache(pool *gadget.Pool) *providerCache {
 	for r := 0; r < be.NumRegs(); r++ {
 		b.Var(symex.RegVarNameOn(be, isa.Reg(r)), 64)
 	}
-	maxID := 0
-	for _, g := range pool.Gadgets {
-		if g.ID > maxID {
-			maxID = g.ID
-		}
-	}
+	// Slots are indexed by gadget ID, which is the gadget's pool position.
 	return &providerCache{
 		b:     b,
-		prov:  make([]atomic.Pointer[provMap], maxID+1),
-		steps: make([]atomic.Pointer[stepReqEntry], maxID+1),
+		prov:  make([]atomic.Pointer[provMap], len(pool.Gadgets)),
+		steps: make([]atomic.Pointer[stepReqEntry], len(pool.Gadgets)),
 	}
 }
 

@@ -102,14 +102,8 @@ type keyInterner struct {
 }
 
 func newKeyInterner(pool *gadget.Pool) *keyInterner {
-	maxID := 0
-	for _, g := range pool.Gadgets {
-		if g.ID > maxID {
-			maxID = g.ID
-		}
-	}
 	return &keyInterner{
-		shapeByGID: make([]uint32, maxID+1),
+		shapeByGID: make([]uint32, len(pool.Gadgets)),
 		shapeIDs:   make(map[string]uint32),
 		specIDs:    make(map[specKey]uint32),
 	}

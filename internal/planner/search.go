@@ -13,10 +13,14 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
 
-// defaultBatchSize is how many frontier plans one batch pops. It is a fixed
+// batchSize is how many frontier plans one batch pops. It is a fixed
 // constant — deliberately NOT derived from Parallelism — because the batch
 // boundary is what shapes the search order; workers only split a batch.
-const defaultBatchSize = 16
+const batchSize = 16
+
+// maxSteps bounds gadget instances per plan (chain length). Plan orderings
+// are single-word bitsets, so it must stay at most maxOrderSteps-4.
+const maxSteps = 10
 
 // Options tune the plan search.
 type Options struct {
@@ -24,9 +28,6 @@ type Options struct {
 	MaxPlans int
 	// MaxNodes bounds search-node expansions. Default 30000.
 	MaxNodes int
-	// MaxSteps bounds gadget instances per plan (chain length). Default 10,
-	// clamped to 60 (plan orderings are tracked in single-word bitsets).
-	MaxSteps int
 	// Candidates caps producer candidates tried per open requirement.
 	// Default 8.
 	Candidates int
@@ -37,32 +38,25 @@ type Options struct {
 	// payload concretization in the core pipeline). It always runs on the
 	// coordinator goroutine, in deterministic batch order.
 	Validate func(*Plan) bool
-	// Trace, if set, observes every expanded plan (diagnostics).
-	Trace func(*Plan)
 	// Parallelism is the number of frontier-expansion workers. 0 = all
 	// cores, 1 = single-threaded. Results are byte-identical at every
 	// setting: batches are popped, validated, and merged in deterministic
-	// order, and BatchSize — not the worker count — shapes the search.
+	// order, and batchSize — not the worker count — shapes the search.
 	Parallelism int
-	// BatchSize overrides how many plans each frontier batch pops
-	// (default defaultBatchSize). Changing it changes the search order;
-	// changing Parallelism never does.
-	BatchSize int
 }
 
 // Fingerprint renders the options' semantic fields canonically (defaults
 // applied) for content-addressed artifact keys. Parallelism is excluded —
-// plans are identical at every worker count — and so are the Validate and
-// Trace closures: callers caching search results must key whatever state
-// those closures observe themselves (core's plan stage keys the payload
-// parameters its validator is built from). BatchSize shapes the search
-// order, so it is included.
+// plans are identical at every worker count — and so is the Validate
+// closure: callers caching search results must key whatever state it
+// observes themselves (core's plan stage keys the payload parameters its
+// validator is built from).
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
-	// cache=true is a literal: the memoization layers are always on, and
-	// the literal keeps every stored plan key valid.
+	// steps, batch and cache=true are constants; the literals keep every
+	// stored plan key valid.
 	return fmt.Sprintf("plans=%d,nodes=%d,steps=%d,cands=%d,timeout=%s,batch=%d,cache=true",
-		o.MaxPlans, o.MaxNodes, o.MaxSteps, o.Candidates, o.Timeout, o.BatchSize)
+		o.MaxPlans, o.MaxNodes, maxSteps, o.Candidates, o.Timeout, batchSize)
 }
 
 func (o Options) withDefaults() Options {
@@ -72,12 +66,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 30000
 	}
-	if o.MaxSteps == 0 {
-		o.MaxSteps = 10
-	}
-	if o.MaxSteps > maxOrderSteps-4 {
-		o.MaxSteps = maxOrderSteps - 4
-	}
 	if o.Candidates == 0 {
 		o.Candidates = 8
 	}
@@ -86,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = defaultBatchSize
 	}
 	return o
 }
@@ -164,7 +149,7 @@ type searchCtx struct {
 // in heap order, handle complete ones (dedup, validate, accept) serially in
 // that order, expand the incomplete ones in parallel workers, then merge
 // the successors back into the heap in pop order. Because batch boundaries,
-// validation order, and merge order depend only on BatchSize — never on
+// validation order, and merge order depend only on batchSize — never on
 // Parallelism — the accepted plans, counters, and diversity ranking are
 // byte-identical at any worker count.
 func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
@@ -214,7 +199,7 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 			res.TimedOut = true
 			break
 		}
-		k := opts.BatchSize
+		k := batchSize
 		if k > q.Len() {
 			k = q.Len()
 		}
@@ -232,9 +217,6 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		for i := 0; i < k; i++ {
 			p := heap.Pop(&q).(*Plan)
 			res.Expanded++
-			if opts.Trace != nil {
-				opts.Trace(p)
-			}
 			if p.Complete() {
 				sig := sc.keys.key(p)
 				if found[sig] {
@@ -270,7 +252,7 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		for i := range jobs {
 			jobs[i].cands = nil
 			jobs[i].specID = sc.keys.specOf(jobs[i].p.Open[0].Spec)
-			if jobs[i].p.NumGadgets() < opts.MaxSteps {
+			if jobs[i].p.NumGadgets() < maxSteps {
 				jobs[i].cands = sc.idx.candidatesFor(jobs[i].p.Open[0].Reg, uses)
 			}
 		}

@@ -24,6 +24,8 @@ func FuzzRequest(f *testing.F) {
 		`{"program":"netperf"}`,
 		`{"op":"plan","program":"netperf","obf":"llvm","isa":"rv64c","goal":"execve","max_plans":2}`,
 		`{"op":"count","program":"crc","obf":"sub,bcf,fla,enc","selfmod":90}`,
+		`{"op":"count","program":"crc","selfmod":256}`,
+		`{"op":"count","program":"crc","selfmod":-255}`,
 		`{"op":"analyze","source":"int main() { return 0; }","obf":"virt","seed":7,"name":"tiny"}`,
 		`{"op":"plan","program":"crc","timeout_ms":-1,"skip_verify":true,"max_nodes":1}`,
 		string(binReq),

@@ -72,7 +72,7 @@ type Request struct {
 	Obf  string `json:"obf,omitempty"`
 	Seed int64  `json:"seed,omitempty"`
 	// SelfMod, if nonzero, applies the post-link self-modification
-	// transform with this XOR key (x64 builds only).
+	// transform with this XOR key, 1..255 (x64 builds only).
 	SelfMod int `json:"selfmod,omitempty"`
 
 	// ISA selects the code-generation backend for source builds ("x64",
@@ -183,6 +183,9 @@ func (r Request) resolve() (*resolved, error) {
 			names[i] = p.Name()
 		}
 		base = pipeline.BuildKey(rr.prog.Source, names, r.Seed, rr.isa)
+	}
+	if r.SelfMod < 0 || r.SelfMod > 255 {
+		return nil, fmt.Errorf("serve: selfmod key %d is outside 1..255", r.SelfMod)
 	}
 	if r.SelfMod != 0 {
 		if rr.isa != isa.DefaultISA {

@@ -85,6 +85,11 @@ func TestRequestKeyCanonical(t *testing.T) {
 		{Program: "crc", Goal: "no-such-goal"},
 		{Binary: []byte{1, 2, 3}, Obf: "llvm"},
 		{Binary: crc.Marshal()},
+		// Self-modification keys are one byte: 256 used to pass keying and
+		// fail at run time, and 257 and -255 used to share key 1's key.
+		{Program: "crc", SelfMod: 256},
+		{Program: "crc", SelfMod: 257},
+		{Program: "crc", SelfMod: -255},
 	} {
 		if _, err := r.Key(); err == nil {
 			t.Errorf("bad request %+v keyed without error", r)
@@ -232,5 +237,21 @@ func TestServerErrorPropagates(t *testing.T) {
 	_, err := client.Run(context.Background(), Request{Binary: []byte("not an sbf binary")}, nil)
 	if err == nil {
 		t.Fatal("malformed binary served without error")
+	}
+}
+
+// TestSelfModOutOfRange pins that gpd answers a self-modification key
+// outside 1..255 with 400 before keying, not with an error event in a 200
+// stream, and that the two ends of the range are distinct requests.
+func TestSelfModOutOfRange(t *testing.T) {
+	_, client := newTestServer(t)
+	_, err := client.Run(context.Background(), Request{Op: OpCount, Program: "crc", SelfMod: 256}, nil)
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("selfmod 256 served with error %v, want a 400", err)
+	}
+	k1, err1 := Request{Program: "crc", SelfMod: 1}.Key()
+	k255, err255 := Request{Program: "crc", SelfMod: 255}.Key()
+	if err1 != nil || err255 != nil || k1 == k255 {
+		t.Errorf("selfmod 1 and 255: keys %q/%v and %q/%v, want two distinct keys", k1, err1, k255, err255)
 	}
 }

@@ -33,43 +33,37 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
-	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/par"
 	"github.com/nofreelunch/gadget-planner/internal/solver"
 )
 
+// fingerprints is how many random environments each gadget is evaluated
+// on (more = fewer false bucket collisions).
+const fingerprints = 4
+
+// maxConflicts bounds each solver query; Unknown results conservatively
+// keep both gadgets.
+const maxConflicts = 4096
+
 // Options tune the minimization.
 type Options struct {
-	// Fingerprints is how many random environments to evaluate per gadget
-	// (more = fewer false bucket collisions). Default 4.
-	Fingerprints int
-	// MaxConflicts bounds each solver query. Default 4096 (Unknown results
-	// conservatively keep both gadgets).
-	MaxConflicts int64
 	// Parallelism is how many workers test buckets concurrently.
 	// 0 selects runtime.GOMAXPROCS(0); 1 runs single-threaded. The result
 	// is identical at every worker count.
 	Parallelism int
 }
 
-// Fingerprint renders the options' semantic fields canonically (defaults
-// applied) for content-addressed artifact keys. Parallelism is excluded —
-// minimized pools are identical at every worker count. The trailing
-// "triage=true" is a constant kept from when the solver's screening tiers
-// were switchable: dropping it would re-address every persisted minimize
-// and plan artifact.
+// Fingerprint renders the minimization parameters for content-addressed
+// artifact keys. Parallelism is excluded — minimized pools are identical at
+// every worker count — so the key is a constant. The trailing
+// "triage=true" is kept from when the solver's screening tiers were
+// switchable: dropping it would re-address every persisted minimize and
+// plan artifact.
 func (o Options) Fingerprint() string {
-	o = o.withDefaults()
-	return fmt.Sprintf("fp=%d,conf=%d,triage=true", o.Fingerprints, o.MaxConflicts)
+	return fmt.Sprintf("fp=%d,conf=%d,triage=true", fingerprints, maxConflicts)
 }
 
 func (o Options) withDefaults() Options {
-	if o.Fingerprints == 0 {
-		o.Fingerprints = 4
-	}
-	if o.MaxConflicts == 0 {
-		o.MaxConflicts = 4096
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -116,9 +110,10 @@ type bucketStats struct {
 	removedProved int
 }
 
-// Minimize returns a new pool containing one gadget per equivalence class,
-// preferring gadgets with weaker pre-conditions, then fewer instructions.
-// The input pool's builder is not mutated.
+// Minimize returns a new pool containing a copy of one gadget per
+// equivalence class, preferring gadgets with weaker pre-conditions, then
+// fewer instructions. Neither the input pool's builder nor its gadgets are
+// mutated; the output shares the input's builder.
 func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 	opts = opts.withDefaults()
 	stats := Stats{Before: pool.Size()}
@@ -134,7 +129,7 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 	for _, group := range groups {
 		byFp := make(map[uint64][]*gadget.Gadget)
 		for _, g := range group {
-			fp := fingerprint(g, opts.Fingerprints)
+			fp := fingerprint(g, fingerprints)
 			byFp[fp] = append(byFp[fp], g)
 		}
 		for _, bucket := range byFp {
@@ -145,7 +140,7 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 
 	kept := make([][]*gadget.Gadget, len(buckets))
 	bstats := make([]bucketStats, len(buckets))
-	s := solver.New(solver.Options{MaxConflicts: opts.MaxConflicts})
+	s := solver.New(solver.Options{MaxConflicts: maxConflicts})
 	par.For(opts.Parallelism, len(buckets), func(i int) {
 		kept[i] = minimizeBucket(s, buckets[i], &bstats[i])
 	})
@@ -158,35 +153,20 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 	stats.CacheHits = s.CacheHits.Load()
 	stats.Blasted = s.Blasted.Load()
 
-	out := &gadget.Pool{
-		Builder: pool.Builder,
-		ISA:     pool.ISA,
-		Stats:   pool.Stats,
-	}
+	// The output pool holds copies, because the input's gadgets may be
+	// shared with other pools and NewPool renumbers what it is given. The
+	// copies keep their input IDs until then, so gadgetLess orders them
+	// regardless of bucket processing order.
+	var gadgets []*gadget.Gadget
 	for _, ks := range kept {
-		out.Gadgets = append(out.Gadgets, ks...)
-	}
-	stats.After = out.Size()
-	sortPool(out)
-	return out, stats
-}
-
-// sortPool orders gadgets by location, renumbers IDs, and rebuilds the
-// register and syscall indexes in that order, so the output pool is fully
-// deterministic regardless of bucket processing order.
-func sortPool(p *gadget.Pool) {
-	sort.Slice(p.Gadgets, func(i, j int) bool { return gadgetLess(p.Gadgets[i], p.Gadgets[j]) })
-	p.Syscalls = nil
-	p.ByReg = make(map[isa.Reg][]*gadget.Gadget)
-	for i, g := range p.Gadgets {
-		g.ID = i
-		if g.JmpType == gadget.TypeSyscall {
-			p.Syscalls = append(p.Syscalls, g)
-		}
-		for _, r := range g.ClobRegs {
-			p.ByReg[r] = append(p.ByReg[r], g)
+		for _, g := range ks {
+			cg := *g
+			gadgets = append(gadgets, &cg)
 		}
 	}
+	sort.Slice(gadgets, func(i, j int) bool { return gadgetLess(gadgets[i], gadgets[j]) })
+	stats.After = len(gadgets)
+	return gadget.NewPool(pool.Builder, pool.ISA, gadgets, pool.Stats), stats
 }
 
 // gadgetLess is a total order on distinct gadgets (the extraction-time ID
