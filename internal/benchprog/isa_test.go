@@ -12,9 +12,10 @@ import (
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/rv64_text.sha256 from the current rv64 builds")
+var update = flag.Bool("update", false, "rewrite the testdata/*_text.sha256 pins from the current builds")
 
 // isaPresets are the obfuscation presets the per-ISA build pins cover.
 var isaPresets = []struct {
@@ -53,44 +54,82 @@ func TestRV64CBuildIsRV64Build(t *testing.T) {
 	}
 }
 
-// TestRV64TextPinned pins the RV64 assembler's output: the SHA-256 of the
-// .text bytes of every program × preset rv64 build must match
-// testdata/rv64_text.sha256 (one "program/preset hex" line each). The
-// bench goldens pin only text size and what extraction derives from the
-// bytes; this pins the bytes themselves. Regenerate with
-// `go test ./internal/benchprog -run TestRV64TextPinned -update`.
-func TestRV64TextPinned(t *testing.T) {
-	var got strings.Builder
-	for _, p := range All() {
-		for _, pr := range isaPresets {
-			bin, err := BuildISA(p, pr.passes, 42, "rv64")
-			if err != nil {
-				t.Fatalf("%s/%s: %v", p.Name, pr.name, err)
-			}
-			text := bin.Section(".text")
-			if text == nil {
-				t.Fatalf("%s/%s: no .text section", p.Name, pr.name)
-			}
-			sum := sha256.Sum256(text.Data)
-			fmt.Fprintf(&got, "%s/%s %s\n", p.Name, pr.name, hex.EncodeToString(sum[:]))
-		}
-	}
+// textPins are the per-ISA .text pins: each build's SHA-256 must match the
+// ISA's file under testdata (one "program/preset hex" line each). The x64
+// pin also covers netperf under the self-modification transform, whose
+// decoder stub goes through the textual assembler.
+var textPins = []struct {
+	isa, file string
+	selfmod   bool
+}{
+	{"rv64", "rv64_text.sha256", false},
+	{"x64", "x64_text.sha256", true},
+}
 
-	path := filepath.Join("testdata", "rv64_text.sha256")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("rv64 .text hashes differ from %s\n--- want ---\n%s--- got ---\n%s", path, want, got.String())
+// selfmodKey is the XOR key of the pinned self-modified netperf build.
+const selfmodKey = 0x5a
+
+// TestTextPinned pins each backend's assembler output: the SHA-256 of the
+// executable bytes of every program × preset build must match the ISA's
+// pin file. The bench goldens pin only text size and what extraction
+// derives from the bytes; this pins the bytes themselves. Regenerate with
+// `go test ./internal/benchprog -run TestTextPinned -update`.
+func TestTextPinned(t *testing.T) {
+	for _, pin := range textPins {
+		t.Run(pin.isa, func(t *testing.T) {
+			var got strings.Builder
+			line := func(name string, bin *sbf.Binary) {
+				h := sha256.New()
+				n := 0
+				for _, s := range bin.Sections {
+					if s.Flags&sbf.FlagExec != 0 {
+						h.Write(s.Data)
+						n++
+					}
+				}
+				if n == 0 {
+					t.Fatalf("%s: no executable section", name)
+				}
+				fmt.Fprintf(&got, "%s %s\n", name, hex.EncodeToString(h.Sum(nil)))
+			}
+			for _, p := range All() {
+				for _, pr := range isaPresets {
+					bin, err := BuildISA(p, pr.passes, 42, pin.isa)
+					if err != nil {
+						t.Fatalf("%s/%s: %v", p.Name, pr.name, err)
+					}
+					line(p.Name+"/"+pr.name, bin)
+				}
+			}
+			if pin.selfmod {
+				bin, err := BuildISA(Netperf(), nil, 42, pin.isa)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sm, err := obfuscate.SelfModifyBinary(bin, selfmodKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				line(fmt.Sprintf("netperf/selfmod-%#x", selfmodKey), sm)
+			}
+
+			path := filepath.Join("testdata", pin.file)
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != string(want) {
+				t.Errorf("%s executable-section hashes differ from %s\n--- want ---\n%s--- got ---\n%s", pin.isa, path, want, got.String())
+			}
+		})
 	}
 }
