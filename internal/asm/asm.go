@@ -1,42 +1,28 @@
-// Package asm implements a small two-pass textual assembler for the x86-64
-// subset in internal/isa.
+// Package asm assembles machine code in one pass for both backends.
 //
-// Syntax is Intel-flavoured, one instruction per line or per ';'-separated
-// field ("pop rdi; ret"). '#' starts a comment. Labels are "name:"
-// definitions; a label may be used as a branch target or as an immediate.
-// Supported directives: .byte, .quad, .asciz, .align.
+// The code generator drives a program builder per ISA: X64Prog for x86-64
+// and RVProg for RV64. Each encodes every instruction through the isa
+// encoder as it arrives; a reference to a label not yet defined records a
+// fixup that Assemble patches once every label is known, rejecting any
+// patch that would change an instruction's length rather than relaxing
+// it.
+//
+// Assemble is a textual front end for x86-64 (used by the self-modifying
+// decoder stub and by tests). Syntax is Intel-flavoured, one instruction
+// per line or per ';'-separated field ("pop rdi; ret"). '#' starts a
+// comment. Labels are "name:" definitions; a label may be used as a branch
+// target or as an immediate. Supported directives: .byte, .quad, .asciz,
+// .align. Each statement is parsed and handed to an X64Prog at once.
 package asm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
-
-// item is one assembly statement after parsing.
-type item struct {
-	label string // label definition ("" if none)
-
-	inst    isa.Inst
-	hasInst bool
-	// labelRef names a label whose address should replace the immediate of
-	// operand A (branch target) or B (mov/lea source).
-	labelRefA string
-	labelRefB string
-
-	data  []byte // literal bytes (.byte/.quad/.asciz payloads)
-	quads []quadRef
-	align int
-	line  int
-}
-
-// quadRef is a .quad entry that may reference a label.
-type quadRef struct {
-	value    int64
-	labelRef string
-}
 
 // SyntaxError reports a problem in the assembly source.
 type SyntaxError struct {
@@ -52,25 +38,33 @@ func synErr(line int, format string, args ...any) error {
 	return &SyntaxError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Result is the output of assembling a source text.
+// Result is the output of assembling a program.
 type Result struct {
 	Code   []byte
 	Labels map[string]uint64
 }
 
-// Assemble translates source into machine code based at the given address.
+// Assemble translates x86-64 source into machine code based at the given
+// address.
 func Assemble(src string, base uint64) (*Result, error) {
-	return AssembleWithSymbols(src, base, nil)
-}
-
-// AssembleWithSymbols assembles with pre-defined external symbols (e.g.
-// addresses of data-section globals) available as labels.
-func AssembleWithSymbols(src string, base uint64, extern map[string]uint64) (*Result, error) {
-	items, err := parse(src)
-	if err != nil {
-		return nil, err
+	p := NewX64Prog(base)
+	for lineNo, rawLine := range strings.Split(src, "\n") {
+		line := rawLine
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		p.line = lineNo + 1
+		for _, stmt := range strings.Split(line, ";") {
+			stmt = strings.TrimSpace(stmt)
+			if stmt == "" {
+				continue
+			}
+			if err := parseStmt(p, stmt); err != nil {
+				return nil, err
+			}
+		}
 	}
-	return layout(items, base, extern)
+	return p.Assemble(nil)
 }
 
 // MustAssemble is a test/example helper that panics on error.
@@ -82,60 +76,38 @@ func MustAssemble(src string, base uint64) *Result {
 	return r
 }
 
-func parse(src string) ([]item, error) {
-	var items []item
-	for lineNo, rawLine := range strings.Split(src, "\n") {
-		line := rawLine
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		for _, stmt := range strings.Split(line, ";") {
-			stmt = strings.TrimSpace(stmt)
-			if stmt == "" {
-				continue
-			}
-			it, err := parseStmt(stmt, lineNo+1)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, it...)
-		}
-	}
-	return items, nil
-}
-
-func parseStmt(stmt string, line int) ([]item, error) {
-	// Label definition, possibly followed by nothing.
+// parseStmt parses one statement and appends it to p.
+func parseStmt(p *X64Prog, stmt string) error {
+	// Label definition, possibly followed by a statement.
 	if i := strings.IndexByte(stmt, ':'); i >= 0 && !strings.ContainsAny(stmt[:i], " \t[") {
-		name := strings.TrimSpace(stmt[:i])
-		rest := strings.TrimSpace(stmt[i+1:])
-		items := []item{{label: name, line: line}}
-		if rest != "" {
-			more, err := parseStmt(rest, line)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, more...)
+		p.Label(strings.TrimSpace(stmt[:i]))
+		if rest := strings.TrimSpace(stmt[i+1:]); rest != "" {
+			return parseStmt(p, rest)
 		}
-		return items, nil
+		return nil
 	}
-
 	if strings.HasPrefix(stmt, ".") {
-		it, err := parseDirective(stmt, line)
-		if err != nil {
-			return nil, err
-		}
-		return []item{it}, nil
+		return parseDirective(p, stmt)
 	}
-
-	it, err := parseInst(stmt, line)
+	inst, refA, refB, err := parseInst(stmt, p.line)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return []item{it}, nil
+	switch {
+	case refA != "" && refB != "":
+		return synErr(p.line, "more than one label operand in %q", stmt)
+	case refA != "":
+		p.InstRef(inst, refA)
+	case refB != "":
+		p.InstRefB(inst, refB)
+	default:
+		p.Inst(inst)
+	}
+	return nil
 }
 
-func parseDirective(stmt string, line int) (item, error) {
+func parseDirective(p *X64Prog, stmt string) error {
+	line := p.line
 	fields := strings.SplitN(stmt, " ", 2)
 	dir := fields[0]
 	arg := ""
@@ -148,36 +120,38 @@ func parseDirective(stmt string, line int) (item, error) {
 		for _, f := range strings.Split(arg, ",") {
 			v, err := parseInt(strings.TrimSpace(f))
 			if err != nil {
-				return item{}, synErr(line, "bad .byte value %q", f)
+				return synErr(line, "bad .byte value %q", f)
 			}
 			data = append(data, byte(v))
 		}
-		return item{data: data, line: line}, nil
+		p.Bytes(data)
+		return nil
 	case ".quad":
-		var quads []quadRef
 		for _, f := range strings.Split(arg, ",") {
 			f = strings.TrimSpace(f)
 			if v, err := parseInt(f); err == nil {
-				quads = append(quads, quadRef{value: v})
+				p.code = binary.LittleEndian.AppendUint64(p.code, uint64(v))
 			} else {
-				quads = append(quads, quadRef{labelRef: f})
+				p.QuadLabel(f)
 			}
 		}
-		return item{quads: quads, line: line}, nil
+		return nil
 	case ".asciz":
 		s, err := strconv.Unquote(arg)
 		if err != nil {
-			return item{}, synErr(line, "bad .asciz string %s", arg)
+			return synErr(line, "bad .asciz string %s", arg)
 		}
-		return item{data: append([]byte(s), 0), line: line}, nil
+		p.Bytes(append([]byte(s), 0))
+		return nil
 	case ".align":
 		n, err := parseInt(arg)
 		if err != nil || n <= 0 || n&(n-1) != 0 {
-			return item{}, synErr(line, "bad .align value %q", arg)
+			return synErr(line, "bad .align value %q", arg)
 		}
-		return item{align: int(n), line: line}, nil
+		p.Align(int(n))
+		return nil
 	}
-	return item{}, synErr(line, "unknown directive %s", dir)
+	return synErr(line, "unknown directive %s", dir)
 }
 
 func parseInt(s string) (int64, error) {
@@ -315,7 +289,9 @@ var _condByName = map[string]isa.Cond{
 	"l": isa.CondL, "ge": isa.CondGE, "le": isa.CondLE, "g": isa.CondG,
 }
 
-func parseInst(stmt string, line int) (item, error) {
+// parseInst parses an instruction statement. refA and refB name the labels
+// whose addresses operands A and B take, if any.
+func parseInst(stmt string, line int) (inst isa.Inst, refA, refB string, err error) {
 	mn := stmt
 	rest := ""
 	if i := strings.IndexAny(stmt, " \t"); i >= 0 {
@@ -323,50 +299,48 @@ func parseInst(stmt string, line int) (item, error) {
 	}
 	mn = strings.ToLower(mn)
 
-	var inst isa.Inst
 	switch {
 	case mn == "movabs":
 		inst.Op = isa.OpMov
 	case strings.HasPrefix(mn, "j") && mn != "jmp":
 		cc, ok := _condByName[mn[1:]]
 		if !ok {
-			return item{}, synErr(line, "unknown mnemonic %q", mn)
+			return inst, "", "", synErr(line, "unknown mnemonic %q", mn)
 		}
 		inst.Op, inst.Cond = isa.OpJcc, cc
 	case strings.HasPrefix(mn, "set"):
 		cc, ok := _condByName[mn[3:]]
 		if !ok {
-			return item{}, synErr(line, "unknown mnemonic %q", mn)
+			return inst, "", "", synErr(line, "unknown mnemonic %q", mn)
 		}
 		inst.Op, inst.Cond, inst.Size = isa.OpSetcc, cc, 1
 	default:
 		op, ok := _mnemonics[mn]
 		if !ok {
-			return item{}, synErr(line, "unknown mnemonic %q", mn)
+			return inst, "", "", synErr(line, "unknown mnemonic %q", mn)
 		}
 		inst.Op = op
 	}
 
-	it := item{hasInst: true, line: line}
 	if rest != "" {
 		ops := splitOperands(rest)
 		if len(ops) > 2 {
-			return item{}, synErr(line, "too many operands in %q", stmt)
+			return inst, "", "", synErr(line, "too many operands in %q", stmt)
 		}
 		a, err := parseOperand(ops[0], line)
 		if err != nil {
-			return item{}, err
+			return inst, "", "", err
 		}
 		inst.A = a.op
-		it.labelRefA = a.labelRef
+		refA = a.labelRef
 		sz := a.size
 		if len(ops) == 2 {
 			b, err := parseOperand(ops[1], line)
 			if err != nil {
-				return item{}, err
+				return inst, "", "", err
 			}
 			inst.B = b.op
-			it.labelRefB = b.labelRef
+			refB = b.labelRef
 			// For movzx/movsxd the destination size rules; otherwise take
 			// any explicit size from either operand.
 			if sz == 0 || (b.size != 0 && inst.Op != isa.OpMovzx && inst.Op != isa.OpMovsxd &&
@@ -383,8 +357,7 @@ func parseInst(stmt string, line int) (item, error) {
 	if inst.Size == 0 {
 		inst.Size = 8
 	}
-	it.inst = inst
-	return it, nil
+	return inst, refA, refB, nil
 }
 
 // splitOperands splits on commas not inside brackets.
@@ -407,125 +380,4 @@ func splitOperands(s string) []string {
 	}
 	out = append(out, strings.TrimSpace(s[start:]))
 	return out
-}
-
-// layout performs iterative size resolution and final encoding.
-func layout(items []item, base uint64, extern map[string]uint64) (*Result, error) {
-	labels := make(map[string]uint64, len(extern))
-	for name, addr := range extern {
-		labels[name] = addr
-	}
-	// Iterate to a fixpoint: label values feed immediate widths which feed
-	// instruction sizes which feed label values.
-	sizes := make([]int, len(items))
-	for iter := 0; iter < 8; iter++ {
-		addr := base
-		changed := false
-		for i := range items {
-			it := &items[i]
-			if it.align > 0 {
-				pad := int((uint64(it.align) - addr%uint64(it.align)) % uint64(it.align))
-				if sizes[i] != pad {
-					sizes[i], changed = pad, true
-				}
-				addr += uint64(pad)
-				continue
-			}
-			if it.label != "" && !it.hasInst {
-				if labels[it.label] != addr {
-					labels[it.label] = addr
-					changed = true
-				}
-				continue
-			}
-			var sz int
-			switch {
-			case it.hasInst:
-				inst := it.inst
-				resolveRefs(&inst, *it, labels)
-				enc, err := isa.Encode(inst, addr)
-				if err != nil {
-					return nil, fmt.Errorf("asm: line %d: %w", it.line, err)
-				}
-				sz = len(enc)
-			case it.quads != nil:
-				sz = 8 * len(it.quads)
-			default:
-				sz = len(it.data)
-			}
-			if sizes[i] != sz {
-				sizes[i], changed = sz, true
-			}
-			addr += uint64(sz)
-		}
-		if !changed {
-			break
-		}
-		if iter == 7 {
-			return nil, fmt.Errorf("asm: layout did not converge")
-		}
-	}
-
-	// Final encode with resolved labels.
-	var code []byte
-	addr := base
-	for i := range items {
-		it := &items[i]
-		switch {
-		case it.align > 0:
-			for j := 0; j < sizes[i]; j++ {
-				code = append(code, 0x90)
-			}
-		case it.hasInst:
-			inst := it.inst
-			if err := resolveRefsStrict(&inst, *it, labels); err != nil {
-				return nil, err
-			}
-			enc, err := isa.Encode(inst, addr)
-			if err != nil {
-				return nil, fmt.Errorf("asm: line %d: %w", it.line, err)
-			}
-			code = append(code, enc...)
-		case it.quads != nil:
-			for _, q := range it.quads {
-				v := q.value
-				if q.labelRef != "" {
-					lv, ok := labels[q.labelRef]
-					if !ok {
-						return nil, fmt.Errorf("asm: line %d: undefined label %q", it.line, q.labelRef)
-					}
-					v = int64(lv)
-				}
-				for b := 0; b < 8; b++ {
-					code = append(code, byte(uint64(v)>>(8*b)))
-				}
-			}
-		default:
-			code = append(code, it.data...)
-		}
-		addr += uint64(sizes[i])
-	}
-	return &Result{Code: code, Labels: labels}, nil
-}
-
-func resolveRefs(inst *isa.Inst, it item, labels map[string]uint64) {
-	if it.labelRefA != "" {
-		inst.A.Imm = int64(labels[it.labelRefA])
-	}
-	if it.labelRefB != "" {
-		inst.B.Imm = int64(labels[it.labelRefB])
-	}
-}
-
-func resolveRefsStrict(inst *isa.Inst, it item, labels map[string]uint64) error {
-	for _, ref := range []string{it.labelRefA, it.labelRefB} {
-		if ref == "" {
-			continue
-		}
-		if _, ok := labels[ref]; !ok {
-			return fmt.Errorf("asm: line %d: undefined label %q", it.line, ref)
-		}
-	}
-	resolveRefs(inst, it, labels)
-	return nil
 }

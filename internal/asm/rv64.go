@@ -1,12 +1,11 @@
-// RV64 program assembly. Unlike the textual x86-64 assembler, the RV64
-// path is programmatic: the code generator appends isa.Inst values and
-// label references to an RVProg, which encodes each one through the rv64
-// encoder as it arrives. Every emitted instruction is a fixed four bytes
-// (no compressed forms), so every address is known at append time and
-// assembly is a single pass: label references reserve their bytes and
-// record a fixup, and Assemble patches the fixups once every label is
-// defined — rejecting out-of-range branches rather than relaxing them (the
-// code generator emits branches in a range-safe form).
+// RV64 program assembly. Like X64Prog, RVProg encodes each instruction
+// through the rv64 encoder as it arrives. Every emitted instruction is a
+// fixed four bytes (no compressed forms), so every address is known at
+// append time: label references reserve their bytes and record a fixup,
+// and Assemble patches the fixups once every label is defined — rejecting
+// out-of-range branches rather than relaxing them (the code generator
+// emits branches in a range-safe form). RV64 keeps its own type for the
+// la pair and the fixed word size.
 package asm
 
 import (
@@ -37,41 +36,10 @@ type rvFixup struct {
 
 // RVProg assembles an RV64 program in one pass, starting at a base address
 // fixed at construction.
-type RVProg struct {
-	base   uint64
-	code   []byte
-	labels map[string]uint64
-	fixups []rvFixup
-
-	// err is the first error met while appending; errFix is how many
-	// fixups precede it, so Assemble reports errors in program order.
-	err    error
-	errFix int
-}
+type RVProg struct{ prog[rvFixup] }
 
 // NewRVProg returns an empty program placed at base.
-func NewRVProg(base uint64) *RVProg {
-	return &RVProg{base: base, labels: make(map[string]uint64, 16)}
-}
-
-// pc is the address of the next appended byte.
-func (p *RVProg) pc() uint64 { return p.base + uint64(len(p.code)) }
-
-// fail records err unless an earlier error is already recorded.
-func (p *RVProg) fail(err error) {
-	if p.err == nil {
-		p.err, p.errFix = err, len(p.fixups)
-	}
-}
-
-// Label defines a label at the current position.
-func (p *RVProg) Label(name string) {
-	if _, dup := p.labels[name]; dup {
-		p.fail(fmt.Errorf("asm: duplicate label %q", name))
-		return
-	}
-	p.labels[name] = p.pc()
-}
+func NewRVProg(base uint64) *RVProg { return &RVProg{newProg[rvFixup](base)} }
 
 // Inst appends a fully-resolved instruction.
 func (p *RVProg) Inst(inst isa.Inst) {
@@ -108,9 +76,6 @@ func (p *RVProg) QuadLabel(label string) {
 	p.reserve(8, rvFixup{kind: fixQuad, label: label})
 }
 
-// Bytes appends literal data bytes.
-func (p *RVProg) Bytes(b []byte) { p.code = append(p.code, b...) }
-
 // Align pads with canonical nops (addi x0,x0,0) to a power-of-two boundary.
 func (p *RVProg) Align(n int) {
 	pad := int((uint64(n) - p.pc()%uint64(n)) % uint64(n))
@@ -132,23 +97,7 @@ func (p *RVProg) Align(n int) {
 // program labels shadow them. The first error in program order is
 // reported.
 func (p *RVProg) Assemble(extern map[string]uint64) (*Result, error) {
-	for name, addr := range extern {
-		if _, ok := p.labels[name]; !ok {
-			p.labels[name] = addr
-		}
-	}
-	for i := range p.fixups {
-		if p.err != nil && i == p.errFix {
-			return nil, p.err
-		}
-		if err := p.patch(&p.fixups[i]); err != nil {
-			return nil, err
-		}
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	return &Result{Code: p.code, Labels: p.labels}, nil
+	return p.assemble(extern, p.patch)
 }
 
 // patch resolves one fixup's label and writes its bytes.

@@ -1,7 +1,10 @@
-// Package codegen translates MIR modules into executable SBF binaries: a
-// simple spill-everything x86-64 code generator (each virtual register and
-// local lives in a frame slot), a small assembly runtime (_start and the
-// syscall primitives), and a linker that lays out text and data sections.
+// Package codegen translates MIR modules into executable SBF binaries:
+// spill-everything code generators for x86-64 and RV64 (each virtual
+// register and local lives in a frame slot), a small runtime (_start and
+// the syscall primitives), and a linker that lays out text and data
+// sections. Each generator builds isa.Inst values and appends them to its
+// backend's one-pass assembler (asm.X64Prog, asm.RVProg), which encodes
+// them as they arrive; no assembly text is formatted or parsed.
 //
 // Jump tables (for the TermJumpTable terminator that flattening and
 // virtualization emit) are placed inside the text section, as compilers
@@ -11,7 +14,7 @@ package codegen
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"github.com/nofreelunch/gadget-planner/internal/asm"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
@@ -104,18 +107,17 @@ func Compile(m *mir.Module, opts Options) (*sbf.Binary, error) {
 		data = make([]byte, 8) // keep the section non-empty
 	}
 
-	// Emit assembly text.
-	var sb strings.Builder
-	emitStart(&sb)
-	emitBuiltins(&sb)
-	cg := &funcGen{out: &sb}
+	p := asm.NewX64Prog(textBase)
+	emitStart(p)
+	emitBuiltins(p)
+	cg := &funcGen{p: p}
 	for _, f := range m.Funcs {
 		if err := cg.emitFunc(f); err != nil {
 			return nil, err
 		}
 	}
 
-	res, err := asm.AssembleWithSymbols(sb.String(), textBase, extern)
+	res, err := p.Assemble(extern)
 	if err != nil {
 		return nil, fmt.Errorf("codegen: %w", err)
 	}
@@ -143,74 +145,99 @@ func Compile(m *mir.Module, opts Options) (*sbf.Binary, error) {
 	return bin, nil
 }
 
+// Operand shorthands shared by both emitters.
+func reg(r isa.Reg) isa.Operand { return isa.RegOp(r) }
+func imm(v int64) isa.Operand   { return isa.ImmOp(v) }
+
+// Operand and instruction shorthands for the x86-64 emitter.
+
+// frame is the rbp-relative memory operand [rbp-off].
+func frame(off int) isa.Operand { return isa.MemOp(isa.RBP, int32(-off)) }
+
+// at is the memory operand [r].
+func at(r isa.Reg) isa.Operand { return isa.MemOp(r, 0) }
+
+// op2 is a two-operand instruction of the given size.
+func op2(op isa.Op, size uint8, a, b isa.Operand) isa.Inst {
+	return isa.Inst{Op: op, Size: size, A: a, B: b}
+}
+
+// op1 is a one-operand 64-bit instruction.
+func op1(op isa.Op, a isa.Operand) isa.Inst { return isa.Inst{Op: op, Size: 8, A: a} }
+
+// op0 is an operandless instruction.
+func op0(op isa.Op) isa.Inst { return isa.Inst{Op: op, Size: 8} }
+
+// mov64 is mov dst, src at 64 bits.
+func mov64(dst, src isa.Operand) isa.Inst { return op2(isa.OpMov, 8, dst, src) }
+
+// branch is a jmp, call or jcc whose target operand Assemble fills in.
+func branch(op isa.Op, cc isa.Cond) isa.Inst {
+	return isa.Inst{Op: op, Cond: cc, Size: 8, A: imm(0)}
+}
+
 // emitStart writes the process entry point: call main, exit with its result.
-func emitStart(sb *strings.Builder) {
-	sb.WriteString(`
-_start:
-    call main
-    mov rdi, rax
-    mov rax, 60
-    syscall
-`)
+func emitStart(p *asm.X64Prog) {
+	p.Label("_start")
+	p.InstRef(branch(isa.OpCall, 0), "main")
+	p.Inst(mov64(reg(isa.RDI), reg(isa.RAX)))
+	p.Inst(mov64(reg(isa.RAX), imm(60)))
+	p.Inst(op0(isa.OpSyscall))
 }
 
 // emitBuiltins writes the generic syscall wrapper with the same argument
 // shuffle glibc's syscall(2) uses: the syscall number arrives in rdi and
 // every argument shifts down one register.
-func emitBuiltins(sb *strings.Builder) {
-	sb.WriteString(`
-__syscall:
-    mov rax, rdi
-    mov rdi, rsi
-    mov rsi, rdx
-    mov rdx, rcx
-    mov r10, r8
-    mov r8, r9
-    syscall
-    ret
-`)
+func emitBuiltins(p *asm.X64Prog) {
+	p.Label("__syscall")
+	for _, mv := range [][2]isa.Reg{
+		{isa.RAX, isa.RDI}, {isa.RDI, isa.RSI}, {isa.RSI, isa.RDX},
+		{isa.RDX, isa.RCX}, {isa.R10, isa.R8}, {isa.R8, isa.R9},
+	} {
+		p.Inst(mov64(reg(mv[0]), reg(mv[1])))
+	}
+	p.Inst(op0(isa.OpSyscall))
+	p.Inst(op0(isa.OpRet))
+}
+
+// jumpTable is a jump table emitted after the function body.
+type jumpTable struct {
+	label   string
+	targets []int
 }
 
 // funcGen emits one function.
 type funcGen struct {
-	out *strings.Builder
-	f   *mir.Func
+	p *asm.X64Prog
+	f *mir.Func
 	// frameSize is the full frame below the saved registers.
 	frameSize int
 	localOff  []int // offset below rbp of each local slot
 	vregBase  int
-	tables    strings.Builder // jump tables appended after the body
+	tables    []jumpTable // jump tables appended after the body
 	nextTable int
 	// regB is the function's second scratch register. Like a real compiler,
 	// the generator draws it from the callee-saved set (plus rcx) per
 	// function and saves/restores it in the prologue/epilogue — which is
 	// what gives optimized binaries their characteristic pop-sequence
 	// function tails.
-	regB  string
-	regB8 string // low-byte name
-	saved bool   // regB is callee-saved and pushed in the prologue
+	regB  isa.Reg
+	saved bool // regB is callee-saved and pushed in the prologue
 	// regC is the store-address scratch register, drawn per function from
 	// the caller-saved set (as real register allocators do).
-	regC string
+	regC isa.Reg
 }
 
-var _argRegs = []string{"rdi", "rsi", "rdx", "rcx", "r8", "r9"}
+var _argRegs = []isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.RCX, isa.R8, isa.R9}
 
 // scratch register rotation: rcx plus the callee-saved registers.
-var _scratchRegs = []struct{ name, low string }{
-	{"rcx", "cl"},
-	{"rbx", "bl"},
-	{"r12", "r12b"},
-	{"r13", "r13b"},
-	{"r14", "r14b"},
-	{"r15", "r15b"},
-}
+var _scratchRegs = []isa.Reg{isa.RCX, isa.RBX, isa.R12, isa.R13, isa.R14, isa.R15}
 
 // address scratch rotation: caller-saved registers.
-var _addrRegs = []string{"rdx", "rsi", "rdi", "r10", "r11"}
+var _addrRegs = []isa.Reg{isa.RDX, isa.RSI, isa.RDI, isa.R10, isa.R11}
 
 // pickScratch deterministically assigns scratch registers per function.
-func pickScratch(name string) (regB, regB8 string, saved bool, regC string) {
+func pickScratch(name string) (regB isa.Reg, saved bool, regC isa.Reg) {
 	h := 0
 	for _, c := range name {
 		h = h*31 + int(c)
@@ -219,7 +246,7 @@ func pickScratch(name string) (regB, regB8 string, saved bool, regC string) {
 		h = -h
 	}
 	r := _scratchRegs[h%len(_scratchRegs)]
-	return r.name, r.low, r.name != "rcx", _addrRegs[(h/7)%len(_addrRegs)]
+	return r, r != isa.RCX, _addrRegs[(h/7)%len(_addrRegs)]
 }
 
 func (cg *funcGen) emitFunc(f *mir.Func) error {
@@ -227,8 +254,8 @@ func (cg *funcGen) emitFunc(f *mir.Func) error {
 		return err
 	}
 	cg.f = f
-	cg.tables.Reset()
-	cg.regB, cg.regB8, cg.saved, cg.regC = pickScratch(f.Name)
+	cg.tables = cg.tables[:0]
+	cg.regB, cg.saved, cg.regC = pickScratch(f.Name)
 
 	// Frame layout below rbp: [saved regB][locals][vreg slots].
 	base := 0
@@ -244,23 +271,23 @@ func (cg *funcGen) emitFunc(f *mir.Func) error {
 	cg.vregBase = off
 	cg.frameSize = (off - base + int(f.NumVRegs)*8 + 15) &^ 15
 
-	p := cg.printf
-	p("%s:", f.Name)
-	p("    push rbp")
-	p("    mov rbp, rsp")
+	p := cg.p
+	p.Label(f.Name)
+	p.Inst(op1(isa.OpPush, reg(isa.RBP)))
+	p.Inst(mov64(reg(isa.RBP), reg(isa.RSP)))
 	if cg.saved {
-		p("    push %s", cg.regB)
+		p.Inst(op1(isa.OpPush, reg(cg.regB)))
 	}
 	if cg.frameSize > 0 {
-		p("    sub rsp, %d", cg.frameSize)
+		p.Inst(op2(isa.OpSub, 8, reg(isa.RSP), imm(int64(cg.frameSize))))
 	}
 	for i := 0; i < f.NumParam; i++ {
-		p("    mov qword [rbp-%d], %s", cg.localOff[i], _argRegs[i])
+		p.Inst(mov64(frame(cg.localOff[i]), reg(_argRegs[i])))
 	}
-	p("    jmp %s", cg.blockLabel(0))
+	cg.jmp(cg.blockLabel(0))
 
 	for _, b := range f.Blocks {
-		p("%s:", cg.blockLabel(b.ID))
+		p.Label(cg.blockLabel(b.ID))
 		for _, ins := range b.Instrs {
 			if err := cg.emitInstr(ins); err != nil {
 				return err
@@ -270,119 +297,123 @@ func (cg *funcGen) emitFunc(f *mir.Func) error {
 			return err
 		}
 	}
-	cg.out.WriteString(cg.tables.String())
+	for _, jt := range cg.tables {
+		p.Label(jt.label)
+		for _, tgt := range jt.targets {
+			p.QuadLabel(cg.blockLabel(tgt))
+		}
+	}
 	return nil
 }
 
-func (cg *funcGen) printf(format string, args ...any) {
-	fmt.Fprintf(cg.out, format+"\n", args...)
+func (cg *funcGen) blockLabel(id int) string {
+	return cg.f.Name + "_b" + strconv.Itoa(id)
 }
 
-func (cg *funcGen) blockLabel(id int) string {
-	return fmt.Sprintf("%s_b%d", cg.f.Name, id)
-}
+func (cg *funcGen) inst(i isa.Inst)   { cg.p.Inst(i) }
+func (cg *funcGen) jmp(label string)  { cg.p.InstRef(branch(isa.OpJmp, 0), label) }
+func (cg *funcGen) call(label string) { cg.p.InstRef(branch(isa.OpCall, 0), label) }
 
 // vslot returns the rbp-relative offset of a virtual register slot.
 func (cg *funcGen) vslot(v mir.VReg) int { return cg.vregBase + 8*(int(v)+1) }
 
 // loadV emits a load of a vreg into a machine register.
-func (cg *funcGen) loadV(reg string, v mir.VReg) {
-	cg.printf("    mov %s, qword [rbp-%d]", reg, cg.vslot(v))
+func (cg *funcGen) loadV(r isa.Reg, v mir.VReg) {
+	cg.inst(mov64(reg(r), frame(cg.vslot(v))))
 }
 
 // storeV emits a store of a machine register into a vreg slot.
-func (cg *funcGen) storeV(v mir.VReg, reg string) {
-	cg.printf("    mov qword [rbp-%d], %s", cg.vslot(v), reg)
+func (cg *funcGen) storeV(v mir.VReg, r isa.Reg) {
+	cg.inst(mov64(frame(cg.vslot(v)), reg(r)))
+}
+
+// _binOps maps the MIR binary operators that are one two-operand x86
+// instruction on rax to their opcode.
+var _binOps = map[mir.BinOp]isa.Op{
+	mir.OpAdd: isa.OpAdd, mir.OpSub: isa.OpSub, mir.OpMul: isa.OpImul,
+	mir.OpAnd: isa.OpAnd, mir.OpOr: isa.OpOr, mir.OpXor: isa.OpXor,
 }
 
 func (cg *funcGen) emitInstr(ins mir.Instr) error {
-	p := cg.printf
+	rax := reg(isa.RAX)
 	switch ins.Kind {
 	case mir.InstConst:
-		p("    movabs rax, %d", ins.Val)
-		cg.storeV(ins.Dst, "rax")
+		cg.inst(mov64(rax, imm(ins.Val)))
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstCopy:
-		cg.loadV("rax", ins.A)
-		cg.storeV(ins.Dst, "rax")
+		cg.loadV(isa.RAX, ins.A)
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstNeg:
-		cg.loadV("rax", ins.A)
-		p("    neg rax")
-		cg.storeV(ins.Dst, "rax")
+		cg.loadV(isa.RAX, ins.A)
+		cg.inst(op1(isa.OpNeg, rax))
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstNot:
-		cg.loadV("rax", ins.A)
-		p("    not rax")
-		cg.storeV(ins.Dst, "rax")
+		cg.loadV(isa.RAX, ins.A)
+		cg.inst(op1(isa.OpNot, rax))
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstBin:
-		cg.loadV("rax", ins.A)
+		cg.loadV(isa.RAX, ins.A)
 		cg.loadV(cg.regB, ins.B)
+		b := reg(cg.regB)
+		if op, ok := _binOps[ins.Op]; ok {
+			cg.inst(op2(op, 8, rax, b))
+			cg.storeV(ins.Dst, isa.RAX)
+			return nil
+		}
 		switch ins.Op {
-		case mir.OpAdd:
-			p("    add rax, %s", cg.regB)
-		case mir.OpSub:
-			p("    sub rax, %s", cg.regB)
-		case mir.OpMul:
-			p("    imul rax, %s", cg.regB)
-		case mir.OpDiv:
-			p("    cqo")
-			p("    idiv %s", cg.regB)
-		case mir.OpMod:
-			p("    cqo")
-			p("    idiv %s", cg.regB)
-			p("    mov rax, rdx")
-		case mir.OpAnd:
-			p("    and rax, %s", cg.regB)
-		case mir.OpOr:
-			p("    or rax, %s", cg.regB)
-		case mir.OpXor:
-			p("    xor rax, %s", cg.regB)
-		case mir.OpShl:
-			if cg.regB != "rcx" {
-				p("    mov rcx, %s", cg.regB)
+		case mir.OpDiv, mir.OpMod:
+			cg.inst(op0(isa.OpCqo))
+			cg.inst(op1(isa.OpIdiv, b))
+			if ins.Op == mir.OpMod {
+				cg.inst(mov64(rax, reg(isa.RDX)))
 			}
-			p("    shl rax, cl")
-		case mir.OpShr:
-			if cg.regB != "rcx" {
-				p("    mov rcx, %s", cg.regB)
+		case mir.OpShl, mir.OpShr:
+			if cg.regB != isa.RCX {
+				cg.inst(mov64(reg(isa.RCX), b))
 			}
-			p("    sar rax, cl")
+			op := isa.OpShl
+			if ins.Op == mir.OpShr {
+				op = isa.OpSar
+			}
+			cg.inst(op2(op, 8, rax, reg(isa.RCX)))
 		case mir.OpLT, mir.OpLE, mir.OpGT, mir.OpGE, mir.OpEQ, mir.OpNE, mir.OpULT:
-			p("    cmp rax, %s", cg.regB)
-			p("    set%s al", _setccOf[ins.Op])
-			p("    movzx eax, al")
+			cg.inst(op2(isa.OpCmp, 8, rax, b))
+			cg.inst(isa.Inst{Op: isa.OpSetcc, Cond: _setccOf[ins.Op], Size: 1, A: rax})
+			cg.inst(op2(isa.OpMovzx, 4, rax, rax))
 		default:
 			return fmt.Errorf("codegen: unknown binop %v", ins.Op)
 		}
-		cg.storeV(ins.Dst, "rax")
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstLoad:
-		cg.loadV("rax", ins.A)
+		cg.loadV(isa.RAX, ins.A)
 		if ins.Size == 1 {
-			p("    movzx eax, byte [rax]")
+			cg.inst(op2(isa.OpMovzx, 4, rax, at(isa.RAX)))
 		} else {
-			p("    mov rax, qword [rax]")
+			cg.inst(mov64(rax, at(isa.RAX)))
 		}
-		cg.storeV(ins.Dst, "rax")
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstStore:
 		cg.loadV(cg.regC, ins.A)
 		cg.loadV(cg.regB, ins.B)
+		size := uint8(8)
 		if ins.Size == 1 {
-			p("    mov byte [%s], %s", cg.regC, cg.regB8)
-		} else {
-			p("    mov qword [%s], %s", cg.regC, cg.regB)
+			size = 1
 		}
+		cg.inst(op2(isa.OpMov, size, at(cg.regC), reg(cg.regB)))
 
 	case mir.InstAddrLocal:
-		p("    lea rax, [rbp-%d]", cg.localOff[ins.Local])
-		cg.storeV(ins.Dst, "rax")
+		cg.inst(op2(isa.OpLea, 8, rax, frame(cg.localOff[ins.Local])))
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstAddrGlobal:
-		p("    movabs rax, %s", ins.Name)
-		cg.storeV(ins.Dst, "rax")
+		cg.p.InstRefB(mov64(rax, imm(0)), ins.Name)
+		cg.storeV(ins.Dst, isa.RAX)
 
 	case mir.InstCall:
 		if len(ins.Args) > len(_argRegs) {
@@ -391,9 +422,9 @@ func (cg *funcGen) emitInstr(ins mir.Instr) error {
 		for i, a := range ins.Args {
 			cg.loadV(_argRegs[i], a)
 		}
-		p("    call %s", ins.Name)
+		cg.call(ins.Name)
 		if ins.HasDst {
-			cg.storeV(ins.Dst, "rax")
+			cg.storeV(ins.Dst, isa.RAX)
 		}
 
 	default:
@@ -402,57 +433,54 @@ func (cg *funcGen) emitInstr(ins mir.Instr) error {
 	return nil
 }
 
-var _setccOf = map[mir.BinOp]string{
-	mir.OpLT: "l", mir.OpLE: "le", mir.OpGT: "g", mir.OpGE: "ge",
-	mir.OpEQ: "e", mir.OpNE: "ne", mir.OpULT: "b",
+var _setccOf = map[mir.BinOp]isa.Cond{
+	mir.OpLT: isa.CondL, mir.OpLE: isa.CondLE, mir.OpGT: isa.CondG, mir.OpGE: isa.CondGE,
+	mir.OpEQ: isa.CondE, mir.OpNE: isa.CondNE, mir.OpULT: isa.CondB,
 }
 
 func (cg *funcGen) emitTerm(t mir.Term) error {
-	p := cg.printf
+	rax := reg(isa.RAX)
+	xorEAX := op2(isa.OpXor, 4, rax, rax)
 	switch t.Kind {
 	case mir.TermRet:
 		if t.HasVal {
-			cg.loadV("rax", t.Val)
+			cg.loadV(isa.RAX, t.Val)
 		} else {
-			p("    xor eax, eax")
+			cg.inst(xorEAX)
 		}
 		if cg.saved {
-			p("    lea rsp, [rbp-8]")
-			p("    pop %s", cg.regB)
-			p("    pop rbp")
-			p("    ret")
+			cg.inst(op2(isa.OpLea, 8, reg(isa.RSP), frame(8)))
+			cg.inst(op1(isa.OpPop, reg(cg.regB)))
+			cg.inst(op1(isa.OpPop, reg(isa.RBP)))
 		} else {
-			p("    leave")
-			p("    ret")
+			cg.inst(op0(isa.OpLeave))
 		}
+		cg.inst(op0(isa.OpRet))
 
 	case mir.TermBr:
-		p("    jmp %s", cg.blockLabel(t.Target))
+		cg.jmp(cg.blockLabel(t.Target))
 
 	case mir.TermCondBr:
-		cg.loadV("rax", t.Cond)
-		p("    test rax, rax")
-		p("    jnz %s", cg.blockLabel(t.Target))
-		p("    jmp %s", cg.blockLabel(t.Else))
+		cg.loadV(isa.RAX, t.Cond)
+		cg.inst(op2(isa.OpTest, 8, rax, rax))
+		cg.p.InstRef(branch(isa.OpJcc, isa.CondNE), cg.blockLabel(t.Target))
+		cg.jmp(cg.blockLabel(t.Else))
 
 	case mir.TermJumpTable:
-		table := fmt.Sprintf("%s_jt%d", cg.f.Name, cg.nextTable)
+		table := cg.f.Name + "_jt" + strconv.Itoa(cg.nextTable)
 		cg.nextTable++
-		cg.loadV("rax", t.Index)
+		cg.loadV(isa.RAX, t.Index)
 		// Clamp out-of-range indices to 0 (defensive; flattening always
 		// produces in-range states).
-		p("    cmp rax, %d", len(t.Targets))
-		p("    jb %s_ok", table)
-		p("    xor eax, eax")
-		p("%s_ok:", table)
-		p("    movabs rcx, %s", table)
-		p("    mov rax, qword [rcx+rax*8]")
-		p("    jmp rax")
+		cg.inst(op2(isa.OpCmp, 8, rax, imm(int64(len(t.Targets)))))
+		cg.p.InstRef(branch(isa.OpJcc, isa.CondB), table+"_ok")
+		cg.inst(xorEAX)
+		cg.p.Label(table + "_ok")
+		cg.p.InstRefB(mov64(reg(isa.RCX), imm(0)), table)
+		cg.inst(mov64(rax, isa.MemOpIdx(isa.RCX, isa.RAX, 8, 0)))
+		cg.inst(op1(isa.OpJmp, rax))
 		// The table itself lives in text, after the function body.
-		fmt.Fprintf(&cg.tables, "%s:\n", table)
-		for _, tgt := range t.Targets {
-			fmt.Fprintf(&cg.tables, "    .quad %s\n", cg.blockLabel(tgt))
-		}
+		cg.tables = append(cg.tables, jumpTable{label: table, targets: t.Targets})
 
 	default:
 		return fmt.Errorf("codegen: unknown terminator kind %d", t.Kind)

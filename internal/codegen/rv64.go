@@ -25,12 +25,6 @@ var (
 	rvArgRegs = []isa.Reg{isa.RVA0, isa.RVA1, isa.RVA2, isa.RVA3, isa.RVA4, isa.RVA5}
 )
 
-func rvReg(r isa.Reg) isa.Operand { return isa.RegOp(r) }
-func rvImm(v int64) isa.Operand   { return isa.ImmOp(v) }
-func rvMem(base isa.Reg, disp int32) isa.Operand {
-	return isa.Operand{Kind: isa.KindMem, Mem: isa.Mem{Base: base, HasBase: true, Disp: disp}}
-}
-
 // compileRV64 lowers a MIR module onto RV64.
 func compileRV64(m *mir.Module, isaName string) (*sbf.Binary, error) {
 	extern := make(map[string]uint64, len(m.Globals))
@@ -88,8 +82,8 @@ func compileRV64(m *mir.Module, isaName string) (*sbf.Binary, error) {
 // rvEmitStart writes the entry point: call main, exit(60) with its result.
 func rvEmitStart(p *asm.RVProg) {
 	p.Label("_start")
-	p.InstRef(isa.Inst{Op: isa.OpCall, A: rvImm(0)}, "main") // jal ra, main
-	p.Inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(isa.RVA7), B: rvImm(60)})
+	p.InstRef(isa.Inst{Op: isa.OpCall, A: imm(0)}, "main") // jal ra, main
+	p.Inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(isa.RVA7), B: imm(60)})
 	p.Inst(isa.Inst{Op: isa.OpSyscall})
 }
 
@@ -100,7 +94,7 @@ func rvEmitStart(p *asm.RVProg) {
 func rvEmitBuiltins(p *asm.RVProg) {
 	p.Label("__syscall")
 	mv := func(dst, src isa.Reg) {
-		p.Inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(dst), B: rvReg(src)})
+		p.Inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(dst), B: reg(src)})
 	}
 	mv(isa.RVA7, isa.RVA0)
 	mv(isa.RVA0, isa.RVA1)
@@ -131,27 +125,27 @@ func (cg *rvFuncGen) blockLabel(id int) string {
 func (cg *rvFuncGen) vslot(v mir.VReg) int { return cg.vregBase + 8*(int(v)+1) }
 
 func (cg *rvFuncGen) inst(i isa.Inst)   { cg.p.Inst(i) }
-func (cg *rvFuncGen) jmp(label string)  { cg.p.InstRef(isa.Inst{Op: isa.OpJmp, A: rvImm(0)}, label) }
-func (cg *rvFuncGen) call(label string) { cg.p.InstRef(isa.Inst{Op: isa.OpCall, A: rvImm(0)}, label) }
+func (cg *rvFuncGen) jmp(label string)  { cg.p.InstRef(isa.Inst{Op: isa.OpJmp, A: imm(0)}, label) }
+func (cg *rvFuncGen) call(label string) { cg.p.InstRef(isa.Inst{Op: isa.OpCall, A: imm(0)}, label) }
 
 // li materializes an arbitrary 64-bit constant into rd.
 func (cg *rvFuncGen) li(rd isa.Reg, v int64) {
 	if v >= -2048 && v < 2048 {
-		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(rd), B: rvImm(v)})
+		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(rd), B: imm(v)})
 		return
 	}
 	lo := int64(int32(uint32(v)&0xFFF) << 20 >> 20) // sign-extended low 12 bits
 	hi := v - lo                                    // low 12 bits all zero
 	if hi >= -1<<31 && hi < 1<<31 {
-		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(rd), B: rvImm(hi)}) // lui
+		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(rd), B: imm(hi)}) // lui
 	} else {
 		// Wide constant: build the upper bits recursively and shift. hi's
 		// low 12 bits are zero, so hi>>12 loses nothing.
 		cg.li(rd, hi>>12)
-		cg.inst(isa.Inst{Op: isa.OpShl, Size: 8, A: rvReg(rd), B: rvReg(rd), C: rvImm(12)})
+		cg.inst(isa.Inst{Op: isa.OpShl, Size: 8, A: reg(rd), B: reg(rd), C: imm(12)})
 	}
 	if lo != 0 {
-		cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: rvReg(rd), B: rvReg(rd), C: rvImm(lo)})
+		cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: reg(rd), B: reg(rd), C: imm(lo)})
 	}
 }
 
@@ -159,21 +153,21 @@ func (cg *rvFuncGen) li(rd isa.Reg, v int64) {
 // offset is out of short range; it returns the memory operand to use.
 func (cg *rvFuncGen) slotMem(off int) isa.Operand {
 	if off <= 2048 {
-		return rvMem(isa.RVS0, int32(-off))
+		return isa.MemOp(isa.RVS0, int32(-off))
 	}
 	cg.li(isa.RVT6, int64(off))
-	cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: rvReg(isa.RVT6), B: rvReg(isa.RVS0), C: rvReg(isa.RVT6)})
-	return rvMem(isa.RVT6, 0)
+	cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: reg(isa.RVT6), B: reg(isa.RVS0), C: reg(isa.RVT6)})
+	return isa.MemOp(isa.RVT6, 0)
 }
 
 // loadV loads a vreg slot into a machine register.
 func (cg *rvFuncGen) loadV(rd isa.Reg, v mir.VReg) {
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(rd), B: cg.slotMem(cg.vslot(v))})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(rd), B: cg.slotMem(cg.vslot(v))})
 }
 
 // storeV stores a machine register into a vreg slot.
 func (cg *rvFuncGen) storeV(v mir.VReg, rs isa.Reg) {
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: cg.slotMem(cg.vslot(v)), B: rvReg(rs)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: cg.slotMem(cg.vslot(v)), B: reg(rs)})
 }
 
 func (cg *rvFuncGen) emitFunc(f *mir.Func) error {
@@ -197,20 +191,20 @@ func (cg *rvFuncGen) emitFunc(f *mir.Func) error {
 	p := cg.p
 	p.Label(f.Name)
 	// addi sp, sp, -16; sd ra, 8(sp); sd s0, 0(sp); mv s0, sp
-	cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: rvReg(isa.RVSP), B: rvReg(isa.RVSP), C: rvImm(-16)})
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvMem(isa.RVSP, 8), B: rvReg(isa.RVRA)})
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvMem(isa.RVSP, 0), B: rvReg(isa.RVS0)})
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(isa.RVS0), B: rvReg(isa.RVSP)})
+	cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: reg(isa.RVSP), B: reg(isa.RVSP), C: imm(-16)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: isa.MemOp(isa.RVSP, 8), B: reg(isa.RVRA)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: isa.MemOp(isa.RVSP, 0), B: reg(isa.RVS0)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(isa.RVS0), B: reg(isa.RVSP)})
 	if cg.frameSize > 0 {
 		if cg.frameSize <= 2048 {
-			cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: rvReg(isa.RVSP), B: rvReg(isa.RVSP), C: rvImm(int64(-cg.frameSize))})
+			cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: reg(isa.RVSP), B: reg(isa.RVSP), C: imm(int64(-cg.frameSize))})
 		} else {
 			cg.li(isa.RVT6, int64(cg.frameSize))
-			cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: rvReg(isa.RVSP), B: rvReg(isa.RVSP), C: rvReg(isa.RVT6)})
+			cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: reg(isa.RVSP), B: reg(isa.RVSP), C: reg(isa.RVT6)})
 		}
 	}
 	for i := 0; i < f.NumParam; i++ {
-		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: cg.slotMem(cg.localOff[i]), B: rvReg(rvArgRegs[i])})
+		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: cg.slotMem(cg.localOff[i]), B: reg(rvArgRegs[i])})
 	}
 	cg.jmp(cg.blockLabel(0))
 
@@ -234,10 +228,10 @@ func (cg *rvFuncGen) emitFunc(f *mir.Func) error {
 
 // epilogue restores the caller frame and returns; the result is in a0.
 func (cg *rvFuncGen) epilogue() {
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(isa.RVSP), B: rvReg(isa.RVS0)})
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(isa.RVS0), B: rvMem(isa.RVSP, 0)})
-	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(isa.RVRA), B: rvMem(isa.RVSP, 8)})
-	cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: rvReg(isa.RVSP), B: rvReg(isa.RVSP), C: rvImm(16)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(isa.RVSP), B: reg(isa.RVS0)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(isa.RVS0), B: isa.MemOp(isa.RVSP, 0)})
+	cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(isa.RVRA), B: isa.MemOp(isa.RVSP, 8)})
+	cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: reg(isa.RVSP), B: reg(isa.RVSP), C: imm(16)})
 	cg.inst(isa.Inst{Op: isa.OpRet})
 }
 
@@ -254,19 +248,19 @@ func (cg *rvFuncGen) emitInstr(ins mir.Instr) error {
 
 	case mir.InstNeg:
 		cg.loadV(t0, ins.A)
-		cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: rvReg(t0), B: rvReg(isa.RVZero), C: rvReg(t0)})
+		cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: reg(t0), B: reg(isa.RVZero), C: reg(t0)})
 		cg.storeV(ins.Dst, t0)
 
 	case mir.InstNot:
 		cg.loadV(t0, ins.A)
-		cg.inst(isa.Inst{Op: isa.OpXor, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvImm(-1)})
+		cg.inst(isa.Inst{Op: isa.OpXor, Size: 8, A: reg(t0), B: reg(t0), C: imm(-1)})
 		cg.storeV(ins.Dst, t0)
 
 	case mir.InstBin:
 		cg.loadV(t0, ins.A)
 		cg.loadV(t1, ins.B)
 		r3 := func(op isa.Op) {
-			cg.inst(isa.Inst{Op: op, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvReg(t1)})
+			cg.inst(isa.Inst{Op: op, Size: 8, A: reg(t0), B: reg(t0), C: reg(t1)})
 		}
 		switch ins.Op {
 		case mir.OpAdd:
@@ -294,19 +288,19 @@ func (cg *rvFuncGen) emitInstr(ins mir.Instr) error {
 		case mir.OpULT:
 			r3(isa.OpSltu)
 		case mir.OpGT:
-			cg.inst(isa.Inst{Op: isa.OpSlt, Size: 8, A: rvReg(t0), B: rvReg(t1), C: rvReg(t0)})
+			cg.inst(isa.Inst{Op: isa.OpSlt, Size: 8, A: reg(t0), B: reg(t1), C: reg(t0)})
 		case mir.OpLE: // !(a > b)
-			cg.inst(isa.Inst{Op: isa.OpSlt, Size: 8, A: rvReg(t0), B: rvReg(t1), C: rvReg(t0)})
-			cg.inst(isa.Inst{Op: isa.OpXor, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvImm(1)})
+			cg.inst(isa.Inst{Op: isa.OpSlt, Size: 8, A: reg(t0), B: reg(t1), C: reg(t0)})
+			cg.inst(isa.Inst{Op: isa.OpXor, Size: 8, A: reg(t0), B: reg(t0), C: imm(1)})
 		case mir.OpGE: // !(a < b)
 			r3(isa.OpSlt)
-			cg.inst(isa.Inst{Op: isa.OpXor, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvImm(1)})
+			cg.inst(isa.Inst{Op: isa.OpXor, Size: 8, A: reg(t0), B: reg(t0), C: imm(1)})
 		case mir.OpEQ: // seqz(a - b)
 			r3(isa.OpSub)
-			cg.inst(isa.Inst{Op: isa.OpSltu, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvImm(1)})
+			cg.inst(isa.Inst{Op: isa.OpSltu, Size: 8, A: reg(t0), B: reg(t0), C: imm(1)})
 		case mir.OpNE: // snez(a - b)
 			r3(isa.OpSub)
-			cg.inst(isa.Inst{Op: isa.OpSltu, Size: 8, A: rvReg(t0), B: rvReg(isa.RVZero), C: rvReg(t0)})
+			cg.inst(isa.Inst{Op: isa.OpSltu, Size: 8, A: reg(t0), B: reg(isa.RVZero), C: reg(t0)})
 		default:
 			return fmt.Errorf("codegen: unknown binop %v", ins.Op)
 		}
@@ -315,9 +309,9 @@ func (cg *rvFuncGen) emitInstr(ins mir.Instr) error {
 	case mir.InstLoad:
 		cg.loadV(t0, ins.A)
 		if ins.Size == 1 {
-			cg.inst(isa.Inst{Op: isa.OpLoadU, Size: 1, A: rvReg(t0), B: rvMem(t0, 0)})
+			cg.inst(isa.Inst{Op: isa.OpLoadU, Size: 1, A: reg(t0), B: isa.MemOp(t0, 0)})
 		} else {
-			cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(t0), B: rvMem(t0, 0)})
+			cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(t0), B: isa.MemOp(t0, 0)})
 		}
 		cg.storeV(ins.Dst, t0)
 
@@ -328,15 +322,15 @@ func (cg *rvFuncGen) emitInstr(ins mir.Instr) error {
 		if ins.Size == 1 {
 			size = 1
 		}
-		cg.inst(isa.Inst{Op: isa.OpMov, Size: size, A: rvMem(t2, 0), B: rvReg(t1)})
+		cg.inst(isa.Inst{Op: isa.OpMov, Size: size, A: isa.MemOp(t2, 0), B: reg(t1)})
 
 	case mir.InstAddrLocal:
 		off := cg.localOff[ins.Local]
 		if off <= 2048 {
-			cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: rvReg(t0), B: rvReg(isa.RVS0), C: rvImm(int64(-off))})
+			cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: reg(t0), B: reg(isa.RVS0), C: imm(int64(-off))})
 		} else {
 			cg.li(t0, int64(off))
-			cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: rvReg(t0), B: rvReg(isa.RVS0), C: rvReg(t0)})
+			cg.inst(isa.Inst{Op: isa.OpSub, Size: 8, A: reg(t0), B: reg(isa.RVS0), C: reg(t0)})
 		}
 		cg.storeV(ins.Dst, t0)
 
@@ -371,7 +365,7 @@ func (cg *rvFuncGen) emitTerm(t mir.Term) error {
 		if t.HasVal {
 			cg.loadV(isa.RVA0, t.Val)
 		} else {
-			cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(isa.RVA0), B: rvReg(isa.RVZero)})
+			cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(isa.RVA0), B: reg(isa.RVZero)})
 		}
 		cg.epilogue()
 
@@ -385,7 +379,7 @@ func (cg *rvFuncGen) emitTerm(t mir.Term) error {
 		skip := fmt.Sprintf("%s_s%d", cg.blockLabel(t.Target), cg.nextTable)
 		cg.nextTable++
 		cg.p.InstRef(isa.Inst{Op: isa.OpBcc, Cond: isa.CondE, Size: 8,
-			A: rvImm(0), B: rvReg(t0), C: rvReg(isa.RVZero)}, skip)
+			A: imm(0), B: reg(t0), C: reg(isa.RVZero)}, skip)
 		cg.jmp(cg.blockLabel(t.Target))
 		cg.p.Label(skip)
 		cg.jmp(cg.blockLabel(t.Else))
@@ -398,14 +392,14 @@ func (cg *rvFuncGen) emitTerm(t mir.Term) error {
 		cg.li(isa.RVT1, int64(len(t.Targets)))
 		skip := table + "_ok"
 		cg.p.InstRef(isa.Inst{Op: isa.OpBcc, Cond: isa.CondB, Size: 8,
-			A: rvImm(0), B: rvReg(t0), C: rvReg(isa.RVT1)}, skip)
-		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(t0), B: rvReg(isa.RVZero)})
+			A: imm(0), B: reg(t0), C: reg(isa.RVT1)}, skip)
+		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(t0), B: reg(isa.RVZero)})
 		cg.p.Label(skip)
 		cg.p.La(isa.RVT1, table)
-		cg.inst(isa.Inst{Op: isa.OpShl, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvImm(3)})
-		cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: rvReg(t0), B: rvReg(t0), C: rvReg(isa.RVT1)})
-		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: rvReg(t0), B: rvMem(t0, 0)})
-		cg.inst(isa.Inst{Op: isa.OpJmp, A: rvReg(t0), B: rvImm(0)})
+		cg.inst(isa.Inst{Op: isa.OpShl, Size: 8, A: reg(t0), B: reg(t0), C: imm(3)})
+		cg.inst(isa.Inst{Op: isa.OpAdd, Size: 8, A: reg(t0), B: reg(t0), C: reg(isa.RVT1)})
+		cg.inst(isa.Inst{Op: isa.OpMov, Size: 8, A: reg(t0), B: isa.MemOp(t0, 0)})
+		cg.inst(isa.Inst{Op: isa.OpJmp, A: reg(t0), B: imm(0)})
 		targets := append([]int(nil), t.Targets...)
 		fname := cg.f.Name
 		blockLabel := func(id int) string { return fmt.Sprintf("%s_b%d", fname, id) }

@@ -78,8 +78,8 @@ func BenchmarkExtractPredecode(b *testing.B) {
 }
 
 // BenchmarkSymexPaths measures symbolic execution over every pooled gadget
-// path, comparing the one-shot Exec (fresh state per path) against the
-// reusable Executor the extraction shards use.
+// path, comparing a fresh Executor per path against the reused Executor
+// the extraction shards use.
 func BenchmarkSymexPaths(b *testing.B) {
 	bin := benchBinary(b)
 	pool := gadget.Extract(bin, gadget.Options{Parallelism: 1})
@@ -88,12 +88,12 @@ func BenchmarkSymexPaths(b *testing.B) {
 		paths[i] = g.Steps
 	}
 
-	b.Run("exec", func(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		eb := expr.NewBuilder()
 		for i := 0; i < b.N; i++ {
 			for _, steps := range paths {
-				if _, err := symex.Exec(eb, steps); err != nil {
+				if _, err := symex.NewExecutorISA(eb, isa.X64).Exec(steps); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,10 +32,24 @@ func fitsInt8(v int64) bool  { return v >= -128 && v <= 127 }
 func fitsInt32(v int64) bool { return v >= -(1<<31) && v < (1<<31) }
 
 // modRMTail is the ModRM byte plus optional SIB and displacement bytes,
-// together with the REX bits (R, X, B) the addressing form requires.
+// together with the REX bits (R, X, B) the addressing form requires. The
+// bytes live in a fixed array (ModRM + SIB + disp32 is at most six), so
+// encoding allocates nothing beyond the caller's buffer.
 type modRMTail struct {
-	rex   uint8
-	bytes []byte
+	rex uint8
+	n   uint8
+	b   [6]byte
+}
+
+// put appends bytes to the tail.
+func (t *modRMTail) put(bs ...byte) {
+	t.n += uint8(copy(t.b[t.n:], bs))
+}
+
+// putDisp32 appends a little-endian 32-bit displacement.
+func (t *modRMTail) putDisp32(d int32) {
+	binary.LittleEndian.PutUint32(t.b[t.n:], uint32(d))
+	t.n += 4
 }
 
 // encodeModRM builds the ModRM/SIB/disp byte sequence for a register field
@@ -53,15 +67,14 @@ func encodeModRM(regField uint8, rm Operand) (modRMTail, error) {
 		if rm.Reg >= 8 {
 			t.rex |= rexB
 		}
-		t.bytes = []byte{0xC0 | regBits | uint8(rm.Reg&7)}
+		t.put(0xC0 | regBits | uint8(rm.Reg&7))
 		return t, nil
 
 	case KindMem:
 		m := rm.Mem
 		if m.RIPRel {
-			t.bytes = make([]byte, 5)
-			t.bytes[0] = 0x00 | regBits | 0x05
-			binary.LittleEndian.PutUint32(t.bytes[1:], uint32(m.Disp))
+			t.put(0x00 | regBits | 0x05)
+			t.putDisp32(m.Disp)
 			return t, nil
 		}
 		needSIB := m.HasIndex || !m.HasBase || (m.Base&7) == 4
@@ -109,31 +122,31 @@ func encodeModRM(regField uint8, rm Operand) (modRMTail, error) {
 			rmBits = byte(m.Base & 7)
 		}
 
-		// Choose mod and displacement width.
+		// Choose mod and displacement width: 0, 1 or 4 bytes.
 		var mod byte
-		var disp []byte
+		dispW := 0
 		switch {
 		case !m.HasBase:
 			// Absolute [disp32] (via SIB with base=101, mod=00).
-			mod = 0
-			disp = make([]byte, 4)
-			binary.LittleEndian.PutUint32(disp, uint32(m.Disp))
+			mod, dispW = 0, 4
 		case m.Disp == 0 && (m.Base&7) != 5:
 			mod = 0
 		case fitsInt8(int64(m.Disp)):
-			mod = 1 << 6
-			disp = []byte{byte(m.Disp)}
+			mod, dispW = 1<<6, 1
 		default:
-			mod = 2 << 6
-			disp = make([]byte, 4)
-			binary.LittleEndian.PutUint32(disp, uint32(m.Disp))
+			mod, dispW = 2<<6, 4
 		}
 
-		t.bytes = append(t.bytes, mod|regBits|rmBits)
+		t.put(mod | regBits | rmBits)
 		if hasSIB {
-			t.bytes = append(t.bytes, sib)
+			t.put(sib)
 		}
-		t.bytes = append(t.bytes, disp...)
+		switch dispW {
+		case 1:
+			t.put(byte(m.Disp))
+		case 4:
+			t.putDisp32(m.Disp)
+		}
 		return t, nil
 
 	default:
@@ -155,17 +168,20 @@ func appendImm(buf []byte, v int64, width int) []byte {
 	}
 }
 
-// emit assembles prefix + opcode(s) + ModRM tail + immediate into buf.
-// rexBits are the pre-computed W/R/X/B bits; forceREX emits a REX prefix even
-// when no bits are set (required to address sil/dil/spl/bpl in byte ops).
-func emit(buf []byte, rexBits uint8, forceREX bool, opcodes []byte, tail modRMTail, imm []byte) []byte {
+// emit assembles prefix + opcode(s) + ModRM tail + an immediate of immW
+// bytes (0 for none) into buf. rexBits are the pre-computed W/R/X/B bits;
+// forceREX emits a REX prefix even when no bits are set (required to
+// address sil/dil/spl/bpl in byte ops).
+func emit(buf []byte, rexBits uint8, forceREX bool, opcodes []byte, tail modRMTail, imm int64, immW int) []byte {
 	rexBits |= tail.rex
 	if rexBits != 0 || forceREX {
 		buf = append(buf, rexBase|rexBits)
 	}
 	buf = append(buf, opcodes...)
-	buf = append(buf, tail.bytes...)
-	buf = append(buf, imm...)
+	buf = append(buf, tail.b[:tail.n]...)
+	if immW > 0 {
+		buf = appendImm(buf, imm, immW)
+	}
 	return buf
 }
 
@@ -257,7 +273,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return emit(buf, 0, false, []byte{0xFF}, tail, nil), nil
+			return emit(buf, 0, false, []byte{0xFF}, tail, 0, 0), nil
 		}
 		return nil, encErr(inst, "bad push operand")
 
@@ -273,7 +289,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return emit(buf, 0, false, []byte{0x8F}, tail, nil), nil
+			return emit(buf, 0, false, []byte{0x8F}, tail, 0, 0), nil
 		}
 		return nil, encErr(inst, "bad pop operand")
 
@@ -288,7 +304,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return emit(buf, wBit, false, []byte{0x8D}, tail, nil), nil
+		return emit(buf, wBit, false, []byte{0x8D}, tail, 0, 0), nil
 
 	case OpAdd, OpOr, OpAnd, OpSub, OpXor, OpCmp:
 		info := _arith[inst.Op]
@@ -305,13 +321,12 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 				return nil, encErr(inst, "byte-size ALU immediates unsupported")
 			}
 			if fitsInt8(inst.B.Imm) {
-				return emit(buf, wBit, false, []byte{0x83}, tail, []byte{byte(inst.B.Imm)}), nil
+				return emit(buf, wBit, false, []byte{0x83}, tail, inst.B.Imm, 1), nil
 			}
 			if !fitsInt32(inst.B.Imm) {
 				return nil, encErr(inst, "ALU immediate out of range")
 			}
-			imm := appendImm(nil, inst.B.Imm, 4)
-			return emit(buf, wBit, false, []byte{0x81}, tail, imm), nil
+			return emit(buf, wBit, false, []byte{0x81}, tail, inst.B.Imm, 4), nil
 		case inst.B.Kind == KindReg:
 			tail, err := encodeModRM(uint8(inst.B.Reg), inst.A)
 			if err != nil {
@@ -321,7 +336,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if size == 1 {
 				op-- // 8-bit form is the even opcode just below
 			}
-			return emit(buf, wBit, forceREX, []byte{op}, tail, nil), nil
+			return emit(buf, wBit, forceREX, []byte{op}, tail, 0, 0), nil
 		case inst.A.Kind == KindReg && inst.B.Kind == KindMem:
 			tail, err := encodeModRM(uint8(inst.A.Reg), inst.B)
 			if err != nil {
@@ -331,7 +346,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if size == 1 {
 				op--
 			}
-			return emit(buf, wBit, forceREX, []byte{op}, tail, nil), nil
+			return emit(buf, wBit, forceREX, []byte{op}, tail, 0, 0), nil
 		}
 		return nil, encErr(inst, "bad ALU operands")
 
@@ -344,8 +359,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if !fitsInt32(inst.B.Imm) {
 				return nil, encErr(inst, "test immediate out of range")
 			}
-			imm := appendImm(nil, inst.B.Imm, 4)
-			return emit(buf, wBit, false, []byte{0xF7}, tail, imm), nil
+			return emit(buf, wBit, false, []byte{0xF7}, tail, inst.B.Imm, 4), nil
 		}
 		if inst.B.Kind != KindReg {
 			return nil, encErr(inst, "test requires a register source")
@@ -358,18 +372,24 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if size == 1 {
 			op = 0x84
 		}
-		return emit(buf, wBit, forceREX, []byte{op}, tail, nil), nil
+		return emit(buf, wBit, forceREX, []byte{op}, tail, 0, 0), nil
 
 	case OpNot, OpNeg, OpIdiv:
-		digits := map[Op]uint8{OpNot: 2, OpNeg: 3, OpIdiv: 7}
-		tail, err := encodeModRM(digits[inst.Op], inst.A)
+		digit := uint8(2) // not
+		switch inst.Op {
+		case OpNeg:
+			digit = 3
+		case OpIdiv:
+			digit = 7
+		}
+		tail, err := encodeModRM(digit, inst.A)
 		if err != nil {
 			return nil, err
 		}
 		if size == 1 {
 			return nil, encErr(inst, "byte-size unary group unsupported")
 		}
-		return emit(buf, wBit, false, []byte{0xF7}, tail, nil), nil
+		return emit(buf, wBit, false, []byte{0xF7}, tail, 0, 0), nil
 
 	case OpImul:
 		if inst.A.Kind != KindReg {
@@ -379,7 +399,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return emit(buf, wBit, false, []byte{0x0F, 0xAF}, tail, nil), nil
+		return emit(buf, wBit, false, []byte{0x0F, 0xAF}, tail, 0, 0), nil
 
 	case OpShl, OpShr, OpSar:
 		digit := _shiftDigit[inst.Op]
@@ -389,9 +409,9 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		}
 		switch {
 		case inst.B.Kind == KindImm:
-			return emit(buf, wBit, false, []byte{0xC1}, tail, []byte{byte(inst.B.Imm)}), nil
+			return emit(buf, wBit, false, []byte{0xC1}, tail, inst.B.Imm, 1), nil
 		case inst.B.Kind == KindReg && inst.B.Reg == RCX:
-			return emit(buf, wBit, false, []byte{0xD3}, tail, nil), nil
+			return emit(buf, wBit, false, []byte{0xD3}, tail, 0, 0), nil
 		}
 		return nil, encErr(inst, "shift count must be an immediate or cl")
 
@@ -404,7 +424,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return emit(buf, wBit, false, []byte{0xFF}, tail, nil), nil
+		return emit(buf, wBit, false, []byte{0xFF}, tail, 0, 0), nil
 
 	case OpXchg:
 		if inst.B.Kind != KindReg {
@@ -414,7 +434,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return emit(buf, wBit, false, []byte{0x87}, tail, nil), nil
+		return emit(buf, wBit, false, []byte{0x87}, tail, 0, 0), nil
 
 	case OpMovzx:
 		if inst.A.Kind != KindReg {
@@ -424,7 +444,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return emit(buf, wBit, false, []byte{0x0F, 0xB6}, tail, nil), nil
+		return emit(buf, wBit, false, []byte{0x0F, 0xB6}, tail, 0, 0), nil
 
 	case OpMovsxd:
 		if inst.A.Kind != KindReg {
@@ -434,7 +454,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return emit(buf, rexW, false, []byte{0x63}, tail, nil), nil
+		return emit(buf, rexW, false, []byte{0x63}, tail, 0, 0), nil
 
 	case OpSetcc:
 		tail, err := encodeModRM(0, inst.A)
@@ -442,7 +462,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			return nil, err
 		}
 		force := inst.A.Kind == KindReg
-		return emit(buf, 0, force, []byte{0x0F, 0x90 | byte(inst.Cond)}, tail, nil), nil
+		return emit(buf, 0, force, []byte{0x0F, 0x90 | byte(inst.Cond)}, tail, 0, 0), nil
 
 	case OpJmp:
 		switch inst.A.Kind {
@@ -458,7 +478,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return emit(buf, 0, false, []byte{0xFF}, tail, nil), nil
+			return emit(buf, 0, false, []byte{0xFF}, tail, 0, 0), nil
 		}
 		return nil, encErr(inst, "bad jmp operand")
 
@@ -476,7 +496,7 @@ func Append(buf []byte, inst Inst, pc uint64) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			return emit(buf, 0, false, []byte{0xFF}, tail, nil), nil
+			return emit(buf, 0, false, []byte{0xFF}, tail, 0, 0), nil
 		}
 		return nil, encErr(inst, "bad call operand")
 
@@ -508,8 +528,7 @@ func encodeMov(buf []byte, inst Inst, size, wBit uint8, forceREX bool) ([]byte, 
 			if err != nil {
 				return nil, err
 			}
-			imm := appendImm(nil, v, 4)
-			return emit(buf, rexW, false, []byte{0xC7}, tail, imm), nil
+			return emit(buf, rexW, false, []byte{0xC7}, tail, v, 4), nil
 		case size == 8 && v >= 0 && v <= 0xFFFFFFFF:
 			// 32-bit mov zero-extends: B8+r imm32.
 			if r >= 8 {
@@ -541,7 +560,7 @@ func encodeMov(buf []byte, inst Inst, size, wBit uint8, forceREX bool) ([]byte, 
 			if err != nil {
 				return nil, err
 			}
-			return emit(buf, 0, false, []byte{0xC6}, tail, []byte{byte(inst.B.Imm)}), nil
+			return emit(buf, 0, false, []byte{0xC6}, tail, inst.B.Imm, 1), nil
 		}
 		if !fitsInt32(inst.B.Imm) {
 			return nil, encErr(inst, "mov memory immediate out of range")
@@ -550,8 +569,7 @@ func encodeMov(buf []byte, inst Inst, size, wBit uint8, forceREX bool) ([]byte, 
 		if err != nil {
 			return nil, err
 		}
-		imm := appendImm(nil, inst.B.Imm, 4)
-		return emit(buf, wBit, false, []byte{0xC7}, tail, imm), nil
+		return emit(buf, wBit, false, []byte{0xC7}, tail, inst.B.Imm, 4), nil
 
 	case inst.B.Kind == KindReg:
 		tail, err := encodeModRM(uint8(inst.B.Reg), inst.A)
@@ -562,7 +580,7 @@ func encodeMov(buf []byte, inst Inst, size, wBit uint8, forceREX bool) ([]byte, 
 		if size == 1 {
 			op = 0x88
 		}
-		return emit(buf, wBit, forceREX, []byte{op}, tail, nil), nil
+		return emit(buf, wBit, forceREX, []byte{op}, tail, 0, 0), nil
 
 	case inst.A.Kind == KindReg && inst.B.Kind == KindMem:
 		tail, err := encodeModRM(uint8(inst.A.Reg), inst.B)
@@ -573,7 +591,7 @@ func encodeMov(buf []byte, inst Inst, size, wBit uint8, forceREX bool) ([]byte, 
 		if size == 1 {
 			op = 0x8A
 		}
-		return emit(buf, wBit, forceREX, []byte{op}, tail, nil), nil
+		return emit(buf, wBit, forceREX, []byte{op}, tail, 0, 0), nil
 	}
 	return nil, encErr(inst, "bad mov operands")
 }

@@ -518,3 +518,44 @@ func TestInstSize(t *testing.T) {
 		t.Errorf("isa.Inst is %d bytes, want at most 88", n)
 	}
 }
+
+// TestAppendAllocs pins the encoder's allocations: appending a ModRM-form
+// instruction (register, disp8, SIB + disp32, RIP-relative and absolute
+// memory operands, with and without immediates) into a buffer that has
+// room allocates nothing.
+func TestAppendAllocs(t *testing.T) {
+	abs := Operand{Kind: KindMem, Mem: Mem{Disp: 0x601000}}
+	rip := Operand{Kind: KindMem, Mem: Mem{RIPRel: true, Disp: 0x40}}
+	insts := []Inst{
+		{Op: OpMov, Size: 8, A: RegOp(RAX), B: MemOp(RBP, -8)},
+		{Op: OpMov, Size: 8, A: MemOp(RBP, -0x200), B: RegOp(R12)},
+		{Op: OpMov, Size: 1, A: MemOp(RDX, 0), B: RegOp(RSI)},
+		{Op: OpMov, Size: 8, A: MemOp(RBP, -8), B: ImmOp(5)},
+		{Op: OpMov, Size: 8, A: RegOp(RAX), B: ImmOp(0x601000)},
+		{Op: OpLea, Size: 8, A: RegOp(RDX), B: MemOpIdx(RBX, RCX, 8, 0x1234)},
+		{Op: OpAdd, Size: 8, A: RegOp(RAX), B: RegOp(RCX)},
+		{Op: OpAdd, Size: 8, A: RegOp(RAX), B: ImmOp(1000)},
+		{Op: OpCmp, Size: 8, A: RegOp(RAX), B: ImmOp(3)},
+		{Op: OpTest, Size: 8, A: RegOp(RAX), B: ImmOp(0x100)},
+		{Op: OpNeg, Size: 8, A: RegOp(RAX)},
+		{Op: OpIdiv, Size: 8, A: RegOp(RBX)},
+		{Op: OpShl, Size: 8, A: RegOp(RAX), B: ImmOp(3)},
+		{Op: OpMovzx, Size: 4, A: RegOp(RAX), B: Operand{Kind: KindMem, Mem: Mem{Base: RAX, HasBase: true}}},
+		{Op: OpSetcc, Cond: CondL, Size: 1, A: RegOp(RAX)},
+		{Op: OpMov, Size: 8, A: RegOp(RAX), B: rip},
+		{Op: OpMov, Size: 8, A: RegOp(RAX), B: abs},
+		{Op: OpPush, A: MemOp(RSP, 8)},
+	}
+	buf := make([]byte, 0, 16)
+	for _, inst := range insts {
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if buf, err = Append(buf[:0], inst, 0x401000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Append(%s) allocates %.1f objects, want 0", inst.String(), allocs)
+		}
+	}
+}

@@ -199,48 +199,28 @@ func Verify(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("mir: %s: no blocks", f.Name)
 	}
+	// defined holds the vregs defined so far in the current block; one map
+	// serves every block and is cleared between them.
+	defined := make(map[VReg]bool)
 	for _, b := range f.Blocks {
 		if b.Term.Kind == 0 {
 			return fmt.Errorf("mir: %s: block %d missing terminator", f.Name, b.ID)
 		}
-		defined := make(map[VReg]bool)
+		clear(defined)
+		// The error context is formatted only when a check fails.
+		undefined := func(what string, v VReg) error {
+			return fmt.Errorf("mir: %s: block %d: %s uses undefined v%d", f.Name, b.ID, what, v)
+		}
 		use := func(v VReg, what string) error {
 			if !defined[v] {
-				return fmt.Errorf("mir: %s: block %d: %s uses undefined v%d", f.Name, b.ID, what, v)
+				return undefined(what, v)
 			}
 			return nil
 		}
-		for i, ins := range b.Instrs {
-			what := fmt.Sprintf("instr %d (%v)", i, ins.Kind)
-			switch ins.Kind {
-			case InstBin:
-				if err := use(ins.A, what); err != nil {
-					return err
-				}
-				if err := use(ins.B, what); err != nil {
-					return err
-				}
-			case InstNeg, InstNot, InstCopy:
-				if err := use(ins.A, what); err != nil {
-					return err
-				}
-			case InstLoad:
-				if err := use(ins.A, what); err != nil {
-					return err
-				}
-			case InstStore:
-				if err := use(ins.A, what); err != nil {
-					return err
-				}
-				if err := use(ins.B, what); err != nil {
-					return err
-				}
-			case InstCall:
-				for _, a := range ins.Args {
-					if err := use(a, what); err != nil {
-						return err
-					}
-				}
+		for i := range b.Instrs {
+			ins := &b.Instrs[i]
+			if v, ok := firstUndefined(defined, ins); ok {
+				return undefined(fmt.Sprintf("instr %d (%v)", i, ins.Kind), v)
 			}
 			if ins.Kind != InstStore && (ins.Kind != InstCall || ins.HasDst) {
 				defined[ins.Dst] = true
@@ -288,6 +268,29 @@ func Verify(f *Func) error {
 		}
 	}
 	return nil
+}
+
+// firstUndefined returns the first vreg ins reads, in operand order, that
+// defined lacks.
+func firstUndefined(defined map[VReg]bool, ins *Instr) (VReg, bool) {
+	var pair [2]VReg
+	var reads []VReg
+	switch ins.Kind {
+	case InstBin, InstStore:
+		pair = [2]VReg{ins.A, ins.B}
+		reads = pair[:]
+	case InstNeg, InstNot, InstCopy, InstLoad:
+		pair[0] = ins.A
+		reads = pair[:1]
+	case InstCall:
+		reads = ins.Args
+	}
+	for _, v := range reads {
+		if !defined[v] {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // String renders the function for debugging.

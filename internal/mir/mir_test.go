@@ -1,6 +1,7 @@
 package mir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,6 +117,33 @@ func TestVerifyCatchesBrokenIR(t *testing.T) {
 	b.Term = Term{Kind: TermRet}
 	if err := Verify(f); err == nil {
 		t.Error("undefined vreg accepted")
+	} else if want := fmt.Sprintf("mir: bad: block 0: instr 0 (%d) uses undefined v5", InstBin); err.Error() != want {
+		t.Errorf("instruction use: err = %q, want %q", err, want)
+	}
+
+	// An undefined use in a terminator.
+	ft := &Func{Name: "badterm"}
+	bt := ft.NewBlock()
+	bt.Term = Term{Kind: TermRet, HasVal: true, Val: 3}
+	if err := Verify(ft); err == nil {
+		t.Error("undefined ret value accepted")
+	} else if want := "mir: badterm: block 0: ret uses undefined v3"; err.Error() != want {
+		t.Errorf("terminator use: err = %q, want %q", err, want)
+	}
+
+	// Definitions are block-local: a vreg defined in block 0 is undefined
+	// in block 1.
+	fx := &Func{Name: "crossblock"}
+	b0, b1 := fx.NewBlock(), fx.NewBlock()
+	x := fx.NewVReg()
+	b0.Instrs = append(b0.Instrs, Instr{Kind: InstConst, Dst: x, Val: 1})
+	b0.Term = Term{Kind: TermBr, Target: b1.ID}
+	b1.Instrs = append(b1.Instrs, Instr{Kind: InstNeg, Dst: fx.NewVReg(), A: x})
+	b1.Term = Term{Kind: TermRet}
+	if err := Verify(fx); err == nil {
+		t.Error("use of a vreg defined in another block accepted")
+	} else if want := fmt.Sprintf("mir: crossblock: block 1: instr 0 (%d) uses undefined v0", InstNeg); err.Error() != want {
+		t.Errorf("cross-block use: err = %q, want %q", err, want)
 	}
 
 	f2 := &Func{Name: "bad2"}

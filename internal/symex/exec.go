@@ -44,15 +44,6 @@ func (e *Effect) HasDerefs() bool {
 	return len(e.MemReads)+len(e.MemWrites) > 0
 }
 
-// Exec symbolically executes the steps, which must end with a control
-// transfer, and returns the gadget's effect. A Builder is threaded in so
-// effects from many gadgets share one node table. Callers executing many
-// paths against one builder should use an Executor, which reuses the
-// per-path scratch state this one-shot form allocates fresh.
-func Exec(b *expr.Builder, steps []Step) (*Effect, error) {
-	return run(NewStateISA(b, isa.X64), steps)
-}
-
 // run executes the steps against a prepared entry state and summarizes the
 // final state into an Effect. The state's scratch (maps, condition and
 // memory-access slices) is never referenced by the returned Effect — slices

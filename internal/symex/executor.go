@@ -5,20 +5,19 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
 
-// Executor symbolically executes many gadget paths against one Builder,
-// reusing the per-path machine state between runs. The one-shot Exec
-// allocates a fresh State — two maps, several slices — per path, and on the
-// cold extraction path (hundreds of thousands of candidate paths, most of
-// them rejected as unsupported) that per-path garbage dominates GC time.
-// The executor keeps one State and resets it: scratch slices are truncated
-// in place, and the entry register/flag variable nodes — which the builder
-// interns, so they are the same pointers for every path — are cached once at
-// construction.
+// Executor symbolically executes gadget paths against one Builder, reusing
+// the per-path machine state between runs. A fresh State per path — two
+// maps, several slices — would dominate GC time on the cold extraction
+// path (hundreds of thousands of candidate paths, most of them rejected as
+// unsupported). The executor keeps one State and resets it: scratch slices
+// are truncated in place, and the entry register/flag variable nodes —
+// which the builder interns, so they are the same pointers for every path —
+// are cached once at construction.
 //
 // Reuse is invisible in the results: run() copies the scratch slices into
 // each returned Effect and rebuilds its maps, so effects produced by a
-// reused state are structurally identical (node-for-node, the builder
-// interning both) to those a fresh State would produce.
+// reused executor are structurally identical (node-for-node, the builder
+// interning both) to those a fresh one would produce.
 //
 // An Executor is not safe for concurrent use; extraction gives each shard
 // worker its own, bound to the shard's private builder.
@@ -39,12 +38,15 @@ func NewExecutorISA(b *expr.Builder, be isa.Backend) *Executor {
 	ex.entryCF = b.Var("cf0", expr.BoolWidth)
 	ex.entryPF = b.Var("pf0", expr.BoolWidth)
 	ex.st.B = b
-	ex.st.initBackend(be)
+	ex.st.sp = be.SP()
+	ex.st.link, ex.st.hasLink = be.LinkReg()
+	ex.st.zero, ex.st.hasZero = be.ZeroReg()
 	return ex
 }
 
-// Exec executes one path exactly like the package-level Exec, reusing the
-// executor's scratch state.
+// Exec symbolically executes the steps, which must end with a control
+// transfer, and returns the gadget's effect, reusing the executor's
+// scratch state.
 func (ex *Executor) Exec(steps []Step) (*Effect, error) {
 	s := &ex.st
 	// Reuse the Regs backing array across paths; run() copies it into each

@@ -8,9 +8,9 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
 
-// TestExecutorMatchesExec pins the reusable Executor against the one-shot
-// Exec on paths exercising every Effect collection — register writes, stack
-// writes and inputs, memory accesses, path conditions, indirect-jump
+// TestExecutorMatchesExec pins a reused Executor against a fresh Executor
+// per path on paths exercising every Effect collection — register writes,
+// stack writes and inputs, memory accesses, path conditions, indirect-jump
 // next-RIP — plus an unsupported path, interleaved so scratch reuse after
 // both success and failure is covered. Both run against the same builder,
 // so intern-equal effects are DeepEqual down to node pointers.
@@ -31,16 +31,16 @@ func TestExecutorMatchesExec(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, src := range srcs {
 			steps := decodeSteps(t, src)
-			want, werr := Exec(b, steps)
+			want, werr := execFresh(b, steps)
 			got, gerr := ex.Exec(steps)
 			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("round %d %q: Exec err=%v, Executor err=%v", round, src, werr, gerr)
+				t.Fatalf("round %d %q: fresh err=%v, reused err=%v", round, src, werr, gerr)
 			}
 			if werr != nil {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("round %d %q: effects differ\n exec:     %+v\n executor: %+v", round, src, want, got)
+				t.Errorf("round %d %q: effects differ\n fresh:  %+v\n reused: %+v", round, src, want, got)
 			}
 		}
 	}

@@ -234,28 +234,6 @@ var _endKindNames = map[EndKind]string{
 // String names the termination kind.
 func (k EndKind) String() string { return _endKindNames[k] }
 
-// NewStateISA returns the fully symbolic entry state for a backend. A
-// hardwired zero register enters as the constant 0 rather than a variable.
-func NewStateISA(b *expr.Builder, be isa.Backend) *State {
-	s := &State{B: b}
-	s.initBackend(be)
-	s.Regs = EntryRegs(b, be)
-	s.ZF = b.Var("zf0", expr.BoolWidth)
-	s.SF = b.Var("sf0", expr.BoolWidth)
-	s.OF = b.Var("of0", expr.BoolWidth)
-	s.CF = b.Var("cf0", expr.BoolWidth)
-	s.PF = b.Var("pf0", expr.BoolWidth)
-	s.rsp0 = s.Regs[s.sp]
-	return s
-}
-
-// initBackend caches the backend's stack/ABI register model on the state.
-func (s *State) initBackend(be isa.Backend) {
-	s.sp = be.SP()
-	s.link, s.hasLink = be.LinkReg()
-	s.zero, s.hasZero = be.ZeroReg()
-}
-
 // EntryRegs interns the entry register values for a backend: one fresh
 // variable per register, except a hardwired zero register, which is the
 // constant 0. The builder interns nodes, so repeated calls return the same

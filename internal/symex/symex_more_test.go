@@ -12,7 +12,7 @@ import (
 func exec(t *testing.T, src string) (*expr.Builder, *Effect) {
 	t.Helper()
 	b := expr.NewBuilder()
-	eff, err := Exec(b, decodeSteps(t, src))
+	eff, err := execFresh(b, decodeSteps(t, src))
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", src, err)
 	}
@@ -81,7 +81,7 @@ func TestNegSemantics(t *testing.T) {
 func TestLeaveNeedsControlledRBP(t *testing.T) {
 	// leave sets rsp = rbp: symbolic rsp -> unsupported.
 	b := expr.NewBuilder()
-	_, err := Exec(b, decodeSteps(t, "leave; ret"))
+	_, err := execFresh(b, decodeSteps(t, "leave; ret"))
 	if !errors.Is(err, ErrUnsupported) {
 		t.Errorf("leave accepted with symbolic rbp: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestAllConditionCodes(t *testing.T) {
 		src := "cmp rax, rbx; " + c.cc + " 0x2000; pop rcx; ret"
 		b := expr.NewBuilder()
 		steps := decodeSteps(t, src)
-		eff, err := Exec(b, steps) // fall-through path: condition must be false
+		eff, err := execFresh(b, steps) // fall-through path: condition must be false
 		if err != nil {
 			t.Fatalf("%s: %v", c.cc, err)
 		}
@@ -147,7 +147,7 @@ func TestStackErrors(t *testing.T) {
 		"mov rax, [rsp+8]; mov byte [rsp+9], cl; mov rdx, [rsp+8]; ret",
 	}
 	for _, src := range cases {
-		if _, err := Exec(b, decodeSteps(t, src)); !errors.Is(err, ErrUnsupported) {
+		if _, err := execFresh(b, decodeSteps(t, src)); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("Exec(%q) = %v, want unsupported", src, err)
 		}
 	}
@@ -164,17 +164,17 @@ func TestDerefLimits(t *testing.T) {
     mov rdi, [rbx+32]
     ret
 `
-	if _, err := Exec(b, decodeSteps(t, src)); !errors.Is(err, ErrUnsupported) {
+	if _, err := execFresh(b, decodeSteps(t, src)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("deref limit not enforced: %v", err)
 	}
 	// Read aliasing an earlier controlled write.
 	src2 := "mov [rbx], rax; mov rcx, [rbx]; ret"
-	if _, err := Exec(b, decodeSteps(t, src2)); !errors.Is(err, ErrUnsupported) {
+	if _, err := execFresh(b, decodeSteps(t, src2)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("read-after-write aliasing accepted: %v", err)
 	}
 	// Disjoint deref read and write are fine.
 	src3 := "mov [rbx], rax; mov rcx, [rbx+64]; ret"
-	eff, err := Exec(b, decodeSteps(t, src3))
+	eff, err := execFresh(b, decodeSteps(t, src3))
 	if err != nil {
 		t.Fatalf("disjoint derefs rejected: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestPushImmediateAndMem(t *testing.T) {
 	}
 	// push qword [rsp+8]: duplicates a payload slot.
 	b := expr.NewBuilder()
-	eff2, err := Exec(b, decodeSteps(t, "push qword [rsp+8]; pop rbx; ret"))
+	eff2, err := execFresh(b, decodeSteps(t, "push qword [rsp+8]; pop rbx; ret"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPushImmediateAndMem(t *testing.T) {
 
 func TestCallIndirectGadget(t *testing.T) {
 	b := expr.NewBuilder()
-	eff, err := Exec(b, decodeSteps(t, "pop rsi; call rbx"))
+	eff, err := execFresh(b, decodeSteps(t, "pop rsi; call rbx"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,14 @@ func decodeSteps(t *testing.T, src string) []Step {
 	return steps
 }
 
+// execFresh runs one x64 path on a new executor bound to b.
+func execFresh(b *expr.Builder, steps []Step) (*Effect, error) {
+	return NewExecutorISA(b, isa.X64).Exec(steps)
+}
+
 func TestPopRet(t *testing.T) {
 	b := expr.NewBuilder()
-	eff, err := Exec(b, decodeSteps(t, "pop rdi; ret"))
+	eff, err := execFresh(b, decodeSteps(t, "pop rdi; ret"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestPopRet(t *testing.T) {
 
 func TestJmpRegGadget(t *testing.T) {
 	b := expr.NewBuilder()
-	eff, err := Exec(b, decodeSteps(t, "pop rbp; mov edi, 0x601030; jmp rax"))
+	eff, err := execFresh(b, decodeSteps(t, "pop rbp; mov edi, 0x601030; jmp rax"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +103,7 @@ func TestConditionalGadgetFig4b(t *testing.T) {
 `
 	b := expr.NewBuilder()
 	steps := decodeSteps(t, src)
-	eff, err := Exec(b, steps) // all Taken=false: fall through the jne
+	eff, err := execFresh(b, steps) // all Taken=false: fall through the jne
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +138,7 @@ func TestConditionalGadgetTaken(t *testing.T) {
 		pos += int(inst.Len)
 	}
 	b := expr.NewBuilder()
-	eff, err := Exec(b, steps)
+	eff, err := execFresh(b, steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +164,7 @@ func TestUnsupportedGadgets(t *testing.T) {
 		"add rax, rbx",       // no terminal branch
 	}
 	for _, src := range cases {
-		_, err := Exec(b, decodeSteps(t, src))
+		_, err := execFresh(b, decodeSteps(t, src))
 		if !errors.Is(err, ErrUnsupported) {
 			t.Errorf("Exec(%q) err = %v, want unsupported", src, err)
 		}
@@ -168,7 +173,7 @@ func TestUnsupportedGadgets(t *testing.T) {
 
 func TestStackWriteThenRead(t *testing.T) {
 	b := expr.NewBuilder()
-	eff, err := Exec(b, decodeSteps(t, "push rax; pop rbx; ret"))
+	eff, err := execFresh(b, decodeSteps(t, "push rax; pop rbx; ret"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +187,7 @@ func TestStackWriteThenRead(t *testing.T) {
 
 func TestSyscallGadget(t *testing.T) {
 	b := expr.NewBuilder()
-	eff, err := Exec(b, decodeSteps(t, "pop rax; syscall"))
+	eff, err := execFresh(b, decodeSteps(t, "pop rax; syscall"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 
 		// Symbolic execution.
 		b := expr.NewBuilder()
-		eff, err := Exec(b, steps)
+		eff, err := execFresh(b, steps)
 		if errors.Is(err, ErrUnsupported) {
 			continue
 		}
