@@ -219,7 +219,7 @@ func parseOperand(s string, line int) (operand, error) {
 		return operand{op: isa.ImmOp(v)}, nil
 	}
 
-	// Otherwise a label reference, resolved during layout.
+	// Otherwise a label reference, resolved by the X64Prog.
 	if strings.ContainsAny(s, " \t,[]") {
 		return operand{}, synErr(line, "bad operand %q", s)
 	}

@@ -54,82 +54,75 @@ func TestRV64CBuildIsRV64Build(t *testing.T) {
 	}
 }
 
-// textPins are the per-ISA .text pins: each build's SHA-256 must match the
-// ISA's file under testdata (one "program/preset hex" line each). The x64
-// pin also covers netperf under the self-modification transform, whose
-// decoder stub goes through the textual assembler.
-var textPins = []struct {
-	isa, file string
-	selfmod   bool
-}{
-	{"rv64", "rv64_text.sha256", false},
-	{"x64", "x64_text.sha256", true},
-}
-
 // selfmodKey is the XOR key of the pinned self-modified netperf build.
 const selfmodKey = 0x5a
 
-// TestTextPinned pins each backend's assembler output: the SHA-256 of the
-// executable bytes of every program × preset build must match the ISA's
-// pin file. The bench goldens pin only text size and what extraction
-// derives from the bytes; this pins the bytes themselves. Regenerate with
-// `go test ./internal/benchprog -run TestTextPinned -update`.
-func TestTextPinned(t *testing.T) {
-	for _, pin := range textPins {
-		t.Run(pin.isa, func(t *testing.T) {
-			var got strings.Builder
-			line := func(name string, bin *sbf.Binary) {
-				h := sha256.New()
-				n := 0
-				for _, s := range bin.Sections {
-					if s.Flags&sbf.FlagExec != 0 {
-						h.Write(s.Data)
-						n++
-					}
-				}
-				if n == 0 {
-					t.Fatalf("%s: no executable section", name)
-				}
-				fmt.Fprintf(&got, "%s %s\n", name, hex.EncodeToString(h.Sum(nil)))
-			}
-			for _, p := range All() {
-				for _, pr := range isaPresets {
-					bin, err := BuildISA(p, pr.passes, 42, pin.isa)
-					if err != nil {
-						t.Fatalf("%s/%s: %v", p.Name, pr.name, err)
-					}
-					line(p.Name+"/"+pr.name, bin)
-				}
-			}
-			if pin.selfmod {
-				bin, err := BuildISA(Netperf(), nil, 42, pin.isa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sm, err := obfuscate.SelfModifyBinary(bin, selfmodKey)
-				if err != nil {
-					t.Fatal(err)
-				}
-				line(fmt.Sprintf("netperf/selfmod-%#x", selfmodKey), sm)
-			}
+// TestRV64TextPinned pins the RV64 assembler's output; see checkTextPin.
+func TestRV64TextPinned(t *testing.T) { checkTextPin(t, "rv64", false) }
 
-			path := filepath.Join("testdata", pin.file)
-			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+// TestX64TextPinned pins the x86-64 assembler's output; see checkTextPin.
+// It also pins netperf under the self-modification transform, whose
+// decoder stub goes through the textual assembler front end.
+func TestX64TextPinned(t *testing.T) { checkTextPin(t, "x64", true) }
+
+// checkTextPin pins a backend's assembler output: the SHA-256 of the
+// executable bytes of every program × preset build must match
+// testdata/<isa>_text.sha256 (one "program/preset hex" line each). The
+// bench goldens pin only text size and what extraction derives from the
+// bytes; this pins the bytes themselves. Regenerate with
+// `go test ./internal/benchprog -run TextPinned -update`.
+func checkTextPin(t *testing.T, isaName string, selfmod bool) {
+	var got strings.Builder
+	line := func(name string, bin *sbf.Binary) {
+		h := sha256.New()
+		n := 0
+		for _, s := range bin.Sections {
+			if s.Flags&sbf.FlagExec != 0 {
+				h.Write(s.Data)
+				n++
 			}
-			want, err := os.ReadFile(path)
+		}
+		if n == 0 {
+			t.Fatalf("%s: no executable section", name)
+		}
+		fmt.Fprintf(&got, "%s %s\n", name, hex.EncodeToString(h.Sum(nil)))
+	}
+	for _, p := range All() {
+		for _, pr := range isaPresets {
+			bin, err := BuildISA(p, pr.passes, 42, isaName)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s/%s: %v", p.Name, pr.name, err)
 			}
-			if got.String() != string(want) {
-				t.Errorf("%s executable-section hashes differ from %s\n--- want ---\n%s--- got ---\n%s", pin.isa, path, want, got.String())
-			}
-		})
+			line(p.Name+"/"+pr.name, bin)
+		}
+	}
+	if selfmod {
+		bin, err := BuildISA(Netperf(), nil, 42, isaName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := obfuscate.SelfModifyBinary(bin, selfmodKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line(fmt.Sprintf("netperf/selfmod-%#x", selfmodKey), sm)
+	}
+
+	path := filepath.Join("testdata", isaName+"_text.sha256")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("%s executable-section hashes differ from %s\n--- want ---\n%s--- got ---\n%s", isaName, path, want, got.String())
 	}
 }
