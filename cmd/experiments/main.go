@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"slices"
@@ -38,7 +39,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
@@ -50,15 +51,18 @@ type experiment struct {
 	run  func() error
 }
 
-func run() error {
-	which := flag.String("run", "all", "comma-separated experiments, or all")
-	quick := flag.Bool("quick", false, "trim the corpus for a fast pass")
-	seed := flag.Int64("seed", 42, "obfuscation seed")
-	sf := cliutil.RegisterStore(flag.CommandLine).WithParallel(flag.CommandLine)
-	cells := flag.Int("cells", 0, "stream: target cell count (0 = 216, or 24 with -quick)")
-	streamJSONL := flag.String("streamjsonl", "", "stream: write the per-cell rows as JSON lines to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	which := fs.String("run", "all", "comma-separated experiments, or all")
+	quick := fs.Bool("quick", false, "trim the corpus for a fast pass")
+	seed := fs.Int64("seed", 42, "obfuscation seed")
+	sf := cliutil.RegisterStore(fs).WithParallel(fs)
+	cells := fs.Int("cells", 0, "stream: target cell count (0 = 216, or 24 with -quick)")
+	streamJSONL := fs.String("streamjsonl", "", "stream: write the per-cell rows as JSON lines to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	store, err := sf.Open()
 	if err != nil {
@@ -76,8 +80,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Fig. 1 — gadget counts, original vs obfuscated")
-			fmt.Print(experiments.RenderFig1(rows))
+			section(stdout, "Fig. 1 — gadget counts, original vs obfuscated")
+			fmt.Fprint(stdout, experiments.RenderFig1(rows))
 			return nil
 		}},
 		{"table1", func() error {
@@ -85,8 +89,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Table I — gadget classes and increase rate")
-			fmt.Print(experiments.RenderTable1(rows))
+			section(stdout, "Table I — gadget classes and increase rate")
+			fmt.Fprint(stdout, experiments.RenderTable1(rows))
 			return nil
 		}},
 		{"table4", func() error {
@@ -94,10 +98,10 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Table IV — tools x obfuscations payload matrix")
-			fmt.Print(experiments.RenderTable4(rows))
-			section("Table V — chain properties (Gadget-Planner)")
-			fmt.Print(experiments.RenderTable5(experiments.Table5(gp)))
+			section(stdout, "Table IV — tools x obfuscations payload matrix")
+			fmt.Fprint(stdout, experiments.RenderTable4(rows))
+			section(stdout, "Table V — chain properties (Gadget-Planner)")
+			fmt.Fprint(stdout, experiments.RenderTable5(experiments.Table5(gp)))
 			return nil
 		}},
 		{"composition", func() error {
@@ -105,8 +109,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Pool composition — gadget classes available per build")
-			fmt.Print(experiments.RenderPoolComposition(rows))
+			section(stdout, "Pool composition — gadget classes available per build")
+			fmt.Fprint(stdout, experiments.RenderPoolComposition(rows))
 			return nil
 		}},
 		{"fig5", func() error {
@@ -114,8 +118,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Fig. 5 — per-obfuscation attack surface")
-			fmt.Print(experiments.RenderFig5(rows))
+			section(stdout, "Fig. 5 — per-obfuscation attack surface")
+			fmt.Fprint(stdout, experiments.RenderFig5(rows))
 			return nil
 		}},
 		{"table6", func() error {
@@ -123,8 +127,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Table VI — SPEC-style programs")
-			fmt.Print(experiments.RenderTable6(rows))
+			section(stdout, "Table VI — SPEC-style programs")
+			fmt.Fprint(stdout, experiments.RenderTable6(rows))
 			return nil
 		}},
 		{"table7", func() error {
@@ -132,8 +136,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Table VII — per-stage performance (obfuscated netperf)")
-			fmt.Print(experiments.RenderTable7(rows))
+			section(stdout, "Table VII — per-stage performance (obfuscated netperf)")
+			fmt.Fprint(stdout, experiments.RenderTable7(rows))
 			return nil
 		}},
 		{"netperf", func() error {
@@ -141,9 +145,9 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Section VI-C — netperf case study")
-			fmt.Print(experiments.RenderNetperf(res))
-			fmt.Println()
+			section(stdout, "Section VI-C — netperf case study")
+			fmt.Fprint(stdout, experiments.RenderNetperf(res))
+			fmt.Fprintln(stdout)
 			return nil
 		}},
 		{"ablation", func() error {
@@ -151,14 +155,14 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Ablation — subsumption testing")
-			fmt.Print(experiments.RenderAblationSubsumption(sub))
+			section(stdout, "Ablation — subsumption testing")
+			fmt.Fprint(stdout, experiments.RenderAblationSubsumption(sub))
 			cls, err := experiments.AblationGadgetClasses(opts)
 			if err != nil {
 				return err
 			}
-			section("Ablation — gadget classes")
-			fmt.Print(experiments.RenderAblationClasses(cls))
+			section(stdout, "Ablation — gadget classes")
+			fmt.Fprint(stdout, experiments.RenderAblationClasses(cls))
 			return nil
 		}},
 		{"isa", func() error {
@@ -166,8 +170,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section("Attack surface per backend — aligned vs compressed RISC-V")
-			fmt.Print(experiments.RenderISASurface(rows))
+			section(stdout, "Attack surface per backend — aligned vs compressed RISC-V")
+			fmt.Fprint(stdout, experiments.RenderISASurface(rows))
 			return nil
 		}},
 		{"stream", func() error {
@@ -194,8 +198,8 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			section(fmt.Sprintf("Stream — %d cells over %d generated programs", res.Cells, res.Programs))
-			fmt.Print(res.Table)
+			section(stdout, fmt.Sprintf("Stream — %d cells over %d generated programs", res.Cells, res.Programs))
+			fmt.Fprint(stdout, res.Table)
 			return nil
 		}},
 	}
@@ -236,10 +240,10 @@ func run() error {
 			}
 		}
 	}
-	fmt.Printf("\n%s\n", store.StatsLine())
+	fmt.Fprintf(stdout, "\n%s\n", store.StatsLine())
 	return nil
 }
 
-func section(title string) {
-	fmt.Printf("\n===== %s =====\n", title)
+func section(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n===== %s =====\n", title)
 }
