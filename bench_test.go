@@ -7,7 +7,6 @@ package main
 
 import (
 	"testing"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/core"
@@ -22,7 +21,7 @@ import (
 func benchOpts() experiments.Options {
 	return experiments.Options{
 		Programs: benchprog.Benchmarks()[:3],
-		Planner:  planner.Options{MaxPlans: 12, MaxNodes: 6000, Timeout: 15 * time.Second},
+		Planner:  planner.Options{MaxPlans: 12, MaxNodes: 6000},
 	}
 }
 
@@ -137,7 +136,7 @@ func BenchmarkTable7Performance(b *testing.B) {
 // BenchmarkNetperfCaseStudy regenerates the Section VI-C case study (E7).
 func BenchmarkNetperfCaseStudy(b *testing.B) {
 	opts := experiments.Options{
-		Planner: planner.Options{MaxPlans: 16, MaxNodes: 8000, Timeout: 20 * time.Second},
+		Planner: planner.Options{MaxPlans: 16, MaxNodes: 8000},
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Netperf(opts)

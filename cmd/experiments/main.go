@@ -30,7 +30,6 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
@@ -71,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Parallelism: sf.Parallelism(), Store: store}
 	if *quick {
 		opts.Programs = benchprog.Benchmarks()[:3]
-		opts.Planner = planner.Options{MaxPlans: 12, MaxNodes: 6000, Timeout: 15 * time.Second}
+		opts.Planner = planner.Options{MaxPlans: 12, MaxNodes: 6000}
 	}
 
 	exps := []experiment{

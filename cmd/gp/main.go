@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/cliutil"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
@@ -45,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	maxPlans := fs.Int("max", 8, "maximum payloads per goal")
 	dump := fs.Bool("dump", false, "dump payload bytes")
 	verbose := fs.Bool("v", false, "stream stage progress to stderr")
-	timeout := fs.Duration("timeout", 30*time.Second, "planning timeout per goal")
 	server := cliutil.ServerFlag(fs)
 	sf := cliutil.RegisterStore(fs).WithParallel(fs)
 	if err := fs.Parse(args); err != nil {
@@ -68,11 +66,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		progress = func(ev serve.StageEvent) { fmt.Fprintln(stderr, stageLine(ev)) }
 	}
 	res, err := exec(context.Background(), serve.Request{
-		Op:        serve.OpPlan,
-		Binary:    data,
-		Goal:      *goalName,
-		MaxPlans:  *maxPlans,
-		TimeoutMS: timeout.Milliseconds(),
+		Op:       serve.OpPlan,
+		Binary:   data,
+		Goal:     *goalName,
+		MaxPlans: *maxPlans,
 	}, progress)
 	if err != nil {
 		return err

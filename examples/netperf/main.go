@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/experiments"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
@@ -18,7 +17,7 @@ import (
 
 func main() {
 	res, err := experiments.Netperf(experiments.Options{
-		Planner: planner.Options{MaxPlans: 20, MaxNodes: 10000, Timeout: 30 * time.Second},
+		Planner: planner.Options{MaxPlans: 20, MaxNodes: 10000},
 	})
 	if err != nil {
 		log.Fatal(err)

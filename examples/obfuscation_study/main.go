@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/experiments"
@@ -20,7 +19,7 @@ import (
 func main() {
 	opts := experiments.Options{
 		Programs: benchprog.Benchmarks()[:4],
-		Planner:  planner.Options{MaxPlans: 8, MaxNodes: 4000, Timeout: 10 * time.Second},
+		Planner:  planner.Options{MaxPlans: 8, MaxNodes: 4000},
 	}
 
 	fmt.Println("== Fig. 1: gadget counts per build ==")

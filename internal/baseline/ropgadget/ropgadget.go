@@ -8,12 +8,11 @@ package ropgadget
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/nofreelunch/gadget-planner/internal/baseline"
-	"github.com/nofreelunch/gadget-planner/internal/emu"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
@@ -100,7 +99,7 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 	}
 
 	chain := baseline.Chain{Goal: "execve"}
-	if verifyExecve(bin, payload) {
+	if baseline.VerifyBytes(bin, payload, planner.ExecveGoal()) {
 		chain.Verified = true
 		chain.Gadgets = piecesAsGadgets(pieces)
 		res.Chains = append(res.Chains, chain)
@@ -150,28 +149,6 @@ func le8(s string) uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// verifyExecve runs the payload and checks execve("/bin/sh") fires.
-func verifyExecve(bin *sbf.Binary, payload []byte) bool {
-	m := emu.NewMachineISA(isa.X64)
-	os := emu.NewOS()
-	m.OS = os
-	m.Mem.LoadBinary(bin)
-	const base = uint64(0x7FFF_8000)
-	m.Mem.Map(base-0x4000, 0x8000+uint64(len(payload)), emu.PermRead|emu.PermWrite)
-	if err := m.Mem.WriteBytes(base, payload); err != nil {
-		return false
-	}
-	m.Regs[isa.RSP] = base + 8
-	var first uint64
-	for i := 0; i < 8; i++ {
-		first |= uint64(payload[i]) << (8 * i)
-	}
-	m.RIP = first
-	_ = m.Run(10_000)
-	ev := os.EventFor(emu.SysExecve)
-	return ev != nil && ev.Path == "/bin/sh" && ev.Args[1] == 0 && ev.Args[2] == 0
-}
-
 // piecesAsGadgets wraps template pieces in minimal gadget records for
 // reporting.
 func piecesAsGadgets(pieces map[string]uint64) []*gadget.Gadget {
@@ -209,9 +186,4 @@ func fakeSteps(name string) []symex.Step {
 		steps[i] = symex.Step{Inst: isa.Inst{Op: isa.OpNop, Len: 1}}
 	}
 	return steps
-}
-
-// String renders a summary.
-func Summary(r *baseline.Result) string {
-	return fmt.Sprintf("%s: pool=%d payloads=%d", r.ToolName, r.GadgetsTotal, r.TotalPayloads())
 }

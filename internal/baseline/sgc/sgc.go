@@ -12,9 +12,8 @@
 package sgc
 
 import (
-	"time"
-
 	"github.com/nofreelunch/gadget-planner/internal/baseline"
+	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
@@ -28,8 +27,6 @@ type Tool struct {
 	MaxPlans int
 	// MaxNodes bounds search effort (SGC's timeout analogue). Default 4000.
 	MaxNodes int
-	// Timeout bounds wall-clock per goal. Default 10s.
-	Timeout time.Duration
 }
 
 var _ baseline.Tool = (*Tool)(nil)
@@ -47,10 +44,6 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 	if maxNodes == 0 {
 		maxNodes = 4000
 	}
-	timeout := t.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
 
 	res := &baseline.Result{ToolName: t.Name()}
 	raw := gadget.Extract(bin, gadget.Options{ISA: bin.ISA})
@@ -63,18 +56,17 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 
 	for _, goal := range planner.GoalsForISA(pool.ISA) {
 		goal := goal
-		conc := payload.NewConcretizer(pool, bin, baseline.PayloadBase)
+		conc := payload.NewConcretizer(pool, bin, core.DefaultPayloadBase)
 		search := planner.Search(pool, goal, planner.Options{
 			MaxPlans:   maxPlans,
 			MaxNodes:   maxNodes,
 			Candidates: 4, // narrowed candidate sets per the paper
-			Timeout:    timeout,
 			Validate: func(p *planner.Plan) bool {
 				pl, err := conc.Concretize(p, goal)
 				if err != nil {
 					return false
 				}
-				return payload.Verify(bin, pl, 0) == nil
+				return payload.Verify(bin, pl, core.VerifySteps) == nil
 			},
 		})
 		for _, p := range search.Plans {

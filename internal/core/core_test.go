@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
@@ -22,7 +21,7 @@ func analyzeCRC(t *testing.T, passes []obfuscate.Pass) *Analysis {
 		t.Fatal(err)
 	}
 	return Analyze(bin, Config{
-		Planner: planner.Options{MaxPlans: 4, MaxNodes: 5000, Timeout: 15 * time.Second},
+		Planner: planner.Options{MaxPlans: 4, MaxNodes: 5000},
 	})
 }
 

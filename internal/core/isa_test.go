@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
@@ -29,7 +28,7 @@ func TestPipelineOnRV64Binary(t *testing.T) {
 			t.Fatalf("bin.ISA = %q, want %q", bin.ISA, isaName)
 		}
 		a := Analyze(bin, Config{
-			Planner: planner.Options{MaxPlans: 4, MaxNodes: 5000, Timeout: 15 * time.Second},
+			Planner: planner.Options{MaxPlans: 4, MaxNodes: 5000},
 		})
 		if a.Pool.ISA != isaName {
 			t.Fatalf("%s: minimized pool ISA = %q", isaName, a.Pool.ISA)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
@@ -85,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Planner.MaxNodes == 0 {
 		o.Planner.MaxNodes = 10000
-	}
-	if o.Planner.Timeout == 0 {
-		o.Planner.Timeout = 20 * time.Second
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

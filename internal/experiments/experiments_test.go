@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
@@ -13,7 +12,7 @@ import (
 func quickOpts() Options {
 	return Options{
 		Programs: benchprog.Benchmarks()[:2],
-		Planner:  planner.Options{MaxPlans: 6, MaxNodes: 3000, Timeout: 10 * time.Second},
+		Planner:  planner.Options{MaxPlans: 6, MaxNodes: 3000},
 	}
 }
 
@@ -135,7 +134,7 @@ func TestTable4AndTable5Shape(t *testing.T) {
 }
 
 func TestNetperfCaseStudy(t *testing.T) {
-	res, err := Netperf(Options{Planner: planner.Options{MaxPlans: 16, MaxNodes: 8000, Timeout: 20 * time.Second}})
+	res, err := Netperf(Options{Planner: planner.Options{MaxPlans: 16, MaxNodes: 8000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,9 +112,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	if o.Planner.MaxNodes == 0 {
 		o.Planner.MaxNodes = 800
 	}
-	if o.Planner.Timeout == 0 {
-		o.Planner.Timeout = 10 * time.Second
-	}
 	return o
 }
 

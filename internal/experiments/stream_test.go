@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
@@ -21,7 +20,6 @@ func streamTestOpts() StreamOptions {
 		Planner: planner.Options{
 			MaxPlans: 1,
 			MaxNodes: 300,
-			Timeout:  10 * time.Second,
 		},
 	}
 }

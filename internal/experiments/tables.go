@@ -210,7 +210,6 @@ func Table4(opts Options) ([]Table4Row, map[string][]*pipeline.Attack, error) {
 		tools := []baseline.Tool{&ropgadget.Tool{}, &angrop.Tool{}, &sgc.Tool{
 			MaxPlans: opts.Planner.MaxPlans,
 			MaxNodes: opts.Planner.MaxNodes,
-			Timeout:  opts.Planner.Timeout,
 		}}
 		cell := t4Cell{}
 		for _, tool := range tools {

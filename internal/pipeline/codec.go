@@ -763,7 +763,6 @@ func writeResult(e *enc, r planner.Result) {
 	e.uv(uint64(r.Expanded))
 	e.uv(uint64(r.Generated))
 	e.uv(uint64(r.Rejected))
-	e.bool(r.TimedOut)
 	e.uv(uint64(r.TruncatedSeeds))
 	e.uv(uint64(r.Batches))
 	e.uv(uint64(r.CacheHits))
@@ -775,7 +774,6 @@ func readResult(d *dec) planner.Result {
 		Expanded:       int(d.uv()),
 		Generated:      int(d.uv()),
 		Rejected:       int(d.uv()),
-		TimedOut:       d.bool(),
 		TruncatedSeeds: int(d.uv()),
 		Batches:        int(d.uv()),
 		CacheHits:      int64(d.uv()),
@@ -891,11 +889,8 @@ func readAttack(d *dec) *Attack {
 }
 
 // encodeArtifact serializes one stage artifact. The bool result is false
-// for values the codec does not cover (unknown stages or types) and for
-// plan artifacts whose search stopped on its wall-clock timeout, which the
-// disk tier treats as "do not persist": a timed-out search is truncated by
-// how fast this process happened to run, and persisting it would fix that
-// short plan set under the key every later process looks up.
+// for values the codec does not cover (unknown stages or types), which the
+// disk tier treats as "do not persist".
 func encodeArtifact(st Stage, v any) ([]byte, bool) {
 	e := &enc{}
 	switch st {
@@ -926,7 +921,7 @@ func encodeArtifact(st Stage, v any) ([]byte, bool) {
 		writeSubsumeStats(e, m.Stats)
 	case StagePlan:
 		a, ok := v.(*Attack)
-		if !ok || a == nil || a.Search.TimedOut {
+		if !ok || a == nil {
 			return nil, false
 		}
 		writeAttack(e, a)

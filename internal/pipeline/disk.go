@@ -63,7 +63,7 @@ const (
 	// is zero.
 	DefaultDiskBudget = 1 << 30 // 1 GiB
 
-	diskMagic   = "GPA2"
+	diskMagic   = "GPA3"
 	artSuffix   = ".art"
 	claimSuffix = ".claim"
 

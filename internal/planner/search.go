@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
@@ -26,13 +25,13 @@ const maxSteps = 10
 type Options struct {
 	// MaxPlans stops the search after this many validated plans. Default 8.
 	MaxPlans int
-	// MaxNodes bounds search-node expansions. Default 30000.
+	// MaxNodes bounds search-node expansions. Default 30000. It is the
+	// search's only bound besides MaxPlans, so a result never depends on
+	// how fast the machine ran.
 	MaxNodes int
 	// Candidates caps producer candidates tried per open requirement.
 	// Default 8.
 	Candidates int
-	// Timeout bounds wall-clock search time. Default 30s.
-	Timeout time.Duration
 	// Validate, if set, is called on each complete plan; only plans it
 	// accepts are returned (Algorithm 1's UNSAT filtering, implemented by
 	// payload concretization in the core pipeline). It always runs on the
@@ -53,10 +52,11 @@ type Options struct {
 // validator is built from).
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
-	// steps, batch and cache=true are constants; the literals keep every
+	// steps, batch and cache=true are constants, and timeout=30s names the
+	// wall-clock bound searches no longer have; the literals keep every
 	// stored plan key valid.
-	return fmt.Sprintf("plans=%d,nodes=%d,steps=%d,cands=%d,timeout=%s,batch=%d,cache=true",
-		o.MaxPlans, o.MaxNodes, maxSteps, o.Candidates, o.Timeout, batchSize)
+	return fmt.Sprintf("plans=%d,nodes=%d,steps=%d,cands=%d,timeout=30s,batch=%d,cache=true",
+		o.MaxPlans, o.MaxNodes, maxSteps, o.Candidates, batchSize)
 }
 
 func (o Options) withDefaults() Options {
@@ -68,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Candidates == 0 {
 		o.Candidates = 8
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 30 * time.Second
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -84,7 +81,6 @@ type Result struct {
 	Expanded  int
 	Generated int
 	Rejected  int // complete plans rejected by validation
-	TimedOut  bool
 	// TruncatedSeeds counts syscall anchors dropped by the seed cap — no
 	// silent truncation.
 	TruncatedSeeds int
@@ -101,9 +97,6 @@ func (r *Result) StatsLine() string {
 		r.Expanded, r.Generated, r.Batches, r.CacheHits, r.CacheMisses)
 	if r.TruncatedSeeds > 0 {
 		s += fmt.Sprintf(" truncatedSeeds=%d", r.TruncatedSeeds)
-	}
-	if r.TimedOut {
-		s += " timeout"
 	}
 	return s
 }
@@ -155,7 +148,6 @@ type searchCtx struct {
 func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	opts = opts.withDefaults()
 	res := &Result{}
-	deadline := time.Now().Add(opts.Timeout)
 
 	sc := &searchCtx{
 		pool:  pool,
@@ -195,10 +187,6 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 
 	done := false
 	for q.Len() > 0 && res.Expanded < opts.MaxNodes && !done {
-		if time.Now().After(deadline) {
-			res.TimedOut = true
-			break
-		}
 		k := batchSize
 		if k > q.Len() {
 			k = q.Len()

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/core"
@@ -40,15 +39,14 @@ func fingerprint(isaName string, attacks map[string]*pipeline.Attack) string {
 // determinismCells are the netperf-sim builds the search is pinned on. The
 // x64 cell resolves no threats; on rv64c every gadget links and clobbers the
 // return-address register, so threat resolution runs on nearly every
-// expansion there. The rv64c cells use the benchmark's node budget and a
-// timeout no run reaches, so their results never depend on wall-clock time.
+// expansion there. The rv64c cells use the benchmark's node budget.
 var determinismCells = []struct {
 	obf, isa string
 	opts     planner.Options
 }{
 	{"llvm", "x64", planner.Options{}},
-	{"llvm", "rv64c", planner.Options{MaxPlans: 8, MaxNodes: 6000, Timeout: time.Hour}},
-	{"virt", "rv64c", planner.Options{MaxPlans: 8, MaxNodes: 6000, Timeout: time.Hour}},
+	{"llvm", "rv64c", planner.Options{MaxPlans: 8, MaxNodes: 6000}},
+	{"virt", "rv64c", planner.Options{MaxPlans: 8, MaxNodes: 6000}},
 }
 
 // TestFindAllDeterminism is the end-to-end acceptance check for the
@@ -121,6 +119,31 @@ func TestFindAllDeterminism(t *testing.T) {
 	}
 }
 
+// TestNodeBudgetStopsSearch: the node budget is the search's only bound. On
+// obfuscated netperf-sim for rv64c, execve has plans well past 1000
+// expansions, so a 1000-node budget must stop the search at exactly 1000,
+// with the same counters serially and with eight workers.
+func TestNodeBudgetStopsSearch(t *testing.T) {
+	bin, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "rv64c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := core.Analyze(bin, core.Config{Parallelism: 1}).Pool
+	goal := planner.GoalsForISA("rv64c")[0]
+	var lines []string
+	for _, workers := range []int{1, 8} {
+		res := planner.Search(pool, goal, planner.Options{MaxPlans: 1000, MaxNodes: 1000, Parallelism: workers})
+		if res.Expanded != 1000 {
+			t.Fatalf("P=%d: expanded=%d plans=%d, want the search stopped by its 1000-node budget",
+				workers, res.Expanded, len(res.Plans))
+		}
+		lines = append(lines, res.StatsLine())
+	}
+	if lines[0] != lines[1] {
+		t.Errorf("counters differ across worker counts\nP=1: %s\nP=8: %s", lines[0], lines[1])
+	}
+}
+
 // searchSink keeps BenchmarkSearchThreats' result live.
 var searchSink *planner.Result
 
@@ -135,7 +158,7 @@ func BenchmarkSearchThreats(b *testing.B) {
 	}
 	pool := core.Analyze(bin, core.Config{Parallelism: 1}).Pool
 	goal := planner.GoalsForISA("rv64c")[0]
-	opts := planner.Options{MaxPlans: 8, MaxNodes: 6000, Timeout: time.Hour, Parallelism: 1}
+	opts := planner.Options{MaxPlans: 8, MaxNodes: 6000, Parallelism: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,6 +28,10 @@ func FuzzRequest(f *testing.F) {
 		`{"op":"count","program":"crc","selfmod":-255}`,
 		`{"op":"analyze","source":"int main() { return 0; }","obf":"virt","seed":7,"name":"tiny"}`,
 		`{"op":"plan","program":"crc","timeout_ms":-1,"skip_verify":true,"max_nodes":1}`,
+		`{"op":"plan","program":"crc","max_plans":-1}`,
+		`{"op":"plan","program":"crc","max_nodes":-1}`,
+		`{"op":"plan","program":"crc","max_nodes":100000}`,
+		`{"op":"plan","program":"crc","max_nodes":100001}`,
 		string(binReq),
 	} {
 		f.Add([]byte(seed))

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/core"
@@ -83,11 +82,18 @@ type Request struct {
 	// Goal scopes the plan op: "execve", "mprotect", "mmap", or "all"
 	// (default).
 	Goal string `json:"goal,omitempty"`
-	// MaxPlans / MaxNodes / TimeoutMS bound the planner (0 = defaults).
-	MaxPlans  int   `json:"max_plans,omitempty"`
-	MaxNodes  int   `json:"max_nodes,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// MaxPlans / MaxNodes bound the planner (0 = defaults). MaxNodes is
+	// at most maxRequestNodes. No wall-clock bound exists, so a plan's
+	// result depends on its key alone.
+	MaxPlans int `json:"max_plans,omitempty"`
+	MaxNodes int `json:"max_nodes,omitempty"`
 }
+
+// maxRequestNodes caps a plan request's node budget, the only limit on
+// the work one request can ask of gpd. The largest search found over the
+// built-in programs at this budget (445.gobmk, LLVM-Obf, rv64c, execve)
+// runs out of plans after 70 911 expansions.
+const maxRequestNodes = 100_000
 
 // The request operations.
 const (
@@ -187,6 +193,14 @@ func (r Request) resolve() (*resolved, error) {
 	if r.SelfMod < 0 || r.SelfMod > 255 {
 		return nil, fmt.Errorf("serve: selfmod key %d is outside 1..255", r.SelfMod)
 	}
+	// A budget outside its range is rejected, never clamped: a clamped
+	// request would silently get the result of a budget it did not ask for.
+	if r.MaxPlans < 0 {
+		return nil, fmt.Errorf("serve: max_plans %d is negative", r.MaxPlans)
+	}
+	if r.MaxNodes < 0 || r.MaxNodes > maxRequestNodes {
+		return nil, fmt.Errorf("serve: max_nodes %d is outside 0..%d", r.MaxNodes, maxRequestNodes)
+	}
 	if r.SelfMod != 0 {
 		if rr.isa != isa.DefaultISA {
 			return nil, fmt.Errorf("serve: selfmod is an x64-only transform (isa %q)", rr.isa)
@@ -210,7 +224,6 @@ func (r Request) resolve() (*resolved, error) {
 			rr.popts = planner.Options{
 				MaxPlans: r.MaxPlans,
 				MaxNodes: r.MaxNodes,
-				Timeout:  time.Duration(r.TimeoutMS) * time.Millisecond,
 			}
 			names := make([]string, len(goals))
 			for i, g := range goals {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -49,6 +50,21 @@ func TestRequestKeyCanonical(t *testing.T) {
 		t.Errorf("inline source diverged from program-by-name:\n %s\n %s", k0, k)
 	}
 
+	// timeout_ms is not a request field: decoding ignores it, so the
+	// request keys like the one without it.
+	var withTimeout Request
+	if err := json.Unmarshal([]byte(`{"program":"crc","timeout_ms":5}`), &withTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := withTimeout.Key(); err != nil || k != k0 {
+		t.Errorf("timeout_ms changed the key: %q/%v, want %q", k, err, k0)
+	}
+
+	// The node cap itself is a valid budget.
+	if _, err := (Request{Program: "crc", MaxNodes: maxRequestNodes}).Key(); err != nil {
+		t.Errorf("max_nodes %d rejected: %v", maxRequestNodes, err)
+	}
+
 	// Different obfuscation, seed, op, or goal is different work.
 	for _, r := range []Request{
 		{Program: "crc", Obf: "llvm"},
@@ -90,6 +106,11 @@ func TestRequestKeyCanonical(t *testing.T) {
 		{Program: "crc", SelfMod: 256},
 		{Program: "crc", SelfMod: 257},
 		{Program: "crc", SelfMod: -255},
+		// Planner budgets are rejected outside their range, not clamped
+		// and not keyed: a negative budget would run a degenerate search.
+		{Program: "crc", MaxPlans: -1},
+		{Program: "crc", MaxNodes: -1},
+		{Program: "crc", MaxNodes: maxRequestNodes + 1},
 	} {
 		if _, err := r.Key(); err == nil {
 			t.Errorf("bad request %+v keyed without error", r)
@@ -237,6 +258,21 @@ func TestServerErrorPropagates(t *testing.T) {
 	_, err := client.Run(context.Background(), Request{Binary: []byte("not an sbf binary")}, nil)
 	if err == nil {
 		t.Fatal("malformed binary served without error")
+	}
+}
+
+// TestNodeBudgetOutOfRange pins that gpd answers a node budget above
+// maxRequestNodes with 400 before keying, and serves one at the cap.
+func TestNodeBudgetOutOfRange(t *testing.T) {
+	_, client := newTestServer(t)
+	req := Request{Program: "crc", Goal: "execve", MaxPlans: 1, MaxNodes: maxRequestNodes + 1}
+	_, err := client.Run(context.Background(), req, nil)
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Errorf("max_nodes %d served with error %v, want a 400", req.MaxNodes, err)
+	}
+	req.MaxNodes = maxRequestNodes
+	if _, err := client.Run(context.Background(), req, nil); err != nil {
+		t.Errorf("max_nodes %d: %v", req.MaxNodes, err)
 	}
 }
 
