@@ -120,9 +120,9 @@ func TestFindAllDeterminism(t *testing.T) {
 }
 
 // TestNodeBudgetStopsSearch: the node budget is the search's only bound. On
-// obfuscated netperf-sim for rv64c, execve has plans well past 1000
-// expansions, so a 1000-node budget must stop the search at exactly 1000,
-// with the same counters serially and with eight workers.
+// obfuscated netperf-sim for rv64c the execve search runs out of plans only
+// after about 15 000 expansions, so a 1000-node budget must stop it at
+// exactly 1000, with the same counters serially and with eight workers.
 func TestNodeBudgetStopsSearch(t *testing.T) {
 	bin, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "rv64c")
 	if err != nil {

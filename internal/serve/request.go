@@ -193,6 +193,12 @@ func (r Request) resolve() (*resolved, error) {
 	if r.SelfMod < 0 || r.SelfMod > 255 {
 		return nil, fmt.Errorf("serve: selfmod key %d is outside 1..255", r.SelfMod)
 	}
+	if r.SelfMod != 0 {
+		if rr.isa != isa.DefaultISA {
+			return nil, fmt.Errorf("serve: selfmod is an x64-only transform (isa %q)", rr.isa)
+		}
+		base = pipeline.EncodeKey(base, byte(r.SelfMod))
+	}
 	// A budget outside its range is rejected, never clamped: a clamped
 	// request would silently get the result of a budget it did not ask for.
 	if r.MaxPlans < 0 {
@@ -200,12 +206,6 @@ func (r Request) resolve() (*resolved, error) {
 	}
 	if r.MaxNodes < 0 || r.MaxNodes > maxRequestNodes {
 		return nil, fmt.Errorf("serve: max_nodes %d is outside 0..%d", r.MaxNodes, maxRequestNodes)
-	}
-	if r.SelfMod != 0 {
-		if rr.isa != isa.DefaultISA {
-			return nil, fmt.Errorf("serve: selfmod is an x64-only transform (isa %q)", rr.isa)
-		}
-		base = pipeline.EncodeKey(base, byte(r.SelfMod))
 	}
 
 	switch rr.req.Op {
