@@ -1,6 +1,9 @@
 package expr
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // Free-variable collection. Vars and VarNodes are the one-shot forms;
 // VarCollector amortizes the traversal state for callers that collect from
@@ -49,7 +52,8 @@ func (c *VarCollector) Collect(nodes ...*Node) []*Node {
 			c.visit(n)
 		}
 	}
-	sort.Slice(c.out, func(i, j int) bool { return c.out[i].Name < c.out[j].Name })
+	// slices.SortFunc, unlike sort.Slice, allocates nothing per call.
+	slices.SortFunc(c.out, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
 	return c.out
 }
 

@@ -7,28 +7,29 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
-// countEntry is one offset of a countTable: the decoded length (0 when the
-// offset does not decode or is not stride-aligned) and the instruction's
-// gadget-boundary class. Two bytes, against an 88-byte isa.Inst: the count
-// scan needs nothing else of the instruction.
+// countEntry is one slot of a countTable: the decoded length (0 when the
+// address does not decode) and the instruction's gadget-boundary class.
+// Two bytes, against an 88-byte isa.Inst: the count scan needs nothing
+// else of the instruction.
 type countEntry struct {
 	len   uint8
 	class isa.Class
 }
 
-// countTable is the classic scan's predecode table: one countEntry per byte
-// offset of each executable section, parallel to bin.ExecSections().
+// countTable is the classic scan's predecode table: one countEntry per
+// strideGrid slot of each executable section, parallel to
+// bin.ExecSections(), indexed like Table.
 type countTable [][]countEntry
 
-// predecodeCount classifies every stride-aligned offset of secs once,
+// predecodeCount classifies every stride-aligned address of secs once,
 // through the same chunked decode as PredecodeISA.
-func predecodeCount(secs []*sbf.Section, parallelism int, be isa.Backend) countTable {
+func predecodeCount(secs []*sbf.Section, grid strideGrid, parallelism int, be isa.Backend) countTable {
 	t := make(countTable, len(secs))
 	for i, sec := range secs {
-		t[i] = make([]countEntry, len(sec.Data))
+		t[i] = make([]countEntry, grid.slots(sec))
 	}
-	decodeSections(secs, parallelism, be, func(si, off int, in *isa.Inst) {
-		t[si][off] = countEntry{len: in.Len, class: be.Classify(in)}
+	decodeSections(secs, grid, parallelism, be, func(si, slot int, in *isa.Inst) {
+		t[si][slot] = countEntry{len: in.Len, class: be.Classify(in)}
 	})
 	return t
 }
@@ -57,18 +58,19 @@ func CountParallel(bin *sbf.Binary, maxInsts int, be isa.Backend, parallelism in
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	t := predecodeCount(bin.ExecSections(), parallelism, be)
+	grid := newStrideGrid(be)
+	t := predecodeCount(bin.ExecSections(), grid, parallelism, be)
 	var byType [TypeSyscall + 1]int
 	for _, ents := range t {
-		for off := range ents {
-			pos := off
+		for slot := range ents {
+			pos := slot
 			hasCond := false
 			for n := 0; n < maxInsts && pos < len(ents); n++ {
 				e := ents[pos]
 				if e.len == 0 {
 					break
 				}
-				pos += int(e.len)
+				pos += int(e.len) >> grid.shift
 				var jt JmpType
 				switch e.class {
 				case isa.ClassRet:

@@ -286,43 +286,62 @@ func TestCountAllocsFlat(t *testing.T) {
 	}
 }
 
-// FuzzPredecode asserts that every table entry matches a direct isa.Decode
-// call at that offset: same validity verdict, and — isa.Inst being a
-// comparable value struct — the identical decoded instruction.
+// FuzzPredecode asserts that, on every backend and at a stride-aligned and
+// a misaligned section base, every table lookup matches a direct decode
+// call at that address: same validity verdict, and — isa.Inst being a
+// comparable value struct — the identical decoded instruction. Misaligned
+// addresses have no table slot, so this is where an off-by-one in the
+// stride indexing would show.
 func FuzzPredecode(f *testing.F) {
-	f.Add([]byte{0xc3})
-	f.Add([]byte{0x5f, 0xc3})                                  // pop rdi; ret
-	f.Add([]byte{0x0f})                                        // truncated two-byte opcode
-	f.Add([]byte{0x48, 0xb8, 0, 0, 0, 0, 0, 0x58, 0xc3, 0x00}) // movabs hiding pop/ret
-	f.Add([]byte{0xeb, 0xfe, 0xcc, 0x90, 0xff, 0xe0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0xc3}, false)
+	f.Add([]byte{0x5f, 0xc3}, false)                                  // pop rdi; ret
+	f.Add([]byte{0x0f}, true)                                         // truncated two-byte opcode
+	f.Add([]byte{0x48, 0xb8, 0, 0, 0, 0, 0, 0x58, 0xc3, 0x00}, false) // movabs hiding pop/ret
+	f.Add([]byte{0xeb, 0xfe, 0xcc, 0x90, 0xff, 0xe0}, true)
+	f.Add([]byte{0x13, 0x05, 0x15, 0x00, 0x67, 0x80, 0x00, 0x00}, false)               // addi a0,a0,1; ret
+	f.Add([]byte{0x05, 0x05, 0x82, 0x80, 0x63, 0x04, 0xb5, 0x00, 0x73, 0, 0, 0}, true) // c.addi; c.jr ra; beq; ecall
+	f.Fuzz(func(t *testing.T, data []byte, misaligned bool) {
 		if len(data) == 0 {
 			return
 		}
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		const base = 0x401000
+		base := uint64(0x401000)
+		if misaligned {
+			base++
+		}
 		bin := sbf.New()
 		bin.AddSection(sbf.Section{
 			Name: ".text", Addr: base, Flags: sbf.FlagRead | sbf.FlagExec, Data: data,
 		})
-		tab := gadget.PredecodeISA(bin, 2, isa.X64)
-		for off := range data {
-			addr := base + uint64(off)
-			got, ok := tab.InstAt(addr)
-			want, err := isa.Decode(data[off:], addr)
-			if err != nil {
-				if ok {
-					t.Fatalf("offset %d: table has %v, direct decode errors: %v", off, got, err)
+		for _, name := range []string{"x64", "rv64", "rv64c"} {
+			be, _ := isa.ByName(name)
+			tab := gadget.PredecodeISA(bin, 2, be)
+			// One address past each end of the section, too: the table
+			// must miss there, as a decode outside the code would.
+			for off := -1; off <= len(data); off++ {
+				addr := base + uint64(off)
+				got, ok := tab.InstAt(addr)
+				if off < 0 || off == len(data) {
+					if ok {
+						t.Fatalf("%s base %#x offset %d: table has %v outside the section", name, base, off, got)
+					}
+					continue
 				}
-				continue
-			}
-			if !ok {
-				t.Fatalf("offset %d: table invalid, direct decode gives %v", off, want)
-			}
-			if got != want {
-				t.Fatalf("offset %d: table %+v != decode %+v", off, got, want)
+				want, err := be.Decode(data[off:], addr)
+				if err != nil {
+					if ok {
+						t.Fatalf("%s base %#x offset %d: table has %v, direct decode errors: %v", name, base, off, got, err)
+					}
+					continue
+				}
+				if !ok {
+					t.Fatalf("%s base %#x offset %d: table invalid, direct decode gives %v", name, base, off, want)
+				}
+				if got != want {
+					t.Fatalf("%s base %#x offset %d: table %+v != decode %+v", name, base, off, got, want)
+				}
 			}
 		}
 	})

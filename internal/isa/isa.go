@@ -347,7 +347,7 @@ type Inst struct {
 
 // IsBranch reports whether the instruction transfers control (ret, jmp, jcc,
 // call, syscall, hlt, int3).
-func (i Inst) IsBranch() bool {
+func (i *Inst) IsBranch() bool {
 	switch i.Op {
 	case OpRet, OpJmp, OpJcc, OpCall, OpSyscall, OpHlt, OpInt3, OpBcc, OpJal, OpJalr:
 		return true
@@ -358,7 +358,7 @@ func (i Inst) IsBranch() bool {
 
 // IsDirectBranch reports whether the instruction is a direct jump, call or
 // conditional jump with an immediate target.
-func (i Inst) IsDirectBranch() bool {
+func (i *Inst) IsDirectBranch() bool {
 	switch i.Op {
 	case OpJmp, OpCall, OpJcc, OpBcc, OpJal:
 		return i.A.Kind == KindImm
@@ -368,4 +368,4 @@ func (i Inst) IsDirectBranch() bool {
 }
 
 // End returns the address of the byte just past this instruction.
-func (i Inst) End() uint64 { return i.Addr + uint64(i.Len) }
+func (i *Inst) End() uint64 { return i.Addr + uint64(i.Len) }

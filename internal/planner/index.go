@@ -92,13 +92,20 @@ func (idx *candidateIndex) candidatesFor(reg isa.Reg, uses map[int]int) []*gadge
 // uint32s once, and a plan's key is the varint encoding of its sorted
 // shape multiset plus its sorted packed open requirements — structurally
 // the same identity as the old string key without the per-call formatting
-// and string sorting. Coordinator-only (scratch buffers are reused).
+// and string sorting. Only the coordinator interns (key, shapeOf, specOf);
+// expansion workers build keys with encode, which then only reads, while
+// the coordinator waits for them.
 type keyInterner struct {
 	shapeByGID []uint32 // gadget ID -> shape ID + 1 (0 = not yet interned)
 	shapeIDs   map[string]uint32
 	specIDs    map[specKey]uint32
-	scratch    []uint64
-	buf        []byte
+	kb         keyBuf // the coordinator's key scratch
+}
+
+// keyBuf is one caller's key-building scratch, reused from key to key.
+type keyBuf struct {
+	rs  []uint64
+	buf []byte
 }
 
 func newKeyInterner(pool *gadget.Pool) *keyInterner {
@@ -135,33 +142,59 @@ func (ki *keyInterner) specOf(s ValueSpec) uint32 {
 
 // key returns the dedup key identifying a search state: the multiset of
 // gadget shapes plus the set of open requirements. Complete plans reduce to
-// the shape multiset, i.e. the interned form of Plan.Signature.
+// the shape multiset, i.e. the interned form of Plan.Signature. It interns
+// every shape and spec of p.
 func (ki *keyInterner) key(p *Plan) string {
-	rs := ki.scratch[:0]
+	b, _ := ki.encode(&ki.kb, p, true)
+	return string(b)
+}
+
+// encode builds p's key into kb and returns the bytes, valid until kb's
+// next use. With intern set it interns every shape and spec of p first;
+// without it, as expansion workers call it, it only reads, and reports
+// false when some shape or spec of p is not interned yet: then p's key
+// equals no key built so far.
+func (ki *keyInterner) encode(kb *keyBuf, p *Plan, intern bool) ([]byte, bool) {
+	rs := kb.rs[:0]
 	for i := range p.Steps {
-		if g := p.Steps[i].G; g != nil {
-			rs = append(rs, uint64(ki.shapeOf(g)))
+		g := p.Steps[i].G
+		if g == nil {
+			continue
 		}
+		if ki.shapeByGID[g.ID] == 0 && !intern {
+			kb.rs = rs
+			return nil, false
+		}
+		rs = append(rs, uint64(ki.shapeOf(g)))
 	}
 	nShapes := len(rs)
 	slices.Sort(rs[:nShapes])
 	for _, r := range p.Open {
 		shape := uint64(0) // the Start step
 		if g := p.step(r.Step).G; g != nil {
-			shape = uint64(ki.shapeOf(g)) + 1
+			shape = uint64(ki.shapeOf(g)) + 1 // interned by the loop above
+		}
+		var spec uint32
+		if intern {
+			spec = ki.specOf(r.Spec)
+		} else {
+			var ok bool
+			if spec, ok = ki.specIDs[canonSpecKey(r.Spec)]; !ok {
+				kb.rs = rs
+				return nil, false
+			}
 		}
 		// shape(24b) | reg(8b) | spec(32b): pools have far fewer than 2^24
 		// distinct shapes and a search sees far fewer than 2^32 specs.
-		rs = append(rs, shape<<40|(uint64(r.Reg)&0xFF)<<32|uint64(ki.specOf(r.Spec)))
+		rs = append(rs, shape<<40|(uint64(r.Reg)&0xFF)<<32|uint64(spec))
 	}
 	reqs := rs[nShapes:]
 	slices.Sort(reqs)
-	buf := ki.buf[:0]
+	buf := kb.buf[:0]
 	buf = binary.AppendUvarint(buf, uint64(nShapes))
 	for _, v := range rs {
 		buf = binary.AppendUvarint(buf, v)
 	}
-	ki.scratch = rs
-	ki.buf = buf
-	return string(buf)
+	kb.rs, kb.buf = rs, buf
+	return buf, true
 }

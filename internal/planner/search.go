@@ -133,6 +133,24 @@ type searchCtx struct {
 	cache *providerCache
 	idx   *candidateIndex
 	keys  *keyInterner
+	// visited holds the dedup key of every search state generated so far:
+	// structurally identical states (same gadget shapes, same open
+	// requirements) are explored once. Only the merge writes it, so
+	// expansion workers may read it.
+	visited map[string]bool
+}
+
+// expandSlot is one batch position's expansion state, reused from batch to
+// batch: the scratch plan every candidate is built in, key scratch, the
+// successors kept with their dedup keys, and the cache-lookup tally.
+type expandSlot struct {
+	scratch Plan
+	kb      keyBuf
+	succs   []*Plan
+	// keys[i] is succs[i]'s dedup key, or "" when a shape or spec of it
+	// was not interned yet and the merge must build the key.
+	keys []string
+	t    tally
 }
 
 // Search runs backward partial-order planning over the pool toward the
@@ -150,11 +168,12 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	res := &Result{}
 
 	sc := &searchCtx{
-		pool:  pool,
-		opts:  opts,
-		cache: newProviderCache(pool),
-		idx:   newCandidateIndex(pool),
-		keys:  newKeyInterner(pool),
+		pool:    pool,
+		opts:    opts,
+		cache:   newProviderCache(pool),
+		idx:     newCandidateIndex(pool),
+		keys:    newKeyInterner(pool),
+		visited: make(map[string]bool),
 	}
 
 	var total tally
@@ -162,13 +181,13 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	seedPlans, truncated := seeds(sc, goal, &total)
 	res.TruncatedSeeds = truncated
 	for _, p := range seedPlans {
+		// Intern the seed's shapes and specs, so workers can key its
+		// successors.
+		sc.keys.encode(&sc.keys.kb, p, true)
 		heap.Push(&q, p)
 	}
 
 	found := make(map[string]bool)
-	// Partial-plan dedup: structurally identical search states (same gadget
-	// shapes, same open requirements) are explored once.
-	visited := make(map[string]bool)
 	// Diversity pressure: gadgets already appearing in accepted plans are
 	// deprioritized as producers, pushing the search toward structurally
 	// different chains (the paper: "Gadget-Planner does not stop when
@@ -182,8 +201,9 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		specID uint32 // interned form of p.Open[0].Spec
 	}
 	var jobs []job
-	var succs [][]*Plan
-	var tallies []tally
+	slots := make([]expandSlot, batchSize)
+	// shaped records the registers whose candidates' shapes are interned.
+	shaped := make(map[isa.Reg]bool)
 
 	done := false
 	for q.Len() > 0 && res.Expanded < opts.MaxNodes && !done {
@@ -234,33 +254,48 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		if usesChanged {
 			sc.idx.bumpUses()
 		}
-		// Candidate lists and spec IDs are resolved serially (the index
-		// caches its diversity re-rank per register, the interner owns the
-		// spec table); workers receive ready slices and dense keys.
+		// Candidate lists, spec IDs and candidate shapes are resolved
+		// serially (the index caches its diversity re-rank per register,
+		// the interner owns the shape and spec tables); workers receive
+		// ready slices and dense keys.
 		for i := range jobs {
 			jobs[i].cands = nil
 			jobs[i].specID = sc.keys.specOf(jobs[i].p.Open[0].Spec)
 			if jobs[i].p.NumGadgets() < maxSteps {
-				jobs[i].cands = sc.idx.candidatesFor(jobs[i].p.Open[0].Reg, uses)
+				reg := jobs[i].p.Open[0].Reg
+				jobs[i].cands = sc.idx.candidatesFor(reg, uses)
+				// Every re-rank permutes the same base list, so interning
+				// one order's shapes covers them all.
+				if !shaped[reg] {
+					for _, g := range jobs[i].cands {
+						sc.keys.shapeOf(g)
+					}
+					shaped[reg] = true
+				}
 			}
 		}
 
 		// Phase 2 (parallel): expand into index-addressed slots.
-		succs = append(succs[:0], make([][]*Plan, len(jobs))...)
-		tallies = append(tallies[:0], make([]tally, len(jobs))...)
 		par.For(opts.Parallelism, len(jobs), func(i int) {
-			succs[i] = expand(sc, jobs[i].p, jobs[i].cands, jobs[i].specID, &tallies[i])
+			expand(sc, jobs[i].p, jobs[i].cands, jobs[i].specID, &slots[i])
 		})
 
-		// Phase 3 (serial): merge successors in batch order.
+		// Phase 3 (serial): merge successors in batch order. Workers
+		// dropped every successor whose key was visited before the batch
+		// or kept earlier by the same job; what is left can still repeat
+		// another job's.
 		for i := range jobs {
-			total.lookups += tallies[i].lookups
-			for _, succ := range succs[i] {
-				key := sc.keys.key(succ)
-				if visited[key] {
+			sl := &slots[i]
+			total.lookups += sl.t.lookups
+			for j, succ := range sl.succs {
+				key := sl.keys[j]
+				if key == "" {
+					key = sc.keys.key(succ)
+				}
+				if sc.visited[key] {
 					continue
 				}
-				visited[key] = true
+				sc.visited[key] = true
 				res.Generated++
 				heap.Push(&q, succ)
 			}
@@ -352,21 +387,38 @@ func seeds(sc *searchCtx, goal Goal, t *tally) ([]*Plan, int) {
 	return out, truncated
 }
 
-// expand generates successor plans for the first open requirement. It is
-// called from expansion workers: everything it touches is either owned by
-// the task (p, t, the successors it builds) or safe for concurrent reads
-// (the pool, the candidate slice, the provider cache). Every candidate is
-// built in one scratch plan whose buffers the whole expansion reuses; only
-// those finishLink accepts are copied out.
-func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *tally) []*Plan {
+// expand generates successor plans for the first open requirement into
+// sl.succs. It is called from expansion workers: everything it touches is
+// either owned by the task (p, sl) or safe for concurrent reads (the pool,
+// the candidate slice, the provider cache, and the key interner and
+// visited, which only the coordinator writes). Every candidate is built in
+// the slot's scratch plan. One that finishLink accepts is copied out only
+// if its dedup key is new: not visited before the batch and not kept
+// earlier in this expansion. An accepted new-gadget candidate counts
+// against the Candidates cap either way.
+func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, sl *expandSlot) {
 	req := p.Open[0]
 	rest := p.Open[1:]
-	var succs []*Plan
-	scratch := &Plan{}
+	sl.succs, sl.keys, sl.t = sl.succs[:0], sl.keys[:0], tally{}
+	t := &sl.t
+	scratch := &sl.scratch
 	keep := func() {
+		ks := ""
+		if key, ok := sc.keys.encode(&sl.kb, scratch, false); ok {
+			if sc.visited[string(key)] {
+				return
+			}
+			for _, k := range sl.keys {
+				if k == string(key) {
+					return
+				}
+			}
+			ks = string(key)
+		}
 		succ := &Plan{}
 		succ.copyFrom(scratch, scratch.Open)
-		succs = append(succs, succ)
+		sl.succs = append(sl.succs, succ)
+		sl.keys = append(sl.keys, ks)
 	}
 
 	// Candidate 1: reuse an existing step that already supplies this value.
@@ -426,7 +478,6 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, t *ta
 			taken++
 		}
 	}
-	return succs
 }
 
 // linkedSpec returns the spec a step is already committed to supply for reg.

@@ -58,11 +58,11 @@ func run(s *State, steps []Step) (*Effect, error) {
 			return nil, err
 		}
 		if s.endKind != EndNone && !last {
-			return nil, unsupported("control transfer before final step")
+			return nil, errEarlyTransfer
 		}
 	}
 	if s.endKind == EndNone {
-		return nil, unsupported("gadget does not end in a control transfer")
+		return nil, errNoTerminal
 	}
 	delta, err := s.rspOffset()
 	if err != nil {
@@ -385,7 +385,7 @@ func (s *State) step(st *Step, last bool) error {
 			// on the stack.
 			if inst.A.Kind == isa.KindImm {
 				if last {
-					return unsupported("direct call as gadget terminal")
+					return errCallTerminal
 				}
 				// Followed (merged) direct call: control continues at the
 				// callee (the next step on the path).
@@ -406,7 +406,7 @@ func (s *State) step(st *Step, last bool) error {
 		}
 		if inst.A.Kind == isa.KindImm {
 			if last {
-				return unsupported("direct call as gadget terminal")
+				return errCallTerminal
 			}
 			// Followed (merged) direct call: push the return address and
 			// continue at the callee (the next step on the path).
@@ -542,7 +542,7 @@ func (s *State) step(st *Step, last bool) error {
 		// OpJmp/OpCall): record the link value and continue at the target,
 		// which is the next step on a followed path.
 		if last {
-			return unsupported("jal as gadget terminal")
+			return errJALTerminal
 		}
 		return s.writeOperand(inst.B, 8, s.c(next), next)
 

@@ -48,6 +48,21 @@ func unsupported(format string, args ...any) error {
 	return &unsupportedError{format: format, args: args}
 }
 
+// The rejection reasons without arguments are allocated once: extraction
+// rejects most of the paths it executes and only counts the errors.
+var (
+	errEarlyTransfer    = unsupported("control transfer before final step")
+	errNoTerminal       = unsupported("gadget does not end in a control transfer")
+	errCallTerminal     = unsupported("direct call as gadget terminal")
+	errJALTerminal      = unsupported("jal as gadget terminal")
+	errSPNotConst       = unsupported("rsp is not a constant offset from entry rsp")
+	errOffStack         = unsupported("memory access outside the stack")
+	errEmptyOperand     = unsupported("empty operand read")
+	errReadAliasesWrite = unsupported("read aliases earlier controlled write")
+	errWriteOffStack    = unsupported("memory write outside the stack")
+	errNonLvalue        = unsupported("write to non-lvalue")
+)
+
 // RegVarName is the variable naming convention for initial register values:
 // "rax0", "rbx0", ... (x86-64 names; see RegVarNameOn for other backends).
 func RegVarName(r isa.Reg) string { return r.String() + "0" }
@@ -258,7 +273,7 @@ func (s *State) c(v uint64) *expr.Node { return s.B.Const(v, 64) }
 func (s *State) rspOffset() (int64, error) {
 	diff := s.B.Sub(s.Regs[s.sp], s.rsp0)
 	if !diff.IsConst() {
-		return 0, unsupported("rsp is not a constant offset from entry rsp")
+		return 0, errSPNotConst
 	}
 	return int64(diff.Val), nil
 }
@@ -268,7 +283,7 @@ func (s *State) rspOffset() (int64, error) {
 func (s *State) stackOffsetOf(ea *expr.Node) (int64, error) {
 	diff := s.B.Sub(ea, s.rsp0)
 	if !diff.IsConst() {
-		return 0, unsupported("memory access outside the stack")
+		return 0, errOffStack
 	}
 	return int64(diff.Val), nil
 }
@@ -393,7 +408,7 @@ func (s *State) readOperand(op isa.Operand, size uint8, instEnd uint64) (*expr.N
 		}
 		return s.readDeref(ea, size)
 	}
-	return nil, unsupported("empty operand read")
+	return nil, errEmptyOperand
 }
 
 // maxDerefs bounds controlled-memory accesses per gadget; beyond this the
@@ -420,7 +435,7 @@ func (s *State) derefAddrOK(ea *expr.Node) bool {
 // the address to point into controlled memory.
 func (s *State) readDeref(ea *expr.Node, size uint8) (*expr.Node, error) {
 	if !s.derefAddrOK(ea) || len(s.memReads)+len(s.memWrites) >= maxDerefs {
-		return nil, unsupported("memory access outside the stack")
+		return nil, errOffStack
 	}
 	// Reject reads that may alias an earlier controlled-memory write (the
 	// fresh-variable model would be wrong for them).
@@ -429,7 +444,7 @@ func (s *State) readDeref(ea *expr.Node, size uint8) (*expr.Node, error) {
 		if diff.IsConst() {
 			d := int64(diff.Val)
 			if d < int64(w.Size) && d > -int64(size) {
-				return nil, unsupported("read aliases earlier controlled write")
+				return nil, errReadAliasesWrite
 			}
 		}
 	}
@@ -468,12 +483,12 @@ func (s *State) writeOperand(op isa.Operand, size uint8, v *expr.Node, instEnd u
 		// Write through an attacker-determined pointer: a write-where
 		// primitive aimed at scratch payload memory.
 		if !s.derefAddrOK(ea) || len(s.memReads)+len(s.memWrites) >= maxDerefs {
-			return unsupported("memory write outside the stack")
+			return errWriteOffStack
 		}
 		s.memWrites = append(s.memWrites, MemAccess{Addr: ea, Val: v, Size: size})
 		return nil
 	}
-	return unsupported("write to non-lvalue")
+	return errNonLvalue
 }
 
 // msb returns the boolean "bit w-1 of v is set" for the operand size.

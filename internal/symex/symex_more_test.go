@@ -231,3 +231,28 @@ func TestRet16Imm(t *testing.T) {
 		t.Errorf("ret imm delta = %d", eff.StackDelta)
 	}
 }
+
+// TestRejectionAllocatesNoError pins the cheap rejection path: a read that
+// may alias an earlier controlled-memory write is rejected with the
+// message and errors.Is identity callers always saw, and rejecting it again
+// with the same Executor allocates nothing, the error included.
+func TestRejectionAllocatesNoError(t *testing.T) {
+	b := expr.NewBuilder()
+	ex := NewExecutorISA(b, isa.X64)
+	steps := decodeSteps(t, "mov [rax], rbx; mov rcx, [rax]; ret")
+	_, err := ex.Exec(steps)
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("aliasing read accepted: %v", err)
+	}
+	if want := "symex: unsupported gadget semantics: read aliases earlier controlled write"; err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, again := ex.Exec(steps); again != err {
+			t.Fatalf("rejection returned a new error %v", again)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rejected path allocated %.1f times per run", allocs)
+	}
+}
