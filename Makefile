@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRV64C$$' -fuzztime 5s ./internal/isa
 	$(GO) test -run '^$$' -fuzz '^FuzzPredecode$$' -fuzztime 5s ./internal/gadget
 	$(GO) test -run '^$$' -fuzz '^FuzzCount$$' -fuzztime 5s ./internal/gadget
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractWalk$$' -fuzztime 5s ./internal/gadget
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArtifact$$' -fuzztime 5s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSBF$$' -fuzztime 5s ./internal/sbf

@@ -8,8 +8,15 @@ type Env map[string]uint64
 // Eval computes the concrete value of n under env. Boolean nodes evaluate to
 // 0 or 1. Unbound variables are an error.
 func Eval(n *Node, env Env) (uint64, error) {
-	cache := make(map[uint32]uint64)
-	return evalRec(n, env, cache)
+	return EvalMemo(n, env, make(map[uint32]uint64))
+}
+
+// EvalMemo is Eval with a caller-owned memo from node id to value, so
+// several roots evaluated under one env evaluate their shared subterms
+// once. The memo must only ever see nodes of one builder under one env:
+// clear it before evaluating under another.
+func EvalMemo(n *Node, env Env, memo map[uint32]uint64) (uint64, error) {
+	return evalRec(n, env, memo)
 }
 
 func evalRec(n *Node, env Env, cache map[uint32]uint64) (uint64, error) {
@@ -36,7 +43,8 @@ func evalNode(n *Node, env Env, cache map[uint32]uint64) (uint64, error) {
 		return maskWidth(v, n.Width), nil
 	}
 
-	args := make([]uint64, len(n.Args))
+	var argv [3]uint64 // no kind takes more than three arguments
+	args := argv[:len(n.Args)]
 	for i, a := range n.Args {
 		v, err := evalRec(a, env, cache)
 		if err != nil {

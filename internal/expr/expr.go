@@ -79,18 +79,23 @@ func (n *Node) IsBoolConst() (value, ok bool) {
 	return false, false
 }
 
-type nodeKey struct {
+// opKey keys every operator node: its kind and width and the ids of its
+// arguments (each plus one, so 0 means no argument). Only variables carry
+// a name and only constants a value, and both are interned apart, so the
+// hot operator lookups hash 16 bytes and no string.
+type opKey struct {
 	kind       Kind
 	width      uint8
-	val        uint64
-	name       string
 	a0, a1, a2 uint32
 }
 
-// constKey keys the constant fast path: constants are by far the most
-// interned kind (every operand mask, immediate, and rip value is one), and
-// hashing this 16-byte struct is much cheaper than hashing a full nodeKey
-// with its embedded string.
+// varKey keys a variable node.
+type varKey struct {
+	name  string
+	width uint8
+}
+
+// constKey keys a constant node.
 type constKey struct {
 	val   uint64
 	width uint8
@@ -98,7 +103,8 @@ type constKey struct {
 
 // Builder interns nodes. The zero value is not usable; call NewBuilder.
 type Builder struct {
-	table  map[nodeKey]*Node
+	ops    map[opKey]*Node
+	vars   map[varKey]*Node
 	consts map[constKey]*Node
 	next   uint32
 
@@ -113,13 +119,23 @@ type Builder struct {
 // NewBuilder returns an empty builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		table:  make(map[nodeKey]*Node),
+		ops:    make(map[opKey]*Node),
+		vars:   make(map[varKey]*Node),
 		consts: make(map[constKey]*Node),
 	}
 }
 
-func (b *Builder) intern(kind Kind, width uint8, val uint64, name string, args ...*Node) *Node {
-	key := nodeKey{kind: kind, width: width, val: val, name: name}
+// node allocates the builder's next node; every kind's table calls it
+// exactly once per new key, so ids follow first-request order.
+func (b *Builder) node(kind Kind, width uint8, val uint64, name string) *Node {
+	b.next++
+	return &Node{Kind: kind, Width: width, Val: val, Name: name, id: b.next}
+}
+
+// intern returns the operator node of the given kind, width and
+// arguments, creating it on first request.
+func (b *Builder) intern(kind Kind, width uint8, args ...*Node) *Node {
+	key := opKey{kind: kind, width: width}
 	switch len(args) {
 	case 3:
 		key.a2 = args[2].id + 1
@@ -130,15 +146,12 @@ func (b *Builder) intern(kind Kind, width uint8, val uint64, name string, args .
 	case 1:
 		key.a0 = args[0].id + 1
 	}
-	if n, ok := b.table[key]; ok {
+	if n, ok := b.ops[key]; ok {
 		return n
 	}
-	b.next++
-	n := &Node{Kind: kind, Width: width, Val: val, Name: name, id: b.next}
-	if len(args) > 0 {
-		n.Args = append([]*Node(nil), args...)
-	}
-	b.table[key] = n
+	n := b.node(kind, width, 0, "")
+	n.Args = append([]*Node(nil), args...)
+	b.ops[key] = n
 	return n
 }
 
@@ -154,11 +167,8 @@ func signExtend(v uint64, from uint8) uint64 {
 	return uint64(int64(v<<shift) >> shift)
 }
 
-// Const returns a bitvector constant of the given width. Constants go
-// through a dedicated cache in front of intern: the node returned is the
-// same one intern would return (intern still assigns ids and owns the
-// canonical table), the lookup just hashes a plain {val, width} key instead
-// of a nodeKey.
+// Const returns a bitvector constant of the given width, interned in the
+// consts table behind a direct-mapped cache.
 func (b *Builder) Const(v uint64, w uint8) *Node {
 	val := maskWidth(v, w)
 	slot := ((val ^ uint64(w)<<56) * 0x9E3779B97F4A7C15) >> (64 - 7)
@@ -168,7 +178,7 @@ func (b *Builder) Const(v uint64, w uint8) *Node {
 	key := constKey{val: val, width: w}
 	n, ok := b.consts[key]
 	if !ok {
-		n = b.intern(KindConst, w, val, "")
+		n = b.node(KindConst, w, val, "")
 		b.consts[key] = n
 	}
 	b.constFast[slot] = n
@@ -190,7 +200,13 @@ func (b *Builder) False() *Node { return b.Bool(false) }
 
 // Var returns a named bitvector variable.
 func (b *Builder) Var(name string, w uint8) *Node {
-	return b.intern(KindVar, w, 0, name)
+	key := varKey{name: name, width: w}
+	n, ok := b.vars[key]
+	if !ok {
+		n = b.node(KindVar, w, 0, name)
+		b.vars[key] = n
+	}
+	return n
 }
 
 func checkSameWidth(op string, x, y *Node) {
@@ -225,7 +241,7 @@ func (b *Builder) Add(x, y *Node) *Node {
 	if y.IsConst() && x.Kind == KindAdd && x.Args[1].IsConst() {
 		return b.Add(x.Args[0], b.Const(x.Args[1].Val+y.Val, x.Width))
 	}
-	return b.intern(KindAdd, x.Width, 0, "", x, y)
+	return b.intern(KindAdd, x.Width, x, y)
 }
 
 // Sub returns x - y.
@@ -257,7 +273,7 @@ func (b *Builder) Sub(x, y *Node) *Node {
 	if y.Kind == KindAdd && y.Args[1].IsConst() && y.Args[0] == x {
 		return b.Const(-y.Args[1].Val, x.Width)
 	}
-	return b.intern(KindSub, x.Width, 0, "", x, y)
+	return b.intern(KindSub, x.Width, x, y)
 }
 
 // Mul returns x * y.
@@ -275,7 +291,7 @@ func (b *Builder) Mul(x, y *Node) *Node {
 			return x
 		}
 	}
-	return b.intern(KindMul, x.Width, 0, "", x, y)
+	return b.intern(KindMul, x.Width, x, y)
 }
 
 // And returns x & y.
@@ -296,7 +312,7 @@ func (b *Builder) And(x, y *Node) *Node {
 	if x == y {
 		return x
 	}
-	return b.intern(KindAnd, x.Width, 0, "", x, y)
+	return b.intern(KindAnd, x.Width, x, y)
 }
 
 // Or returns x | y.
@@ -317,7 +333,7 @@ func (b *Builder) Or(x, y *Node) *Node {
 	if x == y {
 		return x
 	}
-	return b.intern(KindOr, x.Width, 0, "", x, y)
+	return b.intern(KindOr, x.Width, x, y)
 }
 
 // Xor returns x ^ y.
@@ -333,7 +349,7 @@ func (b *Builder) Xor(x, y *Node) *Node {
 	if x == y {
 		return b.Const(0, x.Width)
 	}
-	return b.intern(KindXor, x.Width, 0, "", x, y)
+	return b.intern(KindXor, x.Width, x, y)
 }
 
 // Shl returns x << y (shift amount taken modulo width, as on x86).
@@ -345,7 +361,7 @@ func (b *Builder) Shl(x, y *Node) *Node {
 	if y.IsConst() && y.Val%uint64(x.Width) == 0 {
 		return x
 	}
-	return b.intern(KindShl, x.Width, 0, "", x, y)
+	return b.intern(KindShl, x.Width, x, y)
 }
 
 // Lshr returns x >> y logically.
@@ -357,7 +373,7 @@ func (b *Builder) Lshr(x, y *Node) *Node {
 	if y.IsConst() && y.Val%uint64(x.Width) == 0 {
 		return x
 	}
-	return b.intern(KindLshr, x.Width, 0, "", x, y)
+	return b.intern(KindLshr, x.Width, x, y)
 }
 
 // Ashr returns x >> y arithmetically.
@@ -370,7 +386,7 @@ func (b *Builder) Ashr(x, y *Node) *Node {
 	if y.IsConst() && y.Val%uint64(x.Width) == 0 {
 		return x
 	}
-	return b.intern(KindAshr, x.Width, 0, "", x, y)
+	return b.intern(KindAshr, x.Width, x, y)
 }
 
 // Not returns ^x.
@@ -381,7 +397,7 @@ func (b *Builder) Not(x *Node) *Node {
 	if x.Kind == KindNot {
 		return x.Args[0]
 	}
-	return b.intern(KindNot, x.Width, 0, "", x)
+	return b.intern(KindNot, x.Width, x)
 }
 
 // Neg returns -x.
@@ -392,7 +408,7 @@ func (b *Builder) Neg(x *Node) *Node {
 	if x.Kind == KindNeg {
 		return x.Args[0]
 	}
-	return b.intern(KindNeg, x.Width, 0, "", x)
+	return b.intern(KindNeg, x.Width, x)
 }
 
 // Zext zero-extends x to width w.
@@ -406,7 +422,7 @@ func (b *Builder) Zext(x *Node, w uint8) *Node {
 	if x.IsConst() {
 		return b.Const(x.Val, w)
 	}
-	return b.intern(KindZext, w, 0, "", x)
+	return b.intern(KindZext, w, x)
 }
 
 // Sext sign-extends x to width w.
@@ -420,7 +436,7 @@ func (b *Builder) Sext(x *Node, w uint8) *Node {
 	if x.IsConst() {
 		return b.Const(maskWidth(signExtend(x.Val, x.Width), w), w)
 	}
-	return b.intern(KindSext, w, 0, "", x)
+	return b.intern(KindSext, w, x)
 }
 
 // Trunc truncates x to width w.
@@ -443,7 +459,7 @@ func (b *Builder) Trunc(x *Node, w uint8) *Node {
 			return b.Trunc(inner, w)
 		}
 	}
-	return b.intern(KindTrunc, w, 0, "", x)
+	return b.intern(KindTrunc, w, x)
 }
 
 // Ite returns cond ? x : y.
@@ -461,7 +477,7 @@ func (b *Builder) Ite(cond, x, y *Node) *Node {
 	if x == y {
 		return x
 	}
-	return b.intern(KindIte, x.Width, 0, "", cond, x, y)
+	return b.intern(KindIte, x.Width, cond, x, y)
 }
 
 // Eq returns the boolean x == y.
@@ -478,7 +494,7 @@ func (b *Builder) Eq(x, y *Node) *Node {
 	if y.IsConst() && x.Kind == KindAdd && x.Args[1].IsConst() {
 		return b.Eq(x.Args[0], b.Const(y.Val-x.Args[1].Val, x.Width))
 	}
-	return b.intern(KindEq, BoolWidth, 0, "", x, y)
+	return b.intern(KindEq, BoolWidth, x, y)
 }
 
 // Ne returns the boolean x != y.
@@ -496,7 +512,7 @@ func (b *Builder) Ult(x, y *Node) *Node {
 	if y.IsConst() && y.Val == 0 {
 		return b.False()
 	}
-	return b.intern(KindUlt, BoolWidth, 0, "", x, y)
+	return b.intern(KindUlt, BoolWidth, x, y)
 }
 
 // Slt returns the boolean x < y, signed.
@@ -508,7 +524,7 @@ func (b *Builder) Slt(x, y *Node) *Node {
 	if x == y {
 		return b.False()
 	}
-	return b.intern(KindSlt, BoolWidth, 0, "", x, y)
+	return b.intern(KindSlt, BoolWidth, x, y)
 }
 
 // BAnd returns the boolean conjunction.
@@ -529,7 +545,7 @@ func (b *Builder) BAnd(x, y *Node) *Node {
 	if x == y {
 		return x
 	}
-	return b.intern(KindBAnd, BoolWidth, 0, "", x, y)
+	return b.intern(KindBAnd, BoolWidth, x, y)
 }
 
 // BOr returns the boolean disjunction.
@@ -550,7 +566,7 @@ func (b *Builder) BOr(x, y *Node) *Node {
 	if x == y {
 		return x
 	}
-	return b.intern(KindBOr, BoolWidth, 0, "", x, y)
+	return b.intern(KindBOr, BoolWidth, x, y)
 }
 
 // BNot returns the boolean negation.
@@ -561,7 +577,7 @@ func (b *Builder) BNot(x *Node) *Node {
 	if x.Kind == KindBNot {
 		return x.Args[0]
 	}
-	return b.intern(KindBNot, BoolWidth, 0, "", x)
+	return b.intern(KindBNot, BoolWidth, x)
 }
 
 // AndAll conjoins a slice of booleans (true for the empty slice).

@@ -7,10 +7,10 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
-// countEntry is one slot of a countTable: the decoded length (0 when the
-// address does not decode) and the instruction's gadget-boundary class.
-// Two bytes, against an 88-byte isa.Inst: the count scan needs nothing
-// else of the instruction.
+// countEntry is one slot of a countTable, and the head of every Table
+// slot: the decoded length (0 when the address does not decode) and the
+// instruction's gadget-boundary class. Two bytes, against an 88-byte
+// isa.Inst: the count scan needs nothing else of the instruction.
 type countEntry struct {
 	len   uint8
 	class isa.Class
@@ -22,14 +22,14 @@ type countEntry struct {
 type countTable [][]countEntry
 
 // predecodeCount classifies every stride-aligned address of secs once,
-// through the same chunked decode as PredecodeISA.
+// through the same decode pass that fills a Table's slots.
 func predecodeCount(secs []*sbf.Section, grid strideGrid, parallelism int, be isa.Backend) countTable {
 	t := make(countTable, len(secs))
 	for i, sec := range secs {
 		t[i] = make([]countEntry, grid.slots(sec))
 	}
-	decodeSections(secs, grid, parallelism, be, func(si, slot int, in *isa.Inst) {
-		t[si][slot] = countEntry{len: in.Len, class: be.Classify(in)}
+	decodeSections(secs, grid, parallelism, be, func(si, slot int, e countEntry) {
+		t[si][slot] = e
 	})
 	return t
 }

@@ -64,9 +64,12 @@ func (o Options) backend() isa.Backend {
 	return be
 }
 
+// defaultMaxInsts is Options.MaxInsts when the caller leaves it 0.
+const defaultMaxInsts = 40
+
 func (o Options) withDefaults() Options {
 	if o.MaxInsts == 0 {
-		o.MaxInsts = 40
+		o.MaxInsts = defaultMaxInsts
 	}
 	if o.MaxForks == 0 {
 		o.MaxForks = 2
@@ -109,7 +112,9 @@ type shard struct {
 //
 // Every section is first decoded once into a shared read-only predecode
 // Table and all path walks chain through it, so each code byte is decoded
-// exactly once no matter how many paths cross it.
+// once no matter how many paths cross it, and a walk that cannot reach a
+// control transfer within MaxInsts instructions stops before its first
+// step.
 //
 // The scan is sharded across Options.Parallelism workers. Each worker
 // symbolically executes its shard into a private expr.Builder; shards are
@@ -119,7 +124,7 @@ type shard struct {
 func Extract(bin *sbf.Binary, opts Options) *Pool {
 	opts = opts.withDefaults()
 	be := opts.backend()
-	tab := PredecodeISA(bin, opts.Parallelism, be)
+	tab := predecode(bin, opts.Parallelism, be, opts.MaxInsts)
 
 	// Every backend-stride-th byte offset is a potential gadget start: 1 on
 	// x64 (every offset, finding unaligned gadgets), 4 on rv64, 2 on rv64c.
@@ -306,7 +311,12 @@ func (w *walker) found(path []stepRef, last *isa.Inst, taken bool, end symex.End
 
 // walk follows one gadget path from addr, invoking found for every complete
 // (branch-terminated) path. Instructions come from the shared predecode
-// table.
+// table, which also says how many straight-line instructions lie ahead:
+// when those alone would exhaust MaxInsts, or the chain is dead, the walk
+// returns before fetching them, as the step-by-step walk would have
+// returned after them with nothing found. Straight-line means ClassOther
+// here and in the table's runs alike, and traps sit only on dead chains,
+// so the cut-off can never skip a path the walk would have taken.
 //
 // The fork/merge budget is recounted from the path prefix on entry, not
 // threaded through the recursion, reproducing the seed walk exactly: in
@@ -325,13 +335,16 @@ func (w *walker) walk(addr uint64, path []stepRef) {
 		}
 	}
 
-	for len(path) < w.opts.MaxInsts {
-		inst, ok := w.tab.inst(addr)
-		if !ok {
+	for {
+		inst, s := w.tab.inst(addr)
+		if inst == nil || len(path)+int(s.run) >= w.opts.MaxInsts {
 			return
 		}
 
 		switch {
+		case s.class == isa.ClassOther:
+			path = append(path, stepRef{in: inst})
+			addr = inst.End()
 		case inst.Op == isa.OpRet:
 			w.found(path, inst, false, symex.EndRet)
 			return
@@ -388,11 +401,8 @@ func (w *walker) walk(addr uint64, path []stepRef) {
 			path = append(path, stepRef{in: inst})
 			addr = inst.End()
 			forks++
-		case inst.Op == isa.OpHlt || inst.Op == isa.OpInt3:
-			return // traps end the path unusably
 		default:
-			path = append(path, stepRef{in: inst})
-			addr = inst.End()
+			return // a control transfer the walk has no rule for ends the path unusably
 		}
 	}
 }

@@ -113,35 +113,18 @@ func TestPredecodeExtractionEquivalence(t *testing.T) {
 }
 
 // TestPredecodeTableMatchesDecode checks every executable byte offset of
-// the equivalence corpus: the table entry must be exactly what the
-// backend's own Decode returns there, and undecodable offsets must be
-// absent. It covers x64, rv64 and rv64c; FuzzPredecode explores x64 bytes.
+// the equivalence corpus against checkTable's decode-per-slot reference,
+// at the default MaxInsts and at angrop's 8.
 func TestPredecodeTableMatchesDecode(t *testing.T) {
 	for _, eb := range equivBinaries(t) {
 		be, ok := isa.ByName(eb.isa)
 		if !ok {
 			t.Fatalf("%s: unknown isa %q", eb.name, eb.isa)
 		}
-		tab := gadget.PredecodeISA(eb.bin, 2, be)
-		checked := 0
-		for _, sec := range eb.bin.ExecSections() {
-			for off := range sec.Data {
-				addr := sec.Addr + uint64(off)
-				got, ok := tab.InstAt(addr)
-				want, err := be.Decode(sec.Data[off:], addr)
-				switch {
-				case err != nil && ok:
-					t.Fatalf("%s %#x: table has %v, decode errors: %v", eb.name, addr, got, err)
-				case err == nil && !ok:
-					t.Fatalf("%s %#x: table invalid, decode gives %v", eb.name, addr, want)
-				case err == nil && got != want:
-					t.Fatalf("%s %#x: table %+v != decode %+v", eb.name, addr, got, want)
-				}
-				checked++
+		for _, maxInsts := range []int{40, 8} {
+			if n := checkTable(t, eb.bin, be, maxInsts); n == 0 {
+				t.Fatalf("%s: no fetchable slots", eb.name)
 			}
-		}
-		if checked == 0 {
-			t.Fatalf("%s: no executable bytes", eb.name)
 		}
 	}
 }
@@ -255,8 +238,7 @@ func FuzzCount(f *testing.F) {
 // count, not its size: a 64 KiB section must allocate no more objects than
 // a 4 KiB one. A per-instruction escape (say, an Inst copied and handed by
 // pointer through the Backend interface) scales with the scan and fails
-// this. The code is valid at every stride-aligned offset, so decode
-// failures (which allocate their error) do not blur the pin.
+// this. TestUndecodableAllocsFlat pins the same for decode failures.
 func TestCountAllocsFlat(t *testing.T) {
 	cases := []struct {
 		isa  string
@@ -286,21 +268,158 @@ func TestCountAllocsFlat(t *testing.T) {
 	}
 }
 
-// FuzzPredecode asserts that, on every backend and at a stride-aligned and
-// a misaligned section base, every table lookup matches a direct decode
-// call at that address: same validity verdict, and — isa.Inst being a
-// comparable value struct — the identical decoded instruction. Misaligned
-// addresses have no table slot, so this is where an off-by-one in the
-// stride indexing would show.
+// TestUndecodableAllocsFlat pins the decode pass's failure path: on a
+// section where no stride-aligned address decodes, building the predecode
+// table and the count table must allocate no more objects for 64 KiB than
+// for 4 KiB, on every backend. A decode failure that builds its error
+// allocates once per address and fails this.
+func TestUndecodableAllocsFlat(t *testing.T) {
+	cases := []struct {
+		isa  string
+		unit []byte
+	}{
+		{"x64", []byte{0x06}},                    // no such opcode in 64-bit mode
+		{"rv64", []byte{0x00, 0x00, 0x00, 0x00}}, // compressed form without the C extension
+		{"rv64c", []byte{0x00, 0x00}},            // the all-zero illegal instruction
+	}
+	for _, c := range cases {
+		be, _ := isa.ByName(c.isa)
+		allocs := func(size int) float64 {
+			bin := sbf.New()
+			bin.AddSection(sbf.Section{
+				Name: ".text", Addr: 0x401000, Flags: sbf.FlagRead | sbf.FlagExec,
+				Data: bytes.Repeat(c.unit, size/len(c.unit)),
+			})
+			if n := gadget.TotalCount(gadget.CountParallel(bin, 10, be, 1)); n != 0 {
+				t.Fatalf("%s: %d gadgets counted in undecodable bytes", c.isa, n)
+			}
+			// Enough runs that a collection's own few allocations, which
+			// the larger section triggers more often, round away.
+			return testing.AllocsPerRun(50, func() {
+				gadget.PredecodeISA(bin, 1, be)
+				gadget.CountParallel(bin, 10, be, 1)
+			})
+		}
+		if small, large := allocs(4<<10), allocs(64<<10); large > small {
+			t.Errorf("%s: decoding undecodable bytes allocates %.0f objects on 64 KiB, %.0f on 4 KiB", c.isa, large, small)
+		}
+	}
+}
+
+// refRun follows the fall-through chain from addr with the backend's own
+// Decode and Classify, one instruction at a time. It returns how many
+// ClassOther instructions come before the first slot of another class,
+// whether the chain meets an undecodable or trap slot first (dead), and
+// whether it runs off the end of sec first (unknown).
+func refRun(be isa.Backend, sec *sbf.Section, addr uint64) (run int, dead, unknown bool) {
+	for {
+		if addr >= sec.End() {
+			return 0, false, true
+		}
+		in, err := be.Decode(sec.Data[addr-sec.Addr:], addr)
+		if err != nil {
+			return 0, true, false
+		}
+		switch be.Classify(&in) {
+		case isa.ClassTrap:
+			return 0, true, false
+		case isa.ClassOther:
+			run++
+			addr += uint64(in.Len)
+		default:
+			return run, false, false
+		}
+	}
+}
+
+// checkTable pins every slot of bin's Table for maxInsts against direct
+// decoding, and returns how many slots hold an instruction:
+//   - a slot's {len, class} is Decode plus Classify, zero where Decode fails;
+//   - its run is refRun's, saturated at RunCap, RunDead on a dead chain and
+//     0 on a chain that leaves its section;
+//   - it holds an instruction exactly when a walk can fetch it (not dead,
+//     run below maxInsts), and that instruction is Decode's.
+//
+// Misaligned addresses, and one address past each end of a section, have
+// no slot.
+func checkTable(t *testing.T, bin *sbf.Binary, be isa.Backend, maxInsts int) int {
+	t.Helper()
+	tab := gadget.PredecodeMax(bin, 2, be, maxInsts)
+	secs := bin.ExecSections()
+	inExec := func(addr uint64) bool {
+		for _, sec := range secs {
+			if addr >= sec.Addr && addr < sec.End() {
+				return true
+			}
+		}
+		return false
+	}
+	stride := uint64(be.Stride())
+	fetchable := 0
+	for _, sec := range secs {
+		for off := -1; off <= len(sec.Data); off++ {
+			addr := sec.Addr + uint64(off)
+			got, ok := tab.SlotAt(addr)
+			where := fmt.Sprintf("%s base %#x maxInsts %d at %#x", be.Name(), sec.Addr, maxInsts, addr)
+			if off < 0 || off == len(sec.Data) || addr%stride != 0 {
+				if ok && (addr%stride != 0 || !inExec(addr)) {
+					t.Fatalf("%s: slot %+v outside the aligned code", where, got)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("%s: no slot", where)
+			}
+			want, err := be.Decode(sec.Data[off:], addr)
+			var wantLen uint8
+			var wantClass isa.Class
+			if err == nil {
+				wantLen, wantClass = want.Len, be.Classify(&want)
+			}
+			if got.Len != wantLen || got.Class != wantClass {
+				t.Fatalf("%s: slot {len %d, class %v}, decode gives {len %d, class %v}",
+					where, got.Len, got.Class, wantLen, wantClass)
+			}
+			run, dead, unknown := refRun(be, sec, addr)
+			wantRun := min(run, gadget.RunCap)
+			switch {
+			case dead:
+				wantRun = gadget.RunDead
+			case unknown:
+				wantRun = 0
+			}
+			if got.Run != wantRun {
+				t.Fatalf("%s: run %d, reference walk gives %d (dead %v, unknown %v)",
+					where, got.Run, run, dead, unknown)
+			}
+			if fetch := !dead && wantRun < maxInsts; got.HasInst != fetch {
+				t.Fatalf("%s: holds an instruction %v, a walk can fetch it %v", where, got.HasInst, fetch)
+			}
+			if got.HasInst {
+				fetchable++
+				if got.Inst != want {
+					t.Fatalf("%s: table %+v != decode %+v", where, got.Inst, want)
+				}
+			}
+		}
+	}
+	return fetchable
+}
+
+// FuzzPredecode runs checkTable on arbitrary bytes under every backend, at
+// a stride-aligned and a misaligned section base (odd bases shift which
+// offsets the RISC-V backends may decode) and at a MaxInsts from 1 to 300,
+// so runs saturated at RunCap are pinned below and above the cut-off.
 func FuzzPredecode(f *testing.F) {
-	f.Add([]byte{0xc3}, false)
-	f.Add([]byte{0x5f, 0xc3}, false)                                  // pop rdi; ret
-	f.Add([]byte{0x0f}, true)                                         // truncated two-byte opcode
-	f.Add([]byte{0x48, 0xb8, 0, 0, 0, 0, 0, 0x58, 0xc3, 0x00}, false) // movabs hiding pop/ret
-	f.Add([]byte{0xeb, 0xfe, 0xcc, 0x90, 0xff, 0xe0}, true)
-	f.Add([]byte{0x13, 0x05, 0x15, 0x00, 0x67, 0x80, 0x00, 0x00}, false)               // addi a0,a0,1; ret
-	f.Add([]byte{0x05, 0x05, 0x82, 0x80, 0x63, 0x04, 0xb5, 0x00, 0x73, 0, 0, 0}, true) // c.addi; c.jr ra; beq; ecall
-	f.Fuzz(func(t *testing.T, data []byte, misaligned bool) {
+	f.Add([]byte{0xc3}, false, uint16(40))
+	f.Add([]byte{0x5f, 0xc3}, false, uint16(1))                                     // pop rdi; ret
+	f.Add([]byte{0x0f}, true, uint16(40))                                           // truncated two-byte opcode
+	f.Add([]byte{0x48, 0xb8, 0, 0, 0, 0, 0, 0x58, 0xc3, 0x00}, false, uint16(8))    // movabs hiding pop/ret
+	f.Add([]byte{0xeb, 0xfe, 0xcc, 0x90, 0xff, 0xe0}, true, uint16(40))             // jmp self; int3; nop; jmp rax
+	f.Add([]byte{0x13, 0x05, 0x15, 0x00, 0x67, 0x80, 0x00, 0x00}, false, uint16(8)) // addi a0,a0,1; ret
+	f.Add([]byte{0x05, 0x05, 0x82, 0x80, 0x63, 0x04, 0xb5, 0x00, 0x73, 0, 0, 0}, true, uint16(40))
+	f.Add(append(bytes.Repeat([]byte{0x90}, 300), 0xc3), false, uint16(280)) // a run past RunCap
+	f.Fuzz(func(t *testing.T, data []byte, misaligned bool, maxInsts uint16) {
 		if len(data) == 0 {
 			return
 		}
@@ -317,32 +436,7 @@ func FuzzPredecode(f *testing.F) {
 		})
 		for _, name := range []string{"x64", "rv64", "rv64c"} {
 			be, _ := isa.ByName(name)
-			tab := gadget.PredecodeISA(bin, 2, be)
-			// One address past each end of the section, too: the table
-			// must miss there, as a decode outside the code would.
-			for off := -1; off <= len(data); off++ {
-				addr := base + uint64(off)
-				got, ok := tab.InstAt(addr)
-				if off < 0 || off == len(data) {
-					if ok {
-						t.Fatalf("%s base %#x offset %d: table has %v outside the section", name, base, off, got)
-					}
-					continue
-				}
-				want, err := be.Decode(data[off:], addr)
-				if err != nil {
-					if ok {
-						t.Fatalf("%s base %#x offset %d: table has %v, direct decode errors: %v", name, base, off, got, err)
-					}
-					continue
-				}
-				if !ok {
-					t.Fatalf("%s base %#x offset %d: table invalid, direct decode gives %v", name, base, off, want)
-				}
-				if got != want {
-					t.Fatalf("%s base %#x offset %d: table %+v != decode %+v", name, base, off, got, want)
-				}
-			}
+			checkTable(t, bin, be, 1+int(maxInsts)%300)
 		}
 	})
 }

@@ -88,6 +88,10 @@ type Backend interface {
 	// Decode decodes one instruction at addr. Backends with alignment rules
 	// fail on misaligned addresses.
 	Decode(code []byte, addr uint64) (Inst, error)
+	// TryDecode is Decode for callers that only test whether the bytes
+	// decode: it reports failure as false without building an error, so a
+	// scan over mostly undecodable bytes allocates nothing per address.
+	TryDecode(code []byte, addr uint64) (Inst, bool)
 	// Encode encodes one instruction placed at pc.
 	Encode(inst Inst, pc uint64) ([]byte, error)
 	// Classify maps an instruction onto its gadget-boundary class.

@@ -20,17 +20,27 @@ func (e *DecodeError) Error() string {
 	return fmt.Sprintf("isa: undecodable byte %#02x at %#x: %s", e.Byte, e.Addr, e.Reason)
 }
 
-func decErr(addr uint64, b byte, reason string) error {
-	return &DecodeError{Addr: addr, Byte: b, Reason: reason}
-}
+// errUndecodable is what a quiet decode returns for bytes that do not form
+// a supported instruction: a shared value, so a scan that only tests for
+// failure allocates nothing per undecodable address.
+var errUndecodable = errors.New("isa: undecodable bytes")
 
 // decoder walks a byte slice.
 type decoder struct {
-	code []byte
-	pos  int
-	addr uint64
-	rex  uint8
-	has  bool // rex prefix present
+	code  []byte
+	pos   int
+	addr  uint64
+	rex   uint8
+	has   bool // rex prefix present
+	quiet bool // fail with errUndecodable instead of a *DecodeError
+}
+
+// fail reports bytes that do not decode.
+func (d *decoder) fail(b byte, reason string) error {
+	if d.quiet {
+		return errUndecodable
+	}
+	return &DecodeError{Addr: d.addr, Byte: b, Reason: reason}
 }
 
 func (d *decoder) u8() (byte, error) {
@@ -239,7 +249,12 @@ var _shiftOps = map[uint8]Op{4: OpShl, 5: OpShr, 7: OpSar}
 // absolute addresses. Unsupported or illegal byte sequences return a
 // *DecodeError; buffers that end mid-instruction return ErrTruncated.
 func Decode(code []byte, addr uint64) (Inst, error) {
-	d := decoder{code: code, addr: addr}
+	return decode(code, addr, false)
+}
+
+// decode is Decode; quiet selects errUndecodable over a *DecodeError.
+func decode(code []byte, addr uint64, quiet bool) (Inst, error) {
+	d := decoder{code: code, addr: addr, quiet: quiet}
 	op, err := d.u8()
 	if err != nil {
 		return Inst{}, err
@@ -364,7 +379,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		}
 		mn, ok := _group81[uint8(reg&7)]
 		if !ok {
-			return Inst{}, decErr(d.addr, op, "unsupported group-1 digit")
+			return Inst{}, d.fail(op, "unsupported group-1 digit")
 		}
 		var v int64
 		if op == 0x81 {
@@ -423,7 +438,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 			return Inst{}, err
 		}
 		if rm.Kind != KindMem {
-			return Inst{}, decErr(d.addr, op, "lea with register source")
+			return Inst{}, d.fail(op, "lea with register source")
 		}
 		return Inst{Op: OpLea, Size: size, A: RegOp(Reg(reg)), B: rm}, nil
 
@@ -433,7 +448,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 			return Inst{}, err
 		}
 		if reg&7 != 0 {
-			return Inst{}, decErr(d.addr, op, "unsupported 8F digit")
+			return Inst{}, d.fail(op, "unsupported 8F digit")
 		}
 		return Inst{Op: OpPop, A: rm}, nil
 
@@ -444,7 +459,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		}
 		mn, ok := _shiftOps[uint8(reg&7)]
 		if !ok {
-			return Inst{}, decErr(d.addr, op, "unsupported shift digit")
+			return Inst{}, d.fail(op, "unsupported shift digit")
 		}
 		v, err := d.i8()
 		if err != nil {
@@ -463,7 +478,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		}
 		mn, ok := _shiftOps[uint8(reg&7)]
 		if !ok {
-			return Inst{}, decErr(d.addr, op, "unsupported shift digit")
+			return Inst{}, d.fail(op, "unsupported shift digit")
 		}
 		if op == 0xD1 {
 			return Inst{Op: mn, Size: size, A: rm, B: ImmOp(1)}, nil
@@ -483,7 +498,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 			return Inst{}, err
 		}
 		if reg&7 != 0 {
-			return Inst{}, decErr(d.addr, op, "unsupported C6 digit")
+			return Inst{}, d.fail(op, "unsupported C6 digit")
 		}
 		v, err := d.i8()
 		if err != nil {
@@ -497,7 +512,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 			return Inst{}, err
 		}
 		if reg&7 != 0 {
-			return Inst{}, decErr(d.addr, op, "unsupported C7 digit")
+			return Inst{}, d.fail(op, "unsupported C7 digit")
 		}
 		v, err := d.i32()
 		if err != nil {
@@ -544,7 +559,7 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		case 7:
 			return Inst{Op: OpIdiv, Size: size, A: rm}, nil
 		default:
-			return Inst{}, decErr(d.addr, op, "unsupported F7 digit")
+			return Inst{}, d.fail(op, "unsupported F7 digit")
 		}
 
 	case 0xFF:
@@ -564,14 +579,14 @@ func (d *decoder) decodeOp(op byte) (Inst, error) {
 		case 6:
 			return Inst{Op: OpPush, A: rm}, nil
 		default:
-			return Inst{}, decErr(d.addr, op, "unsupported FF digit")
+			return Inst{}, d.fail(op, "unsupported FF digit")
 		}
 
 	case 0x0F:
 		return d.decode0F()
 	}
 
-	return Inst{}, decErr(d.addr, op, "unknown opcode")
+	return Inst{}, d.fail(op, "unknown opcode")
 }
 
 // decode0F decodes the two-byte (0F-prefixed) opcode space.
@@ -616,5 +631,5 @@ func (d *decoder) decode0F() (Inst, error) {
 		return Inst{Op: OpMovzx, Size: size, A: RegOp(Reg(reg)), B: rm}, nil
 	}
 
-	return Inst{}, decErr(d.addr, op, "unknown 0F opcode")
+	return Inst{}, d.fail(op, "unknown 0F opcode")
 }

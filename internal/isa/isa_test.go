@@ -2,6 +2,7 @@ package isa
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -556,6 +557,57 @@ func TestAppendAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("Append(%s) allocates %.1f objects, want 0", inst.String(), allocs)
+		}
+	}
+}
+
+// TestTryDecodeFailsWithoutAllocating pins TryDecode to Decode on every
+// backend: the same instruction where the bytes decode, false where Decode
+// reports a *DecodeError, and not one allocation on the failure path,
+// which a predecode pass over mostly undecodable bytes takes at nearly
+// every address.
+func TestTryDecodeFailsWithoutAllocating(t *testing.T) {
+	cases := []struct {
+		be   Backend
+		good []byte
+		bad  [][]byte
+		odd  bool // an odd address is misaligned on this backend
+	}{
+		{X64, []byte{0x5f, 0xc3}, [][]byte{{0x06}, {0x0f, 0xff}, {0xff, 0xff}, {0x8d, 0xc0}}, false},
+		{RV64, []byte{0x13, 0x05, 0x15, 0x00}, [][]byte{{0, 0, 0, 0}, {0x7f, 0, 0, 0}}, true},
+		{RV64C, []byte{0x05, 0x05}, [][]byte{{0, 0}, {0x7f, 0, 0, 0}}, true},
+	}
+	const addr = 0x401000
+	for _, c := range cases {
+		want, err := c.be.Decode(c.good, addr)
+		if err != nil {
+			t.Fatalf("%s: %x does not decode: %v", c.be.Name(), c.good, err)
+		}
+		if got, ok := c.be.TryDecode(c.good, addr); !ok || got != want {
+			t.Errorf("%s %x: TryDecode = %+v, %v; Decode = %+v", c.be.Name(), c.good, got, ok, want)
+		}
+		type at struct {
+			code []byte
+			addr uint64
+		}
+		bad := []at{}
+		for _, code := range c.bad {
+			bad = append(bad, at{code, addr})
+		}
+		if c.odd {
+			bad = append(bad, at{c.good, addr + 1})
+		}
+		for _, b := range bad {
+			var de *DecodeError
+			if _, err := c.be.Decode(b.code, b.addr); !errors.As(err, &de) {
+				t.Fatalf("%s %x at %#x: Decode error %v, want a *DecodeError", c.be.Name(), b.code, b.addr, err)
+			}
+			if _, ok := c.be.TryDecode(b.code, b.addr); ok {
+				t.Errorf("%s %x at %#x: TryDecode succeeds where Decode fails", c.be.Name(), b.code, b.addr)
+			}
+			if n := testing.AllocsPerRun(100, func() { c.be.TryDecode(b.code, b.addr) }); n != 0 {
+				t.Errorf("%s %x at %#x: TryDecode allocates %.1f objects, want 0", c.be.Name(), b.code, b.addr, n)
+			}
 		}
 	}
 }

@@ -157,8 +157,12 @@ func (rv64Backend) Classify(inst *Inst) Class {
 	return ClassOther
 }
 
-// rvDecodeError builds a DecodeError for RV64 decoding.
-func rvDecodeError(addr uint64, b byte, reason string) error {
+// rvDecodeError reports bytes that do not decode: a *DecodeError, or the
+// shared errUndecodable when the decode is quiet.
+func rvDecodeError(quiet bool, addr uint64, b byte, reason string) error {
+	if quiet {
+		return errUndecodable
+	}
 	return &DecodeError{Addr: addr, Byte: b, Reason: reason}
 }
 
@@ -171,8 +175,18 @@ func signExtend(v uint64, bits uint) int64 {
 // the backend stride) fail, modeling the hardware's instruction-alignment
 // fault: on RV64 without C there are no gadget starts inside instructions.
 func (b rv64Backend) Decode(code []byte, addr uint64) (Inst, error) {
+	return b.decode(code, addr, false)
+}
+
+func (b rv64Backend) TryDecode(code []byte, addr uint64) (Inst, bool) {
+	inst, err := b.decode(code, addr, true)
+	return inst, err == nil
+}
+
+// decode is Decode; quiet selects errUndecodable over a *DecodeError.
+func (b rv64Backend) decode(code []byte, addr uint64, quiet bool) (Inst, error) {
 	if addr%uint64(b.Stride()) != 0 {
-		return Inst{}, rvDecodeError(addr, 0, "misaligned instruction address")
+		return Inst{}, rvDecodeError(quiet, addr, 0, "misaligned instruction address")
 	}
 	if len(code) < 2 {
 		return Inst{}, ErrTruncated
@@ -180,9 +194,9 @@ func (b rv64Backend) Decode(code []byte, addr uint64) (Inst, error) {
 	lo := uint32(code[0]) | uint32(code[1])<<8
 	if lo&3 != 3 {
 		if !b.compressed {
-			return Inst{}, rvDecodeError(addr, code[0], "compressed instruction without C extension")
+			return Inst{}, rvDecodeError(quiet, addr, code[0], "compressed instruction without C extension")
 		}
-		inst, err := rvDecodeCompressed(uint16(lo), addr)
+		inst, err := rvDecodeCompressed(uint16(lo), addr, quiet)
 		if err != nil {
 			return Inst{}, err
 		}
@@ -193,7 +207,7 @@ func (b rv64Backend) Decode(code []byte, addr uint64) (Inst, error) {
 		return Inst{}, ErrTruncated
 	}
 	word := lo | uint32(code[2])<<16 | uint32(code[3])<<24
-	inst, err := rvDecode32(word, addr)
+	inst, err := rvDecode32(word, addr, quiet)
 	if err != nil {
 		return Inst{}, err
 	}
@@ -202,7 +216,7 @@ func (b rv64Backend) Decode(code []byte, addr uint64) (Inst, error) {
 }
 
 // rvDecode32 decodes one base 32-bit RV64IM instruction (without Addr/Len).
-func rvDecode32(w uint32, addr uint64) (Inst, error) {
+func rvDecode32(w uint32, addr uint64, quiet bool) (Inst, error) {
 	opcode := w & 0x7F
 	rd := Reg(w >> 7 & 0x1F)
 	funct3 := w >> 12 & 7
@@ -212,7 +226,7 @@ func rvDecode32(w uint32, addr uint64) (Inst, error) {
 	immI := signExtend(uint64(w>>20), 12)
 	immS := signExtend(uint64(w>>25<<5|w>>7&0x1F), 12)
 
-	bad := func(reason string) (Inst, error) { return Inst{}, rvDecodeError(addr, byte(w), reason) }
+	bad := func(reason string) (Inst, error) { return Inst{}, rvDecodeError(quiet, addr, byte(w), reason) }
 
 	switch opcode {
 	case 0x37: // LUI
@@ -435,8 +449,8 @@ func creg(f uint16) Reg { return Reg(f&7) + 8 }
 // rvDecodeCompressed decodes one RVC (compressed) instruction as its base
 // expansion (without Addr/Len). All re-encodes emit the 4-byte canonical
 // form; round trips are encode-fixpoint stable, not length preserving.
-func rvDecodeCompressed(h uint16, addr uint64) (Inst, error) {
-	bad := func(reason string) (Inst, error) { return Inst{}, rvDecodeError(addr, byte(h), reason) }
+func rvDecodeCompressed(h uint16, addr uint64, quiet bool) (Inst, error) {
+	bad := func(reason string) (Inst, error) { return Inst{}, rvDecodeError(quiet, addr, byte(h), reason) }
 	if h == 0 {
 		return bad("illegal instruction (all zero)")
 	}

@@ -23,6 +23,11 @@ func (x64Backend) Decode(code []byte, addr uint64) (Inst, error) {
 	return Decode(code, addr)
 }
 
+func (x64Backend) TryDecode(code []byte, addr uint64) (Inst, bool) {
+	inst, err := decode(code, addr, true)
+	return inst, err == nil
+}
+
 func (x64Backend) Encode(inst Inst, pc uint64) ([]byte, error) {
 	return Encode(inst, pc)
 }

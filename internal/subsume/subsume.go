@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/nofreelunch/gadget-planner/internal/expr"
@@ -126,10 +127,11 @@ func Minimize(pool *gadget.Pool, opts Options) (*gadget.Pool, Stats) {
 		groups[structuralKey(g)] = append(groups[structuralKey(g)], g)
 	}
 	var buckets [][]*gadget.Gadget
+	var fpr fingerprinter
 	for _, group := range groups {
 		byFp := make(map[uint64][]*gadget.Gadget)
 		for _, g := range group {
-			fp := fingerprint(g, fingerprints)
+			fp := fpr.fingerprint(g, fingerprints)
 			byFp[fp] = append(byFp[fp], g)
 		}
 		for _, bucket := range byFp {
@@ -321,25 +323,38 @@ func structuralKey(g *gadget.Gadget) string {
 	return key
 }
 
+// fingerprinter holds fingerprint's scratch, reused across the gadgets of
+// one Minimize call: the roots, the offset sort buffer, the variable
+// collector, one environment rebound each round, and one evaluation memo
+// per round shared by that round's roots, which share most of their
+// subterms. It is not safe for concurrent use.
+type fingerprinter struct {
+	nodes []*expr.Node
+	offs  []int64
+	vars  expr.VarCollector
+	env   expr.Env
+	memo  map[uint32]uint64
+}
+
 // fingerprint evaluates the gadget's post-condition on k deterministic
 // pseudo-random environments and hashes the results. Equal effects always
 // fingerprint equal; unequal effects collide only by (unlikely) chance,
 // which the solver check then resolves.
-func fingerprint(g *gadget.Gadget, k int) uint64 {
+func (f *fingerprinter) fingerprint(g *gadget.Gadget, k int) uint64 {
 	h := fnv.New64a()
 	eff := g.Effect
-	var nodes []*expr.Node
+	nodes := f.nodes[:0]
 	for r := range eff.Regs {
 		nodes = append(nodes, eff.Regs[r])
 	}
 	if eff.NextRIP != nil {
 		nodes = append(nodes, eff.NextRIP)
 	}
-	offs := make([]int64, 0, len(eff.StackWrites))
+	offs := f.offs[:0]
 	for off := range eff.StackWrites {
 		offs = append(offs, off)
 	}
-	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
+	slices.Sort(offs)
 	for _, off := range offs {
 		fmt.Fprintf(h, "w%d/%d:", off, eff.StackWrites[off].Size)
 		nodes = append(nodes, eff.StackWrites[off].Val)
@@ -352,15 +367,20 @@ func fingerprint(g *gadget.Gadget, k int) uint64 {
 		fmt.Fprintf(h, "mw%d:", a.Size)
 		nodes = append(nodes, a.Addr, a.Val)
 	}
+	f.nodes, f.offs = nodes, offs
 
-	names := expr.Vars(nodes...)
+	if f.env == nil {
+		f.env, f.memo = make(expr.Env), make(map[uint32]uint64)
+	}
+	clear(f.env)
+	vars := f.vars.Collect(nodes...)
 	for round := 0; round < k; round++ {
-		env := make(expr.Env, len(names))
-		for _, n := range names {
-			env[n] = detValue(n, uint64(round))
+		for _, v := range vars {
+			f.env[v.Name] = detValue(v.Name, uint64(round))
 		}
+		clear(f.memo)
 		for _, node := range nodes {
-			v, err := expr.Eval(node, env)
+			v, err := expr.EvalMemo(node, f.env, f.memo)
 			if err != nil {
 				v = 0xDEAD // unreachable: env binds all vars
 			}
@@ -377,9 +397,11 @@ func fingerprint(g *gadget.Gadget, k int) uint64 {
 // detValue produces a deterministic pseudo-random value from a variable name
 // and round number (splitmix64 over an FNV hash).
 func detValue(name string, round uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	z := h.Sum64() + (round+1)*0x9E3779B97F4A7C15
+	h := uint64(14695981039346656037) // FNV-1a, inline: hash/fnv allocates
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	z := h + (round+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)

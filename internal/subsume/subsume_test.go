@@ -160,12 +160,64 @@ func TestIndexesRebuilt(t *testing.T) {
 
 func TestFingerprintDeterministic(t *testing.T) {
 	pool := poolFrom(t, "pop rdi; add rax, rbx; ret")
+	var f fingerprinter
 	for _, g := range pool.Gadgets {
-		f1 := fingerprint(g, 4)
-		f2 := fingerprint(g, 4)
+		f1 := f.fingerprint(g, 4)
+		f2 := new(fingerprinter).fingerprint(g, 4)
 		if f1 != f2 {
 			t.Fatalf("fingerprint not deterministic for %s", g)
 		}
+	}
+}
+
+// TestFingerprintPinned pins fingerprint values, so a change to how they
+// are computed cannot move them, with one fingerprinter serving every
+// gadget as in Minimize.
+func TestFingerprintPinned(t *testing.T) {
+	want := map[string]uint64{
+		"0x10000: pop rdi; add rax, rbx; ret;":             0x557877cc788a9560,
+		"0x10001: add rax, rbx; ret;":                      0x10d658fb2c00e06d,
+		"0x10004: ret;":                                    0x044b30980f87883c,
+		"0x20000: mov rax, qword [rsp+0x8]; pop rsi; ret;": 0xfe67a0a695d08015,
+		"0x20005: pop rsi; ret;":                           0x49108bcf531b7838,
+	}
+	pool := poolFrom(t, "pop rdi; add rax, rbx; ret", "mov rax, [rsp+8]; pop rsi; ret")
+	var f fingerprinter
+	for _, g := range pool.Gadgets {
+		if w, ok := want[g.String()]; ok {
+			if got := f.fingerprint(g, 4); got != w {
+				t.Errorf("%s: fingerprint %#x, want %#x", g, got, w)
+			}
+			delete(want, g.String())
+		}
+	}
+	for s := range want {
+		t.Errorf("gadget %q missing", s)
+	}
+}
+
+// TestFingerprintAllocsFlat pins fingerprint's allocations to the gadget,
+// not to how many of its effect's nodes are evaluated: 64 registers
+// holding the same expression must allocate no more than one does. An
+// evaluation memo or environment made per node or per round grows with
+// the count and fails this.
+func TestFingerprintAllocsFlat(t *testing.T) {
+	b := expr.NewBuilder()
+	x, y := b.Var("x", 64), b.Var("y", 64)
+	e := x
+	for i := 0; i < 20; i++ {
+		e = b.Add(b.Xor(e, y), b.Const(uint64(i), 64))
+	}
+	allocs := func(regs int) float64 {
+		g := &gadget.Gadget{Effect: &symex.Effect{Regs: make([]*expr.Node, regs), NextRIP: e}}
+		for r := range g.Effect.Regs {
+			g.Effect.Regs[r] = e
+		}
+		var f fingerprinter
+		return testing.AllocsPerRun(20, func() { f.fingerprint(g, 4) })
+	}
+	if one, many := allocs(1), allocs(64); many > one {
+		t.Errorf("fingerprint allocates %.0f objects with 64 registers, %.0f with 1", many, one)
 	}
 }
 
@@ -183,7 +235,8 @@ func TestFingerprintSeparates(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatal("gadgets missing")
 	}
-	if fingerprint(a, 4) == fingerprint(b, 4) {
+	var f fingerprinter
+	if f.fingerprint(a, 4) == f.fingerprint(b, 4) {
 		t.Error("different gadgets share a fingerprint")
 	}
 }
