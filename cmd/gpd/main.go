@@ -1,9 +1,9 @@
 // Command gpd is the long-running analysis service: one process keeps the
 // artifact store warm and serves gadget-count/analyze/plan requests from N
-// clients over HTTP (TCP and/or a unix socket). Concurrent identical
-// requests collapse onto a single execution, overlapping requests dedup
-// per stage through the store's singleflight, and a per-stage gate bounds
-// compute concurrency so a burst of clients queues instead of oversubscribing.
+// clients over HTTP (TCP and/or a unix socket). Concurrent requests that
+// need the same artifact compute it once through the store's per-stage
+// singleflight, and a per-stage gate bounds compute concurrency so a burst
+// of clients queues instead of oversubscribing.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 // Clients: gp -server unix:/tmp/gpd.sock ..., gadgetcount -server ...,
 // or any HTTP client POSTing JSON to /run (the response is a JSONL stream
 // of stage events followed by the result). GET /stats reports per-stage
-// hit rates, pool depths, and dedup counters; GET /healthz flips to 503
+// hit rates and pool depths; GET /healthz flips to 503
 // while draining. SIGTERM/SIGINT starts a graceful drain: new requests are
 // refused, in-flight ones finish (up to -drain), then the process exits.
 package main
@@ -89,14 +89,14 @@ func run() error {
 	}
 
 	srv := serve.NewServer(store, par)
-	// Computations run under this context, not per-request contexts: shared
-	// artifacts must not die with the client that happened to start them.
-	// It is canceled only when the drain window expires.
+	// Every request context derives from this one, which is canceled only
+	// when the drain window expires.
 	computeCtx, cancelCompute := context.WithCancel(context.Background())
 	defer cancelCompute()
-	srv.BaseContext = computeCtx
-
-	hsrv := &http.Server{Handler: srv.Handler()}
+	hsrv := &http.Server{
+		Handler:     srv.Handler(),
+		BaseContext: func(net.Listener) context.Context { return computeCtx },
+	}
 	var listeners []net.Listener
 	if *socket != "" {
 		// A stale socket file from an unclean shutdown would block the bind.

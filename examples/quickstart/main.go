@@ -4,8 +4,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/core"
@@ -31,46 +33,54 @@ int main() {
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer) error {
 	// 1. Compile with Obfuscator-LLVM-style passes (substitution, bogus
 	//    control flow, flattening).
 	bin, err := codegen.BuildProgram(victim, func(m *mir.Module) error {
 		return obfuscate.Apply(m, 7, obfuscate.LLVMObf()...)
 	}, codegen.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("obfuscated binary: %d bytes of code\n", bin.CodeSize())
+	fmt.Fprintf(w, "obfuscated binary: %d bytes of code\n", bin.CodeSize())
 
 	// Sanity: the obfuscated program still behaves.
 	out, err := codegen.Run(bin, nil, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("program output: %s", out.Stdout)
+	fmt.Fprintf(w, "program output: %s", out.Stdout)
 
 	// 2. Stages 1–2: extract gadgets and minimize the pool.
 	analysis := core.Analyze(bin, core.Config{})
-	fmt.Printf("gadget pool: %d raw -> %d after subsumption (%.2fx)\n",
+	fmt.Fprintf(w, "gadget pool: %d raw -> %d after subsumption (%.2fx)\n",
 		analysis.SubsumeStats.Before, analysis.SubsumeStats.After,
 		analysis.SubsumeStats.ReductionFactor())
 
 	// 3. Stages 3–4: plan and build execve("/bin/sh") payloads; every
 	//    returned payload has already fired in the emulator.
 	attack := analysis.FindPayloads(planner.ExecveGoal())
-	fmt.Printf("verified execve payloads: %d\n", len(attack.Payloads))
+	fmt.Fprintf(w, "verified execve payloads: %d\n", len(attack.Payloads))
 	if len(attack.Payloads) == 0 {
-		log.Fatal("no payloads found")
+		return errors.New("no payloads found")
 	}
 
 	pl := attack.Payloads[0]
-	fmt.Printf("\nfirst chain (%d bytes of payload):\n", len(pl.Bytes))
+	fmt.Fprintf(w, "\nfirst chain (%d bytes of payload):\n", len(pl.Bytes))
 	for i, g := range pl.Chain {
-		fmt.Printf("  gadget %d: %s\n", i+1, g)
+		fmt.Fprintf(w, "  gadget %d: %s\n", i+1, g)
 	}
 
 	// 4. Re-verify explicitly, then show the stack layout.
 	if err := payload.Verify(bin, pl, 0); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\nemulator re-verification: execve(\"/bin/sh\", 0, 0) fired ✓")
+	fmt.Fprintln(w, "\nemulator re-verification: execve(\"/bin/sh\", 0, 0) fired ✓")
+	return nil
 }

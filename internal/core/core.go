@@ -44,23 +44,22 @@ type Config struct {
 	// SkipSubsume disables stage 2 (ablation).
 	SkipSubsume bool
 	// GadgetFilter, if set, restricts the pool to gadgets it accepts
-	// (ablation: gadget-class studies).
+	// (ablation: gadget-class studies). The filtered pool is keyed by the
+	// gadgets the filter kept, so two filters that keep the same gadgets
+	// share its minimize and plan artifacts.
 	GadgetFilter func(*gadget.Gadget) bool
 	// Parallelism is how many workers extraction, subsumption, and
 	// planning use (0 = runtime.GOMAXPROCS(0), 1 = single-threaded).
 	// Results are identical at every worker count.
 	Parallelism int
-	// Store, if set, is the content-addressed artifact store the pipeline
-	// stages consult (pipeline.NewStore()): stages whose fingerprinted
-	// inputs were already computed — by this analysis, a sibling cell, or
-	// an earlier experiment sharing the store — are served from it, and
-	// concurrent requests for one artifact compute it exactly once.
-	// Results are byte-identical with or without a store. Nil computes
-	// every stage directly. A closure-valued GadgetFilter cannot be
-	// fingerprinted, so when it is set only extraction is cached. A store
-	// opened with a persistent tier (pipeline.OpenDisk + Store.WithDisk)
-	// additionally serves artifacts computed by earlier processes, still
-	// byte-identically.
+	// Store is the content-addressed artifact store the pipeline stages
+	// consult: stages whose fingerprinted inputs were already computed —
+	// by this analysis, a sibling cell, or an earlier experiment sharing
+	// the store — are served from it, and concurrent requests for one
+	// artifact compute it exactly once. Nil gets a private
+	// pipeline.NewStore(). A store opened with a persistent tier
+	// (pipeline.OpenDisk + Store.WithDisk) additionally serves artifacts
+	// computed by earlier processes, byte-identically.
 	Store *pipeline.Store
 }
 
@@ -72,6 +71,9 @@ func (c Config) withDefaults() Config {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	c.Planner.Parallelism = c.Parallelism
+	if c.Store == nil {
+		c.Store = pipeline.NewStore()
+	}
 	return c
 }
 
@@ -114,16 +116,14 @@ type Analysis struct {
 	Timings []StageTiming
 
 	cfg Config
-	// poolKey is the artifact key of Pool; "" when the analysis ran
-	// without a store or through an unfingerprintable GadgetFilter, in
-	// which case plan-stage results are computed directly.
+	// poolKey is the artifact key of Pool.
 	poolKey string
 }
 
-// Analyze runs gadget extraction and subsumption testing. With Config.Store
-// set, each stage is served from the content-addressed artifact store when
-// its fingerprinted inputs — binary content plus stage options — were
-// already computed; results are byte-identical either way.
+// Analyze runs gadget extraction and subsumption testing. Each stage is
+// served from Config.Store when its fingerprinted inputs — binary content
+// plus stage options — were already computed; results are byte-identical
+// either way.
 func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	cfg = cfg.withDefaults()
 	a := &Analysis{Binary: bin, cfg: cfg}
@@ -132,10 +132,7 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	xopts := gadget.Options{ISA: bin.ISA, Parallelism: cfg.Parallelism}
 	sopts := subsume.Options{Parallelism: cfg.Parallelism}
 
-	var rawKey string
-	if cfg.Store != nil {
-		rawKey = pipeline.ExtractKey(cfg.Store.BinaryKey(bin), xopts)
-	}
+	rawKey := pipeline.ExtractKey(pipeline.BinaryKey(bin), xopts)
 	raw, xinfo, err := pipeline.DoCtx(context.TODO(), cfg.Store, pipeline.StageExtract, rawKey,
 		func() (*gadget.Pool, error) { return gadget.Extract(bin, xopts), nil })
 	if err != nil {
@@ -147,22 +144,24 @@ func Analyze(bin *sbf.Binary, cfg Config) *Analysis {
 	pool := a.RawPool
 	poolKey := rawKey
 	if cfg.GadgetFilter != nil {
-		poolKey = "" // closures have no canonical fingerprint
-		pool = pool.Filter(cfg.GadgetFilter)
+		var kept []int // raw-pool IDs, which are pool positions
+		pool = pool.Filter(func(g *gadget.Gadget) bool {
+			ok := cfg.GadgetFilter(g)
+			if ok {
+				kept = append(kept, g.ID)
+			}
+			return ok
+		})
+		poolKey = pipeline.FilterKey(rawKey, kept)
 	}
 
 	if cfg.SkipSubsume {
 		a.Pool = pool
 		a.SubsumeStats = subsume.Stats{Before: pool.Size(), After: pool.Size()}
-		if poolKey != "" {
-			a.poolKey = pipeline.SkipSubsumeKey(poolKey)
-		}
+		a.poolKey = pipeline.SkipSubsumeKey(poolKey)
 		return a
 	}
-	var minKey string
-	if poolKey != "" {
-		minKey = pipeline.MinimizeKey(poolKey, sopts)
-	}
+	minKey := pipeline.MinimizeKey(poolKey, sopts)
 	min, minfo, err := pipeline.DoCtx(context.TODO(), cfg.Store, pipeline.StageMinimize, minKey,
 		func() (pipeline.Minimized, error) {
 			p, s := subsume.Minimize(pool, sopts)
@@ -196,11 +195,7 @@ func (a *Analysis) FindPayloads(goal planner.Goal) *pipeline.Attack {
 // shareable: the store's pool artifact is never mutated.
 func (a *Analysis) findPayloads(goal planner.Goal) (*pipeline.Attack, StageTiming) {
 	cfg := a.cfg
-	var key string
-	if a.poolKey != "" {
-		key = pipeline.PlanKey(a.poolKey, goal.Name, cfg.Planner,
-			cfg.PayloadBase, VerifySteps)
-	}
+	key := pipeline.PlanKey(a.poolKey, goal.Name, cfg.Planner, cfg.PayloadBase, VerifySteps)
 	atk, info, err := pipeline.DoCtx(context.TODO(), cfg.Store, pipeline.StagePlan, key,
 		func() (*pipeline.Attack, error) {
 			atk := &pipeline.Attack{Goal: goal}

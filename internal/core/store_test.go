@@ -29,8 +29,8 @@ func attackSig(attacks map[string]*pipeline.Attack) string {
 }
 
 // TestStoreTransparent pins the store's core contract: Analyze + FindAll
-// with a store — cold, then warm from the same store — produce exactly the
-// plans and payload bytes of the storeless pipeline, and the warm run's
+// with a shared store — cold, then warm from the same store — produce
+// exactly the plans and payload bytes of a private store, and the warm run's
 // stage timings are marked Cached while reporting the original compute
 // cost, not the lookup's.
 func TestStoreTransparent(t *testing.T) {
@@ -51,7 +51,7 @@ func TestStoreTransparent(t *testing.T) {
 	cfg.Store = store
 	cold := Analyze(bin, cfg)
 	if got := attackSig(cold.FindAll()); got != ref {
-		t.Errorf("cold store run differs from storeless run:\n%s\nvs\n%s", got, ref)
+		t.Errorf("cold store run differs from the private-store run:\n%s\nvs\n%s", got, ref)
 	}
 	for _, tm := range cold.Timings {
 		if tm.Cached {
@@ -61,7 +61,7 @@ func TestStoreTransparent(t *testing.T) {
 
 	warm := Analyze(bin, cfg)
 	if got := attackSig(warm.FindAll()); got != ref {
-		t.Error("warm store run differs from storeless run")
+		t.Error("warm store run differs from the private-store run")
 	}
 	if warm.Pool != cold.Pool {
 		t.Error("warm run did not share the minimized pool artifact")
@@ -109,7 +109,7 @@ func TestStoreDiskMatrix(t *testing.T) {
 		diskStore := pipeline.NewStore().WithDisk(disk)
 		cfg.Store = diskStore
 		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
-			t.Errorf("P=%d cold disk-backed run differs from storeless run", par)
+			t.Errorf("P=%d cold disk-backed run differs from the private-store run", par)
 		}
 		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
 			t.Errorf("P=%d warm in-process disk-backed run differs", par)
@@ -123,7 +123,7 @@ func TestStoreDiskMatrix(t *testing.T) {
 		}
 		cfg.Store = pipeline.NewStore().WithDisk(disk2)
 		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
-			t.Errorf("P=%d warm across-process run differs from storeless run", par)
+			t.Errorf("P=%d warm across-process run differs from the private-store run", par)
 		}
 		var extract pipeline.StageStats
 		for _, st := range cfg.Store.Stats() {
@@ -138,43 +138,62 @@ func TestStoreDiskMatrix(t *testing.T) {
 		// A memory-only store, same bytes.
 		cfg.Store = pipeline.NewStore()
 		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
-			t.Errorf("P=%d memory-only run differs from storeless run", par)
+			t.Errorf("P=%d memory-only run differs from the private-store run", par)
 		}
 	}
 }
 
-// TestStoreWithGadgetFilter: a closure-valued filter cannot be
-// fingerprinted, so only extraction is cached — and results still match
-// the storeless filtered pipeline.
+// TestStoreWithGadgetFilter: a filtered pool is keyed by the gadgets the
+// filter kept. A repeated filtered analysis hits minimize and plan, a
+// different closure that keeps the same gadgets hits too, a filter that
+// keeps a different set misses, and every result equals a fresh store's.
 func TestStoreWithGadgetFilter(t *testing.T) {
 	p, _ := benchprog.ByName("crc")
 	bin, err := benchprog.BuildISA(p, obfuscate.LLVMObf(), 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	filter := func(g *gadget.Gadget) bool { return !g.HasCond }
-	cfg := Config{
-		Planner:      planner.Options{MaxPlans: 2, MaxNodes: 2000},
-		GadgetFilter: filter,
-	}
-	bare := Analyze(bin, cfg)
+	noCond := func(g *gadget.Gadget) bool { return !g.HasCond }
+	keepCond := false
+	sameSet := func(g *gadget.Gadget) bool { return g.HasCond == keepCond }
+	retOnly := func(g *gadget.Gadget) bool { return g.JmpType == gadget.TypeReturn }
 
-	cfg.Store = pipeline.NewStore()
-	a1 := Analyze(bin, cfg)
-	a2 := Analyze(bin, cfg)
-	if a1.Pool.Size() != bare.Pool.Size() {
-		t.Errorf("filtered pool: store %d vs bare %d", a1.Pool.Size(), bare.Pool.Size())
+	analyze := func(filter func(*gadget.Gadget) bool, store *pipeline.Store) (*Analysis, string) {
+		a := Analyze(bin, Config{
+			Planner:      planner.Options{MaxPlans: 2, MaxNodes: 2000},
+			GadgetFilter: filter,
+			Store:        store,
+		})
+		return a, a.Pool.Canon() + attackSig(a.FindAll())
 	}
-	if a1.RawPool != a2.RawPool {
-		t.Error("extraction not shared under GadgetFilter")
+	store := pipeline.NewStore()
+	cond := 0
+	for _, g := range Analyze(bin, Config{SkipSubsume: true, Store: store}).RawPool.Gadgets {
+		if g.HasCond {
+			cond++
+		}
 	}
-	if a1.poolKey != "" {
-		t.Errorf("filtered analysis has a pool key %q; plans must not be cached", a1.poolKey)
+	if cond == 0 {
+		t.Fatal("no conditional gadgets: noCond keeps the whole pool")
 	}
-	// Downstream stages bypass the store: only extract counters move.
-	for _, st := range cfg.Store.Stats() {
-		if st.Stage != "extract" && (st.Hits != 0 || st.Misses != 0) {
-			t.Errorf("stage %s saw traffic under GadgetFilter: %d/%d", st.Stage, st.Hits, st.Misses)
+	for _, c := range []struct {
+		name   string
+		filter func(*gadget.Gadget) bool
+		hit    bool
+	}{
+		{"first", noCond, false},
+		{"repeat", noCond, true},
+		{"other closure, same gadgets", sameSet, true},
+		{"other gadgets", retOnly, false},
+	} {
+		a, got := analyze(c.filter, store)
+		if _, fresh := analyze(c.filter, nil); got != fresh {
+			t.Errorf("%s: result differs from a fresh store's", c.name)
+		}
+		for _, tm := range a.Timings[1:] { // extraction hits after the first run
+			if tm.Cached != c.hit {
+				t.Errorf("%s: stage %s cached=%v, want %v", c.name, tm.Name, tm.Cached, c.hit)
+			}
 		}
 	}
 }

@@ -345,17 +345,6 @@ type Inst struct {
 	Len  uint8
 }
 
-// IsBranch reports whether the instruction transfers control (ret, jmp, jcc,
-// call, syscall, hlt, int3).
-func (i *Inst) IsBranch() bool {
-	switch i.Op {
-	case OpRet, OpJmp, OpJcc, OpCall, OpSyscall, OpHlt, OpInt3, OpBcc, OpJal, OpJalr:
-		return true
-	default:
-		return false
-	}
-}
-
 // IsDirectBranch reports whether the instruction is a direct jump, call or
 // conditional jump with an immediate target.
 func (i *Inst) IsDirectBranch() bool {

@@ -121,33 +121,3 @@ func TestDoCtxCanceled(t *testing.T) {
 		t.Fatal("canceled request must not have populated the store")
 	}
 }
-
-// TestGateUnkeyedRequests: the gate also bounds requests that bypass
-// memoization (an empty key, as for an unfingerprintable GadgetFilter), so
-// a server's stage pools hold for them too.
-func TestGateUnkeyedRequests(t *testing.T) {
-	s := NewStore().WithGate(NewGate(2, nil))
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 12; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			DoCtx(context.Background(), s, StageBuild, "", func() (int, error) {
-				n := cur.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				defer cur.Add(-1)
-				return 0, nil
-			})
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("peak %d exceeds limit 2 on unkeyed requests", p)
-	}
-}

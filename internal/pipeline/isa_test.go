@@ -9,7 +9,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
-	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/subsume"
 )
 
@@ -115,9 +114,8 @@ func TestX64PoolCanonGolden(t *testing.T) {
 }
 
 // TestCrossISADeterminism is the per-backend determinism matrix: for every
-// backend, extraction renders byte-identically across parallelism 1/2/8 and
-// with the artifact store on or off (a fresh store and no store at all
-// agree).
+// backend, extraction through a fresh store renders byte-identically to a
+// direct extraction across parallelism 1/2/8.
 func TestCrossISADeterminism(t *testing.T) {
 	p, ok := benchprog.ByName("crc")
 	if !ok {
@@ -131,29 +129,9 @@ func TestCrossISADeterminism(t *testing.T) {
 		ref := gadget.Extract(bin, gadget.Options{ISA: isaName, Parallelism: 1}).Canon()
 		for _, par := range []int{1, 2, 8} {
 			opts := gadget.Options{ISA: isaName, Parallelism: par}
-			stores := map[string]*Store{
-				"nostore": nil,
-				"store":   NewStore(),
-			}
-			for label, s := range stores {
-				got := extract(t, s, cloneForStore(s, bin), opts).Canon()
-				if got != ref {
-					t.Errorf("%s: pool differs at parallelism=%d store=%s", isaName, par, label)
-				}
+			if got := extract(t, NewStore(), bin, opts).Canon(); got != ref {
+				t.Errorf("%s: pool differs at parallelism=%d", isaName, par)
 			}
 		}
 	}
-}
-
-// cloneForStore hands each store arm its own binary pointer so BinaryKey
-// memoization never crosses arms (the bytes are identical either way).
-func cloneForStore(s *Store, bin *sbf.Binary) *sbf.Binary {
-	if s == nil {
-		return bin
-	}
-	clone, err := sbf.Unmarshal(bin.Marshal())
-	if err != nil {
-		panic(err)
-	}
-	return clone
 }

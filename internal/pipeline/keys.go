@@ -47,20 +47,12 @@ func BuildKey(source string, passNames []string, seed int64, isaName string) str
 	return k
 }
 
-// BinaryKey content-addresses a binary (its serialized bytes), memoized
-// per *sbf.Binary pointer — store-shared binaries are hashed once.
-// Nil-safe: a nil store returns "" (compute-directly mode).
-func (s *Store) BinaryKey(bin *sbf.Binary) string {
-	if s == nil {
-		return ""
-	}
-	if k, ok := s.binKeys.Load(bin); ok {
-		return k.(string)
-	}
-	sum := sha256.Sum256(bin.Marshal())
-	k := "bin:" + hex.EncodeToString(sum[:16])
-	s.binKeys.Store(bin, k)
-	return k
+// BinaryKey content-addresses a binary (its serialized bytes). The digest
+// is memoized on the binary itself (sbf.Binary.Digest), so a shared binary
+// is hashed once and nothing outlives it.
+func BinaryKey(bin *sbf.Binary) string {
+	sum := bin.Digest()
+	return "bin:" + hex.EncodeToString(sum[:16])
 }
 
 // EncodeKey fingerprints the self-modification transform of a built binary.
@@ -86,6 +78,17 @@ func CountKey(binKey, isaName string) string {
 // ExtractKey fingerprints the extraction stage.
 func ExtractKey(binKey string, o gadget.Options) string {
 	return binKey + "|x:" + o.Fingerprint()
+}
+
+// FilterKey fingerprints the part of an extracted pool a gadget filter
+// kept, by the kept gadgets' IDs in the raw pool: two filters that keep the
+// same gadgets address the same downstream artifacts.
+func FilterKey(extractKey string, kept []int) string {
+	h := sha256.New()
+	for _, id := range kept {
+		fmt.Fprintf(h, "%d,", id)
+	}
+	return extractKey + "|f:" + hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // MinimizeKey fingerprints the subsumption stage on an extracted pool.
@@ -115,15 +118,11 @@ func PlanKey(poolKey, goalName string, o planner.Options, payloadBase, verifySte
 // default x64). The Info is the store's request outcome — the analysis
 // service uses it to report per-stage progress and cached markers.
 func BuildISACtx(ctx context.Context, s *Store, p benchprog.Program, passes []obfuscate.Pass, seed int64, isaName string) (*sbf.Binary, Info, error) {
-	key := ""
-	if s != nil {
-		names := make([]string, len(passes))
-		for i, ps := range passes {
-			names[i] = ps.Name()
-		}
-		key = BuildKey(p.Source, names, seed, isaName)
+	names := make([]string, len(passes))
+	for i, ps := range passes {
+		names[i] = ps.Name()
 	}
-	return DoCtx(ctx, s, StageBuild, key, func() (*sbf.Binary, error) {
+	return DoCtx(ctx, s, StageBuild, BuildKey(p.Source, names, seed, isaName), func() (*sbf.Binary, error) {
 		return benchprog.BuildISA(p, passes, seed, isaName)
 	})
 }
@@ -131,11 +130,7 @@ func BuildISACtx(ctx context.Context, s *Store, p benchprog.Program, passes []ob
 // SelfModifyCtx applies the post-link self-modification transform through
 // the store.
 func SelfModifyCtx(ctx context.Context, s *Store, bin *sbf.Binary, key byte) (*sbf.Binary, Info, error) {
-	k := ""
-	if s != nil {
-		k = EncodeKey(s.BinaryKey(bin), key)
-	}
-	return DoCtx(ctx, s, StageEncode, k, func() (*sbf.Binary, error) {
+	return DoCtx(ctx, s, StageEncode, EncodeKey(BinaryKey(bin), key), func() (*sbf.Binary, error) {
 		return obfuscate.SelfModifyBinary(bin, key)
 	})
 }
@@ -147,15 +142,11 @@ func SelfModifyCtx(ctx context.Context, s *Store, bin *sbf.Binary, key byte) (*s
 // are identical at every worker count. The returned map is a shared
 // artifact: read-only by contract.
 func CountCtx(ctx context.Context, s *Store, bin *sbf.Binary, parallelism int) (map[gadget.JmpType]int, Info, error) {
-	k := ""
-	if s != nil {
-		k = CountKey(s.BinaryKey(bin), bin.ISA)
-	}
 	be, ok := isa.ByName(bin.ISA)
 	if !ok {
 		be = isa.X64
 	}
-	return DoCtx(ctx, s, StageCount, k, func() (map[gadget.JmpType]int, error) {
+	return DoCtx(ctx, s, StageCount, CountKey(BinaryKey(bin), bin.ISA), func() (map[gadget.JmpType]int, error) {
 		return gadget.CountParallel(bin, countMaxInsts, be, parallelism), nil
 	})
 }

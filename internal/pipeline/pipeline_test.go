@@ -3,11 +3,13 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
@@ -69,27 +71,6 @@ func TestDoHitReportsOriginalComputeCost(t *testing.T) {
 	}
 	if warm.Compute != cold.Compute {
 		t.Fatalf("warm hit reports %v, want the original cost %v", warm.Compute, cold.Compute)
-	}
-}
-
-func TestNilStoreAndEmptyKey(t *testing.T) {
-	var calls atomic.Int64
-	compute := func() (int, error) { calls.Add(1); return 1, nil }
-	var nilStore *Store
-	DoCtx(context.Background(), nilStore, StageExtract, "k", compute)
-	if nilStore.Stats() != nil {
-		t.Fatal("nil store stats non-nil")
-	}
-
-	s := NewStore()
-	DoCtx(context.Background(), s, StageExtract, "", compute) // unfingerprintable: bypasses the store
-	DoCtx(context.Background(), s, StageExtract, "", compute)
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("computed %d times, want 3", n)
-	}
-	// Empty keys bypass counters too: they are not store traffic.
-	if st := s.Stats()[StageExtract]; st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("empty-key requests counted: %d/%d", st.Hits, st.Misses)
 	}
 }
 
@@ -235,14 +216,41 @@ func TestBinaryKeyMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1 := s.BinaryKey(bin)
-	k2 := s.BinaryKey(bin)
+	k1 := BinaryKey(bin)
+	k2 := BinaryKey(bin)
 	if k1 == "" || k1 != k2 {
 		t.Fatalf("BinaryKey not stable: %q vs %q", k1, k2)
 	}
-	var nilStore *Store
-	if nilStore.BinaryKey(bin) != "" {
-		t.Fatal("nil store BinaryKey should be empty")
+	clone, err := sbf.Unmarshal(bin.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := BinaryKey(clone); k != k1 {
+		t.Fatalf("equal binaries keyed %q and %q", k1, k)
+	}
+}
+
+// TestStoreDoesNotPinBinary: keying a binary through a store stage leaves
+// nothing in the store that refers to the binary, so a binary the caller
+// drops is collected while the store (and the stage's artifact) lives on.
+func TestStoreDoesNotPinBinary(t *testing.T) {
+	s := NewStore()
+	bin := sbf.New()
+	bin.AddSection(sbf.Section{Name: ".text", Addr: 0x1000, Flags: sbf.FlagRead | sbf.FlagExec, Data: []byte{0xc3}})
+	bin.AddSection(sbf.Section{Name: ".data", Addr: 0x10000, Flags: sbf.FlagRead | sbf.FlagWrite, Data: make([]byte, 1<<20)})
+	if _, _, err := CountCtx(context.Background(), s, bin, 1); err != nil {
+		t.Fatal(err)
+	}
+	wp := weak.Make(bin)
+	bin = nil
+	for i := 0; i < 5 && wp.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if wp.Value() != nil {
+		t.Error("the store keeps a counted binary reachable")
+	}
+	if n := s.MemEntries(); n != 1 {
+		t.Errorf("store holds %d entries, want the count artifact", n)
 	}
 }
 
@@ -250,11 +258,7 @@ func TestBinaryKeyMemoized(t *testing.T) {
 // it.
 func extract(t testing.TB, s *Store, bin *sbf.Binary, o gadget.Options) *gadget.Pool {
 	t.Helper()
-	k := ""
-	if s != nil {
-		k = ExtractKey(s.BinaryKey(bin), o)
-	}
-	pool, _, err := DoCtx(context.Background(), s, StageExtract, k, func() (*gadget.Pool, error) {
+	pool, _, err := DoCtx(context.Background(), s, StageExtract, ExtractKey(BinaryKey(bin), o), func() (*gadget.Pool, error) {
 		return gadget.Extract(bin, o), nil
 	})
 	if err != nil {

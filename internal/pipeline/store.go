@@ -61,8 +61,8 @@ func (st Stage) String() string {
 
 // Store memoizes stage artifacts by key. It is safe for concurrent use;
 // concurrent requests for one key compute it once (singleflight) and share
-// the result. A nil *Store is valid everywhere and simply computes each
-// stage directly — the pre-store pipeline behavior.
+// the result. Every stage request goes through a store: callers without a
+// shared one make a private NewStore().
 //
 // A store may additionally be backed by a persistent tier (WithDisk): on a
 // memory miss the artifact is decoded from disk if an earlier process
@@ -75,7 +75,6 @@ type Store struct {
 	gate     *Gate
 	mu       sync.Mutex
 	entries  map[string]*entry
-	binKeys  sync.Map // *sbf.Binary -> string, memoized content hashes
 	counters [numStages]stageCounter
 
 	// maxEntries bounds the memory tier (0 = unbounded): completed
@@ -121,9 +120,9 @@ func NewStore() *Store {
 // chaining. It is how streaming workloads keep peak memory flat in cell
 // count: each cell's artifacts age out once its neighbors stop sharing
 // them, and the disk tier (if attached) keeps serving evicted keys.
-// A no-op on nil stores and for maxEntries <= 0.
+// A no-op for maxEntries <= 0.
 func (s *Store) LimitMemory(maxEntries int) *Store {
-	if s != nil && maxEntries > 0 {
+	if maxEntries > 0 {
 		s.mu.Lock()
 		s.maxEntries = maxEntries
 		if s.lru == nil {
@@ -139,19 +138,13 @@ func (s *Store) LimitMemory(maxEntries int) *Store {
 }
 
 // MemEvictions reports how many completed artifacts the bounded memory
-// tier has dropped. Nil-safe.
+// tier has dropped.
 func (s *Store) MemEvictions() int64 {
-	if s == nil {
-		return 0
-	}
 	return s.memEvictions.Load()
 }
 
-// MemEntries reports the memory tier's current artifact count. Nil-safe.
+// MemEntries reports the memory tier's current artifact count.
 func (s *Store) MemEntries() int {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
@@ -177,41 +170,26 @@ func (s *Store) evictMem() {
 	}
 }
 
-// WithDisk attaches a persistent tier and returns s for chaining. Nil-safe.
+// WithDisk attaches a persistent tier and returns s for chaining.
 func (s *Store) WithDisk(d *Disk) *Store {
-	if s != nil {
-		s.disk = d
-	}
+	s.disk = d
 	return s
 }
 
 // WithGate attaches a per-stage compute gate (see Gate) and returns s for
-// chaining. Nil-safe.
+// chaining.
 func (s *Store) WithGate(g *Gate) *Store {
-	if s != nil {
-		s.gate = g
-	}
+	s.gate = g
 	return s
 }
 
-// Gate returns the attached compute gate, or nil. Nil-safe.
-func (s *Store) Gate() *Gate {
-	if s == nil {
-		return nil
-	}
-	return s.gate
-}
+// Gate returns the attached compute gate, or nil.
+func (s *Store) Gate() *Gate { return s.gate }
 
-// Disk returns the attached persistent tier, or nil. Nil-safe.
-func (s *Store) Disk() *Disk {
-	if s == nil {
-		return nil
-	}
-	return s.disk
-}
+// Disk returns the attached persistent tier, or nil.
+func (s *Store) Disk() *Disk { return s.disk }
 
 // DiskStats snapshots the attached tier's counters (zero when none).
-// Nil-safe.
 func (s *Store) DiskStats() DiskStats { return s.Disk().Stats() }
 
 // Info describes how one stage request was served.
@@ -260,13 +238,12 @@ func recovered[T any](f func() (T, error)) (v T, err error) {
 }
 
 // DoCtx returns the stage artifact for key, computing it at most once per
-// store. An empty key (or a nil store) bypasses memoization and computes
-// directly — callers use that for inputs that cannot be fingerprinted,
-// e.g. a closure-valued GadgetFilter. Errors are artifacts too: a failed
-// computation is cached and returned to every requester of the key. A
-// panicking computation is the exception: its waiters receive an error
-// carrying the panic value and stack, and the key is dropped so the next
-// request recomputes.
+// store. Every input that determines the artifact must be in the key,
+// because the key is the only identity the store knows. Errors are
+// artifacts too: a failed computation is cached and returned to every
+// requester of the key. A panicking computation is the exception: its
+// waiters receive an error carrying the panic value and stack, and the key
+// is dropped so the next request recomputes.
 //
 // ctx is a cancellation boundary: a context canceled before the
 // stage is entered returns ctx.Err() without computing or caching
@@ -282,17 +259,6 @@ func DoCtx[T any](ctx context.Context, s *Store, st Stage, key string, compute f
 		var zero T
 		return zero, Info{}, err
 	}
-	if s == nil || key == "" {
-		var gate *Gate
-		if s != nil {
-			gate = s.gate
-		}
-		gate.enter(st)
-		v, d, alloc, err := measured(compute)
-		gate.exit(st)
-		return v, Info{Compute: d, AllocBytes: alloc}, err
-	}
-
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
@@ -391,11 +357,8 @@ type StageStats struct {
 	ComputeSeconds float64 `json:"compute_seconds"`
 }
 
-// Stats snapshots the per-stage counters in chain order. Nil-safe.
+// Stats snapshots the per-stage counters in chain order.
 func (s *Store) Stats() []StageStats {
-	if s == nil {
-		return nil
-	}
 	out := make([]StageStats, numStages)
 	for st := Stage(0); st < numStages; st++ {
 		c := &s.counters[st]
@@ -414,9 +377,6 @@ func (s *Store) Stats() []StageStats {
 // StatsLine renders the counters as one line for CLI stats output, in the
 // style of subsume.Stats and planner.Result.StatsLine.
 func (s *Store) StatsLine() string {
-	if s == nil {
-		return "store: disabled"
-	}
 	var sb strings.Builder
 	sb.WriteString("store:")
 	traffic := false

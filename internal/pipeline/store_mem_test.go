@@ -91,13 +91,9 @@ func TestLimitMemoryPinsInFlight(t *testing.T) {
 	}
 }
 
-// TestLimitMemoryNoops pins the no-op cases: nil and unbounded stores take
-// the LimitMemory call without growing state or evicting.
+// TestLimitMemoryNoops pins the no-op case: an unbounded store takes the
+// LimitMemory call without growing state or evicting.
 func TestLimitMemoryNoops(t *testing.T) {
-	var nilStore *Store
-	if s := nilStore.LimitMemory(4); s != nil {
-		t.Error("nil store LimitMemory returned non-nil")
-	}
 	u := NewStore().LimitMemory(0) // <= 0: unbounded
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("k%d", i)

@@ -5,10 +5,12 @@
 package sbf
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Magic identifies an SBF image. Version 1 images are always x86-64;
@@ -68,6 +70,9 @@ type Binary struct {
 	// "rv64"). Empty means x86-64: images that predate multi-ISA support
 	// carry no tag and are read back with ISA == "".
 	ISA string
+
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // New returns an empty binary.
@@ -129,6 +134,14 @@ func (b *Binary) Symbol(name string) (uint64, bool) {
 
 // errCorrupt wraps deserialization failures.
 var errCorrupt = errors.New("sbf: corrupt image")
+
+// Digest returns the SHA-256 of the serialized binary. It is computed on
+// first use and kept with the binary, so it lives exactly as long as the
+// binary does; a binary must not change once it has been digested.
+func (b *Binary) Digest() [sha256.Size]byte {
+	b.digestOnce.Do(func() { b.digest = sha256.Sum256(b.Marshal()) })
+	return b.digest
+}
 
 // Marshal serializes the binary.
 func (b *Binary) Marshal() []byte {

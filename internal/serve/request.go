@@ -12,11 +12,10 @@
 //     differently — a program by name vs its inlined source, a preset vs
 //     its expanded pass list, defaulted vs explicit options — address the
 //     same artifacts.
-//   - Cross-request singleflight. Identical concurrent submissions are
-//     collapsed twice: the server folds whole requests onto one in-flight
-//     execution (joiners replay the winner's progress events and share its
-//     result), and the store's per-stage singleflight dedupes partial
-//     overlaps underneath.
+//   - Cross-request singleflight. Every stage a request runs is keyed in
+//     the store, whose per-key singleflight computes each artifact once
+//     however many requests need it at the same time; a request that finds
+//     an artifact computed or in flight reports that stage cached.
 //   - Bounded per-stage pools. The store's gate (pipeline.Gate) admits a
 //     bounded number of concurrent computations per stage and queues the
 //     rest, so load bursts turn into backpressure instead of a goroutine

@@ -32,6 +32,12 @@ func Run(ctx context.Context, store *pipeline.Store, parallelism int, req Reques
 	if err != nil {
 		return nil, err
 	}
+	return run(ctx, store, parallelism, rr, progress)
+}
+
+// run executes a resolved request (see Run).
+func run(ctx context.Context, store *pipeline.Store, parallelism int, rr *resolved, progress Progress) (*Result, error) {
+	var err error
 	res := &Result{Key: rr.key, Op: rr.req.Op, Name: rr.req.Name}
 	emit := func(ev StageEvent) {
 		res.Stages = append(res.Stages, ev)

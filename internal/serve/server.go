@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,41 +17,19 @@ import (
 const maxRequestBody = 64 << 20
 
 // Server is the analysis service: one warm shared store serving N clients.
-// Concurrent identical requests collapse onto one execution (the joiners
-// replay the winner's progress and share its result), partial overlaps
-// dedup through the store's per-stage singleflight, and the store's gate
-// bounds per-stage compute concurrency.
+// Each request runs under its own context; concurrent requests that need
+// the same artifact compute it once through the store's per-stage
+// singleflight, and the store's gate bounds per-stage compute concurrency.
 type Server struct {
 	store *pipeline.Store
 	par   int
 	start time.Time
 
-	// BaseContext, if set before serving, scopes request computations.
-	// Deliberately not the per-request context: the winner of a
-	// cross-client singleflight computes a shared artifact, so a dropped
-	// client must not cancel work other clients are waiting on. A forced
-	// server shutdown cancels it.
-	BaseContext context.Context
-
-	mu    sync.Mutex
-	calls map[string]*call
-
-	requests   atomic.Int64
-	dedupJoins atomic.Int64
-	inflight   atomic.Int64
-	completed  atomic.Int64
-	errored    atomic.Int64
-	draining   atomic.Bool
-}
-
-// call is one in-flight request execution, shared by every client that
-// submitted the same canonical key while it ran.
-type call struct {
-	mu     sync.Mutex
-	events []StageEvent
-	done   chan struct{}
-	result *Result
-	err    error
+	requests  atomic.Int64
+	inflight  atomic.Int64
+	completed atomic.Int64
+	errored   atomic.Int64
+	draining  atomic.Bool
 }
 
 // NewServer returns a service over store. parallelism is forwarded to each
@@ -63,7 +40,6 @@ func NewServer(store *pipeline.Store, parallelism int) *Server {
 		store: store,
 		par:   parallelism,
 		start: time.Now(),
-		calls: make(map[string]*call),
 	}
 }
 
@@ -80,13 +56,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	return mux
-}
-
-func (s *Server) baseContext() context.Context {
-	if s.BaseContext != nil {
-		return s.BaseContext
-	}
-	return context.Background()
 }
 
 // jsonLine is one line of a /run response: {"event":"stage",...} per
@@ -115,7 +84,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
-	key, err := req.Key()
+	rr, err := req.resolve()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -133,62 +102,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-
-	// Cross-request singleflight: the first submitter of a key becomes the
-	// winner and executes; everyone else joins its call.
-	s.mu.Lock()
-	c, joined := s.calls[key]
-	if !joined {
-		c = &call{done: make(chan struct{})}
-		s.calls[key] = c
-	}
-	s.mu.Unlock()
-
-	if joined {
-		s.dedupJoins.Add(1)
-		select {
-		case <-c.done:
-		case <-r.Context().Done():
-			return // client gone; the winner keeps computing
-		}
-		for _, ev := range c.events {
-			enc.Encode(jsonLine{Event: "stage", StageEvent: &ev})
-		}
-		s.writeFinal(enc, c.result, c.err)
-		flush()
-		return
-	}
-
-	// Winner: execute under the server's lifetime context and stream
-	// progress live. Events are also recorded on the call for joiners.
 	progress := func(ev StageEvent) {
-		c.mu.Lock()
-		c.events = append(c.events, ev)
-		c.mu.Unlock()
 		enc.Encode(jsonLine{Event: "stage", StageEvent: &ev})
 		flush()
 	}
-	res, err := s.runCall(key, c, req, progress)
+	// A dropped client cancels its own remaining stages; a stage it already
+	// entered still finishes for every request waiting on it (DoCtx).
+	res, err := s.runSafe(r.Context(), rr, progress)
 	s.writeFinal(enc, res, err)
 	flush()
 }
 
-// runCall executes the winner's request and then publishes the outcome to
-// the call's joiners and releases the call, on every exit path: a panic in
-// Run becomes the call's error, so joiners never wait on a call that cannot
-// finish and later identical requests start afresh.
-func (s *Server) runCall(key string, c *call, req Request, progress Progress) (res *Result, err error) {
+// runSafe runs a resolved request and turns a panic into its error, so one
+// bad request never kills the server.
+func (s *Server) runSafe(ctx context.Context, rr *resolved, progress Progress) (res *Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("serve: request panicked: %v\n%s", p, debug.Stack())
 		}
-		c.result, c.err = res, err
-		s.mu.Lock()
-		delete(s.calls, key)
-		s.mu.Unlock()
-		close(c.done)
 	}()
-	return Run(s.baseContext(), s.store, s.par, req, progress)
+	return run(ctx, s.store, s.par, rr, progress)
 }
 
 func (s *Server) writeFinal(enc *json.Encoder, res *Result, err error) {
@@ -211,14 +144,12 @@ type StageStat struct {
 	Admitted int64 `json:"admitted,omitempty"`
 }
 
-// Stats is the /stats document: request-level counters (the cross-request
-// singleflight's computed-once evidence is Requests vs DedupJoins plus the
-// per-stage miss counts), per-stage hit rates, pool depths, and store-tier
-// state.
+// Stats is the /stats document: request-level counters, per-stage hit
+// rates (the computed-once evidence is each stage's miss count), pool
+// depths, and store-tier state.
 type Stats struct {
 	UptimeSeconds    float64             `json:"uptime_seconds"`
 	Requests         int64               `json:"requests"`
-	DedupJoins       int64               `json:"dedup_joins"`
 	InFlightRequests int64               `json:"inflight_requests"`
 	Completed        int64               `json:"completed_requests"`
 	Errors           int64               `json:"request_errors"`
@@ -236,7 +167,6 @@ func (s *Server) Snapshot() Stats {
 	st := Stats{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Requests:         s.requests.Load(),
-		DedupJoins:       s.dedupJoins.Load(),
 		InFlightRequests: s.inflight.Load(),
 		Completed:        s.completed.Load(),
 		Errors:           s.errored.Load(),

@@ -109,45 +109,74 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestRunWireFormat pins the /run JSONL protocol on the raw stream, for the
-// winner of a request, for a joiner of the same request in flight, and for
-// a failing request: stage lines followed by exactly one result or error
-// line, with no other event. It also pins that /stats has no wall key.
+// holdBuild takes the build stage's only gate slot with a computation that
+// runs until the returned release is closed, so requests queue on the gate.
+func holdBuild(store *pipeline.Store) (release chan struct{}) {
+	held, release := make(chan struct{}), make(chan struct{})
+	go pipeline.DoCtx(context.Background(), store, pipeline.StageBuild, "held", func() (int, error) {
+		close(held)
+		<-release
+		return 0, nil
+	})
+	<-held
+	return release
+}
+
+// buildQueued reports how many computations wait on the build gate.
+func buildQueued(store *pipeline.Store) int64 {
+	for _, g := range store.Gate().Stats() {
+		if g.Stage == pipeline.StageBuild.String() {
+			return g.Queued
+		}
+	}
+	return 0
+}
+
+// canonOf decodes the result line of a /run response and renders it.
+func canonOf(t *testing.T, r response) string {
+	t.Helper()
+	var res Result
+	if err := json.Unmarshal(r.lines[len(r.lines)-1]["result"], &res); err != nil {
+		t.Fatalf("result line: %v", err)
+	}
+	return res.Canon()
+}
+
+// TestRunWireFormat pins the /run JSONL protocol on the raw stream, for two
+// identical requests in flight at once and for a failing request: stage
+// lines followed by exactly one result or error line, with no other event.
+// The identical requests share each stage through the store, which computes
+// it once. It also pins that /stats has no wall key.
 func TestRunWireFormat(t *testing.T) {
 	store := pipeline.NewStore().WithGate(pipeline.NewGate(1, nil))
 	srv := NewServer(store, 1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Hold the build stage's only slot, so the winner queues inside its
-	// build while a second identical request joins its call.
-	held, release := make(chan struct{}), make(chan struct{})
-	go pipeline.DoCtx(context.Background(), store, pipeline.StageBuild, "", func() (int, error) {
-		close(held)
-		<-release
-		return 0, nil
-	})
-	<-held
-	buildQueued := func() int64 {
-		for _, g := range store.Gate().Stats() {
-			if g.Stage == pipeline.StageBuild.String() {
-				return g.Queued
-			}
-		}
-		return 0
-	}
-
+	release := holdBuild(store)
 	req := Request{Op: OpCount, Program: "crc"}
-	winner := runAsync(ts.URL, req)
-	waitUntil(t, "the winner to queue on the build gate", func() bool { return buildQueued() == 1 })
-	joiner := runAsync(ts.URL, req)
-	waitUntil(t, "the second request to join", func() bool { return srv.Snapshot().DedupJoins == 1 })
+	first := runAsync(ts.URL, req)
+	waitUntil(t, "the first request to queue on the build gate", func() bool { return buildQueued(store) == 1 })
+	second := runAsync(ts.URL, req)
+	waitUntil(t, "both requests in flight", func() bool { return srv.Snapshot().InFlightRequests == 2 })
 	close(release)
 
-	wStages := checkStream(t, "winner", <-winner, "result")
-	jStages := checkStream(t, "joiner", <-joiner, "result")
-	if wStages == 0 || jStages != wStages {
-		t.Errorf("winner streamed %d stages, joiner %d", wStages, jStages)
+	r1, r2 := <-first, <-second
+	n1 := checkStream(t, "first", r1, "result")
+	n2 := checkStream(t, "second", r2, "result")
+	if n1 == 0 || n2 != n1 {
+		t.Errorf("first request streamed %d stages, second %d", n1, n2)
+	}
+	if c1, c2 := canonOf(t, r1), canonOf(t, r2); c1 != c2 {
+		t.Errorf("identical requests diverged:\n%q\n%q", c1, c2)
+	}
+	// The held computation is one build miss; crc's build and count are
+	// computed once for both requests.
+	want := map[string]int64{"build": 2, "count": 1}
+	for _, row := range srv.Snapshot().Stages {
+		if w, ok := want[row.Stage]; ok && row.Misses != w {
+			t.Errorf("stage %s misses = %d, want %d", row.Stage, row.Misses, w)
+		}
 	}
 	checkStream(t, "failing request", <-runAsync(ts.URL, Request{Op: OpCount, Source: "int main( {"}), "error")
 
@@ -165,5 +194,69 @@ func TestRunWireFormat(t *testing.T) {
 	}
 	if _, ok := stats["wall"]; ok {
 		t.Error("/stats carries a wall field")
+	}
+}
+
+// TestDroppedClientWhileQueued: a client that disconnects while its request
+// is queued on the build gate ends that request with an error, counted in
+// request_errors, and a concurrent identical request still gets the local
+// result.
+func TestDroppedClientWhileQueued(t *testing.T) {
+	req := Request{Op: OpCount, Program: "crc"}
+	local, err := Run(context.Background(), pipeline.NewStore(), 1, req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := pipeline.NewStore().WithGate(pipeline.NewGate(1, nil))
+	srv := NewServer(store, 1)
+	h := srv.Handler()
+	dropped := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Test-Drop") != "" {
+			go func() { <-r.Context().Done(); close(dropped) }()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	release := holdBuild(store)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("X-Test-Drop", "1")
+	gone := make(chan struct{})
+	go func() {
+		if resp, err := http.DefaultClient.Do(hreq); err == nil {
+			resp.Body.Close()
+		}
+		close(gone)
+	}()
+	waitUntil(t, "the dropped request to queue on the build gate", func() bool { return buildQueued(store) == 1 })
+	other := runAsync(ts.URL, req)
+	waitUntil(t, "both requests in flight", func() bool { return srv.Snapshot().InFlightRequests == 2 })
+	cancel()
+	<-gone
+	select {
+	case <-dropped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never saw the client disconnect")
+	}
+	close(release)
+
+	r := <-other
+	checkStream(t, "concurrent request", r, "result")
+	if got := canonOf(t, r); got != local.Canon() {
+		t.Errorf("concurrent request diverged from the local run:\n got: %q\nwant: %q", got, local.Canon())
+	}
+	waitUntil(t, "the dropped request to finish", func() bool { return srv.Snapshot().InFlightRequests == 0 })
+	if st := srv.Snapshot(); st.Errors != 1 || st.Completed != 1 {
+		t.Errorf("request_errors = %d, completed = %d; want 1 and 1", st.Errors, st.Completed)
 	}
 }
