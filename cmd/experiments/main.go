@@ -4,15 +4,13 @@
 //
 //	experiments -run all [-quick]
 //	experiments -run fig1,table4,netperf
-//	experiments -run stream [-cells N] [-streamjsonl rows.jsonl]
 //
-// Experiments: fig1, table1, table4 (includes table5), composition, fig5,
-// table6, table7, netperf, ablation, isa (gadget counts and pools per
-// instruction-set backend), and stream (the generated-corpus streaming
-// runner's aggregate table; -cells sizes the corpus and -streamjsonl writes
-// its per-cell rows). -run all selects every experiment except stream, whose
-// corpus dwarfs the paper experiments'. An unknown name is an error. The
-// end-to-end benchmark lives in bench/ (bash bench/run.sh).
+// Experiments: fig1, corpus (Fig. 1's gadget growth over 36 generated
+// programs, 6 with -quick, per size class with mean, median and CI95),
+// table1, table4 (includes table5), composition, fig5, table6, table7,
+// netperf, ablation, and isa (gadget counts and pools per instruction-set
+// backend). -run all selects every experiment. An unknown name is an
+// error. The end-to-end benchmark lives in bench/ (bash bench/run.sh).
 //
 // All experiments of one invocation share a content-addressed artifact
 // store, so a build, gadget scan, extraction, or minimized pool computed by
@@ -56,8 +54,6 @@ func run(args []string, stdout io.Writer) error {
 	quick := fs.Bool("quick", false, "trim the corpus for a fast pass")
 	seed := fs.Int64("seed", 42, "obfuscation seed")
 	sf := cliutil.RegisterStore(fs).WithParallel(fs)
-	cells := fs.Int("cells", 0, "stream: target cell count (0 = 216, or 24 with -quick)")
-	streamJSONL := fs.String("streamjsonl", "", "stream: write the per-cell rows as JSON lines to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,6 +77,15 @@ func run(args []string, stdout io.Writer) error {
 			}
 			section(stdout, "Fig. 1 — gadget counts, original vs obfuscated")
 			fmt.Fprint(stdout, experiments.RenderFig1(rows))
+			return nil
+		}},
+		{"corpus", func() error {
+			rows, err := experiments.Fig1Corpus(opts)
+			if err != nil {
+				return err
+			}
+			section(stdout, "Fig. 1 — generated corpus")
+			fmt.Fprint(stdout, experiments.RenderFig1Corpus(rows))
 			return nil
 		}},
 		{"table1", func() error {
@@ -173,34 +178,6 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprint(stdout, experiments.RenderISASurface(rows))
 			return nil
 		}},
-		{"stream", func() error {
-			sopts := experiments.StreamOptions{
-				Cells:       *cells,
-				Seed:        *seed,
-				Parallelism: sf.Parallelism(),
-				Quick:       *quick,
-			}
-			var rows *os.File
-			if *streamJSONL != "" {
-				f, err := os.Create(*streamJSONL)
-				if err != nil {
-					return err
-				}
-				rows, sopts.Rows = f, f
-			}
-			res, err := experiments.RunStream(sopts)
-			if rows != nil {
-				if cerr := rows.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return err
-			}
-			section(stdout, fmt.Sprintf("Stream — %d cells over %d generated programs", res.Cells, res.Programs))
-			fmt.Fprint(stdout, res.Table)
-			return nil
-		}},
 	}
 
 	// Check every name before running anything, so a typo fails fast
@@ -232,8 +209,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	for _, e := range exps {
-		// stream is opt-in: its corpus dwarfs the paper experiments'.
-		if selected[e.name] || selected["all"] && e.name != "stream" {
+		if selected[e.name] || selected["all"] {
 			if err := e.run(); err != nil {
 				return err
 			}

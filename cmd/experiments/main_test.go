@@ -10,33 +10,29 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current run")
+var update = flag.Bool("update", false, "rewrite the recorded paper records from the current run")
 
-// TestQuickRecordGolden pins the quick paper record: every table and
-// figure `experiments -quick -run all` prints, with only the measured
-// columns masked. A change that moves a paper number fails it. The same
-// output must come out serially and at the default worker count.
-func TestQuickRecordGolden(t *testing.T) {
-	record := func(extra ...string) string {
-		t.Helper()
-		var out bytes.Buffer
-		args := append([]string{"-quick", "-run", "all", "-cachedir", ""}, extra...)
-		if err := run(args, &out); err != nil {
-			t.Fatalf("experiments %v: %v", args, err)
-		}
-		return maskRecord(out.String())
+// record runs experiments -run all with the disk tier off plus extra
+// arguments and returns its output.
+func record(t *testing.T, extra ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	args := append([]string{"-run", "all", "-cachedir", ""}, extra...)
+	if err := run(args, &out); err != nil {
+		t.Fatalf("experiments %v: %v", args, err)
 	}
-	got := record()
-	if serial := record("-parallel", "1"); serial != got {
-		t.Errorf("-parallel 1 output differs from the default\ndefault:\n%s\nserial:\n%s", got, serial)
-	}
+	return out.String()
+}
 
-	path := filepath.Join("testdata", "quick.golden")
+// compareRecord checks a masked record against the file at path, which
+// -update first rewrites with content.
+func compareRecord(t *testing.T, path, got, content string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,9 +40,33 @@ func TestQuickRecordGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to record it)", err)
 	}
-	if got != string(want) {
-		t.Errorf("quick record differs from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+	if got != maskRecord(string(want)) {
+		t.Errorf("record differs from %s\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
+}
+
+// TestQuickRecordGolden pins the quick paper record: every table and
+// figure `experiments -quick -run all` prints, with only the measured
+// columns masked. A change that moves a paper number fails it. The same
+// output must come out serially and at the default worker count.
+func TestQuickRecordGolden(t *testing.T) {
+	got := maskRecord(record(t, "-quick"))
+	if serial := maskRecord(record(t, "-quick", "-parallel", "1")); serial != got {
+		t.Errorf("-parallel 1 output differs from the default\ndefault:\n%s\nserial:\n%s", got, serial)
+	}
+	compareRecord(t, filepath.Join("testdata", "quick.golden"), got, got)
+}
+
+// TestFullRecordGolden pins the full paper record that EXPERIMENTS.md
+// quotes: `experiments -run all` must print experiments_full.txt at the
+// repository root, measured columns masked on both sides. -update rewrites
+// that file with the unmasked output.
+func TestFullRecordGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full record takes about a minute")
+	}
+	out := record(t)
+	compareRecord(t, filepath.Join("..", "..", "experiments_full.txt"), maskRecord(out), out)
 }
 
 var (

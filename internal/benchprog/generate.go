@@ -364,13 +364,6 @@ func ValidateGenerated(p Program, obfSeed int64) error {
 	return nil
 }
 
-// RunOutput executes a build with a step bound and returns its stdout.
-// Generated programs terminate well under the validation cap; the bound
-// protects callers from a miscompiled arm spinning forever.
-func RunOutput(bin *sbf.Binary, p Program, maxSteps uint64) (string, error) {
-	return runCapped(bin, p, maxSteps)
-}
-
 // runCapped executes a build with a step bound and returns its stdout.
 func runCapped(bin *sbf.Binary, p Program, maxSteps uint64) (string, error) {
 	res, err := codegen.Run(bin, p.Stdin, maxSteps)

@@ -78,8 +78,9 @@ func itoa(n int) string { return string(rune('0' + n)) }
 
 // TestGeneratedValidateSample enforces the safety contract on a sample:
 // generated programs build and run to the plain build's exact output under
-// every individual pass and both composite configurations. The full-corpus
-// sweep lives in the streaming benchmark; this keeps the unit suite fast.
+// every individual pass and both composite configurations. The full
+// corpus's LLVM-Obf and Tigress builds are checked against the plain output
+// per program by experiments.Fig1Corpus; this keeps the unit suite fast.
 func TestGeneratedValidateSample(t *testing.T) {
 	if testing.Short() {
 		t.Skip("obfuscated builds are slow")

@@ -84,7 +84,8 @@ func TestStoreTransparent(t *testing.T) {
 // TestStoreDiskMatrix extends the cache matrix to the persistent tier:
 // disk-backed vs memory-only × cold vs warm vs warm-across-process ×
 // parallelism 1/2/8 all produce byte-identical plans and payloads, and the
-// across-process arm really is served from disk (extraction disk hits).
+// across-process arm really is served from disk (extraction disk hits). So
+// do a one-entry memory tier and a 64 KiB disk budget while both evict.
 func TestStoreDiskMatrix(t *testing.T) {
 	p, ok := benchprog.ByName("crc")
 	if !ok {
@@ -139,6 +140,30 @@ func TestStoreDiskMatrix(t *testing.T) {
 		cfg.Store = pipeline.NewStore()
 		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
 			t.Errorf("P=%d memory-only run differs from the private-store run", par)
+		}
+
+		// One resident artifact: the memory tier evicts on every insert,
+		// so later stages recompute what they read back.
+		cfg.Store = pipeline.NewStore().LimitMemory(1)
+		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
+			t.Errorf("P=%d memory-starved run differs from the private-store run", par)
+		}
+		if cfg.Store.MemEvictions() == 0 {
+			t.Errorf("P=%d one-entry memory tier never evicted", par)
+		}
+
+		// A disk budget smaller than the run's artifacts: the disk tier
+		// evicts while it serves, and reads nothing back corrupt.
+		disk3, err := pipeline.OpenDisk(t.TempDir(), pipeline.DiskOptions{MaxBytes: 64 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = pipeline.NewStore().WithDisk(disk3)
+		if got := attackSig(Analyze(bin, cfg).FindAll()); got != ref {
+			t.Errorf("P=%d disk-budget run differs from the private-store run", par)
+		}
+		if st := cfg.Store.DiskStats(); st.Evictions == 0 || st.Corrupt != 0 {
+			t.Errorf("P=%d 64 KiB disk budget: %d evictions, %d corrupt; want some and none", par, st.Evictions, st.Corrupt)
 		}
 	}
 }

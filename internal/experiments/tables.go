@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/baseline/ropgadget"
 	"github.com/nofreelunch/gadget-planner/internal/baseline/sgc"
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/codegen"
 	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
@@ -81,6 +84,135 @@ func ratio(a, b int) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
+}
+
+// CorpusRow is one (size class, configuration) group of gadget counts over
+// the generated corpus: the distributional form of Fig. 1.
+type CorpusRow struct {
+	Class    string
+	Obf      string
+	Programs int
+	Mean     float64
+	Median   float64
+	CI95     float64 // half-width of the mean's 95% confidence interval
+	Growth   float64 // Mean over the class's Original mean
+}
+
+// The generated corpus's size: 36 programs, or one small-heavy mix cycle
+// of benchprog.GeneratedCorpus with Quick, so every class has a row.
+const (
+	corpusPrograms      = 36
+	quickCorpusPrograms = 6
+)
+
+// Fig1Corpus counts classically-scanned gadgets over the generated corpus
+// and summarizes them per size class and configuration. Each program is one
+// cell; its counts go to an index slot and are reduced in program order, so
+// the table is identical at any worker count. Every obfuscated build must
+// reproduce the plain build's output, or the experiment fails.
+func Fig1Corpus(opts Options) ([]CorpusRow, error) {
+	opts = opts.withDefaults()
+	n := corpusPrograms
+	if opts.Quick {
+		n = quickCorpusPrograms
+	}
+	progs := benchprog.GeneratedCorpus(opts.Seed, n)
+	configs := Configs()
+	counts := make([][]int, n)
+	err := runCells(opts.Parallelism, n, func(i int) error {
+		p := progs[i]
+		counts[i] = make([]int, len(configs))
+		var plain string
+		for ci, cfg := range configs {
+			bin, err := opts.build(p, cfg)
+			if err != nil {
+				return err
+			}
+			res, err := codegen.Run(bin, p.Stdin, 0)
+			if err != nil {
+				return fmt.Errorf("experiments: run %s|%s: %w", p.Name, cfg.Name, err)
+			}
+			// Configs()[0] is the plain build.
+			if ci == 0 {
+				plain = res.Stdout
+				if plain == "" {
+					return fmt.Errorf("experiments: %s: plain build printed nothing", p.Name)
+				}
+			} else if res.Stdout != plain {
+				return fmt.Errorf("experiments: %s|%s printed %q, the plain build %q", p.Name, cfg.Name, res.Stdout, plain)
+			}
+			c, err := countOf(context.TODO(), opts.Store, bin, p.Name, cfg.Name)
+			if err != nil {
+				return err
+			}
+			counts[i][ci] = gadget.TotalCount(c)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	var rows []CorpusRow
+	for _, class := range benchprog.SizeClasses() {
+		// Generated programs are named "gen-<class>-s<seed>".
+		prefix := "gen-" + class.Name + "-"
+		var origMean float64
+		for ci, cfg := range configs {
+			var vals []float64
+			for i, p := range progs {
+				if strings.HasPrefix(p.Name, prefix) {
+					vals = append(vals, float64(counts[i][ci]))
+				}
+			}
+			row := CorpusRow{Class: class.Name, Obf: cfg.Name, Programs: len(vals)}
+			row.Mean, row.Median, row.CI95 = distStats(vals)
+			if ci == 0 {
+				origMean = row.Mean
+			}
+			row.Growth = row.Mean / origMean
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// RenderFig1Corpus prints the generated-corpus table.
+func RenderFig1Corpus(rows []CorpusRow) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-8s %-10s %6s %10s %10s %10s %8s\n",
+		"Class", "Obf", "Progs", "Mean", "Median", "CI95", "Growth")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%-8s %-10s %6d %10.1f %10.1f %10.1f %7.2fx\n",
+			r.Class, r.Obf, r.Programs, r.Mean, r.Median, r.CI95, r.Growth)
+	}
+	return sb.String()
+}
+
+// distStats returns the mean, the median and the 95% confidence
+// half-width of the mean of a sample.
+func distStats(vals []float64) (mean, median, ci95 float64) {
+	n := len(vals)
+	var sum float64
+	for _, v := range vals {
+		sum += v
+	}
+	mean = sum / float64(n)
+	var sq float64
+	for _, v := range vals {
+		sq += (v - mean) * (v - mean)
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	if n%2 == 1 {
+		median = sorted[n/2]
+	} else {
+		median = (sorted[n/2-1] + sorted[n/2]) / 2
+	}
+	if n > 1 {
+		ci95 = 1.96 * math.Sqrt(sq/float64(n-1)) / math.Sqrt(float64(n))
+	}
+	return mean, median, ci95
 }
 
 // Table1Row is one gadget class's average counts (paper Table I).

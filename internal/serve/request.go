@@ -106,7 +106,7 @@ const (
 type resolved struct {
 	req    Request
 	prog   benchprog.Program
-	binary []byte // marshaled SBF when the request carries a binary
+	binary *sbf.Binary // the decoded image when the request carries one
 	passes []obfuscate.Pass
 	isa    string // canonical backend name the analysis runs under
 	goals  []planner.Goal
@@ -163,8 +163,11 @@ func (r Request) resolve() (*resolved, error) {
 			return nil, fmt.Errorf("serve: binary has unknown isa tag %q", peek.ISA)
 		}
 		rr.isa = isa.CanonicalISA(peek.ISA)
+		// The request key hashes the bytes as sent; the stage keys hash
+		// the canonical re-marshal (pipeline.BinaryKey), which differs for
+		// an image with an explicit x64 tag.
 		sum := sha256.Sum256(r.Binary)
-		rr.binary = r.Binary
+		rr.binary = peek
 		base = "bin:" + hex.EncodeToString(sum[:16])
 	} else {
 		rr.prog = benchprog.Program{Name: r.Name, Source: r.Source}

@@ -8,7 +8,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
-	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
 // Progress observes per-stage completion while a request runs. Callbacks
@@ -54,15 +53,10 @@ func run(ctx context.Context, store *pipeline.Store, parallelism int, rr *resolv
 		})
 	}
 
-	// Materialize the binary: unmarshal a prebuilt one, or build (through
-	// the store) from source.
-	var bin *sbf.Binary
-	if rr.binary != nil {
-		bin, err = sbf.Unmarshal(rr.binary)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	// Take the prebuilt binary resolve decoded, or build (through the
+	// store) from source.
+	bin := rr.binary
+	if bin == nil {
 		var info pipeline.Info
 		bin, info, err = pipeline.BuildISACtx(ctx, store, rr.prog, rr.passes, rr.req.Seed, rr.isa)
 		if err != nil {

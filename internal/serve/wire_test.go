@@ -8,10 +8,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/pipeline"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
 // postRun POSTs req to a /run endpoint and returns the response's JSONL
@@ -258,5 +261,50 @@ func TestDroppedClientWhileQueued(t *testing.T) {
 	waitUntil(t, "the dropped request to finish", func() bool { return srv.Snapshot().InFlightRequests == 0 })
 	if st := srv.Snapshot(); st.Errors != 1 || st.Completed != 1 {
 		t.Errorf("request_errors = %d, completed = %d; want 1 and 1", st.Errors, st.Completed)
+	}
+}
+
+// TestBinaryRequestKeys pins how a served binary is keyed. The request key
+// is the SHA-256 of the bytes as sent, so an image with an explicit x64
+// tag and its canonical untagged form are two requests. The stage keys
+// hash the canonical serialization, so the second request finds the first
+// one's count in the store.
+func TestBinaryRequestKeys(t *testing.T) {
+	p, _ := benchprog.ByName("crc")
+	bin, err := benchprog.BuildISA(p, nil, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := bin.Marshal()
+	tagged := slices.Concat(sbf.Magic2[:], []byte{3, 0, 0, 0, 'x', '6', '4'}, canonical[len(sbf.Magic):])
+
+	store := pipeline.NewStore()
+	srv := NewServer(store, 1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		name   string
+		binary []byte
+		key    string
+		cached bool
+	}{
+		{"canonical", canonical, "bin:d823633037e0c3b7b0edaf971f031878|count:10", false},
+		{"explicit x64 tag", tagged, "bin:2be829f3ac1ffd2af2ccae9bc9f5db88|count:10", true},
+	} {
+		r, err := postRun(ts.URL, Request{Op: OpCount, Binary: c.binary})
+		checkStream(t, c.name, response{r, err}, "result")
+		var res Result
+		if err := json.Unmarshal(r[len(r)-1]["result"], &res); err != nil {
+			t.Fatalf("%s: result line: %v", c.name, err)
+		}
+		if res.Key != c.key {
+			t.Errorf("%s: request key %q, want %q", c.name, res.Key, c.key)
+		}
+		if len(res.Stages) != 1 || res.Stages[0].Stage != "count" || res.Stages[0].Cached != c.cached {
+			t.Errorf("%s: stages %+v, want one count stage with cached=%v", c.name, res.Stages, c.cached)
+		}
+	}
+	if got, want := pipeline.CountKey(pipeline.BinaryKey(bin), ""), "bin:d823633037e0c3b7b0edaf971f031878|count:10"; got != want {
+		t.Errorf("count stage key %q, want %q", got, want)
 	}
 }
