@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/nofreelunch/gadget-planner/internal/emu"
-	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/minic"
 	"github.com/nofreelunch/gadget-planner/internal/mir"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
@@ -42,21 +41,15 @@ func Run(bin *sbf.Binary, stdin []byte, maxSteps uint64) (*RunResult, error) {
 	if maxSteps == 0 {
 		maxSteps = 120_000_000
 	}
-	be, ok := isa.ByName(bin.ISA)
-	if !ok {
-		return nil, fmt.Errorf("codegen: run: unknown ISA %q", bin.ISA)
+	m, err := emu.Load(bin, stdin)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: run: %w", err)
 	}
-	m := emu.NewMachineISA(be)
-	os := emu.NewOS()
-	os.Stdin.Reset(stdin)
-	m.OS = os
-	m.Mem.LoadBinary(bin)
 	// Virtualized/obfuscated frames can be tens of KB; give deep recursion
 	// room.
 	m.SetupStack(0x7FC0_0000, 0x400000)
-	m.RIP = bin.Entry
 	if err := m.Run(maxSteps); err != nil {
 		return nil, fmt.Errorf("codegen: run: %w (after %d steps, rip=%#x)", err, m.Steps, m.RIP)
 	}
-	return &RunResult{Stdout: os.Stdout.String(), ExitCode: os.ExitCode, Steps: m.Steps}, nil
+	return &RunResult{Stdout: m.OS.Stdout.String(), ExitCode: m.OS.ExitCode, Steps: m.Steps}, nil
 }

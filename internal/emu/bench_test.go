@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/nofreelunch/gadget-planner/internal/asm"
-	"github.com/nofreelunch/gadget-planner/internal/isa"
 )
 
 // BenchmarkStepLoop measures raw interpretation speed on a tight loop.
@@ -22,9 +21,7 @@ loop:
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := NewMachineISA(isa.X64)
-	m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
+	m := loadCode(b, 0x1000, r.Code, rx, nil)
 	m.SetupStack(0x7FFF0000, 0x10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -48,22 +49,13 @@ target:
     mov rax, 60
     syscall
 `
-	r, err := asm.Assemble(src, 0x401000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachineISA(isa.X64)
-	os := NewOS()
-	m.OS = os
-	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermWrite|PermExec)
-	m.Mem.WriteBytesForce(0x401000, r.Code, PermRead|PermWrite|PermExec)
+	m := loadAsm(t, src, 0x401000, rwx, nil)
 	m.SetupStack(0x7FFF0000, 0x10000)
-	m.RIP = 0x401000
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
-	if os.ExitCode != 42 {
-		t.Errorf("exit = %d, want 42 (patch not observed)", os.ExitCode)
+	if m.OS.ExitCode != 42 {
+		t.Errorf("exit = %d, want 42 (patch not observed)", m.OS.ExitCode)
 	}
 }
 
@@ -79,7 +71,7 @@ func TestSyscallEvents(t *testing.T) {
 	if os.ExitCode != 4242 {
 		t.Errorf("getpid = %d", os.ExitCode)
 	}
-	if os.EventFor(SysGetpid) == nil || os.LastEvent() == nil {
+	if os.EventFor(SysGetpid) == nil || os.EventFor(SysExit) == nil {
 		t.Error("events not recorded")
 	}
 }
@@ -100,18 +92,9 @@ func TestReadSyscall(t *testing.T) {
     mov rax, 60
     syscall
 `
-	r, err := asm.Assemble(src, 0x401000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachineISA(isa.X64)
-	os := NewOS()
-	os.Stdin.Reset([]byte("hello"))
-	m.OS = os
-	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(0x401000, r.Code, PermRead|PermExec)
+	m := loadAsm(t, src, 0x401000, rx, []byte("hello"))
+	os := m.OS
 	m.SetupStack(0x7FFF0000, 0x10000)
-	m.RIP = 0x401000
 	if err := m.Run(100); err != nil {
 		t.Fatal(err)
 	}
@@ -143,20 +126,91 @@ func TestMmapSyscall(t *testing.T) {
 	}
 }
 
-func TestLoadBinaryPermissions(t *testing.T) {
+// TestLoadPermissions checks that Load maps each section under its flags:
+// a write to .text and a jump into .data both fault.
+func TestLoadPermissions(t *testing.T) {
 	bin := sbf.New()
-	bin.AddSection(sbf.Section{Name: ".text", Addr: 0x1000, Flags: sbf.FlagRead | sbf.FlagExec, Data: []byte{0xC3}})
+	bin.AddSection(sbf.Section{Name: ".text", Addr: 0x1000, Flags: rx, Data: []byte{0xC3}})
 	bin.AddSection(sbf.Section{Name: ".data", Addr: 0x2000, Flags: sbf.FlagRead | sbf.FlagWrite, Data: []byte{1}})
-	m := NewMachineISA(isa.X64)
-	m.Mem.LoadBinary(bin)
+	bin.Entry = 0x1000
+	m, err := Load(bin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RIP != 0x1000 {
+		t.Errorf("pc = %#x, want the entry point", m.RIP)
+	}
 	if m.Mem.PermAt(0x1000)&PermExec == 0 {
 		t.Error("text not executable")
 	}
-	if m.Mem.PermAt(0x2000)&PermWrite == 0 {
-		t.Error("data not writable")
+	if err := m.Mem.WriteBytes(0x2000, []byte{2}); err != nil {
+		t.Errorf("data not writable: %v", err)
 	}
-	if err := m.Mem.WriteBytes(0x1000, []byte{0}); err == nil {
-		t.Error("text writable")
+	var mf *MemFault
+	if err := m.Mem.WriteBytes(0x1000, []byte{0}); !errors.As(err, &mf) || mf.Op != "write" {
+		t.Errorf("write to text: %v, want a write fault", err)
+	}
+	m.RIP = 0x2000
+	if _, err := m.Step(); !errors.As(err, &mf) || mf.Op != "exec" || mf.Addr != 0x2000 {
+		t.Errorf("jump into data: %v, want an exec fault at 0x2000", err)
+	}
+}
+
+func TestLoadUnknownISA(t *testing.T) {
+	bin := textBinary(0x1000, []byte{0xC3}, rx)
+	bin.ISA = "pdp11"
+	if _, err := Load(bin, nil); err == nil || !strings.Contains(err.Error(), "pdp11") {
+		t.Errorf("Load of an unknown ISA tag: %v, want an error naming it", err)
+	}
+}
+
+// TestLoadMachinesIsolated pins that machines loaded from one binary share
+// no memory with each other or with the binary: writes to .data and a
+// self-modified .text in one machine are invisible to the next. An image
+// that shares pages between machines must keep this.
+func TestLoadMachinesIsolated(t *testing.T) {
+	r, err := asm.Assemble(`
+    movabs rbx, target
+    mov byte [rbx+3], 42     # patch the imm8 of "mov rdi, 0"
+target:
+    mov rdi, 0
+    mov rax, 60
+    syscall
+`, 0x401000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := r.Labels["target"] + 3
+	bin := textBinary(0x401000, r.Code, rwx)
+	bin.AddSection(sbf.Section{Name: ".data", Addr: 0x600000, Flags: sbf.FlagRead | sbf.FlagWrite, Data: []byte{7}})
+
+	first, err := Load(bin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.SetupStack(0x7FFF0000, 0x10000)
+	if err := first.Run(100); err != nil || first.OS.ExitCode != 42 {
+		t.Fatalf("self-modifying run: exit %d, %v; want 42", first.OS.ExitCode, err)
+	}
+	if err := first.Mem.WriteBytes(0x600000, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := Load(bin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		addr uint64
+		want byte
+	}{{patched, 0}, {0x600000, 7}} {
+		got, err := second.Mem.ReadBytes(c.addr, 1)
+		if err != nil || got[0] != c.want {
+			t.Errorf("second machine at %#x: %v %v, want %d", c.addr, got, err, c.want)
+		}
+	}
+	if bin.Sections[0].Data[patched-0x401000] != 0 || bin.Sections[1].Data[0] != 7 {
+		t.Error("a machine's writes reached the binary's sections")
 	}
 }
 
@@ -172,7 +226,7 @@ func TestFetchWindowAtPageEdge(t *testing.T) {
 	m.Map(0x1000, PageSize, PermRead|PermExec)
 	// Instruction bytes at the very end of the mapped page: the window must
 	// truncate, not fault.
-	m.WriteBytesForce(0x1000+PageSize-2, []byte{0x5F, 0xC3}, PermRead|PermExec)
+	m.poke(0x1000+PageSize-2, []byte{0x5F, 0xC3})
 	win, err := m.FetchWindow(0x1000+PageSize-2, 16)
 	if err != nil || len(win) != 2 {
 		t.Errorf("window = %d bytes, %v", len(win), err)
@@ -201,13 +255,13 @@ loop:
 	if err != nil {
 		t.Fatal(err)
 	}
+	bin := textBinary(0x1000, r.Code, rx)
 	run := func() {
-		m := NewMachineISA(isa.X64)
-		m.OS = NewOS()
-		m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
-		m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
+		m, err := Load(bin, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m.SetupStack(0x7FFF_0000, 0x10000)
-		m.RIP = 0x1000
 		if err := m.Run(1000); err != nil {
 			t.Fatal(err)
 		}

@@ -8,26 +8,52 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/asm"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
-// runAsm assembles src at base, runs it until exit, and returns machine+OS.
-func runAsm(t *testing.T, src string, base uint64) (*Machine, *OS) {
+// textBinary wraps code based at base into a one-section x64 binary whose
+// entry point is base.
+func textBinary(base uint64, code []byte, flags sbf.SectionFlags) *sbf.Binary {
+	bin := sbf.New()
+	bin.Entry = base
+	bin.AddSection(sbf.Section{Name: ".text", Addr: base, Flags: flags, Data: code})
+	return bin
+}
+
+// loadCode boots code based at base as a one-section binary.
+func loadCode(t testing.TB, base uint64, code []byte, flags sbf.SectionFlags, stdin []byte) *Machine {
+	t.Helper()
+	m, err := Load(textBinary(base, code, flags), stdin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// loadAsm assembles src at base and boots it with loadCode.
+func loadAsm(t testing.TB, src string, base uint64, flags sbf.SectionFlags, stdin []byte) *Machine {
 	t.Helper()
 	r, err := asm.Assemble(src, base)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	m := NewMachineISA(isa.X64)
-	os := NewOS()
-	m.OS = os
-	m.Mem.Map(base, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(base, r.Code, PermRead|PermExec)
+	return loadCode(t, base, r.Code, flags, stdin)
+}
+
+const (
+	rx  = sbf.FlagRead | sbf.FlagExec
+	rwx = sbf.FlagRead | sbf.FlagWrite | sbf.FlagExec
+)
+
+// runAsm assembles src at base, runs it until exit, and returns machine+OS.
+func runAsm(t *testing.T, src string, base uint64) (*Machine, *OS) {
+	t.Helper()
+	m := loadAsm(t, src, base, rx, nil)
 	m.SetupStack(0x7FFF_0000, 0x10000)
-	m.RIP = base
 	if err := m.Run(1_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return m, os
+	return m, m.OS
 }
 
 const exitTail = `
@@ -142,8 +168,7 @@ msg: .asciz "hello"
 }
 
 func TestMemoryFaults(t *testing.T) {
-	m := NewMachineISA(isa.X64)
-	m.OS = NewOS()
+	m := newMachine(isa.X64)
 	// Execute unmapped memory.
 	m.RIP = 0xdead000
 	if _, err := m.Step(); err == nil {
@@ -186,17 +211,13 @@ func TestMprotectEnablesExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachineISA(isa.X64)
-	os := NewOS()
-	m.OS = os
-	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(0x401000, r.Code, PermRead|PermExec)
+	m := loadCode(t, 0x401000, r.Code, rx, nil)
+	os := m.OS
+	m.SetupStack(0x7FFF_0000, 0x10000)
 	m.Mem.Map(0x90000, PageSize, PermRead|PermWrite)
 	if err := m.Mem.WriteBytes(0x90000, payload.Code); err != nil {
 		t.Fatal(err)
 	}
-	m.SetupStack(0x7FFF_0000, 0x10000)
-	m.RIP = 0x401000
 	if err := m.Run(1000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -234,11 +255,11 @@ g_syscall:
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMachineISA(isa.X64)
-	os := NewOS()
-	m.OS = os
-	m.Mem.Map(0x401000, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(0x401000, r.Code, PermRead|PermExec)
+	m, err := Load(textBinary(0x401000, r.Code, rx), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os := m.OS
 	m.SetupStack(0x7FFE_0000, 0x20000)
 	sp := uint64(0x7FFE_0000 + 0x10000) // mid-stack so the chain has room to grow
 
@@ -283,17 +304,14 @@ g_syscall:
 // Property test: add/sub flag semantics agree with a direct model.
 func TestQuickAddSubFlags(t *testing.T) {
 	run := func(op isa.Op, a, b uint64) *Machine {
-		m := NewMachineISA(isa.X64)
-		m.Mem.Map(0x1000, PageSize, PermRead|PermExec)
 		inst := isa.Inst{Op: op, Size: 8, A: isa.RegOp(isa.RAX), B: isa.RegOp(isa.RBX)}
 		code, err := isa.Encode(inst, 0x1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Mem.WriteBytesForce(0x1000, code, PermRead|PermExec)
+		m := loadCode(t, 0x1000, code, rx, nil)
 		m.Regs[isa.RAX] = a
 		m.Regs[isa.RBX] = b
-		m.RIP = 0x1000
 		if _, err := m.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -330,18 +348,10 @@ func TestQuickAddSubFlags(t *testing.T) {
 // comparison it encodes, after a cmp.
 func TestQuickCompareConditions(t *testing.T) {
 	f := func(a, b int64) bool {
-		src := "cmp rax, rbx; ret"
-		r, err := asm.Assemble(src, 0x1000)
-		if err != nil {
-			return false
-		}
-		m := NewMachineISA(isa.X64)
-		m.Mem.Map(0x1000, PageSize, PermRead|PermExec)
-		m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
+		m := loadAsm(t, "cmp rax, rbx; ret", 0x1000, rx, nil)
 		m.SetupStack(0x7FFF0000, 0x1000)
 		m.Regs[isa.RAX] = uint64(a)
 		m.Regs[isa.RBX] = uint64(b)
-		m.RIP = 0x1000
 		if _, err := m.Step(); err != nil {
 			return false
 		}
@@ -373,15 +383,7 @@ func TestQuickCompareConditions(t *testing.T) {
 }
 
 func TestStepLimit(t *testing.T) {
-	r, err := asm.Assemble("self: jmp self", 0x1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachineISA(isa.X64)
-	m.OS = NewOS()
-	m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
-	m.RIP = 0x1000
+	m := loadAsm(t, "self: jmp self", 0x1000, rx, nil)
 	if err := m.Run(100); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("err = %v, want step limit", err)
 	}
@@ -399,16 +401,8 @@ func TestDivErrors(t *testing.T) {
 
 func asmRunErr(t *testing.T, src string) (*Machine, error) {
 	t.Helper()
-	r, err := asm.Assemble(src, 0x1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachineISA(isa.X64)
-	m.OS = NewOS()
-	m.Mem.Map(0x1000, uint64(len(r.Code)), PermRead|PermExec)
-	m.Mem.WriteBytesForce(0x1000, r.Code, PermRead|PermExec)
+	m := loadAsm(t, src, 0x1000, rx, nil)
 	m.SetupStack(0x7FFF0000, 0x1000)
-	m.RIP = 0x1000
 	return m, m.Run(1000)
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
 // Run-time errors.
@@ -16,13 +17,6 @@ var (
 	ErrDivOverflow = errors.New("emu: idiv quotient overflow")
 	ErrStepLimit   = errors.New("emu: step limit exceeded")
 )
-
-// SyscallHandler receives syscall instructions. The handler reads arguments
-// from and writes results into the machine's registers. Returning exit=true
-// stops the run loop cleanly.
-type SyscallHandler interface {
-	Syscall(m *Machine) (exit bool, err error)
-}
 
 // Machine is one emulated hart: registers, flags and an address space. The
 // register file is sized for the largest supported ISA; the active backend
@@ -35,7 +29,7 @@ type Machine struct {
 	ZF, SF, OF, CF, PF bool
 
 	Mem   *Memory
-	OS    SyscallHandler
+	OS    *OS
 	Steps uint64
 
 	// Backend register model, cached at construction.
@@ -69,9 +63,32 @@ const (
 	icacheMax = 1 << 14
 )
 
-// NewMachineISA returns a machine executing the given backend's ISA.
-func NewMachineISA(be isa.Backend) *Machine {
-	m := &Machine{Mem: NewMemory(), icache: make([]icEntry, icacheMin), be: be}
+// Load boots a binary: a machine of the binary's ISA whose OS model reads
+// stdin, with every section mapped under its flag permissions and the PC at
+// the entry point. The stack is the caller's to map (SetupStack), since its
+// size depends on what the run is for. Load is the only way to build a
+// machine outside this package.
+func Load(bin *sbf.Binary, stdin []byte) (*Machine, error) {
+	be, ok := isa.ByName(bin.ISA)
+	if !ok {
+		return nil, fmt.Errorf("emu: unknown binary ISA %q", bin.ISA)
+	}
+	m := newMachine(be)
+	m.OS.Stdin.Reset(stdin)
+	for _, s := range bin.Sections {
+		// Perm shares sbf.SectionFlags' bit meanings.
+		perm := Perm(s.Flags) & (PermRead | PermWrite | PermExec)
+		m.Mem.Map(s.Addr, uint64(len(s.Data)), perm)
+		m.Mem.poke(s.Addr, s.Data)
+	}
+	m.RIP = bin.Entry
+	return m, nil
+}
+
+// newMachine returns a machine executing the given backend's ISA, with an
+// empty address space and a fresh OS model.
+func newMachine(be isa.Backend) *Machine {
+	m := &Machine{Mem: NewMemory(), OS: &OS{mmapNext: 0x7000_0000}, icache: make([]icEntry, icacheMin), be: be}
 	m.sp = be.SP()
 	m.abi = be.Syscall()
 	m.zero, m.hasZero = be.ZeroReg()
@@ -81,9 +98,6 @@ func NewMachineISA(be isa.Backend) *Machine {
 
 // ISA returns the machine's backend.
 func (m *Machine) ISA() isa.Backend { return m.be }
-
-// SyscallABI returns the backend's syscall register convention.
-func (m *Machine) SyscallABI() isa.SyscallABI { return m.abi }
 
 // SetupStack maps a stack region and points the stack pointer at its top
 // (minus a small red zone). It returns the initial stack pointer.
@@ -228,7 +242,7 @@ func (m *Machine) pop() (uint64, error) {
 
 // fetch decodes the instruction at RIP, using the decode cache.
 func (m *Machine) fetch() (isa.Inst, error) {
-	if gen := m.Mem.CodeGeneration(); gen != m.icacheGen {
+	if gen := m.Mem.codeGen; gen != m.icacheGen {
 		m.icacheGen = gen
 		for i := range m.icache {
 			m.icache[i].valid = false
@@ -683,18 +697,14 @@ func (m *Machine) Step() (exit bool, err error) {
 		}
 
 	case isa.OpSyscall:
-		if m.OS == nil {
-			return false, fmt.Errorf("emu: syscall at %#x with no handler", inst.Addr)
-		}
 		if !m.hasLink {
 			// x86-64 syscall clobbers rcx (return rip) and r11 (rflags);
 			// RISC-V ecall clobbers nothing.
 			m.Regs[isa.RCX] = next
 			m.Regs[isa.R11] = 0x202
 		}
-		exit, err := m.OS.Syscall(m)
-		if err != nil || exit {
-			return exit, err
+		if m.OS.syscall(m) {
+			return true, nil
 		}
 
 	case isa.OpHlt:

@@ -1,14 +1,11 @@
-// Package emu implements a concrete x86-64 emulator for the isa subset.
-// It executes SBF binaries, enforces page permissions, and exposes syscall
-// hooks, which lets generated code-reuse payloads be validated end-to-end:
-// inject the payload, run the victim, observe the execve.
+// Package emu implements a concrete emulator for the isa backends. Load
+// boots an SBF binary; the machine enforces page permissions and models the
+// Linux syscalls the runtime and attack goals use, which lets generated
+// code-reuse payloads be validated end-to-end: inject the payload, run the
+// victim, observe the execve.
 package emu
 
-import (
-	"fmt"
-
-	"github.com/nofreelunch/gadget-planner/internal/sbf"
-)
+import "fmt"
 
 // PageSize is the emulator's memory page granularity.
 const PageSize = 4096
@@ -51,9 +48,6 @@ type Memory struct {
 	// instruction caches can invalidate (self-modifying code).
 	codeGen uint64
 }
-
-// CodeGeneration reports the current code-modification epoch.
-func (m *Memory) CodeGeneration() uint64 { return m.codeGen }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
@@ -149,20 +143,12 @@ func (m *Memory) WriteBytes(addr uint64, data []byte) error {
 	return nil
 }
 
-// WriteBytesForce stores data ignoring page permissions, mapping pages as
-// needed. Used by loaders and by the exploit harness to model a memory-write
-// vulnerability primitive.
-func (m *Memory) WriteBytesForce(addr uint64, data []byte, perm Perm) {
+// poke stores data ignoring page permissions, as a loader does; every page
+// it touches must already be mapped.
+func (m *Memory) poke(addr uint64, data []byte) {
 	for i := 0; i < len(data); {
-		pnum := (addr + uint64(i)) / PageSize
-		pg, ok := m.pages[pnum]
-		if !ok {
-			pg = &page{perm: perm}
-			m.pages[pnum] = pg
-		}
-		off := int((addr + uint64(i)) % PageSize)
-		c := copy(pg.data[off:], data[i:])
-		i += c
+		a := addr + uint64(i)
+		i += copy(m.pages[a/PageSize].data[a%PageSize:], data[i:])
 	}
 }
 
@@ -246,22 +232,4 @@ func (m *Memory) ReadCString(addr uint64, max int) (string, error) {
 		out = append(out, b[0])
 	}
 	return string(out), nil
-}
-
-// LoadBinary maps every section of an SBF image into memory.
-func (m *Memory) LoadBinary(b *sbf.Binary) {
-	for _, s := range b.Sections {
-		perm := Perm(0)
-		if s.Flags&sbf.FlagRead != 0 {
-			perm |= PermRead
-		}
-		if s.Flags&sbf.FlagWrite != 0 {
-			perm |= PermWrite
-		}
-		if s.Flags&sbf.FlagExec != 0 {
-			perm |= PermExec
-		}
-		m.Map(s.Addr, uint64(len(s.Data)), perm)
-		m.WriteBytesForce(s.Addr, s.Data, perm)
-	}
 }

@@ -24,37 +24,19 @@ type SyscallEvent struct {
 	Path string // resolved first-argument string for execve
 }
 
-// OS is the default syscall handler: a tiny Linux model sufficient to run
-// the MiniC runtime and to observe attack payloads firing.
+// OS is the machine's syscall model: a tiny Linux sufficient to run the
+// MiniC runtime and to observe attack payloads firing.
 //
-// A successful execve stops execution with exit=true, mirroring the real
-// system where the victim image is replaced; mprotect and mmap are applied
-// to the emulated address space and recorded.
+// An execve stops execution, mirroring the real system where the
+// victim image is replaced; mprotect and mmap are applied to the emulated
+// address space and recorded.
 type OS struct {
 	Stdout   bytes.Buffer
 	Stdin    bytes.Reader
 	ExitCode uint64
-	Exited   bool
 	Events   []SyscallEvent
 
-	// StopOnExecve makes a successful execve terminate the run (default
-	// behaviour for exploit verification).
-	StopOnExecve bool
-
 	mmapNext uint64
-}
-
-// NewOS returns an OS model with execve-stop enabled.
-func NewOS() *OS {
-	return &OS{StopOnExecve: true, mmapNext: 0x7000_0000}
-}
-
-// LastEvent returns the most recent syscall event, or nil.
-func (o *OS) LastEvent() *SyscallEvent {
-	if len(o.Events) == 0 {
-		return nil
-	}
-	return &o.Events[len(o.Events)-1]
 }
 
 // EventFor returns the first recorded event with the given syscall number.
@@ -67,14 +49,13 @@ func (o *OS) EventFor(num uint64) *SyscallEvent {
 	return nil
 }
 
-var _ SyscallHandler = (*OS)(nil)
-
-// Syscall implements SyscallHandler. Register conventions come from the
-// machine's backend ABI; syscall numbers use the x86-64 Linux numbering on
-// every backend (the RISC-V toolchain emits the same numbers, keeping goal
-// definitions and the OS model ISA-independent).
-func (o *OS) Syscall(m *Machine) (bool, error) {
-	abi := m.SyscallABI()
+// syscall executes the machine's pending syscall and reports whether it
+// ends the run. Register conventions come from the machine's backend ABI;
+// syscall numbers use the x86-64 Linux numbering on every backend (the
+// RISC-V toolchain emits the same numbers, keeping goal definitions and the
+// OS model ISA-independent).
+func (o *OS) syscall(m *Machine) bool {
+	abi := m.abi
 	num := m.Regs[abi.Num]
 	ev := SyscallEvent{Num: num}
 	for i, r := range abi.Args {
@@ -138,25 +119,19 @@ func (o *OS) Syscall(m *Machine) (bool, error) {
 			ev.Path = path
 		}
 		o.Events = append(o.Events, ev)
-		if o.StopOnExecve {
-			o.Exited = true
-			return true, nil
-		}
-		m.Regs[abi.Ret] = 0
-		return false, nil
+		return true
 
 	case SysExit, SysExitGrp:
 		o.ExitCode = ev.Args[0]
-		o.Exited = true
 		o.Events = append(o.Events, ev)
-		return true, nil
+		return true
 
 	default:
 		m.Regs[abi.Ret] = uint64(^uint64(38) + 1) // -ENOSYS
 	}
 
 	o.Events = append(o.Events, ev)
-	return false, nil
+	return false
 }
 
 func protToPerm(prot uint64) Perm {

@@ -9,7 +9,6 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/core"
 	"github.com/nofreelunch/gadget-planner/internal/emu"
-	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
@@ -183,17 +182,11 @@ func crashProbe(bin *sbf.Binary, repairs map[int]uint64) (crashKind, int, uint64
 		binary.LittleEndian.PutUint64(pattern[off:], v)
 	}
 
-	be, ok := isa.ByName(bin.ISA)
-	if !ok {
+	m, err := emu.Load(bin, benchprog.NetperfRequest(pattern))
+	if err != nil {
 		return crashOther, 0, 0, 0
 	}
-	m := emu.NewMachineISA(be)
-	os := emu.NewOS()
-	os.Stdin.Reset(benchprog.NetperfRequest(pattern))
-	m.OS = os
-	m.Mem.LoadBinary(bin)
 	m.SetupStack(0x7FC0_0000, 0x400000)
-	m.RIP = bin.Entry
 
 	for steps := 0; steps < 50_000_000; steps++ {
 		exit, err := m.Step()
@@ -218,19 +211,13 @@ func crashProbe(bin *sbf.Binary, repairs map[int]uint64) (crashKind, int, uint64
 // exploitFires runs the victim with the crafted stdin and reports whether
 // execve("/bin/sh") happened.
 func exploitFires(bin *sbf.Binary, stdin []byte) bool {
-	be, ok := isa.ByName(bin.ISA)
-	if !ok {
+	m, err := emu.Load(bin, stdin)
+	if err != nil {
 		return false
 	}
-	m := emu.NewMachineISA(be)
-	os := emu.NewOS()
-	os.Stdin.Reset(stdin)
-	m.OS = os
-	m.Mem.LoadBinary(bin)
 	m.SetupStack(0x7FC0_0000, 0x400000)
-	m.RIP = bin.Entry
 	_ = m.Run(10_000_000)
-	ev := os.EventFor(emu.SysExecve)
+	ev := m.OS.EventFor(emu.SysExecve)
 	return ev != nil && ev.Path == "/bin/sh"
 }
 

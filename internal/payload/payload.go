@@ -494,14 +494,15 @@ func isReg(name string) bool {
 // reports whether the goal syscall fires with the demanded register values.
 // This is the end-to-end ground truth for every generated payload.
 func Verify(bin *sbf.Binary, p *Payload, maxSteps uint64) error {
-	be, ok := isa.ByName(bin.ISA)
-	if !ok {
-		return fmt.Errorf("payload: unknown binary ISA %q", bin.ISA)
+	m, err := emu.Load(bin, nil)
+	if err != nil {
+		return fmt.Errorf("payload: %w", err)
 	}
-	m := emu.NewMachineISA(be)
-	os := emu.NewOS()
-	m.OS = os
-	m.Mem.LoadBinary(bin)
+	abi := m.ISA().Syscall()
+	want := p.Goal.Regs[abi.Num]
+	if want.Kind != planner.SpecConst {
+		return fmt.Errorf("payload: goal %q sets no syscall number", p.Goal.Name)
+	}
 
 	// Map a stack around the injection point and place the payload so that
 	// Bytes[0] sits at Base: the state just before the victim's "ret".
@@ -510,27 +511,14 @@ func Verify(bin *sbf.Binary, p *Payload, maxSteps uint64) error {
 	if err := m.Mem.WriteBytes(p.Base, p.Bytes); err != nil {
 		return fmt.Errorf("payload: inject: %w", err)
 	}
-	m.Regs[be.SP()] = p.Base + 8
+	m.Regs[m.SP()] = p.Base + 8
 	m.RIP = p.Entry
 
 	if maxSteps == 0 {
 		maxSteps = 100_000
 	}
-	err := m.Run(maxSteps)
-
-	// Locate the goal syscall number.
-	var want uint64
-	switch p.Goal.Name {
-	case "execve":
-		want = emu.SysExecve
-	case "mprotect":
-		want = emu.SysMprotect
-	case "mmap":
-		want = emu.SysMmap
-	default:
-		return fmt.Errorf("payload: unknown goal %q", p.Goal.Name)
-	}
-	ev := os.EventFor(want)
+	err = m.Run(maxSteps)
+	ev := m.OS.EventFor(want.Value)
 	if ev == nil {
 		if err != nil {
 			return fmt.Errorf("payload: goal syscall never fired: %w", err)
@@ -539,7 +527,6 @@ func Verify(bin *sbf.Binary, p *Payload, maxSteps uint64) error {
 	}
 
 	// Check demanded argument registers against the backend's syscall ABI.
-	abi := be.Syscall()
 	argIdx := make(map[isa.Reg]int, len(abi.Args))
 	for i, r := range abi.Args {
 		argIdx[r] = i

@@ -93,7 +93,7 @@ func TestMprotectEndToEnd(t *testing.T) {
 		Name: ".data", Addr: 0x601000, Flags: sbf.FlagRead | sbf.FlagWrite,
 		Data: make([]byte, 0x1000),
 	})
-	goal := planner.MprotectGoal(0x601000)
+	goal := planner.MprotectGoal()
 	conc := NewConcretizer(pool, bin, stackBase)
 	verified := false
 	planner.Search(pool, goal, planner.Options{

@@ -82,85 +82,63 @@ type Goal struct {
 	Regs map[isa.Reg]ValueSpec
 }
 
-// ExecveGoal returns the execve("/bin/sh", 0, 0) goal:
+// goalTable is the paper's three attack goals: a syscall number and the
+// specs of its arguments, in argument order. Syscall numbers follow the
+// x86-64 Linux numbering on every backend (the emulated OS model is
+// ISA-independent); only the registers carrying the number and the
+// arguments differ.
+var goalTable = []struct {
+	name string
+	num  uint64
+	args []ValueSpec
+}{
+	{"execve", 59, []ValueSpec{PointerSpec([]byte("/bin/sh\x00")), ConstSpec(0), ConstSpec(0)}},
+	// mprotect(0x601000, 0x1000, PROT_READ|WRITE|EXEC)
+	{"mprotect", 10, []ValueSpec{ConstSpec(0x601000), ConstSpec(0x1000), ConstSpec(7)}},
+	// mmap(0, 0x1000, RWX, MAP_PRIVATE|MAP_ANONYMOUS, ...). The fd and
+	// offset arguments are left unconstrained, as the OS model ignores
+	// them for anonymous mappings.
+	{"mmap", 9, []ValueSpec{ConstSpec(0), ConstSpec(0x1000), ConstSpec(7), ConstSpec(0x22)}},
+}
+
+// goalFor builds goalTable[i] in a backend's syscall ABI. Goals share
+// their pointer data, which nothing writes.
+func goalFor(be isa.Backend, i int) Goal {
+	abi := be.Syscall()
+	g := goalTable[i]
+	regs := map[isa.Reg]ValueSpec{abi.Num: ConstSpec(g.num)}
+	for j, spec := range g.args {
+		regs[abi.Args[j]] = spec
+	}
+	return Goal{Name: g.name, Regs: regs}
+}
+
+// ExecveGoal returns the x86-64 execve("/bin/sh", 0, 0) goal:
 // rax=59, rdi -> "/bin/sh", rsi=0, rdx=0.
-func ExecveGoal() Goal {
-	return Goal{
-		Name: "execve",
-		Regs: map[isa.Reg]ValueSpec{
-			isa.RAX: ConstSpec(59),
-			isa.RDI: PointerSpec(append([]byte("/bin/sh"), 0)),
-			isa.RSI: ConstSpec(0),
-			isa.RDX: ConstSpec(0),
-		},
-	}
-}
+func ExecveGoal() Goal { return goalFor(isa.X64, 0) }
 
-// MprotectGoal returns the mprotect(page, 0x1000, RWX) goal for a fixed page.
-func MprotectGoal(page uint64) Goal {
-	return Goal{
-		Name: "mprotect",
-		Regs: map[isa.Reg]ValueSpec{
-			isa.RAX: ConstSpec(10),
-			isa.RDI: ConstSpec(page),
-			isa.RSI: ConstSpec(0x1000),
-			isa.RDX: ConstSpec(7), // PROT_READ|WRITE|EXEC
-		},
-	}
-}
+// MprotectGoal returns the x86-64 mprotect(0x601000, 0x1000, RWX) goal.
+func MprotectGoal() Goal { return goalFor(isa.X64, 1) }
 
-// MmapGoal returns the mmap(0, 0x1000, RWX, MAP_PRIVATE|MAP_ANONYMOUS, ...)
-// goal. The fd/offset registers (r8/r9) are left unconstrained, as the OS
-// model ignores them for anonymous mappings; r10 carries the flags.
-func MmapGoal() Goal {
-	return Goal{
-		Name: "mmap",
-		Regs: map[isa.Reg]ValueSpec{
-			isa.RAX: ConstSpec(9),
-			isa.RDI: ConstSpec(0),
-			isa.RSI: ConstSpec(0x1000),
-			isa.RDX: ConstSpec(7),
-			isa.R10: ConstSpec(0x22), // MAP_PRIVATE|MAP_ANONYMOUS
-		},
-	}
-}
+// MmapGoal returns the x86-64 mmap(0, 0x1000, RWX, MAP_PRIVATE|MAP_ANONYMOUS)
+// goal; r10 carries the flags.
+func MmapGoal() Goal { return goalFor(isa.X64, 2) }
 
-// Goals returns the three standard attack goals of the paper.
-func Goals() []Goal {
-	return []Goal{ExecveGoal(), MprotectGoal(0x601000), MmapGoal()}
-}
+// Goals returns the three standard attack goals of the paper on x86-64.
+func Goals() []Goal { return GoalsForISA(isa.DefaultISA) }
 
 // GoalsForISA returns the standard goals expressed in a backend's syscall
-// ABI. Syscall numbers follow the x86-64 Linux numbering on every backend
-// (the emulated OS model is ISA-independent); only the registers carrying
-// the number and the arguments differ. For "x64" (or empty) this yields
-// exactly Goals().
+// ABI; an unknown backend name yields the x86-64 goals.
 func GoalsForISA(isaName string) []Goal {
 	be, ok := isa.ByName(isaName)
 	if !ok {
-		return Goals()
+		be = isa.X64
 	}
-	abi := be.Syscall()
-	mk := func(name string, num uint64, args []ValueSpec) Goal {
-		regs := map[isa.Reg]ValueSpec{abi.Num: ConstSpec(num)}
-		for i, spec := range args {
-			if i < len(abi.Args) {
-				regs[abi.Args[i]] = spec
-			}
-		}
-		return Goal{Name: name, Regs: regs}
+	out := make([]Goal, len(goalTable))
+	for i := range goalTable {
+		out[i] = goalFor(be, i)
 	}
-	return []Goal{
-		mk("execve", 59, []ValueSpec{
-			PointerSpec(append([]byte("/bin/sh"), 0)), ConstSpec(0), ConstSpec(0),
-		}),
-		mk("mprotect", 10, []ValueSpec{
-			ConstSpec(0x601000), ConstSpec(0x1000), ConstSpec(7),
-		}),
-		mk("mmap", 9, []ValueSpec{
-			ConstSpec(0), ConstSpec(0x1000), ConstSpec(7), ConstSpec(0x22),
-		}),
-	}
+	return out
 }
 
 // Requirement is one open pre-condition in delta: the consumer step needs

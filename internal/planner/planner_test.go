@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -233,18 +234,23 @@ func TestSpecEquality(t *testing.T) {
 	}
 }
 
+// TestGoalDefinitions pins the x86-64 goals register by register, and
+// that Goals and the single-goal constructors agree.
 func TestGoalDefinitions(t *testing.T) {
-	g := ExecveGoal()
-	if g.Regs[isa.RAX].Value != 59 {
-		t.Error("execve rax != 59")
+	want := []Goal{
+		{Name: "execve", Regs: map[isa.Reg]ValueSpec{
+			isa.RAX: ConstSpec(59), isa.RDI: PointerSpec([]byte("/bin/sh\x00")),
+			isa.RSI: ConstSpec(0), isa.RDX: ConstSpec(0)}},
+		{Name: "mprotect", Regs: map[isa.Reg]ValueSpec{
+			isa.RAX: ConstSpec(10), isa.RDI: ConstSpec(0x601000),
+			isa.RSI: ConstSpec(0x1000), isa.RDX: ConstSpec(7)}},
+		{Name: "mmap", Regs: map[isa.Reg]ValueSpec{
+			isa.RAX: ConstSpec(9), isa.RDI: ConstSpec(0), isa.RSI: ConstSpec(0x1000),
+			isa.RDX: ConstSpec(7), isa.R10: ConstSpec(0x22)}},
 	}
-	if string(g.Regs[isa.RDI].Data) != "/bin/sh\x00" {
-		t.Errorf("execve path = %q", g.Regs[isa.RDI].Data)
-	}
-	if MprotectGoal(0x1000).Regs[isa.RAX].Value != 10 {
-		t.Error("mprotect rax != 10")
-	}
-	if MmapGoal().Regs[isa.RAX].Value != 9 {
-		t.Error("mmap rax != 9")
+	for i, got := range [][]Goal{Goals(), {ExecveGoal(), MprotectGoal(), MmapGoal()}} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("goal set %d = %v, want %v", i, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sbf_test
 
 import (
+	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 // FuzzUnmarshalSBF feeds untrusted image bytes (what a gpd client or a -bin
 // file supplies) to Unmarshal: it must never panic, and any image it
 // accepts must re-marshal to bytes it accepts again with the same entry
-// point, ISA tag, code size and section count.
+// point, ISA tag, code size and section count, and its digest must be the
+// SHA-256 of that re-marshal.
 func FuzzUnmarshalSBF(f *testing.F) {
 	crc, ok := benchprog.ByName("crc")
 	if !ok {
@@ -33,7 +35,11 @@ func FuzzUnmarshalSBF(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := sbf.Unmarshal(bin.Marshal())
+		img := bin.Marshal()
+		if bin.Digest() != sha256.Sum256(img) {
+			t.Fatal("digest is not the SHA-256 of the re-marshaled image")
+		}
+		again, err := sbf.Unmarshal(img)
 		if err != nil {
 			t.Fatalf("re-marshaled image rejected: %v", err)
 		}

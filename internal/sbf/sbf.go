@@ -174,7 +174,9 @@ func (b *Binary) Marshal() []byte {
 	return out
 }
 
-// Unmarshal parses a serialized binary image.
+// Unmarshal parses a serialized binary image. When data is already the
+// encoding Marshal writes for the result, its SHA-256 becomes the binary's
+// digest, so Digest need not re-marshal it.
 func Unmarshal(data []byte) (*Binary, error) {
 	r := reader{data: data}
 	var magic [4]byte
@@ -186,6 +188,8 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	b := New()
 	var err error
+	// canonical tracks whether Marshal would write data back byte for byte.
+	canonical := true
 	if magic == Magic2 {
 		if b.ISA, err = r.str(); err != nil {
 			return nil, err
@@ -195,6 +199,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		if b.ISA == "x64" {
 			b.ISA = ""
 		}
+		canonical = b.ISA != ""
 	}
 	if b.Entry, err = r.u64(); err != nil {
 		return nil, err
@@ -230,6 +235,10 @@ func Unmarshal(data []byte) (*Binary, error) {
 		if err := r.bytes(s.Data); err != nil {
 			return nil, err
 		}
+		// AddSection keeps sections in address order.
+		if len(b.Sections) > 0 && s.Addr <= b.Sections[len(b.Sections)-1].Addr {
+			canonical = false
+		}
 		b.AddSection(s)
 	}
 	nSym, err := r.u32()
@@ -239,6 +248,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	if nSym > 1<<20 {
 		return nil, fmt.Errorf("%w: unreasonable symbol count %d", errCorrupt, nSym)
 	}
+	prev := ""
 	for i := uint32(0); i < nSym; i++ {
 		name, err := r.str()
 		if err != nil {
@@ -248,7 +258,15 @@ func Unmarshal(data []byte) (*Binary, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Marshal writes each symbol once, in name order.
+		if i > 0 && name <= prev {
+			canonical = false
+		}
+		prev = name
 		b.Symbols[name] = v
+	}
+	if canonical && r.pos == len(data) {
+		b.digestOnce.Do(func() { b.digest = sha256.Sum256(data) })
 	}
 	return b, nil
 }

@@ -2,6 +2,7 @@ package sbf
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 	"testing/quick"
 )
@@ -38,6 +39,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v, ok := got.Symbol("buf"); !ok || v != 0x601000 {
 		t.Errorf("buf = %#x, %v", v, ok)
+	}
+}
+
+// TestCanonicalDigestSkipsMarshal pins that Unmarshal memoizes the digest
+// of an image Marshal would write back byte for byte, so its Digest
+// allocates nothing, while an image with an explicit x64 tag is digested
+// from its re-marshal. Both digests are the canonical bytes' SHA-256.
+func TestCanonicalDigestSkipsMarshal(t *testing.T) {
+	img := sample().Marshal()
+	tagged := append([]byte("SBF2\x03\x00\x00\x00x64"), img[len(Magic):]...)
+	for _, c := range []struct {
+		name     string
+		data     []byte
+		marshals bool
+	}{{"canonical", img, false}, {"x64-tag", tagged, true}} {
+		const runs = 10
+		bins := make([]*Binary, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range bins {
+			var err error
+			if bins[i], err = Unmarshal(c.data); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			bins[next].Digest()
+			next++
+		})
+		if (allocs > 0) != c.marshals {
+			t.Errorf("%s: Digest allocates %.0f times, want marshaling %v", c.name, allocs, c.marshals)
+		}
+		if bins[0].Digest() != sha256.Sum256(img) {
+			t.Errorf("%s: digest is not the SHA-256 of the canonical image", c.name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/emu"
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
 )
 
 // decodeSteps assembles src and wraps every instruction in a Step.
@@ -292,9 +293,13 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 		_ = hasJcc
 
 		// Concrete machine setup.
-		m := emu.NewMachineISA(isa.X64)
-		m.Mem.Map(base, uint64(len(code)+16), emu.PermRead|emu.PermExec)
-		m.Mem.WriteBytesForce(base, code, emu.PermRead|emu.PermExec)
+		bin := sbf.New()
+		bin.Entry = base
+		bin.AddSection(sbf.Section{Name: ".text", Addr: base, Flags: sbf.FlagRead | sbf.FlagExec, Data: code})
+		m, err := emu.Load(bin, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		const stackBase = uint64(0x7FF0_0000)
 		m.Mem.Map(stackBase, 0x4000, emu.PermRead|emu.PermWrite)
 		rsp0 := stackBase + 0x2000
@@ -309,7 +314,6 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 		}
 		initRegs[isa.RSP] = rsp0
 		m.Regs = initRegs
-		m.RIP = base
 
 		// Run concretely, one step per instruction.
 		var steps []Step
