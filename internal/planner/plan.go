@@ -180,6 +180,9 @@ type Step struct {
 const maxOrderSteps = 64
 
 // Plan is a (possibly incomplete) attack plan: the paper's problem state.
+// Search keeps its frontier as nodes that record only what each expansion
+// added (search.go); a Plan is what it materializes a node into to expand
+// it, builds candidates in, and returns.
 type Plan struct {
 	Steps []Step        // alpha
 	Order [][2]int      // beta: (before, after) pairs
@@ -194,8 +197,8 @@ type Plan struct {
 	// addOrder; rebuilt lazily for plans assembled by hand.
 	reach []uint64
 	// demandKeys dedups Demands once they outgrow a linear scan; nil until
-	// then, and dropped by copyFrom, so plans with few demands pay nothing
-	// for it.
+	// then, and dropped by copyFrom and by materializing a node, so plans
+	// with few demands pay nothing for it.
 	demandKeys map[demandKey]struct{}
 }
 
@@ -217,9 +220,11 @@ func RestorePlan(steps []Step, order [][2]int, links []Link, open []Requirement,
 
 // copyFrom overwrites q with p, Open replaced by open, reusing q's buffers
 // (steps and gadget pointers are shared immutably). The expansion hot path
-// builds every candidate successor in one scratch plan this way and copies
-// a successor out — into a fresh Plan, so at exact size — only once it is
-// known to be consistent.
+// builds every candidate successor in one scratch plan this way, from the
+// expanded node's materialized plan, and keeps a consistent one as a node
+// holding only what the candidate added. Search copies a complete plan out
+// this way — into a fresh Plan, so at exact size — only once its signature
+// is new.
 func (q *Plan) copyFrom(p *Plan, open []Requirement) {
 	p.ensureReach()
 	q.Steps = append(q.Steps[:0], p.Steps...)
@@ -263,9 +268,10 @@ type demandKey struct {
 // demandScanCutoff is the Demands length above which addDemand switches
 // from a linear duplicate scan to the keyed map. Small sets — the common
 // case by far — are cheaper to scan than to re-hash after every copy
-// (copies drop the map); large sets get the map so repeated inserts stay
-// O(1) instead of going quadratic. The cutoff depends only on the plan, so
-// dedup behavior is identical at any worker count and with the caches off.
+// (copies and materialized nodes drop the map); large sets get the map so
+// repeated inserts stay O(1) instead of going quadratic. The cutoff
+// depends only on the plan, so dedup behavior is identical at any worker
+// count and with the caches off.
 const demandScanCutoff = 16
 
 // addDemand appends d unless an identical demand is already recorded.

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
@@ -12,7 +13,7 @@ import (
 	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
 
-// batchSize is how many frontier plans one batch pops. It is a fixed
+// batchSize is how many frontier nodes one batch pops. It is a fixed
 // constant — deliberately NOT derived from Parallelism — because the batch
 // boundary is what shapes the search order; workers only split a batch.
 const batchSize = 16
@@ -101,23 +102,97 @@ func (r *Result) StatsLine() string {
 	return s
 }
 
-// planHeap orders plans by the paper's heuristics: fewest open
-// pre-conditions, then fewest deferred constraints, then fewest steps.
-type planHeap []*Plan
-
-func (h planHeap) Len() int { return len(h) }
-func (h planHeap) Less(i, j int) bool {
-	if len(h[i].Open) != len(h[j].Open) {
-		return len(h[i].Open) < len(h[j].Open)
-	}
-	if len(h[i].Demands) != len(h[j].Demands) {
-		return len(h[i].Demands) < len(h[j].Demands)
-	}
-	return len(h[i].Steps) < len(h[j].Steps)
+// node is one frontier state, stored as what its expansion added to its
+// parent's plan: every expansion only appends to Steps, Order, Links and
+// Demands, and replaces Open by Open[1:] plus new requirements. A seed is a
+// node without a parent. materialize rebuilds the full plan.
+type node struct {
+	parent *node
+	g      *gadget.Gadget // the new step's gadget; nil when the link reuses a step
+	link   Link           // the new causal link; unset for a seed
+	order  [][2]int       // appended to the parent's Order
+	demand []SlotDemand   // appended to the parent's Demands
+	open   []Requirement  // appended to the parent's Open[1:]
+	// reach is the plan's ancestor bitsets in full, one per step: Start
+	// plus at most maxSteps gadgets.
+	reach [maxSteps + 1]uint64
+	// The plan's Open, Demands and Steps lengths, which nodeHeap sorts by.
+	nOpen, nDemands, nSteps int32
 }
-func (h planHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *planHeap) Push(x any)   { *h = append(*h, x.(*Plan)) }
-func (h *planHeap) Pop() any {
+
+// seedNode records a seed plan, which has exactly the Start step and its
+// goal step 1, as a node without a parent. The node takes p's slices.
+func seedNode(p *Plan) *node {
+	n := &node{g: p.Steps[1].G, order: p.Order, demand: p.Demands, open: p.Open}
+	n.record(p)
+	return n
+}
+
+// record stores p's reach and the lengths nodeHeap sorts by.
+func (n *node) record(p *Plan) {
+	p.ensureReach()
+	copy(n.reach[:], p.reach)
+	n.nOpen, n.nDemands, n.nSteps = int32(len(p.Open)), int32(len(p.Demands)), int32(len(p.Steps))
+}
+
+// childNode records p, built by one expansion from base, which holds
+// parent materialized, as parent's child. It copies what p appended to
+// base, so p's buffers may be reused.
+func childNode(parent *node, base, p *Plan) *node {
+	n := &node{parent: parent, link: p.Links[len(base.Links)],
+		order:  slices.Clone(p.Order[len(base.Order):]),
+		demand: slices.Clone(p.Demands[len(base.Demands):]),
+		open:   slices.Clone(p.Open[len(base.Open)-1:])}
+	if len(p.Steps) > len(base.Steps) {
+		n.g = p.Steps[len(p.Steps)-1].G
+	}
+	n.record(p)
+	return n
+}
+
+// materialize overwrites p with n's plan, reusing p's buffers.
+func (n *node) materialize(p *Plan) {
+	n.build(p)
+	p.reach = append(p.reach[:0], n.reach[:n.nSteps]...)
+	p.demandKeys = nil
+}
+
+// build is materialize without the per-plan state only the leaf sets.
+func (n *node) build(p *Plan) {
+	if n.parent == nil {
+		p.Steps = append(p.Steps[:0], Step{ID: 0})
+		p.Order, p.Links, p.Open, p.Demands = p.Order[:0], p.Links[:0], p.Open[:0], p.Demands[:0]
+		p.goalStep = 1
+	} else {
+		n.parent.build(p)
+		p.Open = append(p.Open[:0], p.Open[1:]...)
+		p.Links = append(p.Links, n.link)
+	}
+	if n.g != nil {
+		p.Steps = append(p.Steps, Step{ID: len(p.Steps), G: n.g})
+	}
+	p.Order = append(p.Order, n.order...)
+	p.Open = append(p.Open, n.open...)
+	p.Demands = append(p.Demands, n.demand...)
+}
+
+// nodeHeap orders frontier nodes by the paper's heuristics: fewest open
+// pre-conditions, then fewest deferred constraints, then fewest steps.
+type nodeHeap []*node
+
+func (h nodeHeap) Len() int { return len(h) }
+func (h nodeHeap) Less(i, j int) bool {
+	if h[i].nOpen != h[j].nOpen {
+		return h[i].nOpen < h[j].nOpen
+	}
+	if h[i].nDemands != h[j].nDemands {
+		return h[i].nDemands < h[j].nDemands
+	}
+	return h[i].nSteps < h[j].nSteps
+}
+func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*node)) }
+func (h *nodeHeap) Pop() any {
 	old := *h
 	n := len(old)
 	x := old[n-1]
@@ -141,12 +216,14 @@ type searchCtx struct {
 }
 
 // expandSlot is one batch position's expansion state, reused from batch to
-// batch: the scratch plan every candidate is built in, key scratch, the
-// successors kept with their dedup keys, and the cache-lookup tally.
+// batch: the expanded node's materialized plan, the scratch plan every
+// candidate is built in, key scratch, the successors kept with their dedup
+// keys, and the cache-lookup tally.
 type expandSlot struct {
+	base    Plan
 	scratch Plan
 	kb      keyBuf
-	succs   []*Plan
+	succs   []*node
 	// keys[i] is succs[i]'s dedup key, or "" when a shape or spec of it
 	// was not interned yet and the merge must build the key.
 	keys []string
@@ -156,7 +233,7 @@ type expandSlot struct {
 // Search runs backward partial-order planning over the pool toward the
 // goal, returning up to MaxPlans distinct complete plans.
 //
-// The frontier is processed in deterministic batches: pop the K best plans
+// The frontier is processed in deterministic batches: pop the K best nodes
 // in heap order, handle complete ones (dedup, validate, accept) serially in
 // that order, expand the incomplete ones in parallel workers, then merge
 // the successors back into the heap in pop order. Because batch boundaries,
@@ -177,14 +254,14 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	}
 
 	var total tally
-	var q planHeap
+	var q nodeHeap
 	seedPlans, truncated := seeds(sc, goal, &total)
 	res.TruncatedSeeds = truncated
 	for _, p := range seedPlans {
 		// Intern the seed's shapes and specs, so workers can key its
 		// successors.
 		sc.keys.encode(&sc.keys.kb, p, true)
-		heap.Push(&q, p)
+		heap.Push(&q, seedNode(p))
 	}
 
 	found := make(map[string]bool)
@@ -196,12 +273,14 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 	uses := make(map[int]int)
 
 	type job struct {
-		p      *Plan
+		n      *node
 		cands  []*gadget.Gadget
-		specID uint32 // interned form of p.Open[0].Spec
+		specID uint32 // interned form of the plan's Open[0].Spec
 	}
 	var jobs []job
 	slots := make([]expandSlot, batchSize)
+	// tmp is the coordinator's scratch for plans it keys or copies out.
+	var tmp Plan
 	// shaped records the registers whose candidates' shapes are interned.
 	shaped := make(map[isa.Reg]bool)
 
@@ -216,20 +295,24 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		}
 		res.Batches++
 
-		// Phase 1 (serial): pop the batch in heap order. Complete plans are
-		// deduped, validated, and accepted right here, in pop order, so the
-		// uses-based diversity ranking the rest of the batch expands under
-		// is reproducible.
+		// Phase 1 (serial): pop the batch in heap order. Complete nodes are
+		// materialized, deduped, validated, and accepted right here, in pop
+		// order, so the uses-based diversity ranking the rest of the batch
+		// expands under is reproducible. Only a new signature's plan is
+		// copied out of tmp, into a fresh exact-size Plan.
 		jobs = jobs[:0]
 		usesChanged := false
 		for i := 0; i < k; i++ {
-			p := heap.Pop(&q).(*Plan)
+			n := heap.Pop(&q).(*node)
 			res.Expanded++
-			if p.Complete() {
-				sig := sc.keys.key(p)
+			if n.nOpen == 0 {
+				n.materialize(&tmp)
+				sig := sc.keys.key(&tmp)
 				if found[sig] {
 					continue
 				}
+				p := &Plan{}
+				p.copyFrom(&tmp, nil)
 				if opts.Validate != nil && !opts.Validate(p) {
 					res.Rejected++
 					continue
@@ -246,7 +329,7 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 				}
 				continue
 			}
-			jobs = append(jobs, job{p: p})
+			jobs = append(jobs, job{n: n})
 		}
 		if done || len(jobs) == 0 {
 			continue
@@ -254,15 +337,18 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 		if usesChanged {
 			sc.idx.bumpUses()
 		}
-		// Candidate lists, spec IDs and candidate shapes are resolved
+		// Each node is materialized into its slot's base plan, and
+		// candidate lists, spec IDs and candidate shapes are resolved
 		// serially (the index caches its diversity re-rank per register,
 		// the interner owns the shape and spec tables); workers receive
-		// ready slices and dense keys.
+		// ready plans, slices and dense keys.
 		for i := range jobs {
+			p := &slots[i].base
+			jobs[i].n.materialize(p)
 			jobs[i].cands = nil
-			jobs[i].specID = sc.keys.specOf(jobs[i].p.Open[0].Spec)
-			if jobs[i].p.NumGadgets() < maxSteps {
-				reg := jobs[i].p.Open[0].Reg
+			jobs[i].specID = sc.keys.specOf(p.Open[0].Spec)
+			if p.NumGadgets() < maxSteps {
+				reg := p.Open[0].Reg
 				jobs[i].cands = sc.idx.candidatesFor(reg, uses)
 				// Every re-rank permutes the same base list, so interning
 				// one order's shapes covers them all.
@@ -277,7 +363,7 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 
 		// Phase 2 (parallel): expand into index-addressed slots.
 		par.For(opts.Parallelism, len(jobs), func(i int) {
-			expand(sc, jobs[i].p, jobs[i].cands, jobs[i].specID, &slots[i])
+			expand(sc, jobs[i].n, jobs[i].cands, jobs[i].specID, &slots[i])
 		})
 
 		// Phase 3 (serial): merge successors in batch order. Workers
@@ -290,7 +376,8 @@ func Search(pool *gadget.Pool, goal Goal, opts Options) *Result {
 			for j, succ := range sl.succs {
 				key := sl.keys[j]
 				if key == "" {
-					key = sc.keys.key(succ)
+					succ.materialize(&tmp)
+					key = sc.keys.key(&tmp)
 				}
 				if sc.visited[key] {
 					continue
@@ -387,16 +474,22 @@ func seeds(sc *searchCtx, goal Goal, t *tally) ([]*Plan, int) {
 	return out, truncated
 }
 
-// expand generates successor plans for the first open requirement into
-// sl.succs. It is called from expansion workers: everything it touches is
-// either owned by the task (p, sl) or safe for concurrent reads (the pool,
-// the candidate slice, the provider cache, and the key interner and
-// visited, which only the coordinator writes). Every candidate is built in
-// the slot's scratch plan. One that finishLink accepts is copied out only
-// if its dedup key is new: not visited before the batch and not kept
-// earlier in this expansion. An accepted new-gadget candidate counts
-// against the Candidates cap either way.
-func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, sl *expandSlot) {
+// keptHook, when set, is called with every successor expand keeps and the
+// scratch plan it was recorded from. It is nil outside tests.
+var keptHook func(succ *node, scratch *Plan)
+
+// expand generates successor nodes of n, whose plan sl.base holds, for the
+// plan's first open requirement into sl.succs. It is called from expansion
+// workers: everything it touches is either owned by the task (n, sl) or
+// safe for concurrent reads (the pool, the candidate slice, the provider
+// cache, and the key interner and visited, which only the coordinator
+// writes). Every candidate is built in the slot's scratch plan. One that
+// finishLink accepts is recorded as a child node, holding only what the
+// candidate added to sl.base, and only if its dedup key is new: not visited
+// before the batch and not kept earlier in this expansion. An accepted
+// new-gadget candidate counts against the Candidates cap either way.
+func expand(sc *searchCtx, n *node, cands []*gadget.Gadget, specID uint32, sl *expandSlot) {
+	p := &sl.base
 	req := p.Open[0]
 	rest := p.Open[1:]
 	sl.succs, sl.keys, sl.t = sl.succs[:0], sl.keys[:0], tally{}
@@ -415,8 +508,10 @@ func expand(sc *searchCtx, p *Plan, cands []*gadget.Gadget, specID uint32, sl *e
 			}
 			ks = string(key)
 		}
-		succ := &Plan{}
-		succ.copyFrom(scratch, scratch.Open)
+		succ := childNode(n, p, scratch)
+		if keptHook != nil {
+			keptHook(succ, scratch)
+		}
 		sl.succs = append(sl.succs, succ)
 		sl.keys = append(sl.keys, ks)
 	}

@@ -2,6 +2,7 @@ package sbf_test
 
 import (
 	"crypto/sha256"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,6 +15,11 @@ import (
 // accepts must re-marshal to bytes it accepts again with the same entry
 // point, ISA tag, code size and section count, and its digest must be the
 // SHA-256 of that re-marshal.
+//
+// The image seeds are crc builds cut to 64 bytes per section and 4
+// symbols: valid images of every field kind, small enough that the fuzzer
+// mutates them at full speed. Whole ~5 KB builds keep it minimizing each
+// new input, at a few execs a second.
 func FuzzUnmarshalSBF(f *testing.F) {
 	crc, ok := benchprog.ByName("crc")
 	if !ok {
@@ -24,7 +30,11 @@ func FuzzUnmarshalSBF(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(bin.Marshal())
+		img := smallImage(bin)
+		if _, err := sbf.Unmarshal(img); err != nil {
+			f.Fatalf("%s seed image rejected: %v", isaName, err)
+		}
+		f.Add(img)
 	}
 	f.Add([]byte("SBF2\x05\x00\x00")) // header truncated inside the ISA tag
 	// An explicit x64 tag, which Marshal never writes (x64 images are
@@ -50,4 +60,24 @@ func FuzzUnmarshalSBF(f *testing.F) {
 				len(bin.Sections), len(again.Sections))
 		}
 	})
+}
+
+// smallImage marshals bin with every section cut to its first 64 bytes and
+// only the 4 first symbols by name.
+func smallImage(bin *sbf.Binary) []byte {
+	small := sbf.New()
+	small.Entry, small.ISA = bin.Entry, bin.ISA
+	for _, s := range bin.Sections {
+		s.Data = s.Data[:min(len(s.Data), 64)]
+		small.AddSection(s)
+	}
+	names := make([]string, 0, len(bin.Symbols))
+	for n := range bin.Symbols {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names[:min(len(names), 4)] {
+		small.Symbols[n] = bin.Symbols[n]
+	}
+	return small.Marshal()
 }
