@@ -165,9 +165,12 @@ func TestLoadUnknownISA(t *testing.T) {
 }
 
 // TestLoadMachinesIsolated pins that machines loaded from one binary share
-// no memory with each other or with the binary: writes to .data and a
-// self-modified .text in one machine are invisible to the next. An image
-// that shares pages between machines must keep this.
+// no memory with each other or with the binary: writes to .data, a
+// self-modified .text, an mprotect of .text and of a stack page, a re-Map
+// of .data and a write to a zero-filled stack page in earlier machines are
+// invisible to the next, to the binary's sections and to a fresh mapping. Machines share the
+// binary's image and the zero pages until they write, so each change must
+// copy the page it touches.
 func TestLoadMachinesIsolated(t *testing.T) {
 	r, err := asm.Assemble(`
     movabs rbx, target
@@ -196,9 +199,49 @@ target:
 		t.Fatal(err)
 	}
 
+	// A machine that has written nothing yet changes image and zero pages.
+	changed, err := Load(bin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed.SetupStack(0x7FFF0000, 0x10000)
+	if !changed.Mem.Protect(0x401000, 1, PermRead) || !changed.Mem.Protect(0x7FFF0000, 1, PermRead) {
+		t.Fatal("protect: page not mapped")
+	}
+	changed.Mem.Map(0x600000, 1, PermRead|PermExec)
+	const stackByte = 0x7FFF_8000
+	if err := changed.Mem.WriteBytes(stackByte, []byte{5}); err != nil {
+		t.Fatal(err)
+	}
+	for addr, want := range map[uint64]Perm{0x401000: PermRead, 0x600000: PermRead | PermExec, 0x7FFF0000: PermRead} {
+		if got := changed.Mem.PermAt(addr); got != want {
+			t.Fatalf("changed machine's permission at %#x = %b, want %b", addr, got, want)
+		}
+	}
+	if got, err := changed.Mem.ReadBytes(stackByte, 1); err != nil || got[0] != 5 {
+		t.Fatalf("changed machine's stack write reads back %v %v", got, err)
+	}
+
 	second, err := Load(bin, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	second.SetupStack(0x7FFF0000, 0x10000)
+	fresh := NewMemory()
+	fresh.Map(0x7FFF0000, 0x10000, PermRead|PermWrite)
+	for name, mem := range map[string]*Memory{"second machine": second.Mem, "a fresh mapping": fresh} {
+		if got, err := mem.ReadBytes(stackByte, 1); err != nil || got[0] != 0 {
+			t.Errorf("%s at %#x: %v %v, want 0", name, uint64(stackByte), got, err)
+		}
+		if got := mem.PermAt(0x7FFF0000); got != PermRead|PermWrite {
+			t.Errorf("%s's stack permission = %b, want rw", name, got)
+		}
+	}
+	if got := second.Mem.PermAt(0x401000); got != PermRead|PermWrite|PermExec {
+		t.Errorf("second machine's .text permission = %b, want rwx", got)
+	}
+	if got := second.Mem.PermAt(0x600000); got != PermRead|PermWrite {
+		t.Errorf("second machine's .data permission = %b, want rw", got)
 	}
 	for _, c := range []struct {
 		addr uint64
@@ -211,6 +254,9 @@ target:
 	}
 	if bin.Sections[0].Data[patched-0x401000] != 0 || bin.Sections[1].Data[0] != 7 {
 		t.Error("a machine's writes reached the binary's sections")
+	}
+	if err := second.Run(100); err != nil || second.OS.ExitCode != 42 {
+		t.Errorf("second machine's self-modifying run: exit %d, %v; want 42", second.OS.ExitCode, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package emu
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 
 	"github.com/nofreelunch/gadget-planner/internal/isa"
@@ -50,6 +51,10 @@ type Machine struct {
 	icache    []icEntry
 	icacheGen uint64
 	icFills   int
+
+	// fetchBuf holds the bytes fetch decodes on an icache miss; a decoded
+	// isa.Inst keeps none of them, so one buffer serves every miss.
+	fetchBuf [16]byte
 }
 
 type icEntry struct {
@@ -68,6 +73,10 @@ const (
 // the entry point. The stack is the caller's to map (SetupStack), since its
 // size depends on what the run is for. Load is the only way to build a
 // machine outside this package.
+//
+// The sections' pages are built once per binary (loadImage) and shared by
+// every machine booted from it; a machine copies a page only when it
+// changes it, so the binary must not change once it has been loaded.
 func Load(bin *sbf.Binary, stdin []byte) (*Machine, error) {
 	be, ok := isa.ByName(bin.ISA)
 	if !ok {
@@ -75,14 +84,26 @@ func Load(bin *sbf.Binary, stdin []byte) (*Machine, error) {
 	}
 	m := newMachine(be)
 	m.OS.Stdin.Reset(stdin)
-	for _, s := range bin.Sections {
-		// Perm shares sbf.SectionFlags' bit meanings.
-		perm := Perm(s.Flags) & (PermRead | PermWrite | PermExec)
-		m.Mem.Map(s.Addr, uint64(len(s.Data)), perm)
-		m.Mem.poke(s.Addr, s.Data)
-	}
+	m.Mem.pages = maps.Clone(bin.Image(loadImage).(map[uint64]*page))
 	m.RIP = bin.Entry
 	return m, nil
+}
+
+// loadImage maps every section of bin under its flag permissions and
+// returns the pages, each marked shared.
+func loadImage(bin *sbf.Binary) any {
+	img := NewMemory()
+	for _, s := range bin.Sections {
+		// Perm shares sbf.SectionFlags' bit meanings.
+		img.Map(s.Addr, uint64(len(s.Data)), Perm(s.Flags))
+		img.poke(s.Addr, s.Data)
+	}
+	for _, pg := range img.pages {
+		if !pg.shared { // the zero pages are shared already, and read by all
+			pg.shared = true
+		}
+	}
+	return img.pages
 }
 
 // newMachine returns a machine executing the given backend's ISA, with an
@@ -256,11 +277,11 @@ func (m *Machine) fetch() (isa.Inst, error) {
 		}
 		return slot.inst, nil
 	}
-	window, err := m.Mem.FetchWindow(m.RIP, 16)
+	n, err := m.Mem.fetchInto(m.fetchBuf[:], m.RIP)
 	if err != nil {
 		return isa.Inst{}, err
 	}
-	inst, err := m.be.Decode(window, m.RIP)
+	inst, err := m.be.Decode(m.fetchBuf[:n], m.RIP)
 	if err != nil {
 		return isa.Inst{}, fmt.Errorf("emu: decode at %#x: %w", m.RIP, err)
 	}

@@ -30,10 +30,26 @@ func (e *MemFault) Error() string {
 	return fmt.Sprintf("emu: %s fault at %#x", e.Op, e.Addr)
 }
 
+// A page is one PageSize span of memory and its permissions. A shared page
+// is read by many address spaces at once: a page of a binary's loaded
+// image, or a zero page. The package never changes a shared page; an
+// address space that would change one first copies it into its own map
+// (own).
 type page struct {
-	data [PageSize]byte
-	perm Perm
+	data   [PageSize]byte
+	perm   Perm
+	shared bool
 }
+
+// zeroPages holds one shared zero-filled page per permission: Map points a
+// new page at the one of its permission, so untouched pages of a large
+// stack or mapping cost no memory.
+var zeroPages = func() (z [PermRead | PermWrite | PermExec + 1]*page) {
+	for perm := range z {
+		z[perm] = &page{perm: Perm(perm), shared: true}
+	}
+	return z
+}()
 
 // Memory is a sparse, paged address space.
 type Memory struct {
@@ -54,23 +70,55 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
-// Map creates (or re-permissions) pages covering [addr, addr+size).
+// put makes pg page num, keeping the one-entry cache current.
+func (m *Memory) put(num uint64, pg *page) {
+	m.pages[num] = pg
+	if m.lastNum == num {
+		m.last = pg
+	}
+}
+
+// own returns page num, first replacing it with a private copy if it is
+// shared, so the caller may change it.
+func (m *Memory) own(num uint64, pg *page) *page {
+	if pg.shared {
+		pg = &page{data: pg.data, perm: pg.perm}
+		m.put(num, pg)
+	}
+	return pg
+}
+
+// setPerm gives page num the permission perm. A zero page is swapped for
+// the zero page of the new permission; any other shared page is copied.
+func (m *Memory) setPerm(num uint64, pg *page, perm Perm) {
+	switch {
+	case pg.perm == perm:
+	case pg == zeroPages[pg.perm]:
+		m.put(num, zeroPages[perm])
+	default:
+		m.own(num, pg).perm = perm
+	}
+}
+
+// Map creates (or re-permissions) pages covering [addr, addr+size). A new
+// page reads as zeros.
 func (m *Memory) Map(addr, size uint64, perm Perm) {
+	perm &= PermRead | PermWrite | PermExec
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
 	for p := first; p < last; p++ {
-		pg, ok := m.pages[p]
-		if !ok {
-			pg = &page{}
-			m.pages[p] = pg
+		if pg, ok := m.pages[p]; ok {
+			m.setPerm(p, pg, perm)
+		} else {
+			m.put(p, zeroPages[perm])
 		}
-		pg.perm = perm
 	}
 }
 
 // Protect changes permissions on pages covering [addr, addr+size) that are
 // already mapped. It reports whether every page in the range was mapped.
 func (m *Memory) Protect(addr, size uint64, perm Perm) bool {
+	perm &= PermRead | PermWrite | PermExec
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
 	ok := true
@@ -80,7 +128,7 @@ func (m *Memory) Protect(addr, size uint64, perm Perm) bool {
 			ok = false
 			continue
 		}
-		pg.perm = perm
+		m.setPerm(p, pg, perm)
 	}
 	return ok
 }
@@ -111,6 +159,20 @@ func (m *Memory) pageFor(addr uint64, need Perm, op string) (*page, error) {
 	return pg, nil
 }
 
+// writable returns the writable page containing addr, owned by m, and
+// counts a write to executable bytes.
+func (m *Memory) writable(addr uint64) (*page, error) {
+	pg, err := m.pageFor(addr, PermWrite, "write")
+	if err != nil {
+		return nil, err
+	}
+	pg = m.own(addr/PageSize, pg)
+	if pg.perm&PermExec != 0 {
+		m.codeGen++
+	}
+	return pg, nil
+}
+
 // ReadBytes copies n bytes starting at addr into a new slice.
 func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
@@ -129,12 +191,9 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 // WriteBytes stores data starting at addr.
 func (m *Memory) WriteBytes(addr uint64, data []byte) error {
 	for i := 0; i < len(data); {
-		pg, err := m.pageFor(addr+uint64(i), PermWrite, "write")
+		pg, err := m.writable(addr + uint64(i))
 		if err != nil {
 			return err
-		}
-		if pg.perm&PermExec != 0 {
-			m.codeGen++
 		}
 		off := int((addr + uint64(i)) % PageSize)
 		c := copy(pg.data[off:], data[i:])
@@ -148,7 +207,8 @@ func (m *Memory) WriteBytes(addr uint64, data []byte) error {
 func (m *Memory) poke(addr uint64, data []byte) {
 	for i := 0; i < len(data); {
 		a := addr + uint64(i)
-		i += copy(m.pages[a/PageSize].data[a%PageSize:], data[i:])
+		pg := m.own(a/PageSize, m.pages[a/PageSize])
+		i += copy(pg.data[a%PageSize:], data[i:])
 	}
 }
 
@@ -182,12 +242,9 @@ func (m *Memory) Read(addr uint64, size int) (uint64, error) {
 func (m *Memory) Write(addr uint64, v uint64, size int) error {
 	off := int(addr % PageSize)
 	if off+size <= PageSize {
-		pg, err := m.pageFor(addr, PermWrite, "write")
+		pg, err := m.writable(addr)
 		if err != nil {
 			return err
-		}
-		if pg.perm&PermExec != 0 {
-			m.codeGen++
 		}
 		for i := 0; i < size; i++ {
 			pg.data[off+i] = byte(v >> (8 * i))
@@ -204,18 +261,31 @@ func (m *Memory) Write(addr uint64, v uint64, size int) error {
 // FetchWindow returns up to n readable+executable bytes at addr for the
 // instruction decoder.
 func (m *Memory) FetchWindow(addr uint64, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for i := 0; i < n; i++ {
-		pg, err := m.pageFor(addr+uint64(i), PermExec, "exec")
+	out := make([]byte, n)
+	got, err := m.fetchInto(out, addr)
+	if err != nil {
+		return nil, err
+	}
+	return out[:got], nil
+}
+
+// fetchInto fills buf with the executable bytes at addr, at most two page
+// lookups for a buffer no longer than a page, and returns how many it
+// filled. It faults only if the first byte is not executable; the window
+// ends early where the next page is not.
+func (m *Memory) fetchInto(buf []byte, addr uint64) (int, error) {
+	n := 0
+	for n < len(buf) {
+		pg, err := m.pageFor(addr+uint64(n), PermExec, "exec")
 		if err != nil {
-			if i == 0 {
-				return nil, err
+			if n == 0 {
+				return 0, err
 			}
 			break
 		}
-		out = append(out, pg.data[(addr+uint64(i))%PageSize])
+		n += copy(buf[n:], pg.data[(addr+uint64(n))%PageSize:])
 	}
-	return out, nil
+	return n, nil
 }
 
 // ReadCString reads a NUL-terminated string of at most max bytes.

@@ -1,0 +1,97 @@
+package payload_test
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"github.com/nofreelunch/gadget-planner/internal/benchprog"
+	"github.com/nofreelunch/gadget-planner/internal/core"
+	"github.com/nofreelunch/gadget-planner/internal/payload"
+	"github.com/nofreelunch/gadget-planner/internal/planner"
+	"github.com/nofreelunch/gadget-planner/internal/sbf"
+)
+
+// netperfExecve builds the plain x64 netperf victim and returns it with the
+// execve payloads the pipeline verified against it.
+func netperfExecve(t testing.TB) (*sbf.Binary, []*payload.Payload) {
+	t.Helper()
+	bin, err := benchprog.BuildISA(benchprog.Netperf(), nil, 42, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := core.Analyze(bin, core.Config{Planner: planner.Options{MaxPlans: 4, MaxNodes: 5000}})
+	atk := a.FindPayloads(planner.ExecveGoal())
+	if len(atk.Payloads) == 0 {
+		t.Fatal("no execve payload for netperf")
+	}
+	return bin, atk.Payloads
+}
+
+// TestVerifyBytesPerCall pins what one Verify of a netperf execve payload
+// allocates (Go 1.24, amd64): 136 KB when every machine copied every page
+// of the binary and zero-filled its 64 KiB stack, about 34 KB since
+// machines share the binary's loaded image and the zero page, and copy a
+// page only when they write it. The bound fails the copying loader.
+func TestVerifyBytesPerCall(t *testing.T) {
+	bin, pls := netperfExecve(t)
+	pl := pls[0]
+	if err := payload.Verify(bin, pl, core.VerifySteps); err != nil {
+		t.Fatal(err) // also builds the binary's image outside the measurement
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := payload.Verify(bin, pl, core.VerifySteps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("Verify allocates %d bytes per call", per)
+	if per > 64<<10 {
+		t.Errorf("Verify allocates %d KiB per call, want at most 64 KiB", per>>10)
+	}
+}
+
+// TestVerifyConcurrent verifies one binary's payloads from 8 goroutines at
+// once, as FindAll does across goals: machines share the binary's image,
+// so under -race this checks that no machine writes a shared page.
+func TestVerifyConcurrent(t *testing.T) {
+	bin, pls := netperfExecve(t)
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range pls {
+				if err := payload.Verify(bin, pls[(w+i)%len(pls)], core.VerifySteps); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", w, err)
+		}
+	}
+}
+
+// BenchmarkVerify measures one Verify of a netperf execve payload: loading
+// the machine, mapping the stack, injecting the payload and running it to
+// its execve.
+func BenchmarkVerify(b *testing.B) {
+	bin, pls := netperfExecve(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := payload.Verify(bin, pls[0], core.VerifySteps); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -73,6 +73,9 @@ type Binary struct {
 
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
+
+	imageOnce sync.Once
+	image     any
 }
 
 // New returns an empty binary.
@@ -137,10 +140,20 @@ var errCorrupt = errors.New("sbf: corrupt image")
 
 // Digest returns the SHA-256 of the serialized binary. It is computed on
 // first use and kept with the binary, so it lives exactly as long as the
-// binary does; a binary must not change once it has been digested.
+// binary does; a binary must not change once it has been digested or
+// loaded (Image).
 func (b *Binary) Digest() [sha256.Size]byte {
 	b.digestOnce.Do(func() { b.digest = sha256.Sum256(b.Marshal()) })
 	return b.digest
+}
+
+// Image returns the emulator's loaded image of the binary: build runs on
+// first use and its result is kept with the binary, as the digest is, so
+// every machine booted from the binary shares it and it lives exactly as
+// long as the binary does. Only the first call's build runs.
+func (b *Binary) Image(build func(*Binary) any) any {
+	b.imageOnce.Do(func() { b.image = build(b) })
+	return b.image
 }
 
 // Marshal serializes the binary.
