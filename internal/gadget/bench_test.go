@@ -65,7 +65,7 @@ func BenchmarkExtractParallel(b *testing.B) {
 
 // BenchmarkExtractPredecode measures single-worker extraction through the
 // shared predecode table. Allocation counts make the walker's
-// buffer-freelist and hashed-dedup savings visible alongside the time.
+// buffer-freelist and symex-cursor savings visible alongside the time.
 func BenchmarkExtractPredecode(b *testing.B) {
 	bin := benchBinary(b)
 	b.ReportAllocs()

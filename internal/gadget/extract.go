@@ -96,12 +96,11 @@ type shardJob struct {
 }
 
 // shard is one worker unit's output: gadgets whose effects live in the
-// shard's private builder, plus local statistics. The executor and seen set
-// are the shard's reusable per-path scratch.
+// shard's private builder, plus local statistics. The executor is the
+// shard's reusable symbolic-execution cursor.
 type shard struct {
 	b       *expr.Builder
 	ex      *symex.Executor
-	seen    map[uint64]struct{}
 	gadgets []*Gadget
 	stats   Stats
 }
@@ -176,17 +175,14 @@ func scanShard(tab *Table, job shardJob, opts Options, stride int) *shard {
 	sh := &shard{
 		b:     expr.NewBuilder(),
 		stats: Stats{ByType: make(map[JmpType]int)},
-		// Path keys embed the start address, and shards partition the
-		// starts, so a shard-local seen set deduplicates exactly like a
-		// global one.
-		seen: make(map[uint64]struct{}),
 	}
 	sh.ex = symex.NewExecutorISA(sh.b, opts.backend())
-	w := &walker{tab: tab, opts: opts, sh: sh, steps: make([]symex.Step, 0, opts.MaxInsts+1)}
+	w := &walker{tab: tab, opts: opts, sh: sh}
 	root := w.getBuf()
 	for off := job.lo; off < job.hi; off += stride {
 		sh.stats.ScannedOffsets++
 		w.start = job.sec.Addr + uint64(off)
+		w.marks, w.failAt = w.marks[:0], -1
 		w.walk(w.start, root[:0])
 	}
 	return sh
@@ -259,25 +255,44 @@ func (ei *effectImporter) effect(e *symex.Effect) *symex.Effect {
 // stepRef is one walked path step: a pointer to the instruction's
 // predecode-table entry plus the branch direction taken there. Walks copy
 // 16-byte refs where symex.Step would copy a whole 88-byte Inst; found
-// materializes Steps only for the paths that terminate.
+// materializes Steps only for the gadgets it pools.
 type stepRef struct {
 	in    *isa.Inst
 	taken bool
 }
 
+// forkMark is the shard executor's state before the fork step at path
+// index at.
+type forkMark struct {
+	at int
+	m  symex.Mark
+}
+
 // walker enumerates gadget paths from one shard's start offsets. It owns a
 // freelist of path buffers (capacity MaxInsts+1, so in-walk appends never
 // reallocate) that back both the main path and the copies forked at
-// conditional jumps, plus the Step scratch found fills; emit copies a
-// completed path into its gadget, so the buffers recycle freely. One walker
-// serves one shard — it is not safe for concurrent use.
+// conditional jumps; found copies what it pools, so the buffers recycle
+// freely. One walker serves one shard — it is not safe for concurrent use.
+//
+// Symbolic execution follows the walk's DFS as a cursor over the shard's
+// executor. The paths from one start are the leaves of one tree that
+// branches only at fork steps, so two consecutive paths share every step
+// before the fork where they part. The walker keeps the executor state
+// before each fork step it has executed (marks, innermost last) and the
+// path index of a prefix step that failed (failAt, -1 for none); when a
+// fork's taken subtree returns, cut drops what the not-taken side does not
+// share. Steps run only when found needs an effect, in path order, so
+// every node request a skipped step would have made was already made by
+// the path that ran it: the shard builder interns the same new nodes in
+// the same order as a from-scratch run of every path would.
 type walker struct {
-	tab   *Table
-	opts  Options
-	sh    *shard
-	start uint64
-	free  [][]stepRef
-	steps []symex.Step
+	tab    *Table
+	opts   Options
+	sh     *shard
+	start  uint64
+	free   [][]stepRef
+	marks  []forkMark
+	failAt int
 }
 
 // getBuf returns an empty path buffer with capacity MaxInsts+1.
@@ -294,20 +309,119 @@ func (w *walker) getBuf() []stepRef {
 // has been fully explored.
 func (w *walker) putBuf(b []stepRef) { w.free = append(w.free, b) }
 
-// found records one complete (branch-terminated) path: the path followed by
-// its terminator last, then raw-candidate statistics and shard emission.
-// The Steps live in walker scratch; emit copies what it keeps.
-func (w *walker) found(path []stepRef, last *isa.Inst, taken bool, end symex.EndKind) {
-	steps := w.steps[:0]
-	for _, r := range path {
-		steps = append(steps, symex.Step{Inst: *r.in, Taken: r.taken})
+// cut forgets what the walk's next path does not share after the taken
+// subtree of the fork at path index i returns: marks past i and a failure
+// at or past i. The mark at i stays, as the state before the fork step.
+func (w *walker) cut(i int) {
+	n := len(w.marks)
+	for n > 0 && w.marks[n-1].at > i {
+		n--
 	}
-	steps = append(steps, symex.Step{Inst: *last, Taken: taken})
-	w.steps = steps
-	w.sh.stats.RawCandidates++
-	w.sh.stats.ByType[Classify(steps, end)]++
-	w.sh.emit(w.start, steps)
+	w.marks = w.marks[:n]
+	if w.failAt >= i {
+		w.failAt = -1
+	}
 }
+
+// found records one complete (branch-terminated) path: the path followed by
+// its terminator last. Every path counts as a raw candidate; a path that
+// can continue a chain is symbolically executed, and pooled if supported.
+// The Table II record fields that depend on builder node identity
+// (ClobRegs/CtrlRegs) are filled at merge time, after the effect is
+// imported into the pool builder.
+func (w *walker) found(path []stepRef, last *isa.Inst, taken bool, end symex.EndKind) {
+	sh := w.sh
+	hasCond, merged := isCond(last), isMerge(last)
+	n := int(last.Len)
+	for _, r := range path {
+		hasCond = hasCond || isCond(r.in)
+		merged = merged || isMerge(r.in)
+		n += int(r.in.Len)
+	}
+	sh.stats.RawCandidates++
+	sh.stats.ByType[classify(hasCond, end)]++
+	// Paths that end in a direct jump are counted but not pooled: their
+	// next-RIP is a constant, so they cannot continue an attacker chain
+	// (merged variants of them are walked separately).
+	if isCond(last) || isMerge(last) {
+		return
+	}
+	if w.failAt >= 0 {
+		sh.stats.Unsupported++
+		return
+	}
+	eff, err := w.exec(path, last, taken)
+	if err != nil {
+		sh.stats.Unsupported++
+		return
+	}
+	sh.stats.Supported++
+
+	steps := make([]symex.Step, len(path)+1)
+	for i, r := range path {
+		steps[i] = symex.Step{Inst: *r.in, Taken: r.taken}
+	}
+	steps[len(path)] = symex.Step{Inst: *last, Taken: taken}
+	g := &Gadget{
+		Location: w.start,
+		Len:      n,
+		JmpType:  classify(hasCond, eff.End),
+		Steps:    steps,
+		Effect:   eff,
+		HasCond:  hasCond,
+		Merged:   merged,
+	}
+	if merged {
+		sh.stats.MergedGadgets++
+	}
+	sh.gadgets = append(sh.gadgets, g)
+}
+
+// exec symbolically executes a path from the innermost mark, saving a mark
+// before each fork step it passes. A failing step before the last is
+// remembered in failAt: every path until the cut that forgets it shares
+// that step and its prefix, and so fails the same way.
+func (w *walker) exec(path []stepRef, last *isa.Inst, taken bool) (*symex.Effect, error) {
+	ex := w.sh.ex
+	i := 0
+	if n := len(w.marks); n > 0 {
+		i = w.marks[n-1].at
+		ex.Restore(&w.marks[n-1].m)
+	} else {
+		ex.Reset()
+	}
+	for ; i < len(path); i++ {
+		r := path[i]
+		if isCond(r.in) && (len(w.marks) == 0 || w.marks[len(w.marks)-1].at < i) {
+			w.save(i)
+		}
+		if err := ex.Advance(r.in, r.taken); err != nil {
+			w.failAt = i
+			return nil, err
+		}
+	}
+	return ex.Finish(last, taken)
+}
+
+// save pushes a mark at path index i, reusing a popped mark's buffers.
+func (w *walker) save(i int) {
+	if n := len(w.marks); n < cap(w.marks) {
+		w.marks = w.marks[:n+1]
+	} else {
+		w.marks = append(w.marks, forkMark{})
+	}
+	m := &w.marks[len(w.marks)-1]
+	m.at = i
+	w.sh.ex.Save(&m.m)
+}
+
+// isCond reports a conditional branch: a fork inside a path, a counted-only
+// terminal at its end.
+func isCond(in *isa.Inst) bool { return in.Op == isa.OpJcc || in.Op == isa.OpBcc }
+
+// isMerge reports a direct jump: merged inside a path, a counted-only
+// terminal at its end.
+func isMerge(in *isa.Inst) bool { return in.Op == isa.OpJmp && in.A.Kind == isa.KindImm }
 
 // walk follows one gadget path from addr, invoking found for every complete
 // (branch-terminated) path. Instructions come from the shared predecode
@@ -327,10 +441,10 @@ func (w *walker) found(path []stepRef, last *isa.Inst, taken bool, end symex.End
 func (w *walker) walk(addr uint64, path []stepRef) {
 	forks, merges := 0, 0
 	for _, r := range path {
-		switch in := r.in; {
-		case in.Op == isa.OpJcc || in.Op == isa.OpBcc:
+		switch {
+		case isCond(r.in):
 			forks++
-		case in.Op == isa.OpJmp && in.A.Kind == isa.KindImm:
+		case isMerge(r.in):
 			merges++
 		}
 	}
@@ -398,6 +512,7 @@ func (w *walker) walk(addr uint64, path []stepRef) {
 			taken = append(taken, stepRef{in: inst, taken: true})
 			w.walk(uint64(inst.A.Imm), taken)
 			w.putBuf(taken)
+			w.cut(len(path))
 			path = append(path, stepRef{in: inst})
 			addr = inst.End()
 			forks++
@@ -405,96 +520,6 @@ func (w *walker) walk(addr uint64, path []stepRef) {
 			return // a control transfer the walk has no rule for ends the path unusably
 		}
 	}
-}
-
-// pathHash identifies a gadget path for deduplication: the start address
-// and every step's (address, taken) pair — the identity the seed's
-// heap-allocated string key materialized — folded through a 64-bit
-// splitmix-style mixer instead. The hash is a pure function of the path, so
-// shard contents stay identical at every worker count; at well under a
-// million paths per shard-local set, a 64-bit avalanche hash makes a
-// colliding pair vanishingly unlikely (and golden pool hashes pin pool
-// identity regardless).
-func pathHash(start uint64, steps []symex.Step) uint64 {
-	h := mix64(0x9E3779B97F4A7C15, start)
-	for i := range steps {
-		// The taken bit rides in bit 0; instruction addresses lose only a
-		// top bit that virtual addresses never use.
-		v := steps[i].Inst.Addr << 1
-		if steps[i].Taken {
-			v |= 1
-		}
-		h = mix64(h, v)
-	}
-	return h
-}
-
-// mix64 folds v into h with splitmix64's finalizer (full avalanche, six
-// arithmetic ops — far cheaper than byte-wise FNV on this hot path).
-func mix64(h, v uint64) uint64 {
-	z := h ^ v
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// emit runs symbolic execution on a complete path and records the gadget in
-// the shard if its semantics are supported. steps is walker scratch and is
-// copied into the gadget on success. The Table II record fields that depend
-// on builder node identity (ClobRegs/CtrlRegs) are filled at merge time,
-// after the effect is imported into the pool builder.
-func (sh *shard) emit(start uint64, steps []symex.Step) {
-	// Paths that end in a direct jump are counted but not pooled: their
-	// next-RIP is a constant, so they cannot continue an attacker chain
-	// (merged variants of them are walked separately).
-	last := steps[len(steps)-1]
-	if last.Inst.Op == isa.OpJcc || last.Inst.Op == isa.OpBcc ||
-		(last.Inst.Op == isa.OpJmp && last.Inst.A.Kind == isa.KindImm) {
-		return
-	}
-
-	key := pathHash(start, steps)
-	if _, ok := sh.seen[key]; ok {
-		return
-	}
-	sh.seen[key] = struct{}{}
-
-	eff, err := sh.ex.Exec(steps)
-	if err != nil {
-		sh.stats.Unsupported++
-		return
-	}
-	sh.stats.Supported++
-
-	g := &Gadget{
-		Location: start,
-		Len:      pathLen(steps),
-		JmpType:  Classify(steps, eff.End),
-		Steps:    append(make([]symex.Step, 0, len(steps)), steps...),
-		Effect:   eff,
-	}
-	for i := range steps {
-		in := &steps[i].Inst
-		if in.Op == isa.OpJcc || in.Op == isa.OpBcc {
-			g.HasCond = true
-		}
-		if in.Op == isa.OpJmp && in.A.Kind == isa.KindImm {
-			g.Merged = true
-		}
-	}
-	if g.Merged {
-		sh.stats.MergedGadgets++
-	}
-	sh.gadgets = append(sh.gadgets, g)
-}
-
-// pathLen sums the encoded byte length of the path.
-func pathLen(steps []symex.Step) int {
-	n := 0
-	for i := range steps {
-		n += int(steps[i].Inst.Len)
-	}
-	return n
 }
 
 // ClonePool deep-copies a pool into a fresh expression builder: every

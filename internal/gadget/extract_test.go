@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"sort"
 	"testing"
 
+	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
+	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
 	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
@@ -17,10 +20,13 @@ import (
 // stride-th offset of every executable section it decodes each step afresh
 // with the backend's Decode, forks at conditional branches, follows direct
 // jumps and calls, and stops at traps, undecodable bytes and MaxInsts. It
-// counts every complete path and runs each distinct one that can continue
-// a chain through symbolic execution, so its Stats are what Extract's must
-// be.
+// counts every complete path and runs each one that can continue a chain
+// through symbolic execution from scratch, so its Stats are what Extract's
+// must be, and its supported paths are Extract's pool. No path is walked
+// twice: the paths from one start are distinct leaves of one DFS tree, and
+// the walk fails the test if that ever stops holding.
 type refWalker struct {
+	t                             *testing.T
 	bin                           *sbf.Binary
 	be                            isa.Backend
 	maxInsts, maxForks, maxMerges int
@@ -28,11 +34,19 @@ type refWalker struct {
 	seen                          map[string]bool
 	start                         uint64
 	stats                         gadget.Stats
+	pooled                        []pooledPath
 }
 
-func refExtractStats(bin *sbf.Binary, be isa.Backend, maxInsts int) gadget.Stats {
+// pooledPath is the part of a pooled gadget that the walk alone decides.
+type pooledPath struct {
+	Location uint64
+	Len      int
+	Steps    []symex.Step
+}
+
+func refExtract(t *testing.T, bin *sbf.Binary, be isa.Backend, maxInsts int) (gadget.Stats, []pooledPath) {
 	w := &refWalker{
-		bin: bin, be: be, maxInsts: maxInsts, maxForks: 2, maxMerges: 3,
+		t: t, bin: bin, be: be, maxInsts: maxInsts, maxForks: 2, maxMerges: 3,
 		ex:    symex.NewExecutorISA(expr.NewBuilder(), be),
 		seen:  make(map[string]bool),
 		stats: gadget.Stats{ByType: make(map[gadget.JmpType]int)},
@@ -44,7 +58,14 @@ func refExtractStats(bin *sbf.Binary, be isa.Backend, maxInsts int) gadget.Stats
 			w.walk(w.start, nil)
 		}
 	}
-	return w.stats
+	// The pool's order: by (addr, len), walk order among equal keys.
+	sort.SliceStable(w.pooled, func(i, j int) bool {
+		if w.pooled[i].Location != w.pooled[j].Location {
+			return w.pooled[i].Location < w.pooled[j].Location
+		}
+		return w.pooled[i].Len < w.pooled[j].Len
+	})
+	return w.stats, w.pooled
 }
 
 // decode decodes the instruction at addr, wherever in the executable
@@ -133,6 +154,7 @@ func (w *refWalker) found(path []symex.Step, last isa.Inst, taken bool, end syme
 	}
 	key := binary.LittleEndian.AppendUint64(nil, w.start)
 	merged := false
+	n := 0
 	for _, s := range steps {
 		key = binary.LittleEndian.AppendUint64(key, s.Inst.Addr)
 		if s.Taken {
@@ -142,9 +164,10 @@ func (w *refWalker) found(path []symex.Step, last isa.Inst, taken bool, end syme
 		if s.Inst.Op == isa.OpJmp && s.Inst.A.Kind == isa.KindImm {
 			merged = true
 		}
+		n += int(s.Inst.Len)
 	}
 	if w.seen[string(key)] {
-		return
+		w.t.Fatalf("path from %#x walked twice: %v", w.start, steps)
 	}
 	w.seen[string(key)] = true
 	if _, err := w.ex.Exec(steps); err != nil {
@@ -155,10 +178,11 @@ func (w *refWalker) found(path []symex.Step, last isa.Inst, taken bool, end syme
 	if merged {
 		w.stats.MergedGadgets++
 	}
+	w.pooled = append(w.pooled, pooledPath{Location: w.start, Len: n, Steps: steps})
 }
 
-// FuzzExtractWalk checks Extract's statistics against refWalker's on
-// arbitrary bytes under every backend: at an aligned and a misaligned
+// FuzzExtractWalk checks Extract's statistics and pooled paths against
+// refWalker's on arbitrary bytes under every backend: at an aligned and a misaligned
 // base, as one section or split into two adjacent ones (a straight-line
 // run that leaves its section must not cut a walk that goes on into the
 // next), and at MaxInsts 8, 40 and 300 (past the saturated run).
@@ -192,12 +216,59 @@ func FuzzExtractWalk(f *testing.F) {
 		maxInsts := []int{8, 40, 300}[sel%3]
 		for _, name := range []string{"x64", "rv64", "rv64c"} {
 			be, _ := isa.ByName(name)
-			want := refExtractStats(bin, be, maxInsts)
-			got := gadget.Extract(bin, gadget.Options{ISA: name, MaxInsts: maxInsts, Parallelism: 2}).Stats
-			if !reflect.DeepEqual(got, want) {
+			want, wantPooled := refExtract(t, bin, be, maxInsts)
+			pool := gadget.Extract(bin, gadget.Options{ISA: name, MaxInsts: maxInsts, Parallelism: 2})
+			if !reflect.DeepEqual(pool.Stats, want) {
 				t.Fatalf("%s base %#x split %v maxInsts %d: stats %+v, reference walk %+v",
-					name, base, split, maxInsts, got, want)
+					name, base, split, maxInsts, pool.Stats, want)
+			}
+			var pooled []pooledPath
+			for _, g := range pool.Gadgets {
+				pooled = append(pooled, pooledPath{Location: g.Location, Len: g.Len, Steps: g.Steps})
+			}
+			if !reflect.DeepEqual(pooled, wantPooled) {
+				t.Fatalf("%s base %#x split %v maxInsts %d: pooled paths %+v, reference walk %+v",
+					name, base, split, maxInsts, pooled, wantPooled)
 			}
 		}
 	})
+}
+
+// TestPooledEffectsReexecute is an independent oracle for extraction's
+// symbolic-execution cursor, which runs a path's shared prefix once for
+// all its fork siblings: every pooled gadget of netperf under each
+// obfuscation of the paper's case study and on every backend, executed
+// from scratch on a fresh Executor bound to the pool's builder, has
+// exactly the effect the walk recorded for it.
+func TestPooledEffectsReexecute(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and extracts twelve netperf binaries")
+	}
+	for _, isaName := range []string{"x64", "rv64", "rv64c"} {
+		be, _ := isa.ByName(isaName)
+		for _, obf := range []string{"", "llvm", "tigress", "virt"} {
+			passes, err := obfuscate.ParseSpec(obf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bin, err := benchprog.BuildISA(benchprog.Netperf(), passes, 42, isaName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := gadget.Extract(bin, gadget.Options{ISA: isaName, Parallelism: 2})
+			if pool.Size() == 0 {
+				t.Fatalf("%s/%q: empty pool", isaName, obf)
+			}
+			for _, g := range pool.Gadgets {
+				eff, err := symex.NewExecutorISA(pool.Builder, be).Exec(g.Steps)
+				if err != nil {
+					t.Fatalf("%s/%q: gadget at %#x len %d no longer executes: %v", isaName, obf, g.Location, g.Len, err)
+				}
+				if !reflect.DeepEqual(eff, g.Effect) {
+					t.Fatalf("%s/%q: gadget at %#x len %d: re-executed effect %+v, pooled %+v",
+						isaName, obf, g.Location, g.Len, eff, g.Effect)
+				}
+			}
+		}
+	}
 }

@@ -98,6 +98,11 @@ func Classify(steps []symex.Step, end symex.EndKind) JmpType {
 			hasCond = true
 		}
 	}
+	return classify(hasCond, end)
+}
+
+// classify is Classify given whether the path passes a conditional branch.
+func classify(hasCond bool, end symex.EndKind) JmpType {
 	switch end {
 	case symex.EndRet:
 		return TypeReturn

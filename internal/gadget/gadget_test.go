@@ -272,3 +272,44 @@ func TestMaxInstsRespected(t *testing.T) {
 		}
 	}
 }
+
+// TestCachedRejectionAllocatesNothing pins how the walk answers the fork
+// siblings of a rejected prefix: the taken side of the jne runs the prefix
+// and is rejected at the idiv, whose error is allocated per rejection, and
+// every path that shares that step is then counted unsupported from the
+// walker's failAt, without running or allocating.
+func TestCachedRejectionAllocatesNothing(t *testing.T) {
+	bin := binFrom(t, `
+    cqo
+    idiv rbx
+    jne out
+    ret
+out:
+    ret
+`, 0x1000)
+	opts := Options{Parallelism: 1}.withDefaults()
+	tab := predecode(bin, 1, isa.X64, opts.MaxInsts)
+	sh := &shard{b: expr.NewBuilder(), stats: Stats{ByType: make(map[JmpType]int)}}
+	sh.ex = symex.NewExecutorISA(sh.b, isa.X64)
+	w := &walker{tab: tab, opts: opts, sh: sh, start: 0x1000, failAt: -1}
+	w.walk(w.start, w.getBuf())
+	if sh.stats.RawCandidates != 2 || sh.stats.Unsupported != 2 || w.failAt != 1 {
+		t.Fatalf("walk from the cqo: stats %+v, failAt %d; want 2 raw, 2 unsupported, failAt 1", sh.stats, w.failAt)
+	}
+
+	var path []stepRef
+	addr := w.start
+	for i := 0; i < 3; i++ {
+		in, _ := tab.inst(addr)
+		path = append(path, stepRef{in: in})
+		addr = in.End()
+	}
+	ret, _ := tab.inst(addr)
+	allocs := testing.AllocsPerRun(100, func() { w.found(path, ret, false, symex.EndRet) })
+	if allocs != 0 {
+		t.Errorf("a path answered from a rejected prefix allocated %.1f times", allocs)
+	}
+	if sh.stats.Unsupported != 2+101 || sh.stats.Supported != 0 {
+		t.Errorf("stats %+v after 101 cached answers", sh.stats)
+	}
+}

@@ -44,23 +44,14 @@ func (e *Effect) HasDerefs() bool {
 	return len(e.MemReads)+len(e.MemWrites) > 0
 }
 
-// run executes the steps against a prepared entry state and summarizes the
-// final state into an Effect. The state's scratch (maps, condition and
-// memory-access slices) is never referenced by the returned Effect — slices
-// are copied and maps rebuilt — so a reusable state can be reset and run
-// again without corrupting earlier results. Empty collections stay nil:
-// most paths write nothing and read nothing, and downstream consumers only
-// ever range over or index these fields.
-func run(s *State, steps []Step) (*Effect, error) {
-	for i := range steps {
-		last := i == len(steps)-1
-		if err := s.step(&steps[i], last); err != nil {
-			return nil, err
-		}
-		if s.endKind != EndNone && !last {
-			return nil, errEarlyTransfer
-		}
-	}
+// effect summarizes the state after a path's final step into an Effect.
+// The state's scratch (maps, condition and memory-access slices) is never
+// referenced by the returned Effect — slices are copied and maps rebuilt —
+// so a reusable state can be reset and run again without corrupting
+// earlier results. Empty collections stay nil: most paths write nothing
+// and read nothing, and downstream consumers only ever range over or index
+// these fields.
+func (s *State) effect() (*Effect, error) {
 	if s.endKind == EndNone {
 		return nil, errNoTerminal
 	}
@@ -104,11 +95,10 @@ func run(s *State, steps []Step) (*Effect, error) {
 }
 
 // step executes one instruction. A conditional jump that is not last takes
-// the path selected by st.Taken and accumulates the corresponding condition;
+// the path selected by taken and accumulates the corresponding condition;
 // a conditional jump that is last terminates the gadget like a direct jump
 // (with its condition as a pre-condition).
-func (s *State) step(st *Step, last bool) error {
-	inst := &st.Inst
+func (s *State) step(inst *isa.Inst, taken, last bool) error {
 	next := inst.End()
 	size := inst.Size
 	if size == 0 {
@@ -362,7 +352,7 @@ func (s *State) step(st *Step, last bool) error {
 			// Terminal conditional jump: require taken, target is the jump
 			// destination (the not-taken variant is a different gadget
 			// enumerated by the extractor).
-			if st.Taken {
+			if taken {
 				s.conds = append(s.conds, c)
 				s.nextRIP = s.c(uint64(inst.A.Imm))
 			} else {
@@ -372,7 +362,7 @@ func (s *State) step(st *Step, last bool) error {
 			s.endKind = EndJmpDir
 			return nil
 		}
-		if st.Taken {
+		if taken {
 			s.conds = append(s.conds, c)
 		} else {
 			s.conds = append(s.conds, s.B.BNot(c))
@@ -520,7 +510,7 @@ func (s *State) step(st *Step, last bool) error {
 			return unsupported("branch condition %d", inst.Cond)
 		}
 		if last {
-			if st.Taken {
+			if taken {
 				s.conds = append(s.conds, c)
 				s.nextRIP = s.c(uint64(inst.A.Imm))
 			} else {
@@ -530,7 +520,7 @@ func (s *State) step(st *Step, last bool) error {
 			s.endKind = EndJmpDir
 			return nil
 		}
-		if st.Taken {
+		if taken {
 			s.conds = append(s.conds, c)
 		} else {
 			s.conds = append(s.conds, s.B.BNot(c))

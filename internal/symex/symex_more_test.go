@@ -235,7 +235,9 @@ func TestRet16Imm(t *testing.T) {
 // TestRejectionAllocatesNoError pins the cheap rejection path: a read that
 // may alias an earlier controlled-memory write is rejected with the
 // message and errors.Is identity callers always saw, and rejecting it again
-// with the same Executor allocates nothing, the error included.
+// with the same Executor allocates nothing, the error included — whether
+// the path runs from scratch or its rejected prefix is answered again from
+// a mark, as extraction answers the fork siblings of a rejected prefix.
 func TestRejectionAllocatesNoError(t *testing.T) {
 	b := expr.NewBuilder()
 	ex := NewExecutorISA(b, isa.X64)
@@ -254,5 +256,21 @@ func TestRejectionAllocatesNoError(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("rejected path allocated %.1f times per run", allocs)
+	}
+
+	var m Mark
+	ex.Reset()
+	if err := ex.Advance(&steps[0].Inst, false); err != nil {
+		t.Fatal(err)
+	}
+	ex.Save(&m)
+	allocs = testing.AllocsPerRun(100, func() {
+		ex.Restore(&m)
+		if again := ex.Advance(&steps[1].Inst, false); again != err {
+			t.Fatalf("rejection from a mark returned %v", again)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rejection from a mark allocated %.1f times per run", allocs)
 	}
 }
