@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeArtifact$$' -fuzztime 5s ./internal/pipeline
 	$(GO) test -run '^$$' -fuzz '^FuzzRequest$$' -fuzztime 5s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSBF$$' -fuzztime 5s ./internal/sbf
+	$(GO) test -run '^$$' -fuzz '^FuzzPresolve$$' -fuzztime 5s ./internal/payload
 
 # CI gate: formatting, static checks, the full test suite under the race
 # detector, the end-to-end benchmark's tests, and a short run of every fuzz

@@ -156,6 +156,36 @@ func TestLoadPermissions(t *testing.T) {
 	}
 }
 
+// TestFetchRechecksChangedPermission runs an instruction into the decode
+// cache, then takes execute permission from its page, by Protect (the
+// mprotect path) and by a re-Map: the cached instruction must fault each
+// time, and run again once the page is executable again.
+func TestFetchRechecksChangedPermission(t *testing.T) {
+	m := loadAsm(t, "nop\nnop\n", 0x1000, rx, nil)
+	step := func() error {
+		m.RIP = 0x1000
+		_, err := m.Step()
+		return err
+	}
+	if err := step(); err != nil {
+		t.Fatal(err)
+	}
+	var mf *MemFault
+	for _, drop := range []func(){
+		func() { m.Mem.Protect(0x1000, 1, PermRead) },
+		func() { m.Mem.Map(0x1000, 1, PermRead|PermWrite) },
+	} {
+		drop()
+		if err := step(); !errors.As(err, &mf) || mf.Op != "exec" || mf.Addr != 0x1000 {
+			t.Fatalf("cached instruction on a non-executable page: %v, want an exec fault at 0x1000", err)
+		}
+		m.Mem.Protect(0x1000, 1, PermRead|PermExec)
+		if err := step(); err != nil {
+			t.Fatalf("after restoring execute permission: %v", err)
+		}
+	}
+}
+
 func TestLoadUnknownISA(t *testing.T) {
 	bin := textBinary(0x1000, []byte{0xC3}, rx)
 	bin.ISA = "pdp11"

@@ -57,10 +57,13 @@ type Machine struct {
 	fetchBuf [16]byte
 }
 
+// icEntry is one decoded instruction. permGen is the memory's permGen when
+// the entry's page was last seen executable.
 type icEntry struct {
-	addr  uint64
-	inst  isa.Inst
-	valid bool
+	addr    uint64
+	permGen uint64
+	inst    isa.Inst
+	valid   bool
 }
 
 const (
@@ -271,9 +274,12 @@ func (m *Machine) fetch() (isa.Inst, error) {
 	}
 	slot := &m.icache[(m.RIP^m.RIP>>7)&uint64(len(m.icache)-1)]
 	if slot.valid && slot.addr == m.RIP {
-		// Permission may have changed (mprotect); re-check executability.
-		if m.Mem.PermAt(m.RIP)&PermExec == 0 {
-			return isa.Inst{}, &MemFault{Addr: m.RIP, Op: "exec"}
+		if slot.permGen != m.Mem.permGen {
+			// A permission changed since (mprotect); re-check executability.
+			if m.Mem.PermAt(m.RIP)&PermExec == 0 {
+				return isa.Inst{}, &MemFault{Addr: m.RIP, Op: "exec"}
+			}
+			slot.permGen = m.Mem.permGen
 		}
 		return slot.inst, nil
 	}
@@ -291,7 +297,7 @@ func (m *Machine) fetch() (isa.Inst, error) {
 		m.icFills = 0
 		slot = &m.icache[(m.RIP^m.RIP>>7)&uint64(len(m.icache)-1)]
 	}
-	*slot = icEntry{addr: m.RIP, inst: inst, valid: true}
+	*slot = icEntry{addr: m.RIP, permGen: m.Mem.permGen, inst: inst, valid: true}
 	return inst, nil
 }
 

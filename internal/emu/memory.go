@@ -63,6 +63,10 @@ type Memory struct {
 	// codeGen increments whenever executable bytes are written, so decoded-
 	// instruction caches can invalidate (self-modifying code).
 	codeGen uint64
+	// permGen increments whenever a mapped page's permission changes, so
+	// decoded-instruction caches know when to re-check executability
+	// (mprotect).
+	permGen uint64
 }
 
 // NewMemory returns an empty address space.
@@ -90,12 +94,15 @@ func (m *Memory) own(num uint64, pg *page) *page {
 
 // setPerm gives page num the permission perm. A zero page is swapped for
 // the zero page of the new permission; any other shared page is copied.
+// It is the one path by which a mapped page's permission changes.
 func (m *Memory) setPerm(num uint64, pg *page, perm Perm) {
-	switch {
-	case pg.perm == perm:
-	case pg == zeroPages[pg.perm]:
+	if pg.perm == perm {
+		return
+	}
+	m.permGen++
+	if pg == zeroPages[pg.perm] {
 		m.put(num, zeroPages[perm])
-	default:
+	} else {
 		m.own(num, pg).perm = perm
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -113,17 +114,11 @@ func (c *Concretizer) staticRead(addr uint64, size uint8) (uint64, bool) {
 // cellVarName names the payload cell at an absolute payload offset.
 func cellVarName(absOff int64) string { return fmt.Sprintf("cell_%d", absOff) }
 
-// parseCellVar recovers the offset from a cell variable name.
-func parseCellVar(name string) (int64, bool) {
-	var off int64
-	if _, err := fmt.Sscanf(name, "cell_%d", &off); err != nil {
-		return 0, false
-	}
-	return off, true
-}
-
 // Concretize builds the payload bytes realizing the plan, or explains why
-// the plan is infeasible.
+// the plan is infeasible. Constraints whose variables are all payload
+// cells (known by their nodes) are solved by solve, which binds the
+// cell == const equalities before it bit-blasts what they leave; every
+// other constraint must be universally valid.
 func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, error) {
 	b := c.pool.Builder
 	chain := p.Chain()
@@ -370,12 +365,16 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 	// Constraints over ambient values are acceptable only when universally
 	// valid (they then hold regardless of the uncontrolled state) — this is
 	// how opaque-predicate pre-conditions are discharged.
-	s := c.sol
+	isCell := make(map[*expr.Node]bool, len(cells))
+	for _, cl := range cells {
+		isCell[cl.v] = true
+	}
+	var vars expr.VarCollector
 	kept := constraints[:0]
 	for _, con := range constraints {
 		controlled := true
-		for _, name := range expr.Vars(con) {
-			if _, ok := parseCellVar(name); !ok {
+		for _, v := range vars.Collect(con) {
+			if !isCell[v] {
 				controlled = false
 				break
 			}
@@ -384,17 +383,13 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 			kept = append(kept, con)
 			continue
 		}
-		if !s.Valid(b, con) {
+		if !c.sol.Valid(b, con) {
 			return nil, fmt.Errorf("%w: constraint %s", ErrUncontrolled, con)
 		}
 	}
-	constraints = kept
-
-	// Solve.
-	all := b.AndAll(constraints)
-	res, model := s.Check(all)
-	if res != solver.Sat {
-		return nil, fmt.Errorf("%w: solver says %v", ErrUnsat, res)
+	model, err := c.solve(kept)
+	if err != nil {
+		return nil, err
 	}
 
 	// Materialize bytes.
@@ -409,7 +404,7 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 	sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
 	for _, off := range offs {
 		cl := cells[off]
-		v := model[cellVarName(off)] // zero if unconstrained
+		v := model[cl.v.Name] // zero if unconstrained
 		for i := 0; i < int(cl.size) && off+int64(i) < extent; i++ {
 			if off+int64(i) >= 0 {
 				buf[off+int64(i)] = byte(v >> (8 * i))
@@ -427,6 +422,87 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 		Chain: chain,
 		Goal:  goal,
 	}, nil
+}
+
+// solve decides the controlled constraints, whose every variable is a
+// payload cell, and returns the values of the cells they constrain.
+//
+// It presolves before it bit-blasts. Each constraint cell == const (the
+// constant on either side) binds its cell; a second, different constant for
+// a bound cell is ErrUnsat. The bindings are substituted into the other
+// constraints, which fold: a constraint that folds to false is ErrUnsat,
+// one that folds to true is dropped. Only the conjunction of what is left
+// goes to the solver, and none at all when nothing is left. Nearly every
+// controlled constraint of a real chain is such an equality (a popped
+// gadget address, a goal register's value), so most calls blast nothing.
+//
+// A bound cell gets the value a solve of the full conjunction would have
+// to give it. A cell that only the residual constrains may get a different
+// model, which is as valid. The presolve lives here and not in solver:
+// subsumption relies on solver's verdicts, and this rewriting is specific
+// to payload cells.
+func (c *Concretizer) solve(constraints []*expr.Node) (expr.Env, error) {
+	b := c.pool.Builder
+	bound := make(map[*expr.Node]*expr.Node) // cell variable -> its constant
+	rest := make([]*expr.Node, 0, len(constraints))
+	for _, con := range constraints {
+		v, k, ok := binding(con)
+		if !ok {
+			rest = append(rest, con)
+			continue
+		}
+		if old, ok := bound[v]; ok && old != k {
+			return nil, fmt.Errorf("%w: %s bound to both %#x and %#x", ErrUnsat, v.Name, old.Val, k.Val)
+		}
+		bound[v] = k
+	}
+
+	model := make(expr.Env, len(bound))
+	sub := make(map[string]*expr.Node, len(bound))
+	for v, k := range bound {
+		model[v.Name] = k.Val
+		sub[v.Name] = k
+	}
+	residual := rest[:0]
+	for _, con := range rest {
+		folded := con
+		if len(sub) > 0 {
+			folded = expr.Subst(b, con, sub)
+		}
+		if v, ok := folded.IsBoolConst(); ok {
+			if !v {
+				return nil, fmt.Errorf("%w: constraint %s folds to false", ErrUnsat, con)
+			}
+			continue
+		}
+		residual = append(residual, folded)
+	}
+	if len(residual) == 0 {
+		return model, nil
+	}
+
+	res, m := c.sol.Check(b.AndAll(residual))
+	if res != solver.Sat {
+		return nil, fmt.Errorf("%w: solver says %v", ErrUnsat, res)
+	}
+	maps.Copy(model, m) // residual variables are all unbound
+	return model, nil
+}
+
+// binding reports whether con is an equality of a variable and a constant,
+// in either order, and returns the two.
+func binding(con *expr.Node) (v, k *expr.Node, ok bool) {
+	if con.Kind != expr.KindEq {
+		return nil, nil, false
+	}
+	v, k = con.Args[0], con.Args[1]
+	if v.IsConst() {
+		v, k = k, v
+	}
+	if v.Kind != expr.KindVar || !k.IsConst() {
+		return nil, nil, false
+	}
+	return v, k, true
 }
 
 type wcell struct {

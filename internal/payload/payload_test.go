@@ -1,6 +1,7 @@
 package payload
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -266,15 +267,21 @@ func TestConcretizeRejectsUncontrolled(t *testing.T) {
 	}
 }
 
+// TestPayloadSlotsHoldChainAddresses checks that values the constraints
+// fix reach the payload bytes: the first gadget's address in Bytes[0:8]
+// and execve's syscall number in a popped slot.
 func TestPayloadSlotsHoldChainAddresses(t *testing.T) {
 	p := endToEnd(t, classicGadgets, planner.ExecveGoal())
-	// Bytes[0:8] must be the first gadget's address.
-	var first uint64
-	for i := 7; i >= 0; i-- {
-		first = first<<8 | uint64(p.Bytes[i])
+	slot := func(off int) uint64 { return binary.LittleEndian.Uint64(p.Bytes[off:]) }
+	if slot(0) != p.Entry {
+		t.Errorf("payload[0] = %#x, entry = %#x", slot(0), p.Entry)
 	}
-	if first != p.Entry {
-		t.Errorf("payload[0] = %#x, entry = %#x", first, p.Entry)
+	found := false
+	for off := 8; off+8 <= len(p.Bytes); off += 8 {
+		found = found || slot(off) == 59
+	}
+	if !found {
+		t.Errorf("no payload slot holds execve's number 59:\n%s", p.Dump())
 	}
 }
 

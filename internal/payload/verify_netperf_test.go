@@ -7,6 +7,8 @@ import (
 
 	"github.com/nofreelunch/gadget-planner/internal/benchprog"
 	"github.com/nofreelunch/gadget-planner/internal/core"
+	"github.com/nofreelunch/gadget-planner/internal/gadget"
+	"github.com/nofreelunch/gadget-planner/internal/obfuscate"
 	"github.com/nofreelunch/gadget-planner/internal/payload"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
 	"github.com/nofreelunch/gadget-planner/internal/sbf"
@@ -94,4 +96,43 @@ func BenchmarkVerify(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkConcretize measures concretization alone: each iteration runs a
+// fresh Concretizer, so its verdict cache starts empty, over the complete
+// plans FindPayloads returns for execve on netperf built with the
+// Obfuscator-LLVM preset for x64.
+func BenchmarkConcretize(b *testing.B) {
+	bin, err := benchprog.BuildISA(benchprog.Netperf(), obfuscate.LLVMObf(), 42, "x64")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Planner: planner.Options{MaxPlans: 8, MaxNodes: 6000}}
+	a := core.Analyze(bin, cfg)
+	goal := planner.ExecveGoal()
+	// FindPayloads searches a private clone of the pool, which it does not
+	// return, and a plan concretizes only against its own gadgets' builder:
+	// repeat the search on a clone kept here.
+	pool := gadget.ClonePool(a.Pool)
+	conc := payload.NewConcretizer(pool, bin, core.DefaultPayloadBase)
+	opts := cfg.Planner
+	opts.Validate = func(p *planner.Plan) bool {
+		pl, err := conc.Concretize(p, goal)
+		return err == nil && payload.Verify(bin, pl, core.VerifySteps) == nil
+	}
+	plans := planner.Search(pool, goal, opts).Plans
+	if want := len(a.FindPayloads(goal).Plans); len(plans) == 0 || len(plans) != want {
+		b.Fatalf("search found %d plans, FindPayloads %d", len(plans), want)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := payload.NewConcretizer(pool, bin, core.DefaultPayloadBase)
+		for _, p := range plans {
+			if _, err := c.Concretize(p, goal); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(plans)), "plans")
 }
