@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"github.com/nofreelunch/gadget-planner/internal/baseline"
-	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
 	"github.com/nofreelunch/gadget-planner/internal/planner"
@@ -55,7 +54,6 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 	res.GadgetsTotal = gadget.CountISA(bin, 8, be)[gadget.TypeReturn]
 
 	pool := gadget.Extract(bin, gadget.Options{ISA: bin.ISA, MaxInsts: 8, MaxForks: 1, MaxMerges: 1})
-	b := pool.Builder
 
 	// Classify pop-style setters: ret gadgets whose effect on one register
 	// is a pure payload slot, with no conditions, merges, or dereferences.
@@ -78,7 +76,7 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 		default:
 			continue // angrop: return gadgets only
 		}
-		ripOff, ok := stackVarOffset(eff.NextRIP)
+		ripOff, ok := symex.StackCell(eff.NextRIP)
 		if !ok || ripOff%8 != 0 {
 			continue
 		}
@@ -88,15 +86,15 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 		switch {
 		case !eff.HasDerefs():
 			for _, r := range g.CtrlRegs {
-				if off, ok := stackVarOffset(eff.Regs[r]); ok && off%8 == 0 {
+				if off, ok := symex.StackCell(eff.Regs[r]); ok && off%8 == 0 {
 					setters[r] = append(setters[r], popGadget{g: g, reg: r, slotOff: off, ripOff: ripOff})
 				}
 			}
 		case len(eff.MemWrites) == 1 && len(eff.MemReads) == 0:
 			w := eff.MemWrites[0]
-			aReg, okA := regVarOf(b, w.Addr)
-			vReg, okV := regVarOf(b, w.Val)
-			if okA && okV && aReg != vReg && w.Size == 8 && cleanRegs(b, g) {
+			aReg, okA := symex.EntryReg(w.Addr)
+			vReg, okV := symex.EntryReg(w.Val)
+			if okA && okV && aReg != vReg && w.Size == 8 && cleanRegs(g) {
 				writers = append(writers, writerGadget{g: g, addrReg: aReg, valReg: vReg, ripOff: ripOff})
 			}
 		}
@@ -118,7 +116,7 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 	})
 
 	for _, goal := range planner.GoalsForISA(pool.ISA) {
-		if chain, ok := t.buildChain(bin, b, be, goal, setters, writers, anchors); ok {
+		if chain, ok := t.buildChain(bin, goal, setters, writers, anchors); ok {
 			res.Chains = append(res.Chains, chain)
 		}
 	}
@@ -129,7 +127,7 @@ func (t *Tool) Run(bin *sbf.Binary) *baseline.Result {
 // buildChain implements angrop's fixed strategy: set each goal register via
 // a pop gadget (writing "/bin/sh" to .data first when a pointer is needed),
 // then fire the syscall gadget.
-func (t *Tool) buildChain(bin *sbf.Binary, b *expr.Builder, be isa.Backend, goal planner.Goal,
+func (t *Tool) buildChain(bin *sbf.Binary, goal planner.Goal,
 	setters map[isa.Reg][]popGadget, writers []writerGadget, anchors []*gadget.Gadget) (baseline.Chain, bool) {
 
 	chain := baseline.Chain{Goal: goal.Name}
@@ -176,8 +174,11 @@ func (t *Tool) buildChain(bin *sbf.Binary, b *expr.Builder, be isa.Backend, goal
 	for _, a := range anchors {
 		ok := true
 		for r := range goal.Regs {
-			if int(r) >= len(a.Effect.Regs) ||
-				a.Effect.Regs[r] != b.Var(symex.RegVarNameOn(be, r), 64) {
+			if int(r) >= len(a.Effect.Regs) {
+				ok = false
+				break
+			}
+			if src, entry := symex.EntryReg(a.Effect.Regs[r]); !entry || src != r {
 				ok = false
 				break
 			}
@@ -337,22 +338,6 @@ func pickSetter(setters map[isa.Reg][]popGadget, r isa.Reg) *popGadget {
 	return nil
 }
 
-// stackVarOffset extracts the payload offset from a pure stack-slot value.
-func stackVarOffset(n *expr.Node) (int64, bool) {
-	if n == nil || n.Kind != expr.KindVar {
-		return 0, false
-	}
-	return symex.ParseStackVar(n.Name)
-}
-
-// regVarOf extracts a register from a pure initial-register value.
-func regVarOf(b *expr.Builder, n *expr.Node) (isa.Reg, bool) {
-	if n.Kind != expr.KindVar {
-		return 0, false
-	}
-	return symex.IsRegVar(n.Name)
-}
-
 // alignedInputs requires all payload slots to be 8-byte sized and aligned
 // (angrop's simple chain layout).
 func alignedInputs(eff *symex.Effect) bool {
@@ -367,6 +352,6 @@ func alignedInputs(eff *symex.Effect) bool {
 // cleanRegs requires the writer gadget not to produce unplannable register
 // effects (anything beyond slots/copies is fine for our purposes since the
 // writer runs before the setters).
-func cleanRegs(b *expr.Builder, g *gadget.Gadget) bool {
+func cleanRegs(g *gadget.Gadget) bool {
 	return alignedInputs(g.Effect)
 }

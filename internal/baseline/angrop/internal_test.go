@@ -50,8 +50,8 @@ func TestClassification(t *testing.T) {
 			}
 			if len(eff.MemWrites) == 1 && len(eff.MemReads) == 0 {
 				w := eff.MemWrites[0]
-				aReg, okA := regVarOf(pool.Builder, w.Addr)
-				vReg, okV := regVarOf(pool.Builder, w.Val)
+				aReg, okA := symex.EntryReg(w.Addr)
+				vReg, okV := symex.EntryReg(w.Val)
 				t.Logf("writer candidate %s: addr=%s(%v %v) val=%s(%v %v) size=%d aligned=%v",
 					g, w.Addr, aReg, okA, w.Val, vReg, okV, w.Size, alignedInputs(eff))
 				nWriters++

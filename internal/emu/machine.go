@@ -46,8 +46,8 @@ type Machine struct {
 	// when executable memory is written (self-modifying code). It is sized
 	// by use: it starts at icacheMin entries and doubles, up to icacheMax,
 	// whenever the fills since the last resize exceed its size, so a
-	// payload verification of a few hundred steps never pays for the table
-	// a long program run needs. Results never depend on the cache.
+	// payload verification of a few dozen instructions never pays for the
+	// table a long program run needs. Results never depend on the cache.
 	icache    []icEntry
 	icacheGen uint64
 	icFills   int
@@ -66,8 +66,12 @@ type icEntry struct {
 	valid   bool
 }
 
+// icacheMin holds every instruction of a short payload run: a netperf
+// payload verification fills 14 to 36 entries, unless its chain runs
+// through an obfuscated function body (217 to 2250 fills), which doubles
+// the cache as it goes.
 const (
-	icacheMin = 1 << 8
+	icacheMin = 1 << 6
 	icacheMax = 1 << 14
 )
 

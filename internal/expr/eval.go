@@ -125,15 +125,15 @@ func EvalBool(n *Node, env Env) (bool, error) {
 	return v == 1, err
 }
 
-// Subst rebuilds n with every variable named in bind replaced by its
+// Subst rebuilds n with every variable bound in bind replaced by its
 // binding. Rebuilding goes through the builder, so simplifications reapply.
-// Variables not present in bind are kept.
-func Subst(b *Builder, n *Node, bind map[string]*Node) *Node {
+// Variables not present in bind are kept, with their roles and indexes.
+func Subst(b *Builder, n *Node, bind map[*Node]*Node) *Node {
 	cache := make(map[uint32]*Node)
 	return substRec(b, n, bind, cache)
 }
 
-func substRec(b *Builder, n *Node, bind map[string]*Node, cache map[uint32]*Node) *Node {
+func substRec(b *Builder, n *Node, bind map[*Node]*Node, cache map[uint32]*Node) *Node {
 	if v, ok := cache[n.id]; ok {
 		return v
 	}
@@ -142,14 +142,14 @@ func substRec(b *Builder, n *Node, bind map[string]*Node, cache map[uint32]*Node
 	case KindConst:
 		out = n
 	case KindVar:
-		if repl, ok := bind[n.Name]; ok {
+		if repl, ok := bind[n]; ok {
 			if repl.Width != n.Width {
 				panic(fmt.Sprintf("expr: substitution width mismatch for %q: %d vs %d",
 					n.Name, repl.Width, n.Width))
 			}
 			out = repl
 		} else {
-			out = b.Var(n.Name, n.Width)
+			out = b.Var(n.Name, n.Width, n.Role, n.Val)
 		}
 	default:
 		args := make([]*Node, len(n.Args))

@@ -21,7 +21,7 @@ type Kind uint8
 const (
 	KindInvalid Kind = iota
 	KindConst        // Val, Width
-	KindVar          // Name, Width
+	KindVar          // Name, Width, Role, Val (the role's index)
 
 	// Bitvector operations.
 	KindAdd
@@ -54,11 +54,31 @@ const (
 // BoolWidth is the width used for boolean nodes.
 const BoolWidth = 1
 
+// Role is what a variable stands for in the gadget model (paper Section
+// IV-B). Only the roles some consumer switches on are distinguished; each
+// gives the variable's Val an index.
+type Role uint8
+
+// Variable roles.
+const (
+	RoleOther Role = iota // flags, opaque values, payload bookkeeping; index 0
+	RoleReg               // a register's entry value; index = register number
+	RoleSP                // the entry stack pointer; index = its register number
+	RoleStack             // an attacker stack cell; index = int64 offset from entry SP
+	RoleDeref             // a read through a controlled pointer; index = read ordinal
+	RoleCell              // a payload cell; index = int64 offset in the payload
+)
+
+// Roles is a set of roles: bit r holds Role r.
+type Roles uint8
+
 // Node is one immutable, hash-consed expression node. Nodes must be created
 // through a Builder; nodes from the same Builder can be compared by pointer.
 type Node struct {
 	Kind  Kind
 	Width uint8 // result width in bits (1 = bool)
+	Role  Role  // variables only
+	roles Roles // the roles of the variables below the node, itself included
 	Val   uint64
 	Name  string
 	Args  []*Node
@@ -67,6 +87,9 @@ type Node struct {
 
 // ID returns a builder-unique identifier, usable as a map key.
 func (n *Node) ID() uint32 { return n.id }
+
+// Roles returns the set of roles of the variables in n.
+func (n *Node) Roles() Roles { return n.roles }
 
 // IsConst reports whether the node is a bitvector constant.
 func (n *Node) IsConst() bool { return n.Kind == KindConst && n.Width > 1 }
@@ -151,6 +174,9 @@ func (b *Builder) intern(kind Kind, width uint8, args ...*Node) *Node {
 	}
 	n := b.node(kind, width, 0, "")
 	n.Args = append([]*Node(nil), args...)
+	for _, a := range args {
+		n.roles |= a.roles
+	}
 	b.ops[key] = n
 	return n
 }
@@ -198,13 +224,19 @@ func (b *Builder) Bool(v bool) *Node {
 func (b *Builder) True() *Node  { return b.Bool(true) }
 func (b *Builder) False() *Node { return b.Bool(false) }
 
-// Var returns a named bitvector variable.
-func (b *Builder) Var(name string, w uint8) *Node {
+// Var returns the named bitvector variable with the given role and index.
+// A name has one role and index per builder: asking for an existing name
+// with another is a bug, and panics.
+func (b *Builder) Var(name string, w uint8, role Role, idx uint64) *Node {
 	key := varKey{name: name, width: w}
 	n, ok := b.vars[key]
 	if !ok {
-		n = b.node(KindVar, w, 0, name)
+		n = b.node(KindVar, w, idx, name)
+		n.Role, n.roles = role, 1<<role
 		b.vars[key] = n
+	} else if n.Role != role || n.Val != idx {
+		panic(fmt.Sprintf("expr: variable %q interned as role %d index %d, requested as role %d index %d",
+			name, n.Role, n.Val, role, idx))
 	}
 	return n
 }

@@ -3,13 +3,14 @@ package expr
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHashConsing(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
-	if x != b.Var("x", 64) {
+	x := b.Var("x", 64, RoleOther, 0)
+	y := b.Var("y", 64, RoleOther, 0)
+	if x != b.Var("x", 64, RoleOther, 0) {
 		t.Error("same var interned twice")
 	}
 	a1 := b.Add(x, y)
@@ -54,7 +55,7 @@ func TestConstantFolding(t *testing.T) {
 
 func TestIdentities(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
+	x := b.Var("x", 64, RoleOther, 0)
 	zero := b.Const(0, 64)
 	one := b.Const(1, 64)
 	ones := b.Const(^uint64(0), 64)
@@ -109,7 +110,7 @@ func TestIdentities(t *testing.T) {
 
 func TestBooleanSimplify(t *testing.T) {
 	b := NewBuilder()
-	p := b.Eq(b.Var("x", 64), b.Const(1, 64))
+	p := b.Eq(b.Var("x", 64, RoleOther, 0), b.Const(1, 64))
 	if b.BAnd(b.True(), p) != p {
 		t.Error("true && p != p")
 	}
@@ -133,8 +134,8 @@ func TestBooleanSimplify(t *testing.T) {
 // Property: evaluation of the operators matches Go's semantics.
 func TestQuickEvalMatchesGo(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, RoleOther, 0)
+	y := b.Var("y", 64, RoleOther, 0)
 	env := func(xv, yv uint64) Env { return Env{"x": xv, "y": yv} }
 
 	cases := []struct {
@@ -171,8 +172,8 @@ func TestQuickEvalMatchesGo(t *testing.T) {
 // x^y == (~x&y)|(x&~y), holds under evaluation.
 func TestQuickObfuscationIdentity(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, RoleOther, 0)
+	y := b.Var("y", 64, RoleOther, 0)
 	lhs := b.Xor(x, y)
 	rhs := b.Or(b.And(b.Not(x), y), b.And(x, b.Not(y)))
 	f := func(a, c uint64) bool {
@@ -188,7 +189,7 @@ func TestQuickObfuscationIdentity(t *testing.T) {
 
 func TestNarrowWidths(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("b", 8)
+	x := b.Var("b", 8, RoleOther, 0)
 	got, err := Eval(b.Add(x, b.Const(0xFF, 8)), Env{"b": 2})
 	if err != nil || got != 1 {
 		t.Errorf("8-bit wraparound: %d, %v", got, err)
@@ -218,17 +219,17 @@ func TestNarrowWidths(t *testing.T) {
 
 func TestSubst(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, RoleOther, 0)
+	y := b.Var("y", 64, RoleOther, 0)
 	sum := b.Add(x, y)
-	got := Subst(b, sum, map[string]*Node{"x": b.Const(40, 64)})
+	got := Subst(b, sum, map[*Node]*Node{x: b.Const(40, 64)})
 	v, err := Eval(got, Env{"y": 2})
 	if err != nil || v != 42 {
 		t.Errorf("subst eval = %d, %v", v, err)
 	}
 	// Substitution triggers simplification: x - x via binding y -> x.
 	diff := b.Sub(x, y)
-	got = Subst(b, diff, map[string]*Node{"y": x})
+	got = Subst(b, diff, map[*Node]*Node{y: x})
 	if !got.IsConst() || got.Val != 0 {
 		t.Errorf("subst simplify = %s", got)
 	}
@@ -236,13 +237,9 @@ func TestSubst(t *testing.T) {
 
 func TestVarsAndSize(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, RoleOther, 0)
+	y := b.Var("y", 64, RoleOther, 0)
 	n := b.Add(b.Mul(x, y), x)
-	vars := Vars(n)
-	if len(vars) != 2 || vars[0] != "x" || vars[1] != "y" {
-		t.Errorf("Vars = %v", vars)
-	}
 	if s := Size(n); s != 4 { // x, y, mul, add
 		t.Errorf("Size = %d, want 4", s)
 	}
@@ -252,16 +249,73 @@ func TestVarsAndSize(t *testing.T) {
 	}
 }
 
+// TestVarRoles pins how a variable's role travels: a node's role set is the
+// union of its variables' roles, Import and Subst carry role and index into
+// the destination, and re-interning a name under another role or index
+// panics.
+func TestVarRoles(t *testing.T) {
+	b := NewBuilder()
+	reg := b.Var("rax0", 64, RoleReg, 0)
+	stk := b.Var("stk_m8", 64, RoleStack, uint64(1<<64-8))
+	flag := b.Var("zf0", BoolWidth, RoleOther, 0)
+	sum := b.Add(reg, stk)
+	if got, want := sum.Roles(), Roles(1<<RoleReg|1<<RoleStack); got != want {
+		t.Errorf("roles of %s = %08b, want %08b", sum, got, want)
+	}
+	ite := b.Ite(flag, sum, b.Const(0, 64))
+	if got, want := ite.Roles(), Roles(1<<RoleReg|1<<RoleStack|1<<RoleOther); got != want {
+		t.Errorf("roles of %s = %08b, want %08b", ite, got, want)
+	}
+	if b.Const(3, 64).Roles() != 0 {
+		t.Error("a constant has roles")
+	}
+
+	dst := NewBuilder()
+	imp := Import(dst, ite)
+	sub := Subst(dst, imp, map[*Node]*Node{})
+	for _, n := range []*Node{imp, sub} {
+		if n.Roles() != ite.Roles() {
+			t.Errorf("carried roles %08b, want %08b", n.Roles(), ite.Roles())
+		}
+	}
+	if v := dst.Var("stk_m8", 64, RoleStack, uint64(1<<64-8)); v.Role != RoleStack || int64(v.Val) != -8 {
+		t.Errorf("imported stk_m8 role %d index %d", v.Role, int64(v.Val))
+	}
+
+	for _, c := range []struct {
+		role Role
+		idx  uint64
+	}{{RoleOther, 0}, {RoleReg, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-interning rax0 as role %d index %d did not panic", c.role, c.idx)
+				}
+			}()
+			b.Var("rax0", 64, c.role, c.idx)
+		}()
+	}
+}
+
+// TestNodeSize pins expr.Node at 64 bytes on 64-bit platforms: every
+// expression DAG of a pool is made of them, so a field that grew the node
+// would grow every pool.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got > 64 {
+		t.Errorf("expr.Node is %d bytes, want at most 64", got)
+	}
+}
+
 func TestEvalUnboundVar(t *testing.T) {
 	b := NewBuilder()
-	if _, err := Eval(b.Var("ghost", 64), Env{}); err == nil {
+	if _, err := Eval(b.Var("ghost", 64, RoleOther, 0), Env{}); err == nil {
 		t.Error("unbound variable evaluated")
 	}
 }
 
 func TestImportAcrossBuilders(t *testing.T) {
 	b1 := NewBuilder()
-	n := b1.Add(b1.Var("x", 64), b1.Const(1, 64))
+	n := b1.Add(b1.Var("x", 64, RoleOther, 0), b1.Const(1, 64))
 	b2 := NewBuilder()
 	m := Import(b2, n)
 	if m == n {
@@ -277,8 +331,8 @@ func TestImportAcrossBuilders(t *testing.T) {
 // through a fresh builder must be a fixpoint.
 func TestSimplificationIdempotent(t *testing.T) {
 	b := NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, RoleOther, 0)
+	y := b.Var("y", 64, RoleOther, 0)
 	trees := []*Node{
 		b.Add(b.Mul(x, y), b.Sub(x, b.Const(3, 64))),
 		b.Ite(b.Ult(x, y), b.Xor(x, y), b.And(x, b.Not(y))),
@@ -300,9 +354,9 @@ func TestSimplificationIdempotent(t *testing.T) {
 // TestIteOnBooleans covers width-1 ite muxing (used for flag updates).
 func TestIteOnBooleans(t *testing.T) {
 	b := NewBuilder()
-	c := b.Eq(b.Var("x", 64), b.Const(0, 64))
-	p := b.Var("zf0", BoolWidth)
-	q := b.Ult(b.Var("x", 64), b.Const(5, 64))
+	c := b.Eq(b.Var("x", 64, RoleOther, 0), b.Const(0, 64))
+	p := b.Var("zf0", BoolWidth, RoleOther, 0)
+	q := b.Ult(b.Var("x", 64, RoleOther, 0), b.Const(5, 64))
 	ite := b.Ite(c, p, q)
 	v, err := EvalBool(ite, Env{"x": 0, "zf0": 1})
 	if err != nil || !v {

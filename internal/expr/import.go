@@ -49,7 +49,7 @@ func (im *Importer) Import(n *Node) *Node {
 	case KindConst:
 		m = b.Const(n.Val, n.Width)
 	case KindVar:
-		m = b.Var(n.Name, n.Width)
+		m = b.Var(n.Name, n.Width, n.Role, n.Val)
 	case KindAdd:
 		m = b.Add(args[0], args[1])
 	case KindSub:

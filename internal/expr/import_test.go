@@ -9,15 +9,15 @@ import "testing"
 func TestImportPointerEquality(t *testing.T) {
 	src, dst := NewBuilder(), NewBuilder()
 
-	x := src.Var("x", 64)
-	y := src.Var("y", 64)
+	x := src.Var("x", 64, RoleOther, 0)
+	y := src.Var("y", 64, RoleOther, 0)
 	sum := src.Add(x, src.Mul(y, src.Const(3, 64)))
 	cond := src.BAnd(src.Ult(x, y), src.Eq(sum, src.Const(10, 64)))
 
 	got := Import(dst, cond)
 	want := dst.BAnd(
-		dst.Ult(dst.Var("x", 64), dst.Var("y", 64)),
-		dst.Eq(dst.Add(dst.Var("x", 64), dst.Mul(dst.Var("y", 64), dst.Const(3, 64))),
+		dst.Ult(dst.Var("x", 64, RoleOther, 0), dst.Var("y", 64, RoleOther, 0)),
+		dst.Eq(dst.Add(dst.Var("x", 64, RoleOther, 0), dst.Mul(dst.Var("y", 64, RoleOther, 0), dst.Const(3, 64))),
 			dst.Const(10, 64)))
 	if got != want {
 		t.Fatalf("imported node not pointer-equal: %s vs %s", got, want)
@@ -29,14 +29,14 @@ func TestImportPointerEquality(t *testing.T) {
 func TestImportSharedSubterms(t *testing.T) {
 	src, dst := NewBuilder(), NewBuilder()
 
-	x := src.Var("x", 64)
+	x := src.Var("x", 64, RoleOther, 0)
 	shared := src.Add(x, src.Const(1, 64))
 	top := src.Mul(shared, src.Xor(shared, src.Const(7, 64)))
 
 	im := NewImporter(dst)
 	got := im.Import(top)
 
-	sharedDst := dst.Add(dst.Var("x", 64), dst.Const(1, 64))
+	sharedDst := dst.Add(dst.Var("x", 64, RoleOther, 0), dst.Const(1, 64))
 	want := dst.Mul(sharedDst, dst.Xor(sharedDst, dst.Const(7, 64)))
 	if got != want {
 		t.Fatalf("shared-subterm DAG not pointer-equal: %s vs %s", got, want)
@@ -54,10 +54,10 @@ func TestImportSharedSubterms(t *testing.T) {
 func TestImportCanonicalizesCommutativeOrder(t *testing.T) {
 	srcAB, srcBA, dst := NewBuilder(), NewBuilder(), NewBuilder()
 
-	a1, b1 := srcAB.Var("a", 64), srcAB.Var("b", 64)
+	a1, b1 := srcAB.Var("a", 64, RoleOther, 0), srcAB.Var("b", 64, RoleOther, 0)
 	sumAB := srcAB.Add(a1, b1)
 
-	b2, a2 := srcBA.Var("b", 64), srcBA.Var("a", 64)
+	b2, a2 := srcBA.Var("b", 64, RoleOther, 0), srcBA.Var("a", 64, RoleOther, 0)
 	sumBA := srcBA.Add(a2, b2)
 
 	got1 := Import(dst, sumAB)
@@ -72,8 +72,8 @@ func TestImportCanonicalizesCommutativeOrder(t *testing.T) {
 func TestImportPreservesSemantics(t *testing.T) {
 	src, dst := NewBuilder(), NewBuilder()
 
-	x := src.Var("x", 32)
-	y := src.Var("y", 32)
+	x := src.Var("x", 32, RoleOther, 0)
+	y := src.Var("y", 32, RoleOther, 0)
 	nodes := []*Node{
 		src.Sub(src.Shl(x, src.Const(2, 32)), src.Lshr(y, src.Const(1, 32))),
 		src.Ashr(src.Neg(x), src.Const(3, 32)),
@@ -107,7 +107,7 @@ func TestImportPreservesSemantics(t *testing.T) {
 // ImportAll maps node-by-node and shares one memo across the slice.
 func TestImportAll(t *testing.T) {
 	src, dst := NewBuilder(), NewBuilder()
-	x := src.Var("x", 64)
+	x := src.Var("x", 64, RoleOther, 0)
 	shared := src.Add(x, src.Const(5, 64))
 	in := []*Node{shared, src.Mul(shared, shared), src.Const(5, 64)}
 
@@ -115,7 +115,7 @@ func TestImportAll(t *testing.T) {
 	if len(out) != len(in) {
 		t.Fatalf("ImportAll returned %d nodes, want %d", len(out), len(in))
 	}
-	sharedDst := dst.Add(dst.Var("x", 64), dst.Const(5, 64))
+	sharedDst := dst.Add(dst.Var("x", 64, RoleOther, 0), dst.Const(5, 64))
 	if out[0] != sharedDst || out[1] != dst.Mul(sharedDst, sharedDst) || out[2] != dst.Const(5, 64) {
 		t.Fatal("ImportAll results not pointer-equal to native builds")
 	}

@@ -5,21 +5,9 @@ import (
 	"strings"
 )
 
-// Free-variable collection. Vars and VarNodes are the one-shot forms;
-// VarCollector amortizes the traversal state for callers that collect from
-// many DAGs in a row (symbolic execution collects the free variables of
-// every dereferenced address it checks).
-
-// Vars returns the sorted names of all variables appearing in the nodes.
-func Vars(nodes ...*Node) []string {
-	var c VarCollector
-	vars := c.Collect(nodes...)
-	out := make([]string, len(vars))
-	for i, v := range vars {
-		out[i] = v.Name
-	}
-	return out
-}
+// Free-variable collection. VarNodes is the one-shot form; VarCollector
+// amortizes the traversal state for callers that collect from many DAGs in
+// a row (subsumption fingerprints every gadget of a pool).
 
 // VarNodes returns the distinct variable nodes appearing in the nodes,
 // sorted by name.

@@ -165,7 +165,7 @@ func Extract(bin *sbf.Binary, opts Options) *Pool {
 		return all[i].Len < all[j].Len
 	})
 	for _, g := range all {
-		fillRecord(b, g, be)
+		fillRecord(g, be)
 	}
 	return NewPool(b, be.Name(), all, stats)
 }

@@ -314,7 +314,7 @@ func (p *Pool) Canon() string {
 }
 
 // fillRecord computes the ClobRegs/CtrlRegs fields from the effect.
-func fillRecord(b *expr.Builder, g *Gadget, be isa.Backend) {
+func fillRecord(g *Gadget, be isa.Backend) {
 	eff := g.Effect
 	sp := be.SP()
 	zero, hasZero := be.ZeroReg()
@@ -326,12 +326,11 @@ func fillRecord(b *expr.Builder, g *Gadget, be isa.Backend) {
 		if hasZero && r == zero {
 			continue // the hardwired zero register is never clobbered
 		}
-		initial := b.Var(symex.RegVarNameOn(be, r), 64)
-		if eff.Regs[r] == initial {
+		if src, ok := symex.EntryReg(eff.Regs[r]); ok && src == r {
 			continue
 		}
 		g.ClobRegs = append(g.ClobRegs, r)
-		if v := eff.Regs[r]; v.Kind == expr.KindVar && symex.IsAttackerVar(v.Name) {
+		if v := eff.Regs[r]; v.Kind == expr.KindVar && v.Roles()&symex.AttackerRoles != 0 {
 			g.CtrlRegs = append(g.CtrlRegs, r)
 		}
 	}

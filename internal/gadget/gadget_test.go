@@ -190,7 +190,7 @@ func TestExtractJOPGadget(t *testing.T) {
 	if g.JmpType != TypeUIJ {
 		t.Errorf("type = %v", g.JmpType)
 	}
-	if g.Effect.NextRIP != pool.Builder.Var(symex.RegVarName(isa.RAX), 64) {
+	if g.Effect.NextRIP != symex.RegVar(pool.Builder, isa.X64, isa.RAX) {
 		t.Errorf("nextRIP = %s", g.Effect.NextRIP)
 	}
 }

@@ -80,8 +80,6 @@ type Backend interface {
 	LinkReg() (Reg, bool)
 	// RegName names a register.
 	RegName(r Reg) string
-	// RegByName resolves a register name.
-	RegByName(name string) (Reg, bool)
 	// Stride is the decode-start granularity in bytes: 1 on x86-64 (any
 	// byte offset may start a gadget), 4 on RV64, 2 with the C extension.
 	Stride() int
@@ -128,16 +126,4 @@ func CanonicalISA(name string) string {
 		return DefaultISA
 	}
 	return name
-}
-
-// AnyRegByName resolves a register name against every backend, trying the
-// default x64 names first. Backend register names never collide across
-// ISAs (rax..r15 vs zero,ra,sp,...), so the result is unambiguous; it lets
-// ISA-agnostic consumers (the planner's variable classifier) map symbolic
-// variable names back to registers without knowing the pool's backend.
-func AnyRegByName(name string) (Reg, bool) {
-	if r, ok := RegByName(name); ok {
-		return r, ok
-	}
-	return rv64RegByName(name)
 }

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // RV64 is the RISC-V RV64IM backend with the base 4-byte-aligned encoding:
 // gadget decodes can only start on instruction-width boundaries, which is
@@ -71,24 +68,6 @@ func RVRegName(r Reg) string {
 	return fmt.Sprintf("reg(%d)", uint8(r))
 }
 
-func rv64RegByName(name string) (Reg, bool) {
-	for i, n := range _rvRegNames {
-		if n == name {
-			return Reg(i), true
-		}
-	}
-	if name == "fp" {
-		return RVS0, true
-	}
-	if strings.HasPrefix(name, "x") {
-		var n int
-		if _, err := fmt.Sscanf(name, "x%d", &n); err == nil && n >= 0 && n < RVNumRegs {
-			return Reg(n), true
-		}
-	}
-	return 0, false
-}
-
 type rv64Backend struct {
 	compressed bool
 }
@@ -106,8 +85,6 @@ func (rv64Backend) SP() Reg              { return RVSP }
 func (rv64Backend) ZeroReg() (Reg, bool) { return RVZero, true }
 func (rv64Backend) LinkReg() (Reg, bool) { return RVRA, true }
 func (rv64Backend) RegName(r Reg) string { return RVRegName(r) }
-
-func (rv64Backend) RegByName(name string) (Reg, bool) { return rv64RegByName(name) }
 
 func (b rv64Backend) Stride() int {
 	if b.compressed {

@@ -17,8 +17,6 @@ func (x64Backend) RegName(r Reg) string         { return r.String() }
 func (x64Backend) Stride() int                  { return 1 }
 func (x64Backend) FormatInst(inst *Inst) string { return inst.String() }
 
-func (x64Backend) RegByName(name string) (Reg, bool) { return RegByName(name) }
-
 func (x64Backend) Decode(code []byte, addr uint64) (Inst, error) {
 	return Decode(code, addr)
 }

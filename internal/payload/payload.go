@@ -111,8 +111,10 @@ func (c *Concretizer) staticRead(addr uint64, size uint8) (uint64, bool) {
 	return v, true
 }
 
-// cellVarName names the payload cell at an absolute payload offset.
-func cellVarName(absOff int64) string { return fmt.Sprintf("cell_%d", absOff) }
+// cellVar interns the payload cell at an absolute payload offset.
+func cellVar(b *expr.Builder, absOff int64) *expr.Node {
+	return b.Var(fmt.Sprintf("cell_%d", absOff), 64, expr.RoleCell, uint64(absOff))
+}
 
 // Concretize builds the payload bytes realizing the plan, or explains why
 // the plan is infeasible. Constraints whose variables are all payload
@@ -143,7 +145,7 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 				return nil, fmt.Errorf("%w: overlapping slots %d and %d", ErrLayout, off, absOff)
 			}
 		}
-		v := b.Var(cellVarName(absOff), 64)
+		v := cellVar(b, absOff)
 		cells[absOff] = &cell{absOff: absOff, size: size, v: v}
 		return v, nil
 	}
@@ -154,7 +156,7 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 	be := c.pool.Backend()
 	regState := make([]*expr.Node, be.NumRegs())
 	for r := range regState {
-		regState[r] = b.Var(fmt.Sprintf("init_%s", be.RegName(isa.Reg(r))), 64)
+		regState[r] = b.Var(fmt.Sprintf("init_%s", be.RegName(isa.Reg(r))), 64, expr.RoleOther, 0)
 	}
 
 	// cur tracks where the current gadget's entry rsp points inside the
@@ -177,14 +179,13 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 		// Bind the gadget's local variable namespace (dm_* deref results are
 		// bound below, in program order, since later addresses may depend on
 		// earlier reads).
-		bind := make(map[string]*expr.Node)
-		names := effectVars(g.Effect)
-		for _, name := range names {
-			switch {
-			case symex.IsDerefVar(name):
+		bind := make(map[*expr.Node]*expr.Node)
+		for _, v := range effectVars(g.Effect) {
+			switch v.Role {
+			case expr.RoleDeref:
 				// bound below
-			case isStack(name):
-				off, _ := symex.ParseStackVar(name)
+			case expr.RoleStack:
+				off := int64(v.Val)
 				abs := cur + off
 				size := g.Effect.Inputs[off]
 				if size == 0 {
@@ -194,15 +195,13 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 				if err != nil {
 					return nil, err
 				}
-				bind[name] = node
-			case isReg(name):
-				r, _ := symex.IsRegVar(name)
-				bind[name] = regState[r]
+				bind[v] = node
+			case expr.RoleReg, expr.RoleSP:
+				bind[v] = regState[v.Val]
 			default:
 				// Flags and opaque variables: fresh uncontrolled values.
 				fresh++
-				width := uint8(expr.BoolWidth)
-				bind[name] = b.Var(fmt.Sprintf("unk_%d", fresh), width)
+				bind[v] = b.Var(fmt.Sprintf("unk_%d", fresh), v.Width, expr.RoleOther, 0)
 			}
 		}
 
@@ -246,11 +245,11 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 				// ambient, and conditions over them must be universally
 				// valid (opaque predicates are).
 				if v, ok := c.staticRead(ea.Val, acc.Size); ok {
-					bind[acc.Val.Name] = b.Const(v, 64)
+					bind[acc.Val] = b.Const(v, 64)
 					continue
 				}
 				fresh++
-				bind[acc.Val.Name] = b.Var(fmt.Sprintf("amb_%d", fresh), 64)
+				bind[acc.Val] = b.Var(fmt.Sprintf("amb_%d", fresh), 64, expr.RoleOther, 0)
 				continue
 			}
 			slot, err := place(ea, acc.Size)
@@ -261,7 +260,7 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 			if err != nil {
 				return nil, err
 			}
-			bind[acc.Val.Name] = cellNode
+			bind[acc.Val] = cellNode
 		}
 		for _, acc := range g.Effect.MemWrites {
 			ea := expr.Subst(b, acc.Addr, bind)
@@ -361,25 +360,14 @@ func (c *Concretizer) Concretize(p *planner.Plan, goal planner.Goal) (*Payload, 
 		}
 	}
 
-	// Every constraint variable must be an attacker-controlled cell.
+	// Every constraint variable must be an attacker-controlled cell (cell
+	// variables enter constraints only through this call's getCell).
 	// Constraints over ambient values are acceptable only when universally
 	// valid (they then hold regardless of the uncontrolled state) — this is
 	// how opaque-predicate pre-conditions are discharged.
-	isCell := make(map[*expr.Node]bool, len(cells))
-	for _, cl := range cells {
-		isCell[cl.v] = true
-	}
-	var vars expr.VarCollector
 	kept := constraints[:0]
 	for _, con := range constraints {
-		controlled := true
-		for _, v := range vars.Collect(con) {
-			if !isCell[v] {
-				controlled = false
-				break
-			}
-		}
-		if controlled {
+		if con.Roles()&^(1<<expr.RoleCell) == 0 {
 			kept = append(kept, con)
 			continue
 		}
@@ -458,16 +446,14 @@ func (c *Concretizer) solve(constraints []*expr.Node) (expr.Env, error) {
 	}
 
 	model := make(expr.Env, len(bound))
-	sub := make(map[string]*expr.Node, len(bound))
 	for v, k := range bound {
 		model[v.Name] = k.Val
-		sub[v.Name] = k
 	}
 	residual := rest[:0]
 	for _, con := range rest {
 		folded := con
-		if len(sub) > 0 {
-			folded = expr.Subst(b, con, sub)
+		if len(bound) > 0 {
+			folded = expr.Subst(b, con, bound)
 		}
 		if v, ok := folded.IsBoolConst(); ok {
 			if !v {
@@ -530,12 +516,13 @@ func (c *Concretizer) resolveRead(b *expr.Builder, abs int64, size uint8,
 	}
 	if abs < 0 {
 		// Below the injected payload: memory the attacker does not control.
-		return b.Var(fmt.Sprintf("below_%d", -abs), 64), nil
+		return b.Var(fmt.Sprintf("below_%d", -abs), 64, expr.RoleOther, 0), nil
 	}
 	return getCell(abs, size)
 }
 
-func effectVars(eff *symex.Effect) []string {
+// effectVars returns the variables of an effect, sorted by name.
+func effectVars(eff *symex.Effect) []*expr.Node {
 	nodes := make([]*expr.Node, 0, len(eff.Regs)+8)
 	for r := range eff.Regs {
 		nodes = append(nodes, eff.Regs[r])
@@ -553,17 +540,7 @@ func effectVars(eff *symex.Effect) []string {
 	for _, a := range eff.MemWrites {
 		nodes = append(nodes, a.Addr, a.Val)
 	}
-	return expr.Vars(nodes...)
-}
-
-func isStack(name string) bool {
-	_, ok := symex.ParseStackVar(name)
-	return ok
-}
-
-func isReg(name string) bool {
-	_, ok := symex.IsRegVar(name)
-	return ok
+	return expr.VarNodes(nodes...)
 }
 
 // Verify injects the payload into a fresh emulator running the binary and

@@ -53,7 +53,7 @@ func (d *byteDraw) word() uint64 {
 func constraintSet(b *expr.Builder, d draw) ([]*expr.Node, []*expr.Node) {
 	cells := make([]*expr.Node, 1+d.intn(4))
 	for i := range cells {
-		cells[i] = b.Var(cellVarName(8*int64(i)), 64)
+		cells[i] = cellVar(b, 8*int64(i))
 	}
 	constant := func() *expr.Node {
 		switch d.intn(4) {
@@ -184,7 +184,7 @@ func FuzzPresolve(f *testing.F) {
 // the bindings fold to false.
 func TestPresolveUnsat(t *testing.T) {
 	b := expr.NewBuilder()
-	x, y := b.Var(cellVarName(8), 64), b.Var(cellVarName(16), 64)
+	x, y := cellVar(b, 8), cellVar(b, 16)
 	for _, tc := range []struct {
 		name string
 		cons []*expr.Node

@@ -230,7 +230,10 @@ type exprTab struct {
 	imp *expr.Importer
 }
 
-func readExprTab(d *dec, b *expr.Builder) *exprTab {
+// readExprTab reads a node table. A variable's role and index are not
+// stored: its name renders them, and symex.ParseVar reads them back, with
+// the artifact's backend (nil: any backend) resolving register names.
+func readExprTab(d *dec, b *expr.Builder, be isa.Backend) *exprTab {
 	n := d.count()
 	raw := make([]*expr.Node, 0, n)
 	for i := 0; i < n; i++ {
@@ -241,6 +244,7 @@ func readExprTab(d *dec, b *expr.Builder) *exprTab {
 			nd.Val = d.uv()
 		case expr.KindVar:
 			nd.Name = d.str()
+			nd.Role, nd.Val = symex.ParseVar(be, nd.Name)
 		default:
 			if k <= expr.KindVar || k > expr.KindBNot {
 				d.fail()
@@ -560,8 +564,13 @@ func writePool(e *enc, p *gadget.Pool) {
 // written in ID order, so a gadget whose ID is not its position is corrupt.
 func readPool(d *dec) *gadget.Pool {
 	isaName := d.str()
+	be, ok := isa.ByName(isaName)
+	if !ok {
+		d.fail()
+		return nil
+	}
 	b := expr.NewBuilder()
-	t := readExprTab(d, b)
+	t := readExprTab(d, b, be)
 	n := d.count()
 	gadgets := make([]*gadget.Gadget, n)
 	for i := range gadgets {
@@ -842,7 +851,7 @@ func writeAttack(e *enc, a *Attack) {
 
 func readAttack(d *dec) *Attack {
 	b := expr.NewBuilder()
-	t := readExprTab(d, b)
+	t := readExprTab(d, b, nil)
 	ng := d.count()
 	glist := make([]*gadget.Gadget, ng)
 	for i := range glist {

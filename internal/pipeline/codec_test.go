@@ -224,4 +224,12 @@ func TestDecodeArtifactRejectsGarbage(t *testing.T) {
 	if _, err := decodeArtifact(StageExtract, append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// A pool names its variables in its backend's terms, so a pool of an
+	// unknown backend cannot be decoded.
+	bogus := *pool
+	bogus.ISA = "bogus"
+	enc, _ = encodeArtifact(StageExtract, &bogus)
+	if _, err := decodeArtifact(StageExtract, enc); !errors.Is(err, errCorrupt) {
+		t.Errorf("pool of an unknown backend decoded with error %v, want errCorrupt", err)
+	}
 }

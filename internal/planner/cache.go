@@ -3,18 +3,16 @@ package planner
 import (
 	"sync/atomic"
 
-	"github.com/nofreelunch/gadget-planner/internal/expr"
 	"github.com/nofreelunch/gadget-planner/internal/gadget"
 	"github.com/nofreelunch/gadget-planner/internal/isa"
-	"github.com/nofreelunch/gadget-planner/internal/symex"
 )
 
 // providerCache memoizes the planner's symbolic derivations for one search:
 // provides() keyed by (gadget ID, reg, interned ValueSpec) and
 // stepEntryReqs() keyed by gadget ID. Both underlying functions are pure in
-// (gadget, reg, spec) — they only read the effect DAG and the pool
-// builder's intern table — so cached and uncached answers are identical and
-// the cache is safe to share across expansion workers.
+// (gadget, reg, spec) — they only read the effect DAG, and never touch the
+// pool's builder — so cached and uncached answers are identical and the
+// cache is safe to share across expansion workers.
 //
 // Layout: one slot per gadget ID. provides() entries live in a per-gadget
 // copy-on-write map behind an atomic pointer — lookups are a plain map read
@@ -29,7 +27,6 @@ import (
 // number of distinct keys ever looked up, and hits = lookups − misses,
 // however racing workers interleave.
 type providerCache struct {
-	b      *expr.Builder
 	prov   []atomic.Pointer[provMap]
 	steps  []atomic.Pointer[stepReqEntry]
 	misses atomic.Int64
@@ -56,16 +53,8 @@ type tally struct {
 }
 
 func newProviderCache(pool *gadget.Pool) *providerCache {
-	b := pool.Builder
-	// Pre-intern every register variable so provides() never mutates the
-	// builder from an expansion worker, whatever the pool contains.
-	be := pool.Backend()
-	for r := 0; r < be.NumRegs(); r++ {
-		b.Var(symex.RegVarNameOn(be, isa.Reg(r)), 64)
-	}
 	// Slots are indexed by gadget ID, which is the gadget's pool position.
 	return &providerCache{
-		b:     b,
 		prov:  make([]atomic.Pointer[provMap], len(pool.Gadgets)),
 		steps: make([]atomic.Pointer[stepReqEntry], len(pool.Gadgets)),
 	}
@@ -84,7 +73,7 @@ func (c *providerCache) providesFor(g *gadget.Gadget, reg isa.Reg, spec ValueSpe
 			return e.pr, e.ok
 		}
 	}
-	pr, ok := provides(c.b, g, reg, spec)
+	pr, ok := provides(g, reg, spec)
 	for {
 		cur := slot.Load()
 		if cur != nil {
@@ -114,7 +103,7 @@ func (c *providerCache) stepReqsFor(g *gadget.Gadget, t *tally) ([]regReq, bool)
 	if e := slot.Load(); e != nil {
 		return e.reqs, e.ok
 	}
-	reqs, ok := stepEntryReqs(c.b, g)
+	reqs, ok := stepEntryReqs(g)
 	if slot.CompareAndSwap(nil, &stepReqEntry{reqs: reqs, ok: ok}) {
 		c.misses.Add(1)
 		return reqs, ok

@@ -57,14 +57,14 @@ func TestProvidesCacheAgreement(t *testing.T) {
 			spec = ConstSpec(rng.Uint64() >> uint(rng.Intn(64)))
 		}
 
-		wantPR, wantOK := provides(pool.Builder, g, reg, spec)
+		wantPR, wantOK := provides(g, reg, spec)
 		gotPR, gotOK := cache.providesFor(g, reg, spec, keys.specOf(spec), &tl)
 		if wantOK != gotOK || !reflect.DeepEqual(wantPR, gotPR) {
 			t.Fatalf("gadget %v reg %s spec %s: cached (%v, %v) != direct (%v, %v)",
 				g, reg, spec, gotPR, gotOK, wantPR, wantOK)
 		}
 
-		wantReqs, wantU := stepEntryReqs(pool.Builder, g)
+		wantReqs, wantU := stepEntryReqs(g)
 		gotReqs, gotU := cache.stepReqsFor(g, &tl)
 		if wantU != gotU || !reflect.DeepEqual(wantReqs, gotReqs) {
 			t.Fatalf("gadget %v: cached step reqs (%v, %v) != direct (%v, %v)",

@@ -15,61 +15,60 @@ type regReq struct {
 
 // varClass partitions the variables of an expression.
 type varClass struct {
-	inputs []string  // stack-input variables (attacker payload cells)
-	regs   []isa.Reg // initial-register variables
-	other  bool      // flags, opaque vars: not plannable
+	inputs bool      // stack-input or deref variables (attacker payload cells)
+	regs   []isa.Reg // initial-register variables, in variable-name order
+	other  bool      // flags, opaque vars, the stack pointer: not plannable
 }
 
 func classifyVars(nodes ...*expr.Node) varClass {
-	var vc varClass
-	for _, name := range expr.Vars(nodes...) {
-		if symex.IsAttackerVar(name) {
-			vc.inputs = append(vc.inputs, name)
-			continue
+	var roles expr.Roles
+	for _, n := range nodes {
+		roles |= n.Roles()
+	}
+	// The stack pointer is managed by the chain layout itself and can never
+	// be a planning requirement.
+	vc := varClass{
+		inputs: roles&symex.AttackerRoles != 0,
+		other:  roles&^(symex.AttackerRoles|1<<expr.RoleReg) != 0,
+	}
+	if roles&(1<<expr.RoleReg) != 0 {
+		for _, v := range expr.VarNodes(nodes...) {
+			if v.Role == expr.RoleReg {
+				vc.regs = append(vc.regs, isa.Reg(v.Val))
+			}
 		}
-		if symex.IsSPVar(name) {
-			// The stack pointer is managed by the chain layout itself and
-			// can never be a planning requirement (any backend).
-			vc.other = true
-			continue
-		}
-		if r, ok := symex.IsRegVar(name); ok {
-			vc.regs = append(vc.regs, r)
-			continue
-		}
-		vc.other = true
 	}
 	return vc
 }
 
 // invertForm recognizes invertible single-variable expressions:
-// v, v+c, v^c, ~v, -v. It returns the variable name and a concrete inverse
-// for constant targets.
-func invertForm(e *expr.Node) (varName string, inverse func(uint64) uint64, ok bool) {
+// v, v+c, v^c, ~v, -v. It returns the variable and a concrete inverse for
+// constant targets.
+func invertForm(e *expr.Node) (v *expr.Node, inverse func(uint64) uint64, ok bool) {
 	id := func(x uint64) uint64 { return x }
 	switch e.Kind {
 	case expr.KindVar:
-		return e.Name, id, true
+		return e, id, true
 	case expr.KindAdd:
 		if e.Args[0].Kind == expr.KindVar && e.Args[1].IsConst() {
 			c := e.Args[1].Val
-			return e.Args[0].Name, func(x uint64) uint64 { return x - c }, true
+			return e.Args[0], func(x uint64) uint64 { return x - c }, true
 		}
 	case expr.KindXor:
 		if e.Args[0].Kind == expr.KindVar && e.Args[1].IsConst() {
 			c := e.Args[1].Val
-			return e.Args[0].Name, func(x uint64) uint64 { return x ^ c }, true
+			return e.Args[0], func(x uint64) uint64 { return x ^ c }, true
 		}
 	case expr.KindNot:
 		if e.Args[0].Kind == expr.KindVar {
-			return e.Args[0].Name, func(x uint64) uint64 { return ^x }, true
+			return e.Args[0], func(x uint64) uint64 { return ^x }, true
 		}
 	case expr.KindNeg:
 		if e.Args[0].Kind == expr.KindVar {
-			return e.Args[0].Name, func(x uint64) uint64 { return -x }, true
+			return e.Args[0], func(x uint64) uint64 { return -x }, true
 		}
 	}
-	return "", nil, false
+	return nil, nil, false
 }
 
 // provideResult describes how a gadget's exit can satisfy reg=spec.
@@ -82,17 +81,15 @@ type provideResult struct {
 
 // provides analyzes whether gadget g's exit state can satisfy reg=spec,
 // and at what cost. The Step field of returned demands is unfilled.
-func provides(b *expr.Builder, g *gadget.Gadget, reg isa.Reg, spec ValueSpec) (provideResult, bool) {
+func provides(g *gadget.Gadget, reg isa.Reg, spec ValueSpec) (provideResult, bool) {
 	if int(reg) >= len(g.Effect.Regs) {
 		return provideResult{}, false // register unknown to this backend
 	}
 	e := g.Effect.Regs[reg]
-	if e.Kind == expr.KindVar {
-		// Unchanged register (its exit value is its own entry variable, on
-		// any backend): not a producer.
-		if src, ok := symex.IsRegVar(e.Name); ok && src == reg {
-			return provideResult{}, false
-		}
+	if src, ok := symex.EntryReg(e); ok && src == reg {
+		// Unchanged register (its exit value is its own entry variable):
+		// not a producer.
+		return provideResult{}, false
 	}
 	vc := classifyVars(e)
 	if vc.other {
@@ -112,7 +109,7 @@ func provides(b *expr.Builder, g *gadget.Gadget, reg isa.Reg, spec ValueSpec) (p
 		switch spec.Kind {
 		case SpecArbitrary:
 			// Must be invertible so any target is reachable.
-			if name, _, ok := invertForm(e); ok && symex.IsAttackerVar(name) {
+			if v, _, ok := invertForm(e); ok && v.Roles()&symex.AttackerRoles != 0 {
 				return provideResult{demands: []SlotDemand{{Expr: e, Spec: spec}}}, true
 			}
 			return provideResult{}, false
@@ -123,15 +120,13 @@ func provides(b *expr.Builder, g *gadget.Gadget, reg isa.Reg, spec ValueSpec) (p
 	}
 
 	// Single-register invertible transform: regress the spec upstream.
-	if len(vc.regs) == 1 && len(vc.inputs) == 0 {
-		name, inverse, ok := invertForm(e)
+	if len(vc.regs) == 1 && !vc.inputs {
+		// The one variable is a register other than the stack pointer.
+		v, inverse, ok := invertForm(e)
 		if !ok {
 			return provideResult{}, false
 		}
-		src, ok := symex.IsRegVar(name)
-		if !ok || symex.IsSPVar(name) {
-			return provideResult{}, false
-		}
+		src := isa.Reg(v.Val)
 		switch spec.Kind {
 		case SpecConst:
 			return provideResult{entryReqs: []regReq{{src, ConstSpec(inverse(spec.Value))}}}, true
@@ -155,7 +150,7 @@ func provides(b *expr.Builder, g *gadget.Gadget, reg isa.Reg, spec ValueSpec) (p
 // itself: pre-conditions from conditional jumps passed through, and control
 // of the jump-target register for indirect-ending gadgets. The bool reports
 // whether the gadget is usable as a plan step at all.
-func stepEntryReqs(b *expr.Builder, g *gadget.Gadget) ([]regReq, bool) {
+func stepEntryReqs(g *gadget.Gadget) ([]regReq, bool) {
 	var reqs []regReq
 	seen := make(map[isa.Reg]bool)
 
@@ -221,7 +216,7 @@ func stepEntryReqs(b *expr.Builder, g *gadget.Gadget) ([]regReq, bool) {
 		switch {
 		case len(vc.regs) == 0:
 			// Payload-determined target: solved at concretization.
-		case len(vc.regs) == 1 && len(vc.inputs) == 0:
+		case len(vc.regs) == 1 && !vc.inputs:
 			if _, _, ok := invertForm(rip); !ok {
 				return nil, false
 			}

@@ -445,7 +445,7 @@ func seeds(sc *searchCtx, goal Goal, t *tally) ([]*Plan, int) {
 				break
 			}
 			e := sg.Effect.Regs[r]
-			if e == pool.Builder.Var(symex.RegVarNameOn(pool.Backend(), r), 64) {
+			if src, ok := symex.EntryReg(e); ok && src == r {
 				// Unchanged by the syscall gadget: require at its entry.
 				p.Open = append(p.Open, Requirement{Step: 1, Reg: r, Spec: spec})
 				continue

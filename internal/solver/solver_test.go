@@ -9,7 +9,7 @@ import (
 
 func TestBasicSat(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
 	f := b.Eq(b.Add(x, b.Const(1, 64)), b.Const(2, 64))
 	s := Default()
 	r, env := s.Check(f)
@@ -28,7 +28,7 @@ func TestBasicSat(t *testing.T) {
 
 func TestBasicUnsat(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
 	s := Default()
 	// x + 1 == x is unsatisfiable.
 	f := b.Eq(b.Add(x, b.Const(1, 64)), x)
@@ -48,8 +48,8 @@ func TestBasicUnsat(t *testing.T) {
 
 func TestMultiVariableModel(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 8)
-	y := b.Var("y", 8)
+	x := b.Var("x", 8, expr.RoleOther, 0)
+	y := b.Var("y", 8, expr.RoleOther, 0)
 	f := b.BAnd(
 		b.Eq(b.Add(x, y), b.Const(10, 8)),
 		b.Eq(b.Mul(x, y), b.Const(21, 8)),
@@ -67,8 +67,8 @@ func TestMultiVariableModel(t *testing.T) {
 
 func TestObfuscationIdentitiesValid(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
+	y := b.Var("y", 64, expr.RoleOther, 0)
 	s := Default()
 	identities := []struct {
 		name string
@@ -107,8 +107,8 @@ func TestObfuscationIdentitiesValid(t *testing.T) {
 
 func TestNotEquivalent(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
+	y := b.Var("y", 64, expr.RoleOther, 0)
 	s := Default()
 	if s.EquivalentBV(b, b.Add(x, y), b.Sub(x, y)) {
 		t.Error("add equivalent to sub?")
@@ -120,7 +120,7 @@ func TestNotEquivalent(t *testing.T) {
 
 func TestImplies(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
 	s := Default()
 	p := b.Eq(x, b.Const(5, 64))
 	q := b.Ult(x, b.Const(10, 64))
@@ -132,8 +132,8 @@ func TestImplies(t *testing.T) {
 	}
 	// Implication with the paper's subsumption shape: a looser pre-condition
 	// is implied by a tighter one.
-	pre1 := b.True()                      // no pre-condition
-	pre2 := b.Eq(x, b.Var("rdx_pre", 64)) // rbx == rdx
+	pre1 := b.True()                                         // no pre-condition
+	pre2 := b.Eq(x, b.Var("rdx_pre", 64, expr.RoleOther, 0)) // rbx == rdx
 	if !s.Implies(b, pre2, pre1) {
 		t.Error("any pre-condition implies true")
 	}
@@ -144,7 +144,7 @@ func TestImplies(t *testing.T) {
 
 func TestMultiplication(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 16)
+	x := b.Var("x", 16, expr.RoleOther, 0)
 	s := Default()
 	// Factor 143 = 11 * 13 over 16-bit: x * 11 == 143.
 	f := b.Eq(b.Mul(x, b.Const(11, 16)), b.Const(143, 16))
@@ -163,7 +163,7 @@ func TestMultiplication(t *testing.T) {
 
 func TestSignedComparison(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 8)
+	x := b.Var("x", 8, expr.RoleOther, 0)
 	s := Default()
 	// Find a value that is negative signed but large unsigned.
 	f := b.BAnd(
@@ -186,8 +186,8 @@ func TestRandomFormulasVsBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 60; iter++ {
 		b := expr.NewBuilder()
-		x := b.Var("x", 8)
-		y := b.Var("y", 8)
+		x := b.Var("x", 8, expr.RoleOther, 0)
+		y := b.Var("y", 8, expr.RoleOther, 0)
 		f := randomBool(rng, b, []*expr.Node{x, y}, 3)
 
 		want := false
@@ -291,8 +291,8 @@ func randomBool(rng *rand.Rand, b *expr.Builder, vars []*expr.Node, depth int) *
 
 func TestShiftsAgainstEval(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 8)
-	k := b.Var("k", 8)
+	x := b.Var("x", 8, expr.RoleOther, 0)
+	k := b.Var("k", 8, expr.RoleOther, 0)
 	s := Default()
 	// For every shift kind, the solver must agree with Eval on a sampled
 	// constraint: result == Eval(result) under a pinned env is Sat.
@@ -327,8 +327,8 @@ func TestShiftsAgainstEval(t *testing.T) {
 
 func TestUnknownOnBudget(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 32)
-	y := b.Var("y", 32)
+	x := b.Var("x", 32, expr.RoleOther, 0)
+	y := b.Var("y", 32, expr.RoleOther, 0)
 	// Factoring constraint; hard for a tiny conflict budget.
 	f := b.BAnd(
 		b.Eq(b.Mul(x, y), b.Const(0x12345677, 32)),
@@ -349,7 +349,7 @@ func TestUnknownOnBudget(t *testing.T) {
 
 func TestValid(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
 	s := Default()
 	if !s.Valid(b, b.Eq(b.Xor(x, x), b.Const(0, 64))) {
 		t.Error("x^x == 0 should be valid")
@@ -361,8 +361,8 @@ func TestValid(t *testing.T) {
 
 func TestEquivalentBool(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
+	y := b.Var("y", 64, expr.RoleOther, 0)
 	s := Default()
 	// De Morgan.
 	p := b.BNot(b.BAnd(b.Eq(x, y), b.Ult(x, y)))
@@ -377,7 +377,7 @@ func TestEquivalentBool(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 8)
+	x := b.Var("x", 8, expr.RoleOther, 0)
 	s := Default()
 	s.Check(b.Eq(x, b.Const(1, 8)))
 	s.Check(b.Eq(x, b.Const(2, 8)))

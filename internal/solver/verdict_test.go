@@ -16,8 +16,8 @@ func TestTriageVerdictsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 60; iter++ {
 		b := expr.NewBuilder()
-		x := b.Var("x", 8)
-		y := b.Var("y", 8)
+		x := b.Var("x", 8, expr.RoleOther, 0)
+		y := b.Var("y", 8, expr.RoleOther, 0)
 		vars := []*expr.Node{x, y}
 		p := randomBool(rng, b, vars, 3)
 		q := randomBool(rng, b, vars, 3)
@@ -70,8 +70,8 @@ func TestTriageEquivalenceMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 80; iter++ {
 		b := expr.NewBuilder()
-		x := b.Var("x", 8)
-		y := b.Var("y", 8)
+		x := b.Var("x", 8, expr.RoleOther, 0)
+		y := b.Var("y", 8, expr.RoleOther, 0)
 		vars := []*expr.Node{x, y}
 		u := randomBV(rng, b, vars, 3)
 		v := randomBV(rng, b, vars, 3)
@@ -111,8 +111,8 @@ func TestTriageEquivalenceMatchesBruteForce(t *testing.T) {
 // builder — is a cache hit.
 func TestTriageCountsTiers(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 64)
-	y := b.Var("y", 64)
+	x := b.Var("x", 64, expr.RoleOther, 0)
+	y := b.Var("y", 64, expr.RoleOther, 0)
 	s := Default()
 
 	// x < x folds to false: Unsat by constant folding alone.
@@ -135,7 +135,7 @@ func TestTriageCountsTiers(t *testing.T) {
 	// A true identity blasts once; its repeat from a fresh builder is a
 	// cache hit, not another blast.
 	xor := func(b *expr.Builder) bool {
-		x, y := b.Var("x", 64), b.Var("y", 64)
+		x, y := b.Var("x", 64, expr.RoleOther, 0), b.Var("y", 64, expr.RoleOther, 0)
 		return s.EquivalentBV(b, b.Xor(x, y), b.Or(b.And(b.Not(x), y), b.And(x, b.Not(y))))
 	}
 	if !xor(b) {
@@ -173,12 +173,12 @@ func TestSharedCacheConcurrent(t *testing.T) {
 	for i := uint64(0); i < distinct/2; i++ {
 		// x + i == 3y: satisfiable.
 		queries = append(queries, func(s *Solver, b *expr.Builder) bool {
-			x, y := b.Var("x", 16), b.Var("y", 16)
+			x, y := b.Var("x", 16, expr.RoleOther, 0), b.Var("y", 16, expr.RoleOther, 0)
 			return s.Sat(b.Eq(b.Add(x, b.Const(i, 16)), b.Mul(y, b.Const(3, 16))))
 		})
 		// (x+i+1) + y == ((x+i+1) ^ y) + (((x+i+1) & y) << 1): valid.
 		queries = append(queries, func(s *Solver, b *expr.Builder) bool {
-			x, y := b.Var("x", 16), b.Var("y", 16)
+			x, y := b.Var("x", 16, expr.RoleOther, 0), b.Var("y", 16, expr.RoleOther, 0)
 			xi := b.Add(x, b.Const(i+1, 16))
 			sum := b.Add(b.Xor(xi, y), b.Shl(b.And(xi, y), b.Const(1, 16)))
 			return s.EquivalentBV(b, b.Add(xi, y), sum)
@@ -230,8 +230,8 @@ func TestSharedCacheConcurrent(t *testing.T) {
 // lowering them separately (both build the same subtractor).
 func TestGateHashConsingShares(t *testing.T) {
 	b := expr.NewBuilder()
-	x := b.Var("x", 16)
-	y := b.Var("y", 16)
+	x := b.Var("x", 16, expr.RoleOther, 0)
+	y := b.Var("y", 16, expr.RoleOther, 0)
 
 	clausesFor := func(nodes ...*expr.Node) int {
 		sat := newSAT()

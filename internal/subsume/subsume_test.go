@@ -203,7 +203,7 @@ func TestFingerprintPinned(t *testing.T) {
 // the count and fails this.
 func TestFingerprintAllocsFlat(t *testing.T) {
 	b := expr.NewBuilder()
-	x, y := b.Var("x", 64), b.Var("y", 64)
+	x, y := b.Var("x", 64, expr.RoleOther, 0), b.Var("y", 64, expr.RoleOther, 0)
 	e := x
 	for i := 0; i < 20; i++ {
 		e = b.Add(b.Xor(e, y), b.Const(uint64(i), 64))

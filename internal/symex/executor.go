@@ -50,11 +50,11 @@ type Mark struct {
 func NewExecutorISA(b *expr.Builder, be isa.Backend) *Executor {
 	ex := &Executor{}
 	ex.entryRegs = EntryRegs(b, be)
-	ex.entryZF = b.Var("zf0", expr.BoolWidth)
-	ex.entrySF = b.Var("sf0", expr.BoolWidth)
-	ex.entryOF = b.Var("of0", expr.BoolWidth)
-	ex.entryCF = b.Var("cf0", expr.BoolWidth)
-	ex.entryPF = b.Var("pf0", expr.BoolWidth)
+	ex.entryZF = b.Var("zf0", expr.BoolWidth, expr.RoleOther, 0)
+	ex.entrySF = b.Var("sf0", expr.BoolWidth, expr.RoleOther, 0)
+	ex.entryOF = b.Var("of0", expr.BoolWidth, expr.RoleOther, 0)
+	ex.entryCF = b.Var("cf0", expr.BoolWidth, expr.RoleOther, 0)
+	ex.entryPF = b.Var("pf0", expr.BoolWidth, expr.RoleOther, 0)
 	ex.st.B = b
 	ex.st.sp = be.SP()
 	ex.st.link, ex.st.hasLink = be.LinkReg()

@@ -1,13 +1,20 @@
-// Package symex symbolically executes short straight-line x86-64 instruction
-// sequences (gadget candidates) and produces their pre- and post-conditions
-// as expr formulas, mirroring the role angr's symbolic execution plays in the
-// paper.
+// Package symex symbolically executes short straight-line instruction
+// sequences (gadget candidates) of any isa.Backend — x86-64 and RV64 — and
+// produces their pre- and post-conditions as expr formulas, mirroring the
+// role angr's symbolic execution plays in the paper.
 //
 // The model follows the paper's restrictions (Section IV-B): register state
 // is fully symbolic; memory accesses must be stack-relative (a constant
-// offset from the entry rsp) — anything else makes the gadget unsupported;
-// values read from untouched stack slots become fresh "stack input"
-// variables, which are exactly the attacker-controlled payload cells.
+// offset from the entry stack pointer) or go through a pointer built only
+// from entry registers and attacker-chosen values — anything else makes the
+// gadget unsupported. Values read from untouched stack slots become fresh
+// "stack input" variables, which are exactly the attacker-controlled payload
+// cells, and reads through a controlled pointer become fresh unconstrained
+// variables.
+//
+// The package owns the variables' naming: each variable carries its
+// expr.Role and index, set by RegVar, StackVar or DerefVar, and ParseVar
+// maps a stored name back to them.
 package symex
 
 import (
@@ -63,68 +70,44 @@ var (
 	errNonLvalue        = unsupported("write to non-lvalue")
 )
 
-// RegVarName is the variable naming convention for initial register values:
-// "rax0", "rbx0", ... (x86-64 names; see RegVarNameOn for other backends).
-func RegVarName(r isa.Reg) string { return r.String() + "0" }
+// Variable naming. A variable's role and index are set when it is interned;
+// its name renders them, and is what artifacts store. Entry registers are
+// "rax0" on x64 and "a00", "sp0", ... on RV64, stack cells "stk_8" and
+// "stk_m16", deref reads "dm_0". ParseVar is the inverse.
 
-// RegVarNameOn names the initial-value variable of a register under a
-// specific backend ("rax0" on x64, "a00"/"sp0"/... on RV64). For the x64
-// backend it matches RegVarName exactly.
-func RegVarNameOn(be isa.Backend, r isa.Reg) string { return be.RegName(r) + "0" }
+// RegVar interns register r's entry value on backend be. The stack
+// pointer's has RoleSP, every other register's RoleReg.
+func RegVar(b *expr.Builder, be isa.Backend, r isa.Reg) *expr.Node {
+	role := expr.RoleReg
+	if r == be.SP() {
+		role = expr.RoleSP
+	}
+	return b.Var(be.RegName(r)+"0", 64, role, uint64(r))
+}
 
-// IsSPVar reports whether a variable name denotes the entry stack pointer
-// of any backend ("rsp0" on x64, "sp0" on RV64). Planner components use it
-// to special-case stack-pointer dataflow without threading a backend.
-func IsSPVar(name string) bool { return name == "rsp0" || name == "sp0" }
-
-// StackVarName names the attacker-controllable value read from the stack at
-// the given byte offset from the entry rsp.
-func StackVarName(off int64) string {
+// StackVar interns the attacker-controllable value read from the stack at
+// the given byte offset from the entry stack pointer.
+func StackVar(b *expr.Builder, off int64) *expr.Node {
+	var name string
 	if off < 0 {
-		return "stk_m" + strconv.FormatInt(-off, 10)
+		name = "stk_m" + strconv.FormatInt(-off, 10)
+	} else {
+		name = "stk_" + strconv.FormatInt(off, 10)
 	}
-	return "stk_" + strconv.FormatInt(off, 10)
+	return b.Var(name, 64, expr.RoleStack, uint64(off))
 }
 
-// ParseStackVar recovers the offset from a stack variable name.
-func ParseStackVar(name string) (int64, bool) {
-	rest, ok := strings.CutPrefix(name, "stk_")
-	if !ok {
-		return 0, false
-	}
-	neg := false
-	if strings.HasPrefix(rest, "m") {
-		neg, rest = true, rest[1:]
-	}
-	v, err := strconv.ParseInt(rest, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
-}
-
-// IsRegVar reports whether a variable name denotes an initial register value.
-// Register names never collide across backends, so the lookup is
-// backend-agnostic (x64 names are tried first).
-func IsRegVar(name string) (isa.Reg, bool) {
-	base, ok := strings.CutSuffix(name, "0")
-	if !ok {
-		return 0, false
-	}
-	return isa.AnyRegByName(base)
-}
-
-// DerefVarName names the unconstrained value obtained by dereferencing
+// DerefVar interns the unconstrained value of the k-th read through
 // attacker-controlled memory (paper Section IV-B: "the variable is left
 // unconstrained so that it is free to take on whatever value is necessary").
-func DerefVarName(k int) string {
+func DerefVar(b *expr.Builder, k int) *expr.Node {
+	var name string
 	if k < len(derefNames) {
-		return derefNames[k]
+		name = derefNames[k]
+	} else {
+		name = "dm_" + strconv.Itoa(k)
 	}
-	return "dm_" + strconv.Itoa(k)
+	return b.Var(name, 64, expr.RoleDeref, uint64(k))
 }
 
 // derefNames precomputes the common low indices: deref names are built once
@@ -137,17 +120,85 @@ var derefNames = func() (a [16]string) {
 	return
 }()
 
-// IsDerefVar reports whether a variable denotes a controlled-memory read.
-func IsDerefVar(name string) bool { return strings.HasPrefix(name, "dm_") }
-
-// IsAttackerVar reports whether the variable is attacker-chosen: a stack
-// payload cell or a controlled-memory read.
-func IsAttackerVar(name string) bool {
-	if IsDerefVar(name) {
-		return true
+// ParseVar returns the role and index RegVar, StackVar or DerefVar gave the
+// variable of this name; any other name has RoleOther. Register names are
+// those of backend be, or of every backend when be is nil. It allocates
+// nothing for the names the constructors render.
+func ParseVar(be isa.Backend, name string) (expr.Role, uint64) {
+	if rest, ok := strings.CutPrefix(name, "stk_"); ok {
+		digits, neg := strings.CutPrefix(rest, "m")
+		v, ok := parseDecimal(digits)
+		if !ok || neg && v == 0 { // StackVar renders offset 0 as "stk_0"
+			return expr.RoleOther, 0
+		}
+		if neg {
+			v = -v
+		}
+		return expr.RoleStack, uint64(v)
 	}
-	_, ok := ParseStackVar(name)
-	return ok
+	if rest, ok := strings.CutPrefix(name, "dm_"); ok {
+		if v, ok := parseDecimal(rest); ok {
+			return expr.RoleDeref, uint64(v)
+		}
+		return expr.RoleOther, 0
+	}
+	rv, ok := regVars[name]
+	if !ok || be != nil && (int(rv.r) >= be.NumRegs() || be.RegName(rv.r) != name[:len(name)-1]) {
+		return expr.RoleOther, 0
+	}
+	return rv.role, uint64(rv.r)
+}
+
+// regVar is the role and register of an entry-register variable.
+type regVar struct {
+	role expr.Role
+	r    isa.Reg
+}
+
+// regVars maps every backend's entry-register variable names, which never
+// collide across backends, to their roles and registers.
+var regVars = func() map[string]regVar {
+	m := make(map[string]regVar)
+	b := expr.NewBuilder()
+	for _, be := range []isa.Backend{isa.X64, isa.RV64} {
+		for r := isa.Reg(0); int(r) < be.NumRegs(); r++ {
+			v := RegVar(b, be, r)
+			m[v.Name] = regVar{v.Role, r}
+		}
+	}
+	return m
+}()
+
+// parseDecimal parses a non-negative int64 in the canonical decimal form
+// strconv renders: digits only, no leading zero.
+func parseDecimal(s string) (int64, bool) {
+	if s == "" || s[0] < '0' || s[0] > '9' || (s[0] == '0' && len(s) > 1) {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	return v, err == nil
+}
+
+// AttackerRoles are the roles of attacker-chosen values: stack payload cells
+// and reads through controlled pointers.
+const AttackerRoles = expr.Roles(1<<expr.RoleStack | 1<<expr.RoleDeref)
+
+// EntryReg reports whether n is a register's entry value (the stack
+// pointer's included), and which register.
+func EntryReg(n *expr.Node) (isa.Reg, bool) {
+	if n.Kind == expr.KindVar && (n.Role == expr.RoleReg || n.Role == expr.RoleSP) {
+		return isa.Reg(n.Val), true
+	}
+	return 0, false
+}
+
+// StackCell reports whether n is a stack cell variable, and its offset from
+// the entry stack pointer.
+func StackCell(n *expr.Node) (int64, bool) {
+	if n.Kind == expr.KindVar && n.Role == expr.RoleStack {
+		return int64(n.Val), true
+	}
+	return 0, false
 }
 
 // Step is one instruction on a chosen path. Taken matters only for
@@ -200,13 +251,11 @@ type State struct {
 
 	// Hot-path caches. rsp0 is the interned entry-rsp variable, consulted on
 	// every stack-relative address computation. stackVars memoizes the
-	// interned stk_N input variables by offset, and vc amortizes free-variable
-	// collection in derefAddrOK. All three reference nodes interned in B —
-	// stable for the builder's lifetime — so an Executor carries them across
-	// paths without resetting.
+	// interned stk_N input variables by offset. Both reference nodes interned
+	// in B — stable for the builder's lifetime — so an Executor carries them
+	// across paths without resetting.
 	rsp0      *expr.Node
 	stackVars map[int64]*expr.Node
-	vc        expr.VarCollector
 
 	// Backend stack/ABI model: the stack-pointer register, and (for
 	// link-register ISAs) the call return-address register and hardwired
@@ -261,7 +310,7 @@ func EntryRegs(b *expr.Builder, be isa.Backend) []*expr.Node {
 			regs[r] = b.Const(0, 64)
 			continue
 		}
-		regs[r] = b.Var(RegVarNameOn(be, isa.Reg(r)), 64)
+		regs[r] = RegVar(b, be, isa.Reg(r))
 	}
 	return regs
 }
@@ -337,7 +386,7 @@ func (s *State) stackVar(off int64) *expr.Node {
 	if s.stackVars == nil {
 		s.stackVars = make(map[int64]*expr.Node)
 	}
-	v := s.B.Var(StackVarName(off), 64)
+	v := StackVar(s.B, off)
 	s.stackVars[off] = v
 	return v
 }
@@ -415,20 +464,12 @@ func (s *State) readOperand(op isa.Operand, size uint8, instEnd uint64) (*expr.N
 // concretization constraints rarely stay satisfiable.
 const maxDerefs = 4
 
-// derefAddrOK checks an effective address is attacker-determined: built
-// only from entry registers and attacker-chosen values.
-func (s *State) derefAddrOK(ea *expr.Node) bool {
-	for _, v := range s.vc.Collect(ea) {
-		if IsAttackerVar(v.Name) {
-			continue
-		}
-		if _, ok := IsRegVar(v.Name); ok {
-			continue
-		}
-		return false
-	}
-	return true
-}
+// addrRoles are the roles an attacker-determined address may be built from:
+// entry registers and attacker-chosen values.
+const addrRoles = AttackerRoles | 1<<expr.RoleReg | 1<<expr.RoleSP
+
+// derefAddrOK checks an effective address is attacker-determined.
+func (s *State) derefAddrOK(ea *expr.Node) bool { return ea.Roles()&^addrRoles == 0 }
 
 // readDeref models a load through an attacker-determined pointer: the
 // result is a fresh unconstrained variable; the planner must arrange for
@@ -448,7 +489,7 @@ func (s *State) readDeref(ea *expr.Node, size uint8) (*expr.Node, error) {
 			}
 		}
 	}
-	v := s.B.Var(DerefVarName(len(s.memReads)), 64)
+	v := DerefVar(s.B, len(s.memReads))
 	s.memReads = append(s.memReads, MemAccess{Addr: ea, Val: v, Size: size})
 	if size == 8 {
 		return v, nil
@@ -520,7 +561,7 @@ func (s *State) setPZS(r *expr.Node, size uint8) {
 // whose usability depends on flag bits we do not model exactly.
 func (s *State) opaqueFlag(tag string) *expr.Node {
 	s.opaque++
-	return s.B.Var(fmt.Sprintf("opq_%s_%d", tag, s.opaque), expr.BoolWidth)
+	return s.B.Var(fmt.Sprintf("opq_%s_%d", tag, s.opaque), expr.BoolWidth, expr.RoleOther, 0)
 }
 
 // cond builds the boolean for an x86 condition code from the current flags.

@@ -194,7 +194,7 @@ func TestPushImmediateAndMem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff2.Regs[isa.RBX] != b.Var(StackVarName(8), 64) {
+	if eff2.Regs[isa.RBX] != StackVar(b, 8) {
 		t.Errorf("rbx = %s", eff2.Regs[isa.RBX])
 	}
 }
@@ -212,7 +212,7 @@ func TestCallIndirectGadget(t *testing.T) {
 	if len(eff.StackWrites) != 1 {
 		t.Errorf("stack writes = %d", len(eff.StackWrites))
 	}
-	if eff.NextRIP != b.Var(RegVarName(isa.RBX), 64) {
+	if eff.NextRIP != RegVar(b, isa.X64, isa.RBX) {
 		t.Errorf("next rip = %s", eff.NextRIP)
 	}
 }

@@ -49,10 +49,10 @@ func TestPopRet(t *testing.T) {
 	if eff.StackDelta != 16 {
 		t.Errorf("delta = %d, want 16", eff.StackDelta)
 	}
-	if got := eff.Regs[isa.RDI]; got != b.Var(StackVarName(0), 64) {
+	if got := eff.Regs[isa.RDI]; got != StackVar(b, 0) {
 		t.Errorf("rdi = %s, want stk_0", got)
 	}
-	if got := eff.NextRIP; got != b.Var(StackVarName(8), 64) {
+	if got := eff.NextRIP; got != StackVar(b, 8) {
 		t.Errorf("nextRIP = %s, want stk_8", got)
 	}
 	if len(eff.Conds) != 0 {
@@ -72,7 +72,7 @@ func TestJmpRegGadget(t *testing.T) {
 	if eff.End != EndJmpInd {
 		t.Errorf("end = %v", eff.End)
 	}
-	if eff.NextRIP != b.Var(RegVarName(isa.RAX), 64) {
+	if eff.NextRIP != RegVar(b, isa.X64, isa.RAX) {
 		t.Errorf("nextRIP = %s", eff.NextRIP)
 	}
 	if v, err := expr.Eval(eff.Regs[isa.RDI], expr.Env{}); err != nil || v != 0x601030 {
@@ -178,7 +178,7 @@ func TestStackWriteThenRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.Regs[isa.RBX] != b.Var(RegVarName(isa.RAX), 64) {
+	if eff.Regs[isa.RBX] != RegVar(b, isa.X64, isa.RAX) {
 		t.Errorf("rbx = %s, want rax0", eff.Regs[isa.RBX])
 	}
 	if eff.StackDelta != 8 { // push-pop cancels; ret consumes 8
@@ -200,25 +200,51 @@ func TestSyscallGadget(t *testing.T) {
 	}
 }
 
+// TestVarNames pins the rendered names and ParseVar as their inverse, under
+// the variable's own backend and under none, and that names no constructor
+// renders, or that name another backend's register, parse as RoleOther.
 func TestVarNames(t *testing.T) {
-	if got := StackVarName(-16); got != "stk_m16" {
-		t.Errorf("StackVarName(-16) = %q", got)
+	b := expr.NewBuilder()
+	if got := StackVar(b, -16).Name; got != "stk_m16" {
+		t.Errorf("StackVar(-16) = %q", got)
+	}
+	if v := RegVar(b, isa.X64, isa.RSP); v.Role != expr.RoleSP || v.Name != "rsp0" {
+		t.Errorf("x64 entry rsp = %q role %d", v.Name, v.Role)
+	}
+	type named struct {
+		be isa.Backend
+		v  *expr.Node
+	}
+	vars := []named{
+		{isa.X64, RegVar(b, isa.X64, isa.RDI)}, {isa.X64, RegVar(b, isa.X64, isa.RSP)},
+		{isa.RV64C, RegVar(b, isa.RV64C, isa.RVSP)}, {isa.RV64C, RegVar(b, isa.RV64C, 26)}, // s10
+		{isa.X64, DerefVar(b, 0)}, {isa.X64, DerefVar(b, 17)},
 	}
 	for _, off := range []int64{-24, -8, 0, 8, 1000} {
-		got, ok := ParseStackVar(StackVarName(off))
-		if !ok || got != off {
-			t.Errorf("ParseStackVar round trip failed for %d: %d %v", off, got, ok)
+		vars = append(vars, named{isa.RV64, StackVar(b, off)})
+	}
+	for _, nv := range vars {
+		for _, be := range []isa.Backend{nv.be, nil} {
+			if role, idx := ParseVar(be, nv.v.Name); role != nv.v.Role || idx != nv.v.Val {
+				t.Errorf("ParseVar(%v, %q) = %d %d, want %d %d", be, nv.v.Name, role, idx, nv.v.Role, nv.v.Val)
+			}
+			// The codec parses every variable name it decodes.
+			if n := testing.AllocsPerRun(10, func() { ParseVar(be, nv.v.Name) }); n != 0 {
+				t.Errorf("ParseVar(%v, %q) allocates %v times", be, nv.v.Name, n)
+			}
 		}
 	}
-	if _, ok := ParseStackVar("rax0"); ok {
-		t.Error("ParseStackVar accepted rax0")
-	}
-	r, ok := IsRegVar("rdi0")
-	if !ok || r != isa.RDI {
-		t.Errorf("IsRegVar(rdi0) = %v %v", r, ok)
-	}
-	if _, ok := IsRegVar("stk_8"); ok {
-		t.Error("IsRegVar accepted stk_8")
+	for _, c := range []struct {
+		be   isa.Backend
+		name string
+	}{
+		{isa.X64, "t60"}, {isa.RV64, "rax0"}, {nil, "eax0"}, {nil, "zf0"},
+		{nil, "stk_08"}, {nil, "stk_m0"}, {nil, "stk_-8"}, {nil, "stk_+8"}, {nil, "dm_x"},
+		{nil, "opq_cmp_1"}, {nil, "cell_8"},
+	} {
+		if role, _ := ParseVar(c.be, c.name); role != expr.RoleOther {
+			t.Errorf("ParseVar(%v, %q) = role %d, want RoleOther", c.be, c.name, role)
+		}
 	}
 }
 
@@ -350,7 +376,7 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 		// Build the evaluation environment from the concrete initial state.
 		env := expr.Env{}
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			env[RegVarName(r)] = initRegs[r]
+			env[RegVar(b, isa.X64, r).Name] = initRegs[r]
 		}
 		env["zf0"], env["sf0"], env["of0"], env["cf0"], env["pf0"] = 0, 0, 0, 0, 0
 		for off, size := range eff.Inputs {
@@ -365,7 +391,7 @@ func TestDifferentialAgainstEmulator(t *testing.T) {
 				v = v<<8 | uint64(initStack[idx+b])
 			}
 			_ = size
-			env[StackVarName(off)] = v
+			env[StackVar(b, off).Name] = v
 		}
 
 		// Path condition must hold on the concrete path actually taken.
